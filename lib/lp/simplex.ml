@@ -122,6 +122,91 @@ let slack_bounds ~row:i lo hi (row : Problem.row) =
         raise (Row_infeasible i);
       (0.0, 0.0)
 
+(* Outward check of a Farkas ray. With the zero objective the
+   certificate bound of [cert] reads
+     U(y) = y·b + Σ_j sup(−(Aᵀy)_j·[l_j,u_j]) + Σ_i sup(−y_i·[slo_i,shi_i])
+   and U(y) < 0 proves that no point of the box satisfies the rows.
+   Round to nearest lands within one ulp of the true value, so stepping
+   one float outward after every operation gives a directed bound; the
+   slack ranges are recomputed outward from the box, never read from a
+   solver's float ones. The terms are summed in the order the audit's
+   replay sums them, so a ray accepted here replays there as well.
+
+   This runs at every infeasible branch-and-bound node, so it keeps
+   its floats unboxed: plain loops, the two ends of −Aᵀy in two float
+   arrays, and no closure or tuple per column or row. *)
+
+(* [Float.max] without the call: NaN when either side is NaN. *)
+let[@inline] fmax a b = if a >= b then a else if a < b then b else a +. b
+
+(* sup of r·x over r in [rlo, rhi] and x in [l, h], outward. *)
+let[@inline] sup_extreme rlo rhi l h =
+  fmax
+    (fmax (Float.succ (rlo *. l)) (Float.succ (rlo *. h)))
+    (fmax (Float.succ (rhi *. l)) (Float.succ (rhi *. h)))
+
+let farkas_certifies problem y =
+  let rows = Problem.rows problem in
+  let m = Array.length rows in
+  Array.length y = m
+  && Array.for_all Float.is_finite y
+  &&
+  let n = Problem.num_vars problem in
+  let lo = Problem.var_lo problem and hi = Problem.var_hi problem in
+  let rlo = Array.make n 0.0 and rhi = Array.make n 0.0 in
+  let u = ref 0.0 in
+  for i = 0 to m - 1 do
+    let yi = y.(i) and row = rows.(i) in
+    if yi <> 0.0 then begin
+      u := Float.succ (!u +. Float.succ (yi *. row.rhs));
+      let terms = row.terms in
+      for k = 0 to Array.length terms - 1 do
+        let v, c = terms.(k) in
+        rlo.(v) <- Float.pred (rlo.(v) -. Float.succ (yi *. c));
+        rhi.(v) <- Float.succ (rhi.(v) -. Float.pred (yi *. c))
+      done
+    end
+  done;
+  for j = 0 to n - 1 do
+    u := Float.succ (!u +. sup_extreme rlo.(j) rhi.(j) lo.(j) hi.(j))
+  done;
+  (* A row no point of the box can meet empties the region outright. *)
+  let empty = ref false in
+  for i = 0 to m - 1 do
+    let row = rows.(i) in
+    let alo = ref 0.0 and ahi = ref 0.0 in
+    let terms = row.terms in
+    for k = 0 to Array.length terms - 1 do
+      let v, c = terms.(k) in
+      if c >= 0.0 then begin
+        alo := Float.pred (!alo +. Float.pred (c *. lo.(v)));
+        ahi := Float.succ (!ahi +. Float.succ (c *. hi.(v)))
+      end
+      else begin
+        alo := Float.pred (!alo +. Float.pred (c *. hi.(v)));
+        ahi := Float.succ (!ahi +. Float.succ (c *. lo.(v)))
+      end
+    done;
+    let r = -.y.(i) and rhs = row.rhs in
+    match row.cmp with
+    | Problem.Le ->
+        if !alo > rhs then empty := true
+        else
+          u :=
+            Float.succ
+              (!u +. sup_extreme r r 0.0 (fmax 0.0 (Float.succ (rhs -. !alo))))
+    | Problem.Ge ->
+        if !ahi < rhs then empty := true
+        else
+          u :=
+            Float.succ
+              (!u +. sup_extreme r r (Float.min 0.0 (Float.pred (rhs -. !ahi))) 0.0)
+    | Problem.Eq ->
+        if rhs < !alo || rhs > !ahi then empty := true
+        else u := Float.succ (!u +. sup_extreme r r 0.0 0.0)
+  done;
+  !empty || !u < 0.0
+
 let build problem ~negate =
   let rows = Problem.rows problem in
   let m = Array.length rows in
@@ -598,7 +683,11 @@ let restore_basis problem basis ~negate =
     end
   end
 
-type dual_outcome = Dual_feasible of int | Dual_limit | Dual_infeasible_row
+(* ['ray] is what an infeasible exit carries: nothing for the dense
+   core, whose caller re-confirms with a cold solve; the iterations
+   spent and the Farkas ray for the sparse core, whose caller checks the
+   ray itself. *)
+type 'ray dual_outcome = Dual_feasible of int | Dual_limit | Dual_infeasible of 'ray
 
 (* Bounded-variable dual simplex: starting from a (near) dual-feasible
    basis whose basic values may violate their bounds — exactly the state
@@ -673,7 +762,7 @@ let dual_optimize tb ~limit ~start_iter =
                value is extremal over the box, so the violated bound is a
                sound infeasibility certificate (mirrors the cold phase-1
                threshold). The caller re-confirms with a cold solve. *)
-            Dual_infeasible_row
+            Dual_infeasible ()
           else begin
             (* Within tolerance noise: accept the bound as met. *)
             tb.xb.(rrow) <-
@@ -795,7 +884,7 @@ let resolve_internal ?max_iterations ?(eps = 1e-7) problem ~basis =
       let dual_limit = Int.min limit (Int.max 100 (200 + (4 * tb.m))) in
       match dual_optimize tb ~limit:dual_limit ~start_iter:0 with
       | exception Numerical_error _ -> cold ()
-      | Dual_limit | Dual_infeasible_row -> cold ()
+      | Dual_limit | Dual_infeasible () -> cold ()
       | Dual_feasible it -> (
           match optimize tb ~eps ~limit ~start_iter:it with
           | exception Numerical_error _ -> cold ()
@@ -822,11 +911,11 @@ let resolve_internal ?max_iterations ?(eps = 1e-7) problem ~basis =
    FTRAN, the pivot row by BTRAN of a unit vector, so a pivot costs
    O(nnz) work instead of O(rows·cols).
 
-   The sparse path never decides infeasibility alone (mirroring the
-   warm→cold contract of [resolve]): any numerical doubt and every
-   infeasibility conclusion that is not exact interval arithmetic
-   surfaces as [Doubt], and the dispatcher below re-runs the dense
-   oracle. *)
+   The sparse path reports [Infeasible] only on evidence it has checked:
+   a row whose slack range is empty under the box, or a Farkas ray that
+   passes [farkas_certifies]. Any numerical doubt, and an infeasibility
+   conclusion whose ray fails the check, surfaces as [Doubt], and the
+   dispatcher below re-runs the dense oracle. *)
 
 (* Refactorize once the eta file reaches this length: each eta adds one
    O(nnz alpha) term to every FTRAN/BTRAN and compounds round-off, so
@@ -1422,7 +1511,16 @@ module Rev = struct
             end
           done;
           if !q < 0 then
-            if !worst > 1e-6 then Dual_infeasible_row
+            if !worst > 1e-6 then begin
+              (* No eligible column moves the leaving variable towards
+                 its violated bound, so row rrow of B⁻¹[A|I]z = B⁻¹b
+                 cannot hold anywhere in the box: ρ is a Farkas ray,
+                 pointing up when the variable sits below its lower
+                 bound and down when above. The caller checks it outward
+                 before pruning on it. *)
+              if not below then Array.iteri (fun i v -> rho.(i) <- -.v) rho;
+              Dual_infeasible (iter, rho)
+            end
             else begin
               st.xb.(rrow) <-
                 (if below then st.lo.(vleave) else st.hi.(vleave));
@@ -1461,13 +1559,18 @@ module Rev = struct
 
   (* [Done] carries a result the sparse core fully stands behind;
      [Doubt] is the signal for the dispatcher to re-run the dense
-     oracle — notably every phase-1 infeasibility conclusion, so the
-     sparse path never prunes a branch-and-bound node alone. *)
+     oracle — notably a phase-1 infeasibility conclusion whose Farkas
+     ray fails its outward check, so the sparse path never prunes a
+     branch-and-bound node on an unchecked conclusion. *)
   type outcome = Done of solution | Doubt of string
 
   (* Same slack-column identity as the dense [row_duals]: the sparse
      build never scales rows, so y_i = −r_si directly. *)
   let row_duals st = Array.init st.m (fun i -> -.st.r.(st.nstruct + i))
+
+  let infeasible ~iterations ~warm ray =
+    { status = Infeasible; objective = 0.0; x = [||]; iterations;
+      basis = None; warm; cert = Some (Cert_farkas ray) }
 
   let finish ?(certify = true) st ~status ~iterations ~warm problem =
     let x = extract st in
@@ -1506,7 +1609,15 @@ module Rev = struct
         | None -> Done (finish st ~status:Iteration_limit ~iterations:limit ~warm:false problem)
         | Some it1 ->
             let infeasibility = -.phase_objective st in
-            if infeasibility > 1e-6 then Doubt "sparse phase-1 infeasible"
+            if infeasibility > 1e-6 then begin
+              (* Same Farkas ray as the dense phase-1 exit, from freshly
+                 recomputed reduced costs. *)
+              recompute_reduced_costs st;
+              let ray = row_duals st in
+              if farkas_certifies problem ray then
+                Done (infeasible ~iterations:it1 ~warm:false ray)
+              else Doubt "sparse phase-1 ray failed its outward check"
+            end
             else begin
               for i = 0 to st.m - 1 do
                 let ai = st.nreal + i in
@@ -1548,7 +1659,11 @@ module Rev = struct
         let dual_limit = Int.min limit (Int.max 100 (200 + (4 * st.m))) in
         match dual_optimize st ~limit:dual_limit ~start_iter:0 with
         | exception Numerical_error _ -> cold ()
-        | Dual_limit | Dual_infeasible_row -> cold ()
+        | Dual_limit -> cold ()
+        | Dual_infeasible (iterations, ray) ->
+            if farkas_certifies problem ray then
+              Done (infeasible ~iterations ~warm:true ray)
+            else cold ()
         | Dual_feasible it -> (
             match optimize st ~eps ~limit ~start_iter:it with
             | exception Numerical_error _ -> cold ()
@@ -1629,8 +1744,8 @@ let resolve ?max_iterations ?eps ?core ~basis problem =
       match Rev.resolve_internal ?max_iterations ?eps problem ~basis with
       | Rev.Done s -> s
       | Rev.Doubt _ ->
-          (* Sparse concluded infeasible: the dense oracle confirms
-             before anyone prunes on it. *)
+          (* Sparse concluded infeasible on a ray that failed its
+             outward check: the dense oracle decides. *)
           note_fallback ();
           solve_internal ?max_iterations ?eps problem ~negate:false
       | exception Numerical_error _ ->

@@ -52,8 +52,9 @@ type core = Dense | Sparse
     tableau. [Sparse]: the revised simplex on factored sparse columns —
     asymptotically cheaper (O(nnz) per pivot instead of O(rows·cols))
     and the default; on any numerical doubt it transparently re-runs
-    the dense oracle, and it never reports [Infeasible] without dense
-    confirmation. *)
+    the dense oracle. It reports [Infeasible] only with a row that is
+    empty under the box, with a Farkas ray that passes
+    {!farkas_certifies}, or with the dense oracle's confirmation. *)
 
 val core_of_string : string -> core option
 (** Parses ["dense"] / ["sparse"] (case-insensitive). *)
@@ -75,7 +76,7 @@ val sparse_fallbacks : unit -> int
 
 val refactor_interval : int ref
 (** Eta-file length that triggers a refactorization of the sparse
-    basis (default 64). Exposed for tests; leave alone otherwise. *)
+    basis (default 32). Exposed for tests; leave alone otherwise. *)
 
 type cert =
   | Cert_duals of float array
@@ -91,7 +92,8 @@ type cert =
   | Cert_farkas of float array
       (** Same shape, but certifying infeasibility: with the zero
           objective, [U(y) < 0] proves the feasible region empty
-          (Farkas ray from the phase-1 optimum). *)
+          (Farkas ray from the phase-1 optimum, or from the row the
+          sparse dual simplex found infeasible). *)
   | Cert_empty_row of int
       (** Row index whose slack range is empty under the variable box —
           infeasibility by exact interval arithmetic, checkable by
@@ -99,6 +101,16 @@ type cert =
 (** Machine-checkable evidence for a solve's conclusion, designed so a
     small independent checker ({!Certify}) can replay it without
     re-running any simplex. *)
+
+val farkas_certifies : Problem.t -> float array -> bool
+(** [farkas_certifies p y] is [true] only when [y] proves [p] has no
+    feasible point under its current bounds: with the zero objective,
+    the weak-duality bound [U(y)] of {!cert}, evaluated with every
+    operation rounded outward ([Float.succ]/[Float.pred]) and with slack
+    ranges recomputed outward from the box, is negative (or some row is
+    empty over the box). [false] for a [y] of the wrong length or with a
+    non-finite entry. Each call allocates a few flat arrays (the rows,
+    the bounds and the two ends of −Aᵀy), nothing per column or row. *)
 
 type solution = {
   status : status;
@@ -136,11 +148,15 @@ val resolve :
     restored basis is driven primal-feasible by the dual simplex, then
     polished by the primal simplex. Correctness never depends on the
     warm path: a stale/corrupted snapshot, a singular restored basis,
-    a dual-simplex infeasibility certificate, an iteration limit, or
-    numerical trouble all transparently fall back to a cold {!solve}
-    (the returned [warm] flag tells which path produced the answer).
+    an iteration limit, or numerical trouble all transparently fall
+    back to a cold {!solve} (the returned [warm] flag tells which path
+    produced the answer). A dual-simplex infeasibility conclusion falls
+    back too under the dense core. The sparse core instead reports it
+    as [Infeasible] with [warm = true] and its [Cert_farkas] ray when
+    {!farkas_certifies} accepts the ray, and falls back cold otherwise.
     Under the sparse core the same contract extends one layer down:
-    sparse doubt falls back to the dense engine. *)
+    sparse doubt, including a phase-1 ray that fails the check, falls
+    back to the dense engine. *)
 
 val solve_min :
   ?max_iterations:int -> ?eps:float -> ?core:core -> Problem.t -> solution

@@ -147,8 +147,10 @@ let random_lp seed =
   done;
   p
 
-let cert_replays core p =
-  let s = Lp.Simplex.solve ~core p in
+let zero_obj p =
+  { (view_of p) with Certify.Checker.obj = Array.make (Lp.Problem.num_vars p) 0.0 }
+
+let replays p s =
   match s.Lp.Simplex.cert with
   | None -> s.Lp.Simplex.status = Lp.Simplex.Iteration_limit
   | Some (Lp.Simplex.Cert_duals y) -> (
@@ -160,24 +162,87 @@ let cert_replays core p =
   | Some (Lp.Simplex.Cert_farkas y) -> (
       s.Lp.Simplex.status = Lp.Simplex.Infeasible
       &&
-      let zero_obj =
-        { (view_of p) with Certify.Checker.obj = Array.make (Lp.Problem.num_vars p) 0.0 }
-      in
-      match Certify.Checker.dual_upper zero_obj y with
+      match Certify.Checker.dual_upper (zero_obj p) y with
       | Ok u -> u < 0.0
       | Error _ -> false)
   | Some (Lp.Simplex.Cert_empty_row i) ->
       s.Lp.Simplex.status = Lp.Simplex.Infeasible
       && Certify.Checker.row_certainly_empty (view_of p) i
 
+let cert_replays core p = replays p (Lp.Simplex.solve ~core p)
+
+(* A branch-and-bound child: re-solve warm from the optimal basis after
+   tightening one side of one variable. The warm certificate must replay
+   and its status must match the dense cold solve of the child. *)
+let warm_cert_replays core p (vidx, side, frac) =
+  let parent = Lp.Simplex.solve ~core p in
+  match (parent.Lp.Simplex.status, parent.Lp.Simplex.basis) with
+  | Lp.Simplex.Optimal, Some basis ->
+      let v = vidx mod Lp.Problem.num_vars p in
+      let lo, hi = Lp.Problem.bounds p v in
+      let cut = lo +. (frac *. (hi -. lo)) in
+      if side then Lp.Problem.set_bounds p v ~lo ~hi:cut
+      else Lp.Problem.set_bounds p v ~lo:cut ~hi;
+      let warm = Lp.Simplex.resolve ~core ~basis p in
+      replays p warm
+      && warm.Lp.Simplex.status
+         = (Lp.Simplex.solve ~core:Lp.Simplex.Dense p).Lp.Simplex.status
+  | _ -> true
+
 let prop_lp_certs_replay_both_cores =
   QCheck.Test.make ~count:120
     ~name:"sparse and dense LP certificates replay under outward rounding"
-    QCheck.(make Gen.(int_range 0 100_000))
-    (fun seed ->
+    QCheck.(
+      make
+        Gen.(
+          pair (int_range 0 100_000)
+            (triple (int_range 0 100) bool (float_range 0.05 0.95))))
+    (fun (seed, child) ->
       let p = random_lp seed in
-      cert_replays Lp.Simplex.Dense (Lp.Problem.copy p)
-      && cert_replays Lp.Simplex.Sparse (Lp.Problem.copy p))
+      List.for_all
+        (fun core ->
+          cert_replays core (Lp.Problem.copy p)
+          && warm_cert_replays core (Lp.Problem.copy p) child)
+        [ Lp.Simplex.Dense; Lp.Simplex.Sparse ])
+
+(* The solver's own Farkas check must never accept a ray the independent
+   checker rejects: solver rays, perturbed and rescaled ones, and
+   arbitrary vectors alike. Malformed rays are refused outright. *)
+let prop_farkas_check_implies_replay =
+  QCheck.Test.make ~count:200
+    ~name:"solver-side Farkas check accepts only rays the checker accepts"
+    QCheck.(make Gen.(pair (int_range 0 100_000) (int_range 0 100_000)))
+    (fun (seed, pseed) ->
+      let p = random_lp seed in
+      let m = Lp.Problem.num_constraints p in
+      let rng = Linalg.Rng.create pseed in
+      let base =
+        match (Lp.Simplex.solve ~core:Lp.Simplex.Dense p).Lp.Simplex.cert with
+        | Some (Lp.Simplex.Cert_farkas y | Lp.Simplex.Cert_duals y) -> y
+        | Some (Lp.Simplex.Cert_empty_row _) | None ->
+            Array.init m (fun _ -> Linalg.Rng.uniform rng (-1.0) 1.0)
+      in
+      let perturbed rel =
+        Array.map (fun v -> v *. (1.0 +. Linalg.Rng.uniform rng (-.rel) rel)) base
+      in
+      let candidates =
+        [ base; perturbed 1e-15; perturbed 1e-9; perturbed 1e-3; perturbed 0.5;
+          Array.map (fun v -> v *. 1e12) base; Array.map Float.neg base;
+          Array.init m (fun _ -> Linalg.Rng.uniform rng (-3.0) 3.0) ]
+      in
+      let replays_negative y =
+        match Certify.Checker.dual_upper (zero_obj p) y with
+        | Ok u -> u < 0.0
+        | Error _ -> false
+      in
+      let with_nan = Array.copy base in
+      with_nan.(0) <- Float.nan;
+      List.for_all
+        (fun y -> (not (Lp.Simplex.farkas_certifies p y)) || replays_negative y)
+        candidates
+      && (not (Lp.Simplex.farkas_certifies p with_nan))
+      && (not (Lp.Simplex.farkas_certifies p (Array.append base [| -1.0 |])))
+      && not (Lp.Simplex.farkas_certifies p (Array.sub base 0 (m - 1))))
 
 (* {1 Certificate serialisation} *)
 
@@ -438,5 +503,6 @@ let () =
           slow "watchdog verdict" test_watchdog_same_verdict;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_lp_certs_replay_both_cores ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_lp_certs_replay_both_cores; prop_farkas_check_implies_replay ] );
     ]

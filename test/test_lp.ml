@@ -318,8 +318,7 @@ let test_resolve_after_bound_change () =
 
 let test_resolve_detects_infeasible_child () =
   (* Child bounds make the constraint unsatisfiable: warm or cold, the
-     answer must be Infeasible (the dual certificate is re-confirmed by
-     the cold fallback, never trusted alone). *)
+     answer must be Infeasible. *)
   let p = Lp.Problem.create () in
   let x = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
   let y = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
@@ -605,6 +604,36 @@ let test_sparse_corrupted_basis_falls_back () =
         bupper = Array.make 4 false; bfactor = None };
     ]
 
+let test_sparse_warm_farkas_ray () =
+  (* Parent: max x + y st x + y >= 6, y - x <= 1 over [0,10]², optimum
+     (10, 10). The child x <= 2 is infeasible only through both rows
+     together (y >= 4 from the first, y <= 3 from the second); neither
+     row alone is empty over the child box, so restore cannot see it and
+     the dual simplex meets a row it cannot repair. Its ray passes the
+     outward check, so the sparse core prunes warm, on its own
+     evidence, with no dense re-solve. *)
+  let p = Lp.Problem.create () in
+  let x = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
+  let y = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
+  Lp.Problem.add_constraint p [ (x, 1.0); (y, 1.0) ] Lp.Problem.Ge 6.0;
+  Lp.Problem.add_constraint p [ (y, 1.0); (x, -1.0) ] Lp.Problem.Le 1.0;
+  let parent = Lp.Simplex.solve ~core:sparse p in
+  check_status Lp.Simplex.Optimal parent;
+  let basis = Option.get parent.Lp.Simplex.basis in
+  Lp.Problem.set_bounds p x ~lo:0.0 ~hi:2.0;
+  let before = Lp.Simplex.sparse_fallbacks () in
+  let r = Lp.Simplex.resolve ~core:sparse ~basis p in
+  check_status Lp.Simplex.Infeasible r;
+  Alcotest.(check bool) "pruned on the warm path" true r.Lp.Simplex.warm;
+  (match r.Lp.Simplex.cert with
+   | Some (Lp.Simplex.Cert_farkas ray) ->
+       Alcotest.(check bool) "ray passes the outward check" true
+         (Lp.Simplex.farkas_certifies p ray)
+   | _ -> Alcotest.fail "expected a Farkas certificate");
+  Alcotest.(check int) "no dense fallback" before
+    (Lp.Simplex.sparse_fallbacks ());
+  check_status Lp.Simplex.Infeasible (Lp.Simplex.solve ~core:dense p)
+
 let test_sparse_stale_factor_probe () =
   (* A factored snapshot from problem A replayed against a same-shape
      problem B: the residual probe must reject the stale factor and the
@@ -730,6 +759,7 @@ let () =
           quick "corrupted basis falls back"
             test_sparse_corrupted_basis_falls_back;
           quick "stale factor probe" test_sparse_stale_factor_probe;
+          quick "warm farkas ray" test_sparse_warm_farkas_ray;
         ] );
       ( "problem",
         [
