@@ -311,63 +311,23 @@ let run ~net ~dir =
   let entries = Journal.load ~dir in
   (* Resume may append a later entry for the same component: last one
      wins, matching what the driver itself trusts. *)
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (e : Journal.entry) -> Hashtbl.replace tbl e.component e)
-    entries;
-  let latest =
-    List.sort
-      (fun (a : Journal.entry) (b : Journal.entry) ->
-        compare a.component b.component)
-      (Hashtbl.fold (fun _ e acc -> e :: acc) tbl [])
-  in
+  let latest = Journal.latest entries in
   let campaign_prop =
-    match List.rev entries with e :: _ -> Some e.Journal.prop_hash | [] -> None
+    match List.rev entries with e :: _ -> e.Journal.prop_hash | [] -> ""
   in
   let total = ref None in
   let audit_entry (e : Journal.entry) =
     let status, detail =
-      if e.net_hash <> net_hash then
-        (Rejected "journal entry is for a different network", "")
-      else if Some e.prop_hash <> campaign_prop then
-        (Rejected "journal entry is for a different property", "")
-      else
-        match e.verdict with
-        | "unknown" ->
-            (Unverified "campaign recorded an honest unknown", "")
-        | ("proved" | "disproved") as verdict -> (
-            match e.cert_file with
-            | None -> (Rejected "settled verdict without a certificate", "")
-            | Some name -> (
-                match Journal.read_cert ~dir ~name with
-                | Error m -> (Rejected m, "")
-                | Ok blob -> (
-                    match Certificate.of_string blob with
-                    | Error m -> (Rejected m, "")
-                    | Ok cert ->
-                        if cert.Certificate.component <> e.component then
-                          (Rejected "certificate component mismatch", "")
-                        else if
-                          Certificate.property_hash ~net_hash
-                            cert.Certificate.property
-                          <> e.prop_hash
-                        then
-                          (Rejected "certificate property hash mismatch", "")
-                        else if
-                          match (verdict, cert.Certificate.body) with
-                          | "proved", Certificate.Witness _ -> true
-                          | "disproved", Certificate.Milp_tree _
-                          | "disproved", Certificate.Presolve _ -> true
-                          | _ -> false
-                        then
-                          (Rejected "certificate body contradicts verdict", "")
-                        else (
-                          if !total = None then
-                            total :=
-                              Some cert.Certificate.property.components;
-                          match check_certificate net cert with
-                          | Ok d -> (Confirmed, d)
-                          | Error m -> (Rejected m, "")))))
-        | other -> (Rejected (Printf.sprintf "unknown verdict %S" other), "")
+      match Journal.trusted ~dir ~net_hash ~prop_hash:campaign_prop e with
+      | Error `Unsettled ->
+          (Unverified "campaign recorded an honest unknown", "")
+      | Error (`Untrusted m) -> (Rejected m, "")
+      | Ok cert -> (
+          if !total = None then
+            total := Some cert.Certificate.property.components;
+          match check_certificate net cert with
+          | Ok d -> (Confirmed, d)
+          | Error m -> (Rejected m, ""))
     in
     { component = e.component; claimed = e.verdict; status; detail }
   in

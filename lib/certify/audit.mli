@@ -47,8 +47,9 @@ val check_certificate : Nn.Network.t -> Certificate.t -> (string, string) result
 
 val run : net:Nn.Network.t -> dir:string -> report
 (** Audit a whole campaign directory: load the journal (last entry per
-    component wins), verify each entry's network and property hashes,
-    parse and replay its certificate, and aggregate the verdict. *)
+    component wins), admit each entry through {!Journal.trusted} for
+    the campaign's question (the property hash of the last journal
+    line), replay its certificate, and aggregate the verdict. *)
 
 val render : report -> string
 (** Plain-text per-component summary for the CLI and CI logs. *)

@@ -68,6 +68,17 @@ let property_key p =
    complete semantics of the feasible set. Names and the objective are
    excluded: the objective is reconstructed from the certificate's
    output index, so it cannot drift from the claim. *)
+let leaf_of_search fixes cert =
+  {
+    fixes = Array.of_list (List.rev fixes);
+    evidence =
+      (match cert with
+       | Milp.Solver.Leaf_bounded y -> Ev_bounded y
+       | Milp.Solver.Leaf_infeasible y -> Ev_infeasible y
+       | Milp.Solver.Leaf_empty_row i -> Ev_empty_row i
+       | Milp.Solver.Leaf_uncertified reason -> Ev_unsupported reason);
+  }
+
 let model_fingerprint model =
   let problem = Milp.Model.lp model in
   let h = Chash.create () in

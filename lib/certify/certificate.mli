@@ -72,6 +72,12 @@ val property_key : property -> string
     revalidate against the current weights. Uses a distinct magic
     string, so it never collides with a {!property_hash}. *)
 
+val leaf_of_search :
+  (Milp.Model.var * float * float) list -> Milp.Solver.leaf_cert -> leaf
+(** One closed search leaf as {!Milp.Solver.solve}'s [on_leaf] streams
+    it (fixes leaf-first, the LP evidence that closed it), in
+    certificate form. *)
+
 val model_fingerprint : Milp.Model.t -> string
 (** Digest of a MILP model's feasible set: rows (terms, sense, rhs),
     variable bounds and integer markings. The objective and all names

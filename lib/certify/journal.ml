@@ -53,6 +53,7 @@ let ends_with_newline path =
    torn final line (crash mid-write) simply fails its checksum and is
    skipped by [load] — the component gets re-proved, never trusted. *)
 let append ~dir e =
+  init dir;
   let path = journal_file dir in
   let payload = entry_payload e in
   let line = Printf.sprintf "%s %s\n" (Chash.of_string payload) payload in
@@ -118,6 +119,7 @@ let load ~dir =
    on a directory) can never interleave into — or rename — each
    other's half-written temp file. *)
 let write_cert ~dir ~name content =
+  init dir;
   let tmp =
     Filename.concat dir
       (Printf.sprintf "%s.%d.%d.tmp" name (Unix.getpid ())
@@ -144,3 +146,46 @@ let read_cert ~dir ~name =
       (fun () ->
         Ok (really_input_string ic (in_channel_length ic)))
   end
+
+let latest entries =
+  let last = Hashtbl.create 16 in
+  List.iter (fun e -> Hashtbl.replace last e.component e) entries;
+  List.sort
+    (fun a b -> compare a.component b.component)
+    (Hashtbl.fold (fun _ e acc -> e :: acc) last [])
+
+(* The one place a journal line becomes evidence. The certificate file
+   name carries no question, so the file an old line points at may have
+   been overwritten by a later question asked in the same directory:
+   the line's hashes alone prove nothing, the certificate must name the
+   same component, network and property itself. *)
+let trusted ~dir ~net_hash ~prop_hash e =
+  let untrusted m = Error (`Untrusted m) in
+  if e.net_hash <> net_hash then
+    untrusted "journal entry is for a different network"
+  else if e.prop_hash <> prop_hash then
+    untrusted "journal entry is for a different property"
+  else
+    match (e.verdict, e.cert_file) with
+    | "unknown", _ -> Error `Unsettled
+    | ("proved" | "disproved"), None ->
+        untrusted "settled verdict without a certificate"
+    | (("proved" | "disproved") as verdict), Some name -> (
+        match Result.bind (read_cert ~dir ~name) Certificate.of_string with
+        | Error m -> untrusted m
+        | Ok cert -> (
+            if cert.Certificate.component <> e.component then
+              untrusted "certificate component mismatch"
+            else if cert.Certificate.net_hash <> net_hash then
+              untrusted "certificate is for a different network"
+            else if
+              Certificate.property_hash ~net_hash cert.Certificate.property
+              <> prop_hash
+            then untrusted "certificate property hash mismatch"
+            else
+              match (verdict, cert.Certificate.body) with
+              | "disproved", Certificate.Witness _
+              | "proved", (Certificate.Milp_tree _ | Certificate.Presolve _) ->
+                  Ok cert
+              | _ -> untrusted "certificate body contradicts verdict"))
+    | other, _ -> untrusted (Printf.sprintf "unknown verdict %S" other)

@@ -39,16 +39,17 @@ let locked t f =
 (* Rebuild one entry from its certification directory, trusting only
    what survives the existing integrity checks: journal lines carry
    their own checksum (a torn tail parses to nothing), certificates
-   their own; every certificate must speak about the same network and
-   hash back to the directory's property hash. The last journal entry
-   per component wins, mirroring [Audit.run] and [--resume]. *)
+   their own, and {!Journal.trusted} admits a settled component only on
+   a certificate about the directory's own network and property. The
+   last journal entry per component wins, mirroring [Audit.run] and
+   [--resume]. *)
 let recover_dir root name =
   let dir = Filename.concat root name in
   match Journal.load ~dir with
   | [] -> None
-  | entries -> (
-      let net_hash = (List.hd entries).Journal.net_hash in
-      let prop_hash = (List.hd entries).Journal.prop_hash in
+  | first :: _ as entries -> (
+      let net_hash = first.Journal.net_hash in
+      let prop_hash = first.Journal.prop_hash in
       if
         not
           (List.for_all
@@ -56,77 +57,40 @@ let recover_dir root name =
                e.Journal.net_hash = net_hash && e.Journal.prop_hash = prop_hash)
              entries)
       then None (* mixed questions in one directory: never trust *)
-      else begin
-        let last = Hashtbl.create 8 in
-        List.iter
-          (fun (e : Journal.entry) -> Hashtbl.replace last e.Journal.component e)
-          entries;
-        (* Settled components whose certificate parses and matches. *)
-        let settled = Hashtbl.create 8 in
-        let certified = ref 0 in
-        let property = ref None in
-        Hashtbl.iter
-          (fun component (e : Journal.entry) ->
-            match e.Journal.cert_file with
-            | None -> ()
-            (* An [unknown] entry can carry a certificate file — the
-               emitter journals a failed self-audit that way — and must
-               never count as settled. *)
-            | Some _ when e.Journal.verdict <> "proved"
-                          && e.Journal.verdict <> "disproved" -> ()
-            | Some file -> (
-                match Journal.read_cert ~dir ~name:file with
-                | Error _ -> ()
-                | Ok blob -> (
-                    match Certificate.of_string blob with
-                    | Error _ -> ()
-                    | Ok cert ->
-                        if
-                          cert.Certificate.component = component
-                          && cert.Certificate.net_hash = net_hash
-                          && Certificate.property_hash ~net_hash
-                               cert.Certificate.property
-                             = prop_hash
-                        then begin
-                          incr certified;
-                          if !property = None then
-                            property := Some cert.Certificate.property;
-                          Hashtbl.replace settled component
-                            (e.Journal.verdict, cert)
-                        end)))
-          last;
-        match !property with
-        | None -> None
-        | Some property ->
-            let disproof =
-              Hashtbl.fold
-                (fun _ sc acc ->
-                  match (acc, sc) with
-                  | Some _, _ -> acc
-                  | ( None,
-                      ( "disproved",
-                        {
-                          Certificate.body =
-                            Certificate.Witness { input; achieved };
-                          _;
-                        } ) ) ->
-                      Some (Disproved { witness = input; achieved })
-                  | None, _ -> acc)
-                settled None
+      else
+        (* An [unknown] entry can carry a certificate file — the emitter
+           journals a failed self-audit that way — and is never
+           settled. *)
+        let settled =
+          List.filter_map
+            (fun e ->
+              Result.to_option (Journal.trusted ~dir ~net_hash ~prop_hash e))
+            (Journal.latest entries)
+        in
+        match settled with
+        | [] -> None
+        | c :: _ ->
+            let property = c.Certificate.property in
+            let disproof (c : Certificate.t) =
+              match c.Certificate.body with
+              | Certificate.Witness { input; achieved } ->
+                  Some (Disproved { witness = input; achieved })
+              | Certificate.Milp_tree _ | Certificate.Presolve _ -> None
+            in
+            let proved k =
+              List.exists
+                (fun (c : Certificate.t) ->
+                  c.Certificate.component = k && disproof c = None)
+                settled
             in
             let verdict =
-              match disproof with
+              match List.find_map disproof settled with
               | Some d -> Some d
-              | None ->
-                  let all_proved =
-                    List.for_all
-                      (fun k ->
-                        match Hashtbl.find_opt settled k with
-                        | Some ("proved", _) -> true
-                        | _ -> false)
-                      (List.init property.Certificate.components Fun.id)
-                  in
-                  if all_proved then Some Proved else None
+              | None
+                when List.for_all proved
+                       (List.init property.Certificate.components Fun.id) ->
+                  Some Proved
+              | None -> None
             in
             Option.map
               (fun verdict ->
@@ -136,10 +100,9 @@ let recover_dir root name =
                   property;
                   verdict;
                   dir;
-                  certified = !certified;
+                  certified = List.length settled;
                 })
-              verdict
-      end)
+              verdict)
 
 let sub_table tbl key =
   match Hashtbl.find_opt tbl key with

@@ -37,10 +37,9 @@ let budget_slice ?now ~deadline ~queue_len () =
   Float.min remaining
     (Float.max min_query_slice (remaining /. float_of_int (max 1 queue_len)))
 
-let witness_of_solution enc net ~component ~output_index solution =
-  let input = Encoding.Encoder.input_point enc solution in
+let witness_at net ~component ~output input =
   let outputs = Nn.Network.forward net input in
-  { input; outputs; achieved = outputs.(output_index); component }
+  { input; outputs; achieved = outputs.(output); component }
 
 (* The analysis upper bound on output [k] over the whole box: the last
    post-activation bound of the encoding. Sound in every bound mode and
@@ -167,8 +166,8 @@ let maximize_outputs ?(time_limit = 60.0)
             best_value := Some objective;
             best_witness :=
               Some
-                (witness_of_solution enc net ~component:qi ~output_index:k
-                   solution)
+                (witness_at net ~component:qi ~output:k
+                   (Encoding.Encoder.input_point enc solution))
           end
       | None -> ())
     results;
@@ -213,798 +212,445 @@ type proof_result = {
   partition : Partition.stats option;
 }
 
-(* The legacy uncertified prover: parallel/portfolio solves, OBBT
-   allowed, nothing written to disk. *)
-let prove_plain ~time_limit ~bound_mode ~tighten_rounds ~cores ~portfolio
-    ~warm ~lp_core ~components ~threshold net box =
-  (* Same budget contract as [maximize_outputs]: OBBT spends from the
-     global limit, the remainder is re-split before each query. *)
-  let started = Linalg.Mclock.now () in
-  let deadline = started +. time_limit in
-  let enc =
-    Encoding.Encoder.encode ~bound_mode ~tighten_rounds
-      ~tighten_budget:(0.5 *. time_limit) ~cores ?lp_core net box
-  in
-  let priority = Encoding.Encoder.layer_order_priority enc in
-  let nodes = ref 0 in
-  (* Incomplete pre-pass: a component whose analysis upper bound already
-     meets the threshold is discharged with zero search nodes. Under
-     [Symbolic_bounds] this alone often proves the property — the MILP
-     machinery below then never runs. *)
-  let discharged, pending =
-    List.partition
-      (fun k ->
-        output_upper enc (Nn.Gmm.mu_lat_index ~components k) <= threshold)
-      (List.init components Fun.id)
-  in
-  let presolved = List.length discharged in
-  let presolved_bound =
-    List.fold_left
-      (fun acc k ->
-        Float.max acc (output_upper enc (Nn.Gmm.mu_lat_index ~components k)))
-      neg_infinity discharged
-  in
-  let rec prove queue worst_bound =
-    match queue with
-    | [] ->
-        if worst_bound <= threshold then Proved
-        else Unknown { best_bound = worst_bound }
-    | k :: rest ->
-        let output = Nn.Gmm.mu_lat_index ~components k in
-        let per_query_limit =
-          budget_slice ~deadline ~queue_len:(List.length queue) ()
-        in
-        let r =
-          Milp.Parallel.solve ~cores ?portfolio ~time_limit:per_query_limit
-            ~cutoff:threshold ~branch_rule:(Milp.Solver.Priority priority)
-            ?node_bound:(node_bound_for ~bound_mode enc net box ~output)
-            ~objective:(Encoding.Encoder.output_objective enc output)
-            ~warm ?lp_core enc.Encoding.Encoder.model
-        in
-        nodes := !nodes + r.Milp.Solver.nodes;
-        (match r.Milp.Solver.incumbent with
-         | Some (solution, _) ->
-             (* A feasible point above the cutoff refutes the property. *)
-             Disproved
-               (witness_of_solution enc net ~component:k ~output_index:output
-                  solution)
-         | None -> (
-             match r.Milp.Solver.outcome with
-             | Milp.Solver.Optimal ->
-                 prove rest (Float.max worst_bound threshold)
-             | Milp.Solver.Time_limit | Milp.Solver.Node_limit
-             | Milp.Solver.Infeasible ->
-                 prove rest
-                   (Float.max worst_bound
-                      (Float.min r.Milp.Solver.best_bound
-                         (output_upper enc output)))))
-  in
-  let proof = prove pending presolved_bound in
-  {
-    proof;
-    proof_elapsed = Linalg.Mclock.now () -. started;
-    proof_nodes = !nodes;
-    presolved;
-    certified = 0;
-    resumed = 0;
-    degraded = 0;
-    partition = None;
-  }
-
 (* {2 Sessions}
 
-   One-time per-model state for callers that issue many queries against
-   the same loaded network (the [depnn serve] workers, campaign
-   scripts). Two things are hoisted out of the per-call path:
-
-   - the network's content hash, which [prove_certified] previously
-     recomputed on every call even though it can only change when the
-     model file is reloaded;
-   - the deterministic [tighten_rounds = 0] encoding of the most recent
-     (bound mode, box, lp core) question, so back-to-back queries over
-     the same box — different thresholds, a server's cache-miss burst —
-     skip the encoder entirely. The memo is sound because the certified
-     path never applies OBBT (the encoding depends only on the key) and
-     the solver copies the LP before mutating it.
-
-   A session is single-domain state: give each worker its own. *)
+   The encoding memo (see driver.mli) is sound because a session never
+   applies OBBT (the encoding depends only on the key) and the solver
+   copies the LP before mutating it. *)
 type session = {
   session_net : Nn.Network.t;
   session_net_hash : string;
   mutable session_enc :
-    ((Encoding.Encoder.bound_mode * float array * float array
+    ((Encoding.Encoder.bound_mode * (float * float) array
      * Lp.Simplex.core option)
     * Encoding.Encoder.t)
     option;
 }
 
 let create_session net =
-  {
-    session_net = net;
-    session_net_hash = Nn.Io.content_hash net;
-    session_enc = None;
-  }
+  { session_net = net; session_net_hash = Nn.Io.content_hash net;
+    session_enc = None }
 
 let session_net s = s.session_net
 let session_net_hash s = s.session_net_hash
 
-let session_encode session ~bound_mode ~cores ?lp_core net box =
+(* {2 The settle ladder}
+
+   One walk over the leaf boxes takes every component down store,
+   revalidation, resume, presolve, MILP and Unknown (driver.mli states
+   the contract). The evidence sink is the only switch. With a sink
+   every settled component leaves a replayable certificate and a
+   fsynced journal line, so a kill at any instant loses at most the
+   component in flight. Certificates must be independently rebuildable,
+   so the sink alone forces [tighten_rounds = 0] (an OBBT-tightened
+   model embeds thousands of LP conclusions the checker would have to
+   take on faith) and solves sequentially without analysis node bounds
+   (prunes against a bound the certificate cannot replay would be
+   [Leaf_uncertified]): certified campaigns trade speed for
+   auditability. One disproved leaf disproves the parent (its witness
+   lies inside the leaf box, hence inside the parent box). *)
+
+module Cert = Certify.Certificate
+module Journal = Certify.Journal
+module Store = Certify.Store
+
+type query = {
+  net : Nn.Network.t;
+  session : session option;
+  net_hash : string Lazy.t;
+  bound_mode : Encoding.Encoder.bound_mode;
+  tighten_rounds : int;
+  cores : int;
+  portfolio : (int * int) option;
+  warm : bool;
+  lp_core : Lp.Simplex.core option;
+  watchdog : bool;
+  components : int;
+  threshold : float;
+}
+
+(* Where a leaf's certificates go, and the question they answer. *)
+type sink = { dir : string; property : Cert.property; prop_hash : string }
+
+let output_of q k = Nn.Gmm.mu_lat_index ~components:q.components k
+
+let bounds box =
+  Array.map (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi)) box
+
+let sink_at q dir_of box =
+  let p =
+    { Cert.threshold = q.threshold; components = q.components;
+      bound_mode = Certify.Checker.mode_string q.bound_mode; box = bounds box }
+  in
+  let prop_hash = Cert.property_hash ~net_hash:(Lazy.force q.net_hash) p in
+  { dir = dir_of prop_hash; property = p; prop_hash }
+
+(* A disproving input from the store names no component: it is
+   attributed to the one it drives highest. *)
+let stored_witness q input =
+  let out = Nn.Network.forward q.net input in
+  let k =
+    List.fold_left
+      (fun b c -> if out.(output_of q c) > out.(output_of q b) then c else b)
+      0 (List.init q.components Fun.id)
+  in
+  witness_at q.net ~component:k ~output:(output_of q k) input
+
+(* Same budget contract as [maximize_outputs]: OBBT spends at most half
+   of the leaf's limit, the rest is re-split before each query. *)
+let encode q ~time_limit box =
   let fresh () =
-    Encoding.Encoder.encode ~bound_mode ~tighten_rounds:0 ~cores ?lp_core net
-      box
+    Encoding.Encoder.encode ~bound_mode:q.bound_mode
+      ~tighten_rounds:q.tighten_rounds ~tighten_budget:(0.5 *. time_limit)
+      ~cores:q.cores ?lp_core:q.lp_core q.net box
   in
-  match session with
-  | None -> fresh ()
-  | Some s -> (
-      let key =
-        ( bound_mode,
-          Array.map (fun (iv : Interval.t) -> iv.Interval.lo) box,
-          Array.map (fun (iv : Interval.t) -> iv.Interval.hi) box,
-          lp_core )
-      in
-      match s.session_enc with
-      | Some (k, enc) when k = key -> enc
-      | _ ->
-          let enc = fresh () in
-          s.session_enc <- Some (key, enc);
-          enc)
+  let key = (q.bound_mode, bounds box, q.lp_core) in
+  match q.session with
+  | Some { session_enc = Some (k, enc); _ } when k = key -> enc
+  | session ->
+      let enc = fresh () in
+      Option.iter (fun s -> s.session_enc <- Some (key, enc)) session;
+      enc
 
-(* The certifying / watchdogged prover. One component at a time,
-   sequentially:
+let witness_body w =
+  lazy (Cert.Witness { input = w.input; achieved = w.achieved })
 
-   - with a certification directory, every settled component leaves a
-     replayable certificate (self-checked through the same
-     {!Certify.Audit} replay the independent audit runs) plus a
-     checksummed, fsynced journal line — so a kill at any instant
-     loses at most the component in flight, and [resume] skips the
-     settled ones;
-   - with the watchdog, each component runs under its share of the
-     deadline and degrades along a fallback ladder — symbolic-only
-     presolve, sparse MILP, dense MILP, honest Unknown — catching
-     numerical failures per rung instead of aborting the campaign.
-
-   Certificates must be independently rebuildable, so this path forces
-   [tighten_rounds = 0] (an OBBT-tightened model embeds thousands of
-   LP conclusions the checker would have to take on faith) and solves
-   sequentially without analysis node bounds (prunes against a bound
-   the certificate cannot replay would be [Leaf_uncertified]). *)
-let prove_certified ?session ~time_limit ~bound_mode ~cores ~warm ~lp_core
-    ~certify_dir ~resume ~watchdog ~components ~threshold net box =
-  let started = Linalg.Mclock.now () in
+(* One leaf down the ladder; also returns the rung that settled it, for
+   the partition stats. [upper] is an analysis bound over the whole
+   leaf known before it is encoded (the planner's; [infinity] for an
+   unplanned box): a leaf it discharges needs no encoding. *)
+let settle_leaf q ~store ~sink ~resume ~attempt ~time_limit ~upper box =
+  let started = Linalg.Mclock.now () and threshold = q.threshold in
   let deadline = started +. time_limit in
-  let enc = session_encode session ~bound_mode ~cores ?lp_core net box in
-  let priority = Encoding.Encoder.layer_order_priority enc in
-  let net_hash =
-    match session with
-    | Some s -> s.session_net_hash
-    | None -> Nn.Io.content_hash net
+  let nodes = ref 0 and presolved = ref 0 and certified = ref 0 in
+  let resumed = ref 0 and degraded = ref 0 in
+  let enc = lazy (encode q ~time_limit box) in
+  let analysis k =
+    if upper <= threshold then upper
+    else output_upper (Lazy.force enc) (output_of q k)
   in
-  let property =
-    {
-      Certify.Certificate.threshold;
-      components;
-      bound_mode = Certify.Checker.mode_string bound_mode;
-      box = Array.map (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi)) box;
-    }
+  let journal s k verdict cert_file =
+    Journal.append ~dir:s.dir
+      { Journal.component = k; verdict; cert_file;
+        net_hash = Lazy.force q.net_hash; prop_hash = s.prop_hash }
   in
-  let prop_hash = Certify.Certificate.property_hash ~net_hash property in
-  Option.iter Certify.Journal.init certify_dir;
-  let nodes = ref 0 in
-  let certified = ref 0 and resumed = ref 0 and degraded = ref 0 in
-  let presolved = ref 0 in
-  (* Journal entries from a previous run of the {e same} question
-     (network hash and property hash both match) whose certificate
-     still parses; anything else is re-proved, never trusted. *)
-  let settled = Hashtbl.create 8 in
-  (match certify_dir with
-   | Some dir when resume ->
-       List.iter
-         (fun (e : Certify.Journal.entry) ->
-           if e.Certify.Journal.net_hash = net_hash
-              && e.Certify.Journal.prop_hash = prop_hash
-           then
-             match e.Certify.Journal.verdict with
-             | "proved" | "disproved" -> (
-                 match e.Certify.Journal.cert_file with
-                 | None -> ()
-                 | Some name -> (
-                     match Certify.Journal.read_cert ~dir ~name with
-                     | Error _ -> ()
-                     | Ok blob -> (
-                         match Certify.Certificate.of_string blob with
-                         | Ok cert
-                           when cert.Certify.Certificate.component
-                                = e.Certify.Journal.component ->
-                             Hashtbl.replace settled
-                               e.Certify.Journal.component
-                               (e.Certify.Journal.verdict, cert)
-                         | Ok _ | Error _ -> ())))
-             | _ -> () (* an unknown is not settled: try again *))
-         (Certify.Journal.load ~dir)
-   | _ -> ());
-  (* Returns whether the certificate replayed (always [true] without a
-     certification directory, where nothing is emitted). *)
-  let emit k verdict body =
-    match certify_dir with
+  (* Write a certificate, then its journal line, after the exact replay
+     the independent audit runs: evidence that fails it is still written
+     (the rejection stays explainable) but journaled [unknown], so no
+     resume or serve cache ever trusts a verdict whose own evidence does
+     not replay. [true] when it replays, and always without a sink. *)
+  let emit k body =
+    match sink with
     | None -> true
-    | Some dir ->
+    | Some s ->
+        let body = Lazy.force body in
         let cert =
-          {
-            Certify.Certificate.net_hash;
-            property;
-            component = k;
-            output = Nn.Gmm.mu_lat_index ~components k;
-            body;
-          }
+          { Cert.net_hash = Lazy.force q.net_hash; property = s.property;
+            component = k; output = output_of q k; body }
         in
-        (* Self-check through the exact replay the independent audit
-           runs: a certificate that would not survive the audit is
-           still written (the rejection stays explainable) but is
-           journaled as [unknown] — neither a resume nor the serve
-           cache may ever trust a verdict whose own evidence does not
-           replay. *)
-        let audited =
-          match Certify.Audit.check_certificate net cert with
-          | Ok _ ->
-              incr certified;
-              true
-          | Error _ -> false
-        in
+        let ok = Result.is_ok (Certify.Audit.check_certificate q.net cert) in
         let name = Printf.sprintf "component-%d.cert" k in
-        Certify.Journal.write_cert ~dir ~name
-          (Certify.Certificate.to_string cert);
-        Certify.Journal.append ~dir
-          {
-            Certify.Journal.component = k;
-            verdict = (if audited then verdict else "unknown");
-            cert_file = Some name;
-            net_hash;
-            prop_hash;
-          };
-        audited
-  in
-  let journal_unknown k =
-    Option.iter
-      (fun dir ->
-        Certify.Journal.append ~dir
-          {
-            Certify.Journal.component = k;
-            verdict = "unknown";
-            cert_file = None;
-            net_hash;
-            prop_hash;
-          })
-      certify_dir
+        Journal.write_cert ~dir:s.dir ~name (Cert.to_string cert);
+        journal s k
+          (if not ok then "unknown"
+           else match body with Cert.Witness _ -> "disproved" | _ -> "proved")
+          (Some name);
+        if ok then incr certified;
+        ok
   in
   (* The symbolic upper bounding form is only built when some component
      is actually discharged by presolve. *)
-  let symbolic = lazy (Absint.Symbolic.propagate net box) in
-  let model_hash =
-    lazy (Certify.Certificate.model_fingerprint enc.Encoding.Encoder.model)
+  let symbolic = lazy (Absint.Symbolic.propagate q.net box) in
+  (* A component whose analysis bound already meets the threshold is
+     discharged with zero search nodes (under [Symbolic_bounds] this
+     alone often proves the property). A sink certifies it with the
+     analysis's bounding hyperplane if that survives the audit's
+     outward-rounded replay; a marginal bound (analysis [<=], replay
+     [>]) must not settle on unreplayable evidence, so it falls through
+     to the MILP rung, whose tree certificate replays leaf by leaf. *)
+  let presolve k bound =
+    bound <= threshold
+    && emit k
+         (lazy
+           (let coeffs, const =
+              Absint.Symbolic.output_upper_form (Lazy.force symbolic) q.net
+                ~output:(output_of q k)
+            in
+            Cert.Presolve { coeffs; const; bound }))
   in
-  (* One rung of the fallback ladder: a sequential, leaf-streaming
-     decision solve when certificates are wanted; the parallel solver
-     otherwise. *)
-  let run_rung ~rung_core ~rung_limit ~output k =
-    if certify_dir <> None then begin
+  let search k ~share ~bound =
+    let enc = Lazy.force enc and output = output_of q k in
+    let share_end = Linalg.Mclock.now () +. share in
+    let model = enc.Encoding.Encoder.model in
+    let objective = Encoding.Encoder.output_objective enc output in
+    let branch_rule =
+      Milp.Solver.Priority (Encoding.Encoder.layer_order_priority enc)
+    in
+    (* A rung streams every closed search leaf as evidence when
+       certificates are wanted, and runs the parallel solver otherwise. *)
+    let solve lp_core ~time_limit =
       let leaves = ref [] in
-      let on_leaf fixes cert =
-        let evidence =
-          match cert with
-          | Milp.Solver.Leaf_bounded y -> Certify.Certificate.Ev_bounded y
-          | Milp.Solver.Leaf_infeasible y ->
-              Certify.Certificate.Ev_infeasible y
-          | Milp.Solver.Leaf_empty_row i -> Certify.Certificate.Ev_empty_row i
-          | Milp.Solver.Leaf_uncertified reason ->
-              Certify.Certificate.Ev_unsupported reason
-        in
-        leaves :=
-          { Certify.Certificate.fixes = Array.of_list (List.rev fixes);
-            evidence }
-          :: !leaves
-      in
+      let on_leaf fixes c = leaves := Cert.leaf_of_search fixes c :: !leaves in
       let r =
-        Milp.Solver.solve ~time_limit:rung_limit ~cutoff:threshold
-          ~branch_rule:(Milp.Solver.Priority priority)
-          ~objective:(Encoding.Encoder.output_objective enc output)
-          ~warm ?lp_core:rung_core ~on_leaf enc.Encoding.Encoder.model
+        if sink = None then
+          Milp.Parallel.solve ~cores:q.cores ?portfolio:q.portfolio
+            ~time_limit ~cutoff:threshold ~branch_rule ~objective ~warm:q.warm
+            ?node_bound:
+              (node_bound_for ~bound_mode:q.bound_mode enc q.net box ~output)
+            ?lp_core model
+        else
+          Milp.Solver.solve ~time_limit ~cutoff:threshold ~branch_rule
+            ~objective ~warm:q.warm ?lp_core ~on_leaf model
       in
       (r, Array.of_list (List.rev !leaves))
-    end
-    else begin
-      ignore k;
-      let r =
-        Milp.Parallel.solve ~cores ~time_limit:rung_limit ~cutoff:threshold
-          ~branch_rule:(Milp.Solver.Priority priority)
-          ~objective:(Encoding.Encoder.output_objective enc output)
-          ~warm ?lp_core:rung_core enc.Encoding.Encoder.model
-      in
-      (r, [||])
-    end
-  in
-  let rec settle queue worst_bound =
-    match queue with
-    | [] ->
-        if worst_bound <= threshold then Proved
-        else Unknown { best_bound = worst_bound }
-    | k :: rest -> (
-        let output = Nn.Gmm.mu_lat_index ~components k in
-        match Hashtbl.find_opt settled k with
-        | Some ("proved", _) ->
-            incr resumed;
-            settle rest (Float.max worst_bound threshold)
-        | Some
-            ( "disproved",
-              { Certify.Certificate.body =
-                  Certify.Certificate.Witness { input; achieved = _ };
-                _ } ) ->
-            incr resumed;
-            let outputs = Nn.Network.forward net input in
-            Disproved
-              { input; outputs; achieved = outputs.(output); component = k }
-        | Some _ | None ->
-            let analysis_ub = output_upper enc output in
-            let discharged =
-              analysis_ub <= threshold
-              && (certify_dir = None
-                 ||
-                 (* Symbolic-only rung: free, and certifiable from the
-                    analysis's own bounding hyperplane — but only if
-                    that hyperplane survives the audit's outward-rounded
-                    replay. A marginal bound (analysis says [<=], the
-                    replay says [>]) must not settle the component on
-                    unreplayable evidence: it falls through to the MILP
-                    ladder, whose tree certificate replays leaf by
-                    leaf. *)
-                 let coeffs, const =
-                   Absint.Symbolic.output_upper_form (Lazy.force symbolic)
-                     net ~output
-                 in
-                 emit k "proved"
-                   (Certify.Certificate.Presolve
-                      { coeffs; const; bound = analysis_ub }))
-            in
-            if discharged then begin
-              incr presolved;
-              settle rest (Float.max worst_bound analysis_ub)
-            end
-            else begin
-              let share =
-                budget_slice ~deadline ~queue_len:(List.length queue) ()
-              in
-              let share_end = Linalg.Mclock.now () +. share in
-              let rungs =
-                if watchdog then
-                  [ Some Lp.Simplex.Sparse; Some Lp.Simplex.Dense ]
-                else [ lp_core ]
-              in
-              let nrungs = List.length rungs in
-              let rec ladder i = function
-                | [] -> `Exhausted
-                | rung_core :: lower ->
-                    let rung_limit =
-                      if i = nrungs - 1 then
-                        Float.max 0.0 (share_end -. Linalg.Mclock.now ())
-                      else 0.6 *. share
-                    in
-                    let attempt =
-                      if watchdog then (
-                        try Some (run_rung ~rung_core ~rung_limit ~output k)
-                        with Lp.Simplex.Numerical_error _ | Failure _ ->
-                          None)
-                      else Some (run_rung ~rung_core ~rung_limit ~output k)
-                    in
-                    (match attempt with
-                     | None ->
-                         incr degraded;
-                         ladder (i + 1) lower
-                     | Some (r, leaves) -> (
-                         nodes := !nodes + r.Milp.Solver.nodes;
-                         match r.Milp.Solver.incumbent with
-                         | Some (solution, _) -> `Disproved solution
-                         | None -> (
-                             match r.Milp.Solver.outcome with
-                             | Milp.Solver.Optimal -> `Proved leaves
-                             | Milp.Solver.Time_limit | Milp.Solver.Node_limit
-                             | Milp.Solver.Infeasible ->
-                                 let bound =
-                                   Float.min r.Milp.Solver.best_bound
-                                     analysis_ub
-                                 in
-                                 if lower = [] then `Bound bound
-                                 else begin
-                                   incr degraded;
-                                   ladder (i + 1) lower
-                                 end)))
-              in
-              match ladder 0 rungs with
-              | `Proved leaves ->
-                  ignore
-                    (emit k "proved"
-                       (Certify.Certificate.Milp_tree
-                          { model_hash = Lazy.force model_hash; leaves })
-                      : bool);
-                  settle rest (Float.max worst_bound threshold)
-              | `Disproved solution ->
-                  let witness =
-                    witness_of_solution enc net ~component:k
-                      ~output_index:output solution
+    in
+    let rec fall = function
+      | [] -> `Bound bound
+      | lp_core :: lower -> (
+          let time_limit =
+            if lower = [] then Float.max 0.0 (share_end -. Linalg.Mclock.now ())
+            else 0.6 *. share
+          in
+          match solve lp_core ~time_limit with
+          | exception (Lp.Simplex.Numerical_error _ | Failure _)
+            when q.watchdog ->
+              incr degraded;
+              fall lower
+          | r, leaves -> (
+              nodes := !nodes + r.Milp.Solver.nodes;
+              match (r.Milp.Solver.incumbent, r.Milp.Solver.outcome) with
+              | Some (solution, _), _ ->
+                  (* A feasible point above the cutoff refutes the
+                     property. *)
+                  let w =
+                    witness_at q.net ~component:k ~output
+                      (Encoding.Encoder.input_point enc solution)
                   in
+                  ignore (emit k (witness_body w));
+                  `Disproved w
+              | None, Milp.Solver.Optimal ->
                   ignore
-                    (emit k "disproved"
-                       (Certify.Certificate.Witness
-                          {
-                            input = witness.input;
-                            achieved = witness.achieved;
-                          })
-                      : bool);
-                  Disproved witness
-              | `Bound b ->
-                  journal_unknown k;
-                  settle rest (Float.max worst_bound b)
-              | `Exhausted ->
-                  journal_unknown k;
-                  settle rest (Float.max worst_bound analysis_ub)
-            end)
+                    (emit k
+                       (lazy
+                         (let model_hash = Cert.model_fingerprint model in
+                          Cert.Milp_tree { model_hash; leaves })));
+                  `Proved
+              | None, _ when lower = [] ->
+                  `Bound (Float.min r.Milp.Solver.best_bound bound)
+              | None, _ ->
+                  incr degraded;
+                  fall lower))
+    in
+    fall
+      (if q.watchdog then [ Some Lp.Simplex.Sparse; Some Lp.Simplex.Dense ]
+       else [ q.lp_core ])
   in
-  let proof = settle (List.init components Fun.id) neg_infinity in
-  {
-    proof;
-    proof_elapsed = Linalg.Mclock.now () -. started;
-    proof_nodes = !nodes;
-    presolved = !presolved;
-    certified = !certified;
-    resumed = !resumed;
-    degraded = !degraded;
-    partition = None;
-  }
+  let settled = Hashtbl.create 8 in
+  let rec ladder worst = function
+    | [] ->
+        if worst <= threshold then Proved else Unknown { best_bound = worst }
+    | k :: rest as queue -> (
+        match Hashtbl.find_opt settled k with
+        | Some { Cert.body = Cert.Witness { input; _ }; _ } ->
+            incr resumed;
+            Disproved
+              (witness_at q.net ~component:k ~output:(output_of q k) input)
+        | Some _ ->
+            incr resumed;
+            ladder (Float.max worst threshold) rest
+        | None when presolve k (analysis k) ->
+            incr presolved;
+            ladder (Float.max worst (analysis k)) rest
+        | None -> (
+            let share =
+              budget_slice ~deadline ~queue_len:(List.length queue) ()
+            in
+            match search k ~share ~bound:(analysis k) with
+            | `Disproved w -> Disproved w
+            | `Proved -> ladder (Float.max worst threshold) rest
+            | `Bound b ->
+                Option.iter (fun s -> journal s k "unknown" None) sink;
+                ladder (Float.max worst b) rest))
+  in
+  let result proof via =
+    ( { proof; proof_elapsed = Linalg.Mclock.now () -. started;
+        proof_nodes = !nodes; presolved = !presolved; certified = !certified;
+        resumed = !resumed; degraded = !degraded; partition = None },
+      via )
+  in
+  let climb () =
+    if not attempt then
+      (* Out of budget: an honest unattempted Unknown — paying the leaf
+         encoding would overrun the whole-call deadline. *)
+      result (Unknown { best_bound = upper }) `Unsettled
+    else begin
+      (* Resume: the last journal entry per component, admitted only on a
+         certificate that still backs it; anything else is re-proved. *)
+      (match sink with
+       | Some s when resume ->
+           let net_hash = Lazy.force q.net_hash and prop_hash = s.prop_hash in
+           List.iter
+             (fun (e : Journal.entry) ->
+               Result.iter (Hashtbl.replace settled e.Journal.component)
+                 (Journal.trusted ~dir:s.dir ~net_hash ~prop_hash e))
+             (Journal.latest (Journal.load ~dir:s.dir))
+       | _ -> ());
+      match ladder neg_infinity (List.init q.components Fun.id) with
+      | Proved when !presolved = q.components && !nodes = 0 ->
+          result Proved `Presolved
+      | (Proved | Disproved _) as proof -> result proof `Solved
+      | Unknown _ as proof -> result proof `Unsettled
+    end
+  in
+  match (store, sink) with
+  | Some st, Some s -> (
+      let net_hash = Lazy.force q.net_hash in
+      match Store.lookup st ~net_hash s.property with
+      | Some { Store.entry = { Store.verdict = Store.Proved; _ }; _ } ->
+          result Proved `Cached
+      | Some { Store.entry = { Store.verdict = Store.Disproved d; _ }; _ } ->
+          result (Disproved (stored_witness q d.witness)) `Cached
+      | None ->
+          (* Another network's entry for this leaf question is never
+             served as-is, but its disproving witness replays through
+             this network in one forward pass, which makes re-verifying
+             after a retrain or a weight nudge mostly O(1); a proved one
+             revalidates through the presolve rung. The replayed witness
+             is self-checked and journaled like any other, so the shard
+             audit never trusts the foreign entry. *)
+          let others = Store.revalidation_candidates st ~net_hash s.property in
+          let replayed (e : Store.entry) =
+            match e.Store.verdict with
+            | Store.Disproved { witness; _ }
+              when Interval.Box.contains box witness ->
+                let w = stored_witness q witness in
+                if w.achieved > threshold then Some w else None
+            | _ -> None
+          in
+          let r, via =
+            match List.find_map replayed others with
+            | Some w when emit w.component (witness_body w) ->
+                result (Disproved w) `Revalidated
+            | _ -> climb ()
+          in
+          ignore (Store.record st ~net_hash s.property);
+          let proved (e : Store.entry) = e.Store.verdict = Store.Proved in
+          let revalidated = via = `Presolved && List.exists proved others in
+          (r, if revalidated then `Revalidated else via))
+  | _ -> climb ()
 
-(* --- input-space partition-and-conquer ------------------------------
-
-   The plan ({!Partition.plan}) bisects the box along the most
-   influential input dimensions; every leaf then goes down a pipeline
-   ordered cheapest-first:
-
-   1. proof-store lookup for this network (exact or subsumed) — O(1),
-      no solver;
-   2. cross-network revalidation: an entry answering the *same* leaf
-      question about different weights is never served as-is, but its
-      disproving witness replays through the current network with one
-      forward pass — this is what makes re-verification after a
-      retrain or one-weight perturbation mostly-O(1). (A proved entry
-      revalidates through step 3: the fresh symbolic bound of the
-      *current* network; the stats then count the leaf as revalidated
-      rather than presolved.)
-   3. the symbolic pre-pass on the leaf box;
-   4. a MILP solve of the leaf box under a rolled-forward slice of the
-      whole-call budget.
-
-   With a shard root (an explicit store, or an implicit one opened on
-   the certification directory) every leaf settles into its own
-   hash-named certification directory, recorded into the store as it
-   lands, and a checksummed {!Certify.Shard} manifest pins the split
-   tree — so [depnn audit] re-establishes both the leaf verdicts and
-   the tiling geometry. One disproved leaf disproves the parent (its
-   witness lies inside the leaf box, hence inside the parent box) and
-   stops the campaign; in the plain-mode fan-out the leaves share that
-   incumbent through one atomic checked before each solve. *)
-let prove_partitioned ?session ~time_limit ~bound_mode ~cores ~portfolio
-    ~warm ~lp_core ~certify_dir ~store ~watchdog ~policy ~components
-    ~threshold net box =
+let decide q ~split ~store ~certify_dir ~resume ~time_limit box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
-  let net_hash =
-    match session with
-    | Some s -> s.session_net_hash
-    | None -> Nn.Io.content_hash net
-  in
-  let store =
-    match (store, certify_dir) with
-    | (Some _ as s), _ -> s
-    | None, Some dir -> Some (Certify.Store.open_ ~dir)
-    | None, None -> None
-  in
-  let shard_root =
-    match store with Some s -> Some (Certify.Store.root s) | None -> None
-  in
-  let mode = Certify.Checker.mode_string bound_mode in
-  let property_of (lbox : Interval.Box.box) =
-    {
-      Certify.Certificate.threshold;
-      components;
-      bound_mode = mode;
-      box =
-        Array.map
-          (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi))
-          lbox;
-    }
-  in
   (* Planning is cheap symbolic work, but it must never starve the
      solves it feeds: a quarter of the budget at most. *)
   let plan =
-    Partition.plan ~policy ~deadline:(started +. (0.25 *. time_limit))
-      ~components ~threshold net box
+    Option.map
+      (fun policy ->
+        Partition.plan ~policy ~deadline:(started +. (0.25 *. time_limit))
+          ~components:q.components ~threshold:q.threshold q.net box)
+      split
   in
-  let n = Array.length plan.Partition.boxes in
-  let leaf_props = Array.map property_of plan.Partition.boxes in
-  let leaf_hashes =
-    Array.map (Certify.Certificate.property_hash ~net_hash) leaf_props
+  (* A partitioned run certifies into a store (the caller's, or one
+     opened on the certification directory), one directory per leaf. *)
+  let store =
+    match (store, certify_dir) with
+    | _ when plan = None -> None
+    | None, Some dir -> Some (Store.open_ ~dir)
+    | s, _ -> s
   in
-  (* The manifest goes down before any leaf is attempted: a killed
-     campaign still audits (to Unknown), and a re-run of the same
-     question overwrites it with identical bytes. *)
-  (match shard_root with
-   | None -> ()
-   | Some root ->
-       let parent_hash =
-         Certify.Certificate.property_hash ~net_hash (property_of box)
-       in
-       Certify.Journal.write_cert ~dir:root
-         ~name:(Certify.Shard.manifest_name ~prop_hash:parent_hash)
+  let boxes, upper =
+    match plan with
+    | None -> ([| box |], [| infinity |])
+    | Some p -> (p.Partition.boxes, p.Partition.upper)
+  in
+  let sinks =
+    Array.map
+      (fun b ->
+        match (store, certify_dir) with
+        | Some st, _ -> Some (sink_at q (Filename.concat (Store.root st)) b)
+        | None, dir -> Option.map (fun dir -> sink_at q (fun _ -> dir) b) dir)
+      boxes
+  in
+  (* The manifest pins the split tree, so [depnn audit] re-establishes
+     the tiling as well as the leaf verdicts. It goes down before any
+     leaf is attempted: a killed campaign still audits (to Unknown), and
+     a re-run of the same question overwrites it with identical bytes. *)
+  (match (store, plan) with
+   | Some st, Some p ->
+       let parent = sink_at q Fun.id box in
+       Journal.write_cert ~dir:(Store.root st)
+         ~name:(Certify.Shard.manifest_name ~prop_hash:parent.prop_hash)
          (Certify.Shard.to_string
-            {
-              Certify.Shard.net_hash;
-              property = property_of box;
-              tree = plan.Partition.tree;
-              leaf_hashes;
-            }));
-  let cached = ref 0 and revalidated = ref 0 and presolved_leaves = ref 0 in
-  let solved = ref 0 and unsettled = ref 0 in
-  let nodes = ref 0 and presolved_components = ref 0 in
-  let certified = ref 0 and resumed = ref 0 and degraded = ref 0 in
-  let worst = ref neg_infinity in
-  let disproof = ref None in
-  let best_component outputs =
-    let k = ref 0 and v = ref neg_infinity in
-    for c = 0 to components - 1 do
-      let x = outputs.(Nn.Gmm.mu_lat_index ~components c) in
-      if x > !v then begin
-        v := x;
-        k := c
-      end
-    done;
-    (!k, !v)
+            { Certify.Shard.net_hash = Lazy.force q.net_hash;
+              property = parent.property; tree = p.Partition.tree;
+              leaf_hashes =
+                Array.map (fun s -> (Option.get s).prop_hash) sinks })
+   | _ -> ());
+  let n = Array.length boxes in
+  (* Without a sink the leaves fan out over the worker domains, each
+     solving sequentially (no nested oversubscription); an explicit
+     portfolio keeps them in turn, as within-query parallelism. *)
+  let fan =
+    if sinks.(0) = None && q.portfolio = None then max 1 (min q.cores n)
+    else 1
   in
-  let witness_of_input input =
-    let outputs = Nn.Network.forward net input in
-    let component, achieved = best_component outputs in
-    { input; outputs; achieved; component }
+  let leaf_q = if fan > 1 then { q with cores = 1; portfolio = None } else q in
+  let stop = Atomic.make false in
+  let settle () i =
+    if Atomic.get stop then None
+    else
+      (* Leaves are claimed in order, [n - i] are left: an equal share of
+         the time left, per domain when they fan out (shares are spent
+         concurrently); unused time rolls forward. *)
+      let time_limit =
+        budget_slice ~deadline ~queue_len:((n - i + fan - 1) / fan) ()
+      in
+      let r, via =
+        settle_leaf leaf_q ~store ~sink:sinks.(i) ~time_limit ~upper:upper.(i)
+          ~resume:(resume || plan <> None) boxes.(i)
+          ~attempt:
+            (plan = None || upper.(i) <= q.threshold
+            || Linalg.Mclock.now () < deadline)
+      in
+      let bound =
+        match r.proof with
+        | Proved -> Float.min upper.(i) q.threshold
+        | Unknown { best_bound } -> best_bound
+        | Disproved _ -> Atomic.set stop true; neg_infinity
+      in
+      Some (r, via, bound)
   in
-  (* A revalidated disproof still leaves a full audit trail: the
-     witness certificate is self-checked through the same replay the
-     independent audit runs and journaled into the leaf's directory, so
-     the shard audit and the store both confirm it without ever
-     trusting the foreign entry it came from. *)
-  let emit_witness_cert ~dir ~lprop ~lhash (w : witness) =
-    let cert =
-      {
-        Certify.Certificate.net_hash;
-        property = lprop;
-        component = w.component;
-        output = Nn.Gmm.mu_lat_index ~components w.component;
-        body =
-          Certify.Certificate.Witness
-            { input = w.input; achieved = w.achieved };
-      }
-    in
-    match Certify.Audit.check_certificate net cert with
-    | Error _ -> false
-    | Ok _ ->
-        Certify.Journal.init dir;
-        let name = Printf.sprintf "component-%d.cert" w.component in
-        Certify.Journal.write_cert ~dir ~name
-          (Certify.Certificate.to_string cert);
-        Certify.Journal.append ~dir
-          {
-            Certify.Journal.component = w.component;
-            verdict = "disproved";
-            cert_file = Some name;
-            net_hash;
-            prop_hash = lhash;
-          };
-        incr certified;
-        true
+  let leaves =
+    Milp.Parallel.map ~cores:fan ~init:ignore settle (Array.init n Fun.id)
+    |> Array.to_list |> List.filter_map Fun.id
   in
-  (match shard_root with
-   | Some root ->
-       (* Certifying pipeline: sequential leaves (certified campaigns
-          trade speed for auditability throughout the driver). *)
-       let s = Option.get store in
-       let solve_leaf idx leaf_dir ~had_candidate =
-         let slice = budget_slice ~deadline ~queue_len:(n - idx) () in
-         if
-           Linalg.Mclock.now () >= deadline
-           && plan.Partition.upper.(idx) > threshold
-         then begin
-           (* Out of budget: an honest unattempted Unknown — paying the
-              leaf encoding would overrun the whole-call deadline. *)
-           incr unsettled;
-           worst := Float.max !worst plan.Partition.upper.(idx)
-         end
-         else begin
-           let r =
-             prove_certified ?session ~time_limit:slice ~bound_mode ~cores:1
-               ~warm ~lp_core ~certify_dir:(Some leaf_dir) ~resume:true
-               ~watchdog ~components ~threshold net
-               plan.Partition.boxes.(idx)
-           in
-           nodes := !nodes + r.proof_nodes;
-           presolved_components := !presolved_components + r.presolved;
-           certified := !certified + r.certified;
-           resumed := !resumed + r.resumed;
-           degraded := !degraded + r.degraded;
-           ignore (Certify.Store.record s ~net_hash leaf_props.(idx));
-           match r.proof with
-           | Disproved w ->
-               incr solved;
-               disproof := Some w
-           | Proved ->
-               if r.presolved = components && r.proof_nodes = 0 then
-                 if had_candidate then incr revalidated
-                 else incr presolved_leaves
-               else incr solved;
-               worst :=
-                 Float.max !worst
-                   (Float.min plan.Partition.upper.(idx) threshold)
-           | Unknown { best_bound } ->
-               incr unsettled;
-               worst := Float.max !worst best_bound
-         end
-       in
-       let i = ref 0 in
-       while !disproof = None && !i < n do
-         let idx = !i in
-         incr i;
-         let lprop = leaf_props.(idx) in
-         let lhash = leaf_hashes.(idx) in
-         let leaf_dir = Filename.concat root lhash in
-         match Certify.Store.lookup s ~net_hash lprop with
-         | Some { Certify.Store.entry; _ } -> (
-             incr cached;
-             match entry.Certify.Store.verdict with
-             | Certify.Store.Proved ->
-                 worst :=
-                   Float.max !worst
-                     (Float.min plan.Partition.upper.(idx) threshold)
-             | Certify.Store.Disproved { witness = input; achieved = _ } ->
-                 disproof := Some (witness_of_input input))
-         | None -> (
-             let candidates =
-               Certify.Store.revalidation_candidates s ~net_hash lprop
-             in
-             let witness_hit =
-               List.find_map
-                 (fun (e : Certify.Store.entry) ->
-                   match e.Certify.Store.verdict with
-                   | Certify.Store.Disproved { witness = input; _ }
-                     when Interval.Box.contains plan.Partition.boxes.(idx)
-                            input -> (
-                       let w = witness_of_input input in
-                       if w.achieved > threshold then Some w else None)
-                   | _ -> None)
-                 candidates
-             in
-             match witness_hit with
-             | Some w when emit_witness_cert ~dir:leaf_dir ~lprop ~lhash w ->
-                 incr revalidated;
-                 ignore (Certify.Store.record s ~net_hash lprop);
-                 disproof := Some w
-             | _ ->
-                 let had_candidate =
-                   List.exists
-                     (fun (e : Certify.Store.entry) ->
-                       e.Certify.Store.verdict = Certify.Store.Proved)
-                     candidates
-                 in
-                 solve_leaf idx leaf_dir ~had_candidate)
-       done
-   | None -> (
-       (* Plain pipeline: the plan's symbolic bounds discharge leaves
-          inline; the survivors run as independent MILPs. *)
-       let survivors = ref [] in
-       for idx = n - 1 downto 0 do
-         if plan.Partition.upper.(idx) <= threshold then begin
-           incr presolved_leaves;
-           worst := Float.max !worst plan.Partition.upper.(idx)
-         end
-         else survivors := idx :: !survivors
-       done;
-       let surv = Array.of_list !survivors in
-       let n_surv = Array.length surv in
-       let classify idx (r : proof_result) =
-         nodes := !nodes + r.proof_nodes;
-         presolved_components := !presolved_components + r.presolved;
-         degraded := !degraded + r.degraded;
-         match r.proof with
-         | Disproved w ->
-             incr solved;
-             disproof := Some w
-         | Proved ->
-             if r.presolved = components && r.proof_nodes = 0 then
-               incr presolved_leaves
-             else incr solved;
-             worst :=
-               Float.max !worst
-                 (Float.min plan.Partition.upper.(idx) threshold)
-         | Unknown { best_bound } ->
-             incr unsettled;
-             worst := Float.max !worst best_bound
-       in
-       (* OBBT is skipped per leaf ([tighten_rounds = 0]): its budget
-          share would dominate hundreds of small boxes, and the
-          symbolic pre-pass is what partition relies on. *)
-       if cores > 1 && n_surv > 1 && portfolio = None then begin
-         let fan = min cores n_surv in
-         let per_domain = (n_surv + fan - 1) / fan in
-         let slice = budget_slice ~deadline ~queue_len:per_domain () in
-         let stop = Atomic.make false in
-         let results =
-           Milp.Parallel.map ~cores:fan
-             ~init:(fun () -> ())
-             (fun () idx ->
-               if Atomic.get stop then None
-               else begin
-                 let r =
-                   prove_plain ~time_limit:slice ~bound_mode
-                     ~tighten_rounds:0 ~cores:1 ~portfolio:None ~warm
-                     ~lp_core ~components ~threshold net
-                     plan.Partition.boxes.(idx)
-                 in
-                 (match r.proof with
-                  | Disproved _ -> Atomic.set stop true
-                  | Proved | Unknown _ -> ());
-                 Some (idx, r)
-               end)
-             surv
-         in
-         Array.iter
-           (function None -> () | Some (idx, r) -> classify idx r)
-           results
-       end
-       else begin
-         let i = ref 0 in
-         while !disproof = None && !i < n_surv do
-           let idx = surv.(!i) in
-           let slice = budget_slice ~deadline ~queue_len:(n_surv - !i) () in
-           incr i;
-           if Linalg.Mclock.now () >= deadline then begin
-             incr unsettled;
-             worst := Float.max !worst plan.Partition.upper.(idx)
-           end
-           else
-             classify idx
-               (prove_plain ~time_limit:slice ~bound_mode ~tighten_rounds:0
-                  ~cores ~portfolio ~warm ~lp_core ~components ~threshold net
-                  plan.Partition.boxes.(idx))
-         done
-       end));
-  let stats =
-    {
-      Partition.leaves = n;
-      depth = plan.Partition.plan_depth;
-      presolved = !presolved_leaves;
-      cached = !cached;
-      revalidated = !revalidated;
-      solved = !solved;
-      unsettled = !unsettled;
-    }
-  in
-  let proof =
-    match !disproof with
-    | Some w -> Disproved w
-    | None ->
-        if !unsettled = 0 && !worst <= threshold then Proved
-        else Unknown { best_bound = !worst }
+  let count v = List.length (List.filter (fun (_, u, _) -> u = v) leaves) in
+  let sum f = List.fold_left (fun acc (r, _, _) -> acc + f r) 0 leaves in
+  let worst = List.fold_left (fun w (_, _, b) -> Float.max w b) neg_infinity in
+  let disproof (r, _, _) =
+    match r.proof with Disproved w -> Some w | _ -> None
   in
   {
-    proof;
+    proof =
+      (match List.find_map disproof leaves with
+       | Some w -> Disproved w
+       | None when count `Unsettled = 0 && worst leaves <= q.threshold ->
+           Proved
+       | None -> Unknown { best_bound = worst leaves });
     proof_elapsed = Linalg.Mclock.now () -. started;
-    proof_nodes = !nodes;
-    presolved = !presolved_components;
-    certified = !certified;
-    resumed = !resumed;
-    degraded = !degraded;
-    partition = Some stats;
+    proof_nodes = sum (fun r -> r.proof_nodes);
+    presolved = sum (fun r -> r.presolved);
+    certified = sum (fun r -> r.certified);
+    resumed = sum (fun r -> r.resumed);
+    degraded = sum (fun r -> r.degraded);
+    partition =
+      Option.map
+        (fun (p : Partition.plan) ->
+          { Partition.leaves = n; depth = p.plan_depth; cached = count `Cached;
+            presolved = count `Presolved; revalidated = count `Revalidated;
+            solved = count `Solved; unsettled = count `Unsettled })
+        plan;
   }
 
 let prove_lateral_velocity_le ?(time_limit = 60.0)
@@ -1012,32 +658,27 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
     ?(cores = 1) ?portfolio ?(warm = true) ?lp_core ?certify_dir
     ?(resume = false) ?(watchdog = false) ?split ?store ~components ~threshold
     net box =
-  match split with
-  | Some policy ->
-      prove_partitioned ~time_limit ~bound_mode ~cores ~portfolio ~warm
-        ~lp_core ~certify_dir ~store ~watchdog ~policy ~components ~threshold
-        net box
-  | None ->
-      if certify_dir = None && not watchdog then
-        prove_plain ~time_limit ~bound_mode ~tighten_rounds ~cores ~portfolio
-          ~warm ~lp_core ~components ~threshold net box
-      else
-        prove_certified ~time_limit ~bound_mode ~cores ~warm ~lp_core
-          ~certify_dir ~resume ~watchdog ~components ~threshold net box
+  (* OBBT is off under a sink (see above), and per leaf under a split:
+     its budget share would dominate hundreds of small boxes, and the
+     planner's symbolic pre-pass is what partitioning relies on. *)
+  decide
+    { net; session = None; net_hash = lazy (Nn.Io.content_hash net);
+      tighten_rounds =
+        (if certify_dir = None && split = None then tighten_rounds else 0);
+      bound_mode; cores; portfolio; warm; lp_core; watchdog; components;
+      threshold }
+    ~split ~store ~certify_dir ~resume ~time_limit box
 
 let prove_in_session session ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(warm = true) ?lp_core
     ?certify_dir ?(resume = false) ?(watchdog = true) ?split ?store ~components
     ~threshold box =
-  match split with
-  | Some policy ->
-      prove_partitioned ~session ~time_limit ~bound_mode ~cores:1
-        ~portfolio:None ~warm ~lp_core ~certify_dir ~store ~watchdog ~policy
-        ~components ~threshold session.session_net box
-  | None ->
-      prove_certified ~session ~time_limit ~bound_mode ~cores:1 ~warm ~lp_core
-        ~certify_dir ~resume ~watchdog ~components ~threshold
-        session.session_net box
+  decide
+    { net = session.session_net; session = Some session;
+      net_hash = Lazy.from_val session.session_net_hash; bound_mode;
+      tighten_rounds = 0; cores = 1; portfolio = None; warm; lp_core;
+      watchdog; components; threshold }
+    ~split ~store ~certify_dir ~resume ~time_limit box
 
 let sampled_max_lateral_velocity ~rng ~samples ~components net box =
   if samples <= 0 then invalid_arg "Driver.sampled_max_lateral_velocity";

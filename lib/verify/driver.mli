@@ -118,12 +118,12 @@ type proof_result = {
           search ran for them *)
   certified : int;
       (** components whose emitted certificate passed the in-process
-          {!Certify.Audit.check_certificate} replay; [0] without
-          [certify_dir] *)
+          {!Certify.Audit.check_certificate} replay; [0] without an
+          evidence sink *)
   resumed : int;
-      (** components skipped because a valid journal entry from a
+      (** components skipped because a trusted journal entry from a
           previous run of the same question already settled them;
-          [0] without [resume] *)
+          [0] without [resume] on a monolithic query *)
   degraded : int;
       (** watchdog fallback-ladder transitions taken (a rung timed out
           or failed numerically and the next one was tried) *)
@@ -163,68 +163,73 @@ val prove_lateral_velocity_le :
 (** Decision query under the same whole-call budget contract as
     {!max_lateral_velocity}.
 
-    An incomplete analysis pre-pass runs first: any component whose
-    output upper bound from the encoding's bound analysis (symbolic
-    under [Symbolic_bounds]) already meets [threshold] is discharged
-    without any search — [presolved] counts them. When the pre-pass
-    discharges every component the verdict is [Proved] with
-    [proof_nodes = 0]. Remaining components fall through to the cutoff
-    MILP query (branch-aware symbolic pruning enabled under
-    [Symbolic_bounds]).
+    {b One settle ladder.} The query is a list of leaf boxes: the whole
+    box (no planner call, [partition = None]), or under [split] the
+    tiles of {!Partition.plan}. The leaves are walked in order, each
+    under an equal share of the time left, and every component of every
+    leaf goes down the same rungs, cheapest first:
+    + with a store (partitioned runs only), a lookup for this network,
+      exact or subsumed, then cross-network revalidation: a disproving
+      witness stored for the same leaf question about other weights is
+      replayed through this network with one forward pass, and a proved
+      one is re-established by this network's own analysis (rung 3) —
+      the mechanism that answers most leaves after a retrain;
+    + journal resume (with [resume], or always for a partition leaf):
+      components whose last journal entry is admitted by
+      {!Certify.Journal.trusted} for this network and property are not
+      re-proved ([resumed] counts them); entries for any other
+      question, torn lines and certificates another question has since
+      overwritten are ignored;
+    + the analysis pre-pass: a component whose output upper bound from
+      the encoding's bound analysis (symbolic under [Symbolic_bounds])
+      — or, for a partition leaf, the planner's symbolic bound — already
+      meets [threshold] is discharged without search ([presolved]
+      counts them; when every component goes this way the verdict is
+      [Proved] with [proof_nodes = 0]);
+    + the cutoff MILP under the component's share of the leaf budget:
+      the configured [lp_core] or, with [watchdog] (default [false]),
+      sparse then dense, each rung catching its own numerical failures
+      ([degraded] counts the transitions);
+    + an honest [Unknown].
 
-    [certify_dir] switches to the {e certifying} campaign: every
-    settled component writes a replayable {!Certify.Certificate} (dual
-    or Farkas evidence per branch-and-bound leaf, the symbolic bounding
-    hyperplane for presolved components, a concrete witness for
-    falsifications) plus a checksummed, fsynced journal line, so
-    [depnn audit] can re-verify the verdict with outward-rounded
-    arithmetic and a kill at any instant loses at most the component in
-    flight. Certification forces [tighten_rounds = 0] (OBBT-tightened
-    models are not independently rebuildable) and solves components
-    sequentially without the analysis node-bound hook (such prunes have
-    no replayable evidence) — certified campaigns trade speed for
-    auditability by design. [resume] (default [false]) reloads the
-    journal and skips components already settled for the {e same}
-    network content hash and property hash ([resumed] counts them);
-    entries for any other question, torn journal lines and unparseable
-    certificates are ignored and the component is re-proved.
+    One disproved leaf disproves the parent (the witness lies inside
+    the parent box) and stops the walk; [Proved] requires every leaf
+    settled.
 
-    [watchdog] (default [false], usable with or without [certify_dir])
-    runs each remaining component under its share of the deadline and
-    degrades along a fallback ladder — symbolic-only presolve, sparse
-    MILP, dense MILP, honest [Unknown] — catching per-rung numerical
-    failures instead of aborting the campaign ([degraded] counts the
-    transitions).
-
-    [split] switches to partition-and-conquer: the input box is bisected
-    along its most influential dimensions ({!Partition.plan}) and each
-    leaf runs the cheapest-first pipeline — proof-store lookup,
-    cross-network revalidation, symbolic pre-pass, MILP — under a
-    rolled-forward slice of the same whole-call budget. One disproved
-    leaf disproves the parent (the witness lies inside the parent box)
-    and stops the campaign; [Proved] requires every leaf settled. With
-    [certify_dir] (or an explicit [store]) each leaf writes its own
-    certificate directory named by its property hash, the store caches
-    each verdict as it lands, and a checksummed {!Certify.Shard}
-    manifest records the split tree so the audit can re-establish that
-    the leaves tile the parent box. [store] (default: opened on
-    [certify_dir] when present) also supplies the cross-network entries
-    whose disproving witnesses are replayed through the current network
-    — the mechanism that answers most leaves from cache after a
-    retrain. [split] ignores [resume] (per-leaf resume is implied) and
-    [tighten_rounds] (OBBT per leaf would dominate many small boxes). *)
+    {b The evidence sink} decides everything else. It is [certify_dir]
+    for a monolithic query; a partitioned query certifies into [store]
+    (default: opened on [certify_dir]), one directory per leaf named by
+    its property hash, plus a checksummed {!Certify.Shard} manifest of
+    the split tree so the audit re-establishes the tiling too. With a
+    sink, every settled component writes a replayable
+    {!Certify.Certificate} (dual or Farkas evidence per branch-and-bound
+    leaf, the symbolic bounding hyperplane for presolved components, a
+    concrete witness for falsifications), replays it in-process through
+    {!Certify.Audit.check_certificate} ([certified] counts those that
+    pass), then appends a checksummed, fsynced journal line recording
+    the verdict, or [unknown] when the replay failed. So [depnn audit]
+    can re-verify the verdict with outward-rounded arithmetic, and a
+    kill at any instant loses at most the component in flight. A sink also forces [tighten_rounds = 0] (OBBT-tightened
+    models are not independently rebuildable), sequential search and no
+    analysis node-bound hook (such prunes have no replayable evidence):
+    certified campaigns trade speed for auditability by design. Without
+    a sink, OBBT ([tighten_rounds], default 1, for a monolithic query
+    only: per leaf it would dominate many small boxes), the node-bound
+    hook under [Symbolic_bounds], [cores] and [portfolio] apply, and
+    the leaves of a partition fan out over [cores] (unless [portfolio]
+    asks for within-query parallelism). *)
 
 (** {2 Sessions}
 
     Per-model state for callers that issue many queries against the
     same loaded network — the [depnn serve] workers above all. The
     session computes the network's {!Nn.Io.content_hash} {e once} at
-    creation (previously [prove_lateral_velocity_le] re-hashed the
-    network on every certified call) and memoises the deterministic
-    [tighten_rounds = 0] encoding of the most recent (bound mode, box,
-    lp core) question, so back-to-back queries over the same box skip
-    the encoder. A session is single-domain state: give each worker
-    domain its own. *)
+    creation (a certified call without one re-hashes the network every
+    time) and memoises the deterministic [tighten_rounds = 0] encoding
+    of the most recent (bound mode, box, lp core) question, so
+    back-to-back queries over the same box — different thresholds, a
+    server's cache-miss burst — skip the encoder. A session is
+    single-domain state: give each worker domain its own. *)
 
 type session
 
@@ -249,14 +254,15 @@ val prove_in_session :
   threshold:float ->
   Interval.Box.box ->
   proof_result
-(** The certifying/watchdogged decision query of
-    {!prove_lateral_velocity_le}, with the session's cached hash and
-    encoding memo threaded through. [watchdog] defaults to [true] here
-    (a server must degrade to an honest [Unknown], never abort), and
-    the solve is sequential within the session — parallelism belongs to
-    the caller's worker pool. [split]/[store] behave as in
-    {!prove_lateral_velocity_le}, reusing the session's cached network
-    hash for the leaf property hashes. *)
+(** The decision query of {!prove_lateral_velocity_le}, down the same
+    ladder, with the session's cached hash and encoding memo threaded
+    through. [watchdog] defaults to [true] here (a server must degrade
+    to an honest [Unknown], never abort); the session never applies
+    OBBT, and the solve is sequential within the session — parallelism
+    belongs to the caller's worker pool. [certify_dir], [resume],
+    [split] and [store] behave as in {!prove_lateral_velocity_le},
+    reusing the session's cached network hash for the property
+    hashes. *)
 
 val sampled_max_lateral_velocity :
   rng:Linalg.Rng.t ->

@@ -454,6 +454,42 @@ let test_resume_after_kill () =
   Alcotest.(check int) "different threshold resumes nothing" 0
     p4.Verify.Driver.resumed
 
+(* Every question names its certificates [component-K.cert], so a
+   second question asked in the same directory overwrites the first
+   one's files while the first one's journal lines stay. A resume of the
+   first question must not trust those lines: their certificates now
+   speak about another property. Whatever the resumed run answers, the
+   audit of the directory must give the same verdict, cleanly. *)
+let test_resume_ignores_overwritten_certificates () =
+  List.iter
+    (fun seed ->
+      let net = mini_predictor seed in
+      let b0 = box 6 0.3 in
+      let v = exact_max net b0 in
+      let dir = fresh_dir (Printf.sprintf "overwritten_%d" seed) in
+      let p1 = prove ~certify_dir:dir ~threshold:(v +. 0.5) net b0 in
+      Alcotest.(check bool) "first question proved" true
+        (p1.Verify.Driver.proof = Verify.Driver.Proved);
+      let p2 = prove ~certify_dir:dir ~threshold:(v -. 0.2) net b0 in
+      (match p2.Verify.Driver.proof with
+       | Verify.Driver.Disproved _ -> ()
+       | _ -> Alcotest.fail "second question should be disproved");
+      let p3 =
+        prove ~certify_dir:dir ~resume:true ~threshold:(v +. 0.5) net b0
+      in
+      let claimed =
+        match p3.Verify.Driver.proof with
+        | Verify.Driver.Proved -> `Proved
+        | Verify.Driver.Disproved _ -> `Disproved
+        | Verify.Driver.Unknown _ -> `Unknown
+      in
+      let rep = Certify.Audit.run ~net ~dir in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: audit gives the resumed verdict" seed)
+        true
+        (rep.Certify.Audit.verdict = claimed && rep.Certify.Audit.ok))
+    [ 61; 64; 65 ]
+
 let test_watchdog_same_verdict () =
   let net = mini_predictor 66 in
   let b0 = box 6 0.3 in
@@ -467,6 +503,91 @@ let test_watchdog_same_verdict () =
     (pc.Verify.Driver.proof = Verify.Driver.Proved);
   let rep = Certify.Audit.run ~net ~dir in
   Alcotest.(check bool) "audit confirms" true rep.Certify.Audit.ok
+
+(* {1 Cross-mode agreement}
+
+   Six ways to ask the same decision query: plain, watchdogged,
+   certified, partitioned, partitioned and certified, and through a
+   session. Thresholds sit just above or just below the exact maximum,
+   where a wrong prune or a lost leaf would flip the answer. Any two
+   modes that settle must agree, every disproof must replay through the
+   network, and every certified settled verdict must survive the
+   independent audit of its directory. *)
+let prop_decision_modes_agree =
+  QCheck.Test.make ~count:20
+    ~name:"decision modes agree; certified verdicts audit"
+    QCheck.(
+      make
+        Gen.(
+          quad (int_range 0 9_999) (int_range 5 9) (float_range 0.005 0.1)
+            (pair bool bool)))
+    (fun (seed, width, delta, (above, symbolic)) ->
+      let net = small_net seed [ 6; width; Nn.Gmm.output_dim ~components:2 ] in
+      let b0 = box 6 0.25 in
+      let threshold = exact_max net b0 +. if above then delta else -.delta in
+      let bound_mode =
+        if symbolic then Encoding.Encoder.Symbolic_bounds
+        else Encoding.Encoder.Interval_bounds
+      in
+      let split = Verify.Partition.Depth 1 in
+      let cert_dir = fresh_dir "modes_cert" in
+      let shard_dir = fresh_dir "modes_shard" in
+      let decide ?watchdog ?certify_dir ?split () =
+        (Verify.Driver.prove_lateral_velocity_le ~bound_mode ?watchdog
+           ?certify_dir ?split ~components:2 ~threshold net b0)
+          .Verify.Driver.proof
+      in
+      let settled = function
+        | Verify.Driver.Proved -> Some `Proved
+        | Verify.Driver.Disproved w ->
+            if
+              not
+                (Interval.Box.contains b0 w.Verify.Driver.input
+                && w.Verify.Driver.achieved > threshold)
+            then QCheck.Test.fail_report "disproof does not replay";
+            Some `Disproved
+        | Verify.Driver.Unknown _ -> None
+      in
+      let certified = settled (decide ~certify_dir:cert_dir ()) in
+      let sharded = settled (decide ~split ~certify_dir:shard_dir ()) in
+      let verdicts =
+        [
+          settled (decide ());
+          settled (decide ~watchdog:true ());
+          certified;
+          settled (decide ~split ());
+          sharded;
+          settled
+            (Verify.Driver.prove_in_session
+               (Verify.Driver.create_session net)
+               ~bound_mode ~components:2 ~threshold b0)
+              .Verify.Driver.proof;
+        ]
+      in
+      let agree =
+        match List.filter_map Fun.id verdicts with
+        | [] -> true
+        | v :: rest -> List.for_all (( = ) v) rest
+      in
+      let audit_ok =
+        match certified with
+        | None -> true
+        | Some v ->
+            let rep = Certify.Audit.run ~net ~dir:cert_dir in
+            rep.Certify.Audit.ok && rep.Certify.Audit.verdict = v
+      in
+      let shard_ok =
+        match (sharded, Certify.Audit.shard_manifests ~dir:shard_dir) with
+        | None, _ -> true
+        | Some v, [ name ] -> (
+            match Certify.Audit.run_shard ~net ~dir:shard_dir ~name with
+            | Ok rep ->
+                rep.Certify.Audit.shard_ok
+                && rep.Certify.Audit.shard_verdict = v
+            | Error _ -> false)
+        | Some _, _ -> false
+      in
+      agree && audit_ok && shard_ok)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -500,9 +621,15 @@ let () =
           slow "mutated certificate fails" test_mutated_certificate_fails_audit;
           slow "disproof witness audits" test_disproof_witness_audits;
           slow "kill + resume" test_resume_after_kill;
+          slow "resume ignores overwritten certificates"
+            test_resume_ignores_overwritten_certificates;
           slow "watchdog verdict" test_watchdog_same_verdict;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_lp_certs_replay_both_cores; prop_farkas_check_implies_replay ] );
+          [
+            prop_lp_certs_replay_both_cores;
+            prop_farkas_check_implies_replay;
+            prop_decision_modes_agree;
+          ] );
     ]
