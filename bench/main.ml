@@ -299,10 +299,10 @@ let ablation () =
   let net = train_width width in
   let box = Lazy.force scenario in
   let run name ?(bound_mode = Encoding.Encoder.Interval_bounds)
-      ?(tighten_rounds = 1) ?(depth_first = false) () =
+      ?(tighten_rounds = 1) ?portfolio () =
     let r =
       Verify.Driver.max_lateral_velocity ~time_limit ~bound_mode
-        ~tighten_rounds ~depth_first ~components net box
+        ~tighten_rounds ?portfolio ~components net box
     in
     Printf.printf "%-34s binaries=%-4d nodes=%-6d pivots=%-8d %6.1fs %s\n%!"
       name r.Verify.Driver.unstable_neurons r.Verify.Driver.nodes
@@ -315,7 +315,7 @@ let ablation () =
   Printf.printf "verifying I4x%d under different configurations:\n\n" width;
   run "interval big-M + OBBT, best-first" ();
   run "interval big-M, no OBBT" ~tighten_rounds:0 ();
-  run "interval big-M + OBBT, depth-first" ~depth_first:true ();
+  run "interval big-M + OBBT, lone diver" ~portfolio:(1, 0) ();
   run "coarse big-M (radius 4), no OBBT"
     ~bound_mode:(Encoding.Encoder.Coarse 4.0) ~tighten_rounds:0 ();
   print_newline ();
@@ -437,15 +437,14 @@ let portfolio_smoke =
      (net, Encoding.Encoder.encode net box))
 
 (* Single-worker configurations so node counts are deterministic: the
-   comparison is search *order* (diving vs best-first vs the sequential
-   PR-4 baseline), not domain parallelism. The 1:1 row shows the actual
-   two-domain portfolio. *)
+   comparison is search *order* (diving vs best-first, which is also
+   what one core runs), not domain parallelism. The 1:1 row shows the
+   actual two-domain portfolio. *)
 let portfolio_configs =
   [
-    ("sequential", None);
-    ("best_first_only", Some (0, 1));
-    ("diver_only", Some (1, 0));
-    ("portfolio_1_1", Some (1, 1));
+    ("best_first_only", (0, 1));
+    ("diver_only", (1, 0));
+    ("portfolio_1_1", (1, 1));
   ]
 
 let portfolio_measurements () =
@@ -456,7 +455,7 @@ let portfolio_measurements () =
       List.map
         (fun k ->
           let r =
-            Milp.Parallel.solve ?portfolio
+            Milp.Solver.solve ~portfolio
               ~branch_rule:(Milp.Solver.Priority priority)
               ~objective:(Encoding.Encoder.output_objective enc k)
               enc.Encoding.Encoder.model
@@ -1148,8 +1147,8 @@ let micro ?(json = false) () =
           bf;
         Printf.fprintf oc "  ],\n";
         (* Time-to-first-incumbent trajectory: the smoke-model portfolio
-           rows, so successive PRs can compare diving against the PR-4
-           sequential/best-first baselines. *)
+           rows, so successive runs can compare diving against the
+           best-first baseline. *)
         let rows = portfolio_measurements () in
         Printf.fprintf oc "  \"portfolio\": [\n";
         List.iteri

@@ -439,8 +439,9 @@ let certify_dir_arg =
         ~doc:
           "Write an auditable proof certificate per component plus a \
            crash-safe journal into $(docv); replay them independently \
-           with $(b,depnn audit). Forces deterministic re-encodable \
-           solves (no OBBT, sequential search).")
+           with $(b,depnn audit). Forces re-encodable solves (no OBBT, \
+           no analysis node bounds); $(b,--cores) and $(b,--portfolio) \
+           still apply.")
 
 let resume_arg =
   Arg.(

@@ -30,7 +30,7 @@ type config = {
   verify_cores : int;  (** worker domains for OBBT + branch & bound *)
   verify_portfolio : (int * int) option;
       (** explicit diver:prover split for the MILP queries
-          ({!Milp.Parallel.solve}); [None] derives the split from
+          ({!Milp.Solver.solve}); [None] derives the split from
           [verify_cores] *)
   batch : int;
       (** scenes per cache-blocked batched forward in the guard sanity

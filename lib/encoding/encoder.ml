@@ -333,7 +333,7 @@ let symbolic_node_bound t net box ~output =
   let binary = Hashtbl.create 64 in
   List.iter (fun (v, li, r) -> Hashtbl.replace binary v (li, r)) t.binaries;
   (* Computed eagerly: [lazy] would race when the closure is shared by
-     worker domains ({!Milp.Parallel.solve} calls it concurrently). *)
+     worker domains ({!Milp.Solver.solve} calls it concurrently). *)
   let root_bound =
     let s = Absint.Symbolic.propagate net box in
     (Absint.Symbolic.output_bounds s).(output).Interval.hi

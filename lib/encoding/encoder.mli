@@ -91,9 +91,9 @@ val encode :
 
 val output_objective : t -> int -> (Milp.Model.var * float) list
 (** [output_objective enc k] is the objective maximising output
-    coordinate [k], as terms for [Milp.Solver.solve ~objective] (or
-    {!Milp.Parallel.solve}). Pure data: the encoding is never mutated,
-    so one encoding serves many queries — even concurrently. *)
+    coordinate [k], as terms for [Milp.Solver.solve ~objective]. Pure
+    data: the encoding is never mutated, so one encoding serves many
+    queries — even concurrently. *)
 
 val symbolic_node_bound :
   t ->
@@ -103,15 +103,14 @@ val symbolic_node_bound :
   (Milp.Model.var * float * float) list ->
   float option
 (** [symbolic_node_bound enc net box ~output] builds the
-    [?node_bound] callback for {!Milp.Solver.solve} /
-    {!Milp.Parallel.solve} when the solve maximises output coordinate
-    [output] (i.e. its objective is [output_objective enc output]): a
-    node's fixed binaries are interpreted as ReLU phase decisions and
-    the symbolic analyzer is re-run on the phase-restricted region,
-    yielding a sound upper bound on the objective over the node's whole
-    subtree ([neg_infinity] when the fixes contradict the bounds — the
-    subtree is empty). Pure; safe to call concurrently from worker
-    domains. *)
+    [?node_bound] callback for {!Milp.Solver.solve} when the solve
+    maximises output coordinate [output] (i.e. its objective is
+    [output_objective enc output]): a node's fixed binaries are
+    interpreted as ReLU phase decisions and the symbolic analyzer is
+    re-run on the phase-restricted region, yielding a sound upper bound
+    on the objective over the node's whole subtree ([neg_infinity] when
+    the fixes contradict the bounds — the subtree is empty). Pure; safe
+    to call concurrently from worker domains. *)
 
 val layer_order_priority : t -> Milp.Model.var -> int
 (** Branching priority that explores earlier layers first (the encoding

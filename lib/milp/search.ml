@@ -1,5 +1,4 @@
-(* Search-node bookkeeping shared by the sequential ({!Solver}) and
-   parallel ({!Parallel}) branch & bound drivers. *)
+(* Search-node bookkeeping for the branch & bound pool in {!Solver}. *)
 
 (* A search node is the chain of bound tightenings applied on top of the
    root problem, plus the bound inherited from its parent's relaxation
@@ -85,43 +84,28 @@ module Heap = struct
   let peek_bound h = if h.size = 0 then None else Some h.data.(0).parent_bound
 end
 
-(* A pool of open nodes: the one abstraction both search strategies fit
-   behind. Best-first is the shared max-heap; depth-first is a private
-   LIFO stack whose entries carry the running max of open parent bounds
-   (so the global open bound stays O(1), matching the heap's peek).
-
-   The depth-first pool can be bounded: pushing past [max_open] hands
-   the *shallowest* (bottom) entry to the [donate] sink — in the
-   portfolio search that sink is the shared best-first heap, so a
-   diver's hoard never starves the provers. After a bottom donation the
-   running maxes stored above may overstate the open bound; that is
-   sound (the donated node now lives in the sink, which covers it), and
-   the sequential solver never donates. *)
+(* A diver's private pool of open nodes: a LIFO stack, bounded at
+   [max_open]. Pushing past the bound hands the *shallowest* (bottom)
+   entry to the [donate] sink — in the portfolio search that sink is the
+   shared best-first heap, so a diver's hoard never starves the provers.
+   A zero bound donates every push: that is a prover. *)
 module Pool = struct
-  type dfs = {
-    mutable stack : (node * float) list;  (* (node, max bound from here down) *)
+  type t = {
+    mutable stack : node list;
     mutable count : int;
     max_open : int;
     donate : node -> unit;
   }
 
-  type t = Best of Heap.t | Dfs of dfs
-
-  let best_first () = Best (Heap.create ())
-
-  let no_donate _ =
-    invalid_arg "Search.Pool: bounded depth-first pool needs a donate sink"
-
-  let depth_first ?(max_open = max_int) ?donate () =
+  let depth_first ~max_open ~donate () =
     if max_open < 0 then invalid_arg "Search.Pool.depth_first: max_open < 0";
-    let donate = match donate with Some f -> f | None -> no_donate in
-    Dfs { stack = []; count = 0; max_open; donate }
+    { stack = []; count = 0; max_open; donate }
 
   (* Drop the bottom (shallowest, best-bound-first candidate) entry. *)
   let donate_bottom d =
     let rec split acc = function
       | [] -> assert false
-      | [ (bottom, _) ] -> (List.rev acc, bottom)
+      | [ bottom ] -> (List.rev acc, bottom)
       | entry :: rest -> split (entry :: acc) rest
     in
     let kept, bottom = split [] d.stack in
@@ -129,52 +113,29 @@ module Pool = struct
     d.count <- d.count - 1;
     d.donate bottom
 
-  let push t n =
-    match t with
-    | Best h -> Heap.push h n
-    | Dfs d ->
-        if d.max_open = 0 then d.donate n
-        else begin
-          let below =
-            match d.stack with [] -> neg_infinity | (_, m) :: _ -> m
-          in
-          d.stack <- (n, Float.max n.parent_bound below) :: d.stack;
-          d.count <- d.count + 1;
-          if d.count > d.max_open then donate_bottom d
-        end
+  let push d n =
+    if d.max_open = 0 then d.donate n
+    else begin
+      d.stack <- n :: d.stack;
+      d.count <- d.count + 1;
+      if d.count > d.max_open then donate_bottom d
+    end
 
-  let pop t =
-    match t with
-    | Best h -> Heap.pop h
-    | Dfs d -> (
-        match d.stack with
-        | [] -> None
-        | (n, _) :: rest ->
-            d.stack <- rest;
-            d.count <- d.count - 1;
-            Some n)
+  let pop d =
+    match d.stack with
+    | [] -> None
+    | n :: rest ->
+        d.stack <- rest;
+        d.count <- d.count - 1;
+        Some n
 
-  let size t =
-    match t with Best h -> Heap.size h | Dfs d -> d.count
+  let size d = d.count
 
-  let peek_bound t =
-    match t with
-    | Best h -> Heap.peek_bound h
-    | Dfs d -> (
-        match d.stack with [] -> None | (_, m) :: _ -> Some m)
-
-  let drain t =
-    match t with
-    | Best h ->
-        let rec go acc =
-          match Heap.pop h with None -> acc | Some n -> go (n :: acc)
-        in
-        go []
-    | Dfs d ->
-        let nodes = List.map fst d.stack in
-        d.stack <- [];
-        d.count <- 0;
-        nodes
+  let drain d =
+    let nodes = d.stack in
+    d.stack <- [];
+    d.count <- 0;
+    nodes
 end
 
 let fractionality x =

@@ -1,5 +1,4 @@
-(** Search-node bookkeeping shared by the sequential ({!Solver}) and
-    parallel ({!Parallel}) branch & bound drivers.
+(** Search-node bookkeeping for the branch & bound pool in {!Solver}.
 
     A node is the chain of bound tightenings ("fixes") applied on top of
     the root LP. Evaluating one costs O(depth) bound writes through the
@@ -34,37 +33,25 @@ module Heap : sig
   (** Bound of the best open node — the heap's global open bound — in O(1). *)
 end
 
-(** A pool of open nodes, abstracting over the two search strategies:
+(** A diver's private pool of open nodes: a LIFO stack that pops the
+    most recently pushed child first ({!branch} lists the
+    inactive-neuron side last, so it is explored first), producing
+    feasible incumbents early.
 
-    - {!best_first}: the max-heap above — pops the open node with the
-      tightest bound, driving the proven bound down;
-    - {!depth_first}: a LIFO stack — pops the most recently pushed
-      child first ({!branch} lists the inactive-neuron side last, so it
-      is explored first), producing feasible incumbents early.
-
-    A depth-first pool may be bounded with [max_open]: pushing past the
-    bound hands the {e shallowest} (bottom) entry to the [donate] sink.
-    The portfolio search uses this to return a diver's excess nodes to
-    the shared best-first heap so provers are never starved. *)
+    The stack is bounded by [max_open]: pushing past the bound hands the
+    {e shallowest} (bottom) entry to the [donate] sink. The portfolio
+    search uses this to return a diver's excess nodes to the shared
+    best-first {!Heap} so provers are never starved; a prover is the
+    pool with [max_open = 0], which donates every node it is given. *)
 module Pool : sig
   type t
 
-  val best_first : unit -> t
-
-  val depth_first : ?max_open:int -> ?donate:(node -> unit) -> unit -> t
-  (** [max_open] defaults to unbounded; a bounded pool without a
-      [donate] sink raises [Invalid_argument] on overflow. *)
+  val depth_first : max_open:int -> donate:(node -> unit) -> unit -> t
+  (** [Invalid_argument] when [max_open < 0]. *)
 
   val push : t -> node -> unit
   val pop : t -> node option
   val size : t -> int
-
-  val peek_bound : t -> float option
-  (** The pool's global open bound in O(1): heap peek for best-first,
-      an incrementally maintained running max for depth-first. After a
-      bottom donation the depth-first value may overstate (never
-      understate) the bound of the nodes still in the pool — sound,
-      since the donated node's new pool covers it. *)
 
   val drain : t -> node list
   (** Remove and return every open node (e.g. to flush a diver's

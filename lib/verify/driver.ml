@@ -75,8 +75,7 @@ let node_bound_for ~bound_mode enc net box ~output =
    more than one node's slack. *)
 let maximize_outputs ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(depth_first = false) ?(cores = 1) ?portfolio ?(warm = true) ?lp_core
-    ~outputs:output_indices net box =
+    ?(cores = 1) ?portfolio ?lp_core ~outputs:output_indices net box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
   let enc =
@@ -94,12 +93,11 @@ let maximize_outputs ?(time_limit = 60.0)
       let point = Encoding.Encoder.assignment_of_input enc net input in
       Some (point, point.(enc.Encoding.Encoder.output_vars.(k)))
     in
-    Milp.Parallel.solve ~cores ?portfolio ~time_limit:per_query_limit
-      ~branch_rule:(Milp.Solver.Priority priority) ~depth_first
-      ~primal_heuristic
+    Milp.Solver.solve ~cores ?portfolio ~time_limit:per_query_limit
+      ~branch_rule:(Milp.Solver.Priority priority) ~primal_heuristic
       ?node_bound:(node_bound_for ~bound_mode enc net box ~output:k)
       ~objective:(Encoding.Encoder.output_objective enc k)
-      ~warm ?lp_core enc.Encoding.Encoder.model
+      ?lp_core enc.Encoding.Encoder.model
   in
   let results =
     if cores > 1 && n_queries > 1 && portfolio = None then begin
@@ -186,18 +184,18 @@ let maximize_outputs ?(time_limit = 60.0)
     obbt = enc.Encoding.Encoder.obbt;
   }
 
-let max_lateral_velocity ?time_limit ?bound_mode ?tighten_rounds ?depth_first
-    ?cores ?portfolio ?warm ?lp_core ~components net box =
+let max_lateral_velocity ?time_limit ?bound_mode ?tighten_rounds ?cores
+    ?portfolio ?lp_core ~components net box =
   let outputs =
     List.init components (fun k -> Nn.Gmm.mu_lat_index ~components k)
   in
-  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?depth_first ?cores
-    ?portfolio ?warm ?lp_core ~outputs net box
+  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
+    ?lp_core ~outputs net box
 
-let maximize_output ?time_limit ?bound_mode ?tighten_rounds ?depth_first
-    ?cores ?portfolio ?warm ?lp_core ~output net box =
-  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?depth_first ?cores
-    ?portfolio ?warm ?lp_core ~outputs:[ output ] net box
+let maximize_output ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
+    ?lp_core ~output net box =
+  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
+    ?lp_core ~outputs:[ output ] net box
 
 type proof = Proved | Disproved of witness | Unknown of { best_bound : float }
 
@@ -244,11 +242,13 @@ let session_net_hash s = s.session_net_hash
    component in flight. Certificates must be independently rebuildable,
    so the sink alone forces [tighten_rounds = 0] (an OBBT-tightened
    model embeds thousands of LP conclusions the checker would have to
-   take on faith) and solves sequentially without analysis node bounds
-   (prunes against a bound the certificate cannot replay would be
+   take on faith) and searches without analysis node bounds (prunes
+   against a bound the certificate cannot replay would be
    [Leaf_uncertified]): certified campaigns trade speed for
-   auditability. One disproved leaf disproves the parent (its witness
-   lies inside the leaf box, hence inside the parent box). *)
+   auditability. The search itself keeps [cores] and [portfolio], since
+   every worker streams its closed leaves. One disproved leaf disproves
+   the parent (its witness lies inside the leaf box, hence inside the
+   parent box). *)
 
 module Cert = Certify.Certificate
 module Journal = Certify.Journal
@@ -262,7 +262,6 @@ type query = {
   tighten_rounds : int;
   cores : int;
   portfolio : (int * int) option;
-  warm : bool;
   lp_core : Lp.Simplex.core option;
   watchdog : bool;
   components : int;
@@ -387,20 +386,22 @@ let settle_leaf q ~store ~sink ~resume ~attempt ~time_limit ~upper box =
       Milp.Solver.Priority (Encoding.Encoder.layer_order_priority enc)
     in
     (* A rung streams every closed search leaf as evidence when
-       certificates are wanted, and runs the parallel solver otherwise. *)
+       certificates are wanted, and takes the analysis node bound
+       otherwise. *)
     let solve lp_core ~time_limit =
       let leaves = ref [] in
-      let on_leaf fixes c = leaves := Cert.leaf_of_search fixes c :: !leaves in
+      let collect fixes c = leaves := Cert.leaf_of_search fixes c :: !leaves in
+      let node_bound, on_leaf =
+        match sink with
+        | None ->
+            ( node_bound_for ~bound_mode:q.bound_mode enc q.net box ~output,
+              None )
+        | Some _ -> (None, Some collect)
+      in
       let r =
-        if sink = None then
-          Milp.Parallel.solve ~cores:q.cores ?portfolio:q.portfolio
-            ~time_limit ~cutoff:threshold ~branch_rule ~objective ~warm:q.warm
-            ?node_bound:
-              (node_bound_for ~bound_mode:q.bound_mode enc q.net box ~output)
-            ?lp_core model
-        else
-          Milp.Solver.solve ~time_limit ~cutoff:threshold ~branch_rule
-            ~objective ~warm:q.warm ?lp_core ~on_leaf model
+        Milp.Solver.solve ~cores:q.cores ?portfolio:q.portfolio ~time_limit
+          ~cutoff:threshold ~branch_rule ~objective ?node_bound ?on_leaf
+          ?lp_core model
       in
       (r, Array.of_list (List.rev !leaves))
     in
@@ -655,9 +656,8 @@ let decide q ~split ~store ~certify_dir ~resume ~time_limit box =
 
 let prove_lateral_velocity_le ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?portfolio ?(warm = true) ?lp_core ?certify_dir
-    ?(resume = false) ?(watchdog = false) ?split ?store ~components ~threshold
-    net box =
+    ?(cores = 1) ?portfolio ?lp_core ?certify_dir ?(resume = false)
+    ?(watchdog = false) ?split ?store ~components ~threshold net box =
   (* OBBT is off under a sink (see above), and per leaf under a split:
      its budget share would dominate hundreds of small boxes, and the
      planner's symbolic pre-pass is what partitioning relies on. *)
@@ -665,19 +665,18 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
     { net; session = None; net_hash = lazy (Nn.Io.content_hash net);
       tighten_rounds =
         (if certify_dir = None && split = None then tighten_rounds else 0);
-      bound_mode; cores; portfolio; warm; lp_core; watchdog; components;
-      threshold }
+      bound_mode; cores; portfolio; lp_core; watchdog; components; threshold }
     ~split ~store ~certify_dir ~resume ~time_limit box
 
 let prove_in_session session ?(time_limit = 60.0)
-    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(warm = true) ?lp_core
-    ?certify_dir ?(resume = false) ?(watchdog = true) ?split ?store ~components
-    ~threshold box =
+    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?lp_core ?certify_dir
+    ?(resume = false) ?(watchdog = true) ?split ?store ~components ~threshold
+    box =
   decide
     { net = session.session_net; session = Some session;
       net_hash = Lazy.from_val session.session_net_hash; bound_mode;
-      tighten_rounds = 0; cores = 1; portfolio = None; warm; lp_core;
-      watchdog; components; threshold }
+      tighten_rounds = 0; cores = 1; portfolio = None; lp_core; watchdog;
+      components; threshold }
     ~split ~store ~certify_dir ~resume ~time_limit box
 
 let sampled_max_lateral_velocity ~rng ~samples ~components net box =

@@ -42,10 +42,8 @@ val max_lateral_velocity :
   ?time_limit:float ->
   ?bound_mode:Encoding.Encoder.bound_mode ->
   ?tighten_rounds:int ->
-  ?depth_first:bool ->
   ?cores:int ->
   ?portfolio:int * int ->
-  ?warm:bool ->
   ?lp_core:Lp.Simplex.core ->
   components:int ->
   Nn.Network.t ->
@@ -64,9 +62,8 @@ val max_lateral_velocity :
     (default 1) rounds of OBBT are applied before searching (see
     {!Encoding.Encoder.encode}). [cores] (default 1) also runs the
     OBBT probes on that many domains ({!Milp.Parallel}); results agree
-    with [cores = 1] up to solver epsilon. [warm] (default [true])
-    warm-starts child nodes from parent bases; pass [false] for
-    cold-solve ablations. [lp_core] selects the LP engine for OBBT and
+    with [cores = 1] up to solver epsilon. Child nodes warm-start from
+    their parent's basis. [lp_core] selects the LP engine for OBBT and
     every node re-solve ({!Lp.Simplex.core}; default
     {!Lp.Simplex.default_core}, i.e. sparse unless overridden).
 
@@ -78,8 +75,9 @@ val max_lateral_velocity :
     subtrees whose fixed ReLU phases already bound the objective below
     the incumbent.
 
-    [portfolio] forces the diver/prover split of {!Milp.Parallel.solve}
-    inside {e each} query. Explicitly splitting disables the
+    [portfolio] forces the diver/prover split of {!Milp.Solver.solve}
+    inside {e each} query ([(1, 0)], a lone diver, is the depth-first
+    search). Explicitly splitting disables the
     per-component fan-out — the caller asked for within-query
     parallelism — so each component query runs the full portfolio in
     turn. Left unset, the fan-out path keeps its sequential inner
@@ -90,10 +88,8 @@ val maximize_output :
   ?time_limit:float ->
   ?bound_mode:Encoding.Encoder.bound_mode ->
   ?tighten_rounds:int ->
-  ?depth_first:bool ->
   ?cores:int ->
   ?portfolio:int * int ->
-  ?warm:bool ->
   ?lp_core:Lp.Simplex.core ->
   output:int ->
   Nn.Network.t ->
@@ -148,7 +144,6 @@ val prove_lateral_velocity_le :
   ?tighten_rounds:int ->
   ?cores:int ->
   ?portfolio:int * int ->
-  ?warm:bool ->
   ?lp_core:Lp.Simplex.core ->
   ?certify_dir:string ->
   ?resume:bool ->
@@ -209,15 +204,19 @@ val prove_lateral_velocity_le :
     pass), then appends a checksummed, fsynced journal line recording
     the verdict, or [unknown] when the replay failed. So [depnn audit]
     can re-verify the verdict with outward-rounded arithmetic, and a
-    kill at any instant loses at most the component in flight. A sink also forces [tighten_rounds = 0] (OBBT-tightened
-    models are not independently rebuildable), sequential search and no
-    analysis node-bound hook (such prunes have no replayable evidence):
-    certified campaigns trade speed for auditability by design. Without
-    a sink, OBBT ([tighten_rounds], default 1, for a monolithic query
-    only: per leaf it would dominate many small boxes), the node-bound
-    hook under [Symbolic_bounds], [cores] and [portfolio] apply, and
-    the leaves of a partition fan out over [cores] (unless [portfolio]
-    asks for within-query parallelism). *)
+    kill at any instant loses at most the component in flight. A sink
+    also forces [tighten_rounds = 0] (OBBT-tightened models are not
+    independently rebuildable) and no analysis node-bound hook (such
+    prunes have no replayable evidence): certified campaigns trade
+    speed for auditability by design. Each search still runs on
+    [cores] and [portfolio], since every worker streams the leaves it
+    closes; with more than one worker the leaf order in a tree
+    certificate varies between runs, which the audit does not depend
+    on. Without a sink, OBBT ([tighten_rounds], default 1, for a
+    monolithic query only: per leaf it would dominate many small
+    boxes), the node-bound hook under [Symbolic_bounds], [cores] and
+    [portfolio] apply, and the leaves of a partition fan out over
+    [cores] (unless [portfolio] asks for within-query parallelism). *)
 
 (** {2 Sessions}
 
@@ -243,7 +242,6 @@ val prove_in_session :
   session ->
   ?time_limit:float ->
   ?bound_mode:Encoding.Encoder.bound_mode ->
-  ?warm:bool ->
   ?lp_core:Lp.Simplex.core ->
   ?certify_dir:string ->
   ?resume:bool ->

@@ -506,13 +506,15 @@ let test_watchdog_same_verdict () =
 
 (* {1 Cross-mode agreement}
 
-   Six ways to ask the same decision query: plain, watchdogged,
-   certified, partitioned, partitioned and certified, and through a
-   session. Thresholds sit just above or just below the exact maximum,
-   where a wrong prune or a lost leaf would flip the answer. Any two
-   modes that settle must agree, every disproof must replay through the
-   network, and every certified settled verdict must survive the
-   independent audit of its directory. *)
+   Eight ways to ask the same decision query: plain, watchdogged,
+   certified (on one core, on two, and on a 1:1 portfolio),
+   partitioned, partitioned and certified, and through a session.
+   Thresholds sit just above or just below the exact maximum, where a
+   wrong prune or a lost leaf would flip the answer. Any two modes that
+   settle must agree, every disproof must replay through the network,
+   and every certified settled verdict must survive the independent
+   audit of its directory. With more than one worker the leaf order in
+   a tree certificate varies between runs; the audit must not care. *)
 let prop_decision_modes_agree =
   QCheck.Test.make ~count:20
     ~name:"decision modes agree; certified verdicts audit"
@@ -531,10 +533,13 @@ let prop_decision_modes_agree =
       in
       let split = Verify.Partition.Depth 1 in
       let cert_dir = fresh_dir "modes_cert" in
+      let cores_dir = fresh_dir "modes_cert_cores" in
+      let portfolio_dir = fresh_dir "modes_cert_portfolio" in
       let shard_dir = fresh_dir "modes_shard" in
-      let decide ?watchdog ?certify_dir ?split () =
+      let decide ?watchdog ?certify_dir ?split ?cores ?portfolio () =
         (Verify.Driver.prove_lateral_velocity_le ~bound_mode ?watchdog
-           ?certify_dir ?split ~components:2 ~threshold net b0)
+           ?certify_dir ?split ?cores ?portfolio ~components:2 ~threshold net
+           b0)
           .Verify.Driver.proof
       in
       let settled = function
@@ -549,12 +554,20 @@ let prop_decision_modes_agree =
         | Verify.Driver.Unknown _ -> None
       in
       let certified = settled (decide ~certify_dir:cert_dir ()) in
+      let certified_cores =
+        settled (decide ~cores:2 ~certify_dir:cores_dir ())
+      in
+      let certified_portfolio =
+        settled (decide ~portfolio:(1, 1) ~certify_dir:portfolio_dir ())
+      in
       let sharded = settled (decide ~split ~certify_dir:shard_dir ()) in
       let verdicts =
         [
           settled (decide ());
           settled (decide ~watchdog:true ());
           certified;
+          certified_cores;
+          certified_portfolio;
           settled (decide ~split ());
           sharded;
           settled
@@ -569,12 +582,16 @@ let prop_decision_modes_agree =
         | [] -> true
         | v :: rest -> List.for_all (( = ) v) rest
       in
-      let audit_ok =
-        match certified with
+      let audits dir = function
         | None -> true
         | Some v ->
-            let rep = Certify.Audit.run ~net ~dir:cert_dir in
+            let rep = Certify.Audit.run ~net ~dir in
             rep.Certify.Audit.ok && rep.Certify.Audit.verdict = v
+      in
+      let audit_ok =
+        audits cert_dir certified
+        && audits cores_dir certified_cores
+        && audits portfolio_dir certified_portfolio
       in
       let shard_ok =
         match (sharded, Certify.Audit.shard_manifests ~dir:shard_dir) with

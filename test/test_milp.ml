@@ -103,7 +103,7 @@ let test_depth_first_same_optimum () =
   Milp.Model.add_le m (Array.to_list (Array.mapi (fun i x -> (x, weights.(i))) xs)) 6.0;
   Milp.Model.set_objective m (Array.to_list (Array.mapi (fun i x -> (x, values.(i))) xs));
   let best = Milp.Solver.solve m in
-  let dfs = Milp.Solver.solve ~depth_first:true m in
+  let dfs = Milp.Solver.solve ~portfolio:(1, 0) m in
   Alcotest.(check (float 1e-6)) "same optimum" (incumbent_value best)
     (incumbent_value dfs)
 
@@ -207,7 +207,7 @@ let test_parallel_node_bound_same_answer () =
   List.iter
     (fun cores ->
       let r =
-        Milp.Parallel.solve ~cores ~node_bound:(fun _ -> Some 38.0)
+        Milp.Solver.solve ~cores ~node_bound:(fun _ -> Some 38.0)
           (knapsack_model ())
       in
       check_outcome Milp.Solver.Optimal r;
@@ -240,7 +240,7 @@ let test_parallel_knapsack () =
     (Array.to_list (Array.mapi (fun i x -> (x, values.(i))) xs));
   List.iter
     (fun cores ->
-      let r = Milp.Parallel.solve ~cores m in
+      let r = Milp.Solver.solve ~cores m in
       check_outcome Milp.Solver.Optimal r;
       Alcotest.(check (float 1e-6))
         (Printf.sprintf "optimum on %d cores" cores)
@@ -253,7 +253,7 @@ let test_parallel_cutoff_prunes () =
   let m = Milp.Model.create () in
   let x = Milp.Model.add_binary m () in
   Milp.Model.set_objective m [ (x, 5.0) ];
-  let r = Milp.Parallel.solve ~cores:4 ~cutoff:6.0 m in
+  let r = Milp.Solver.solve ~cores:4 ~cutoff:6.0 m in
   check_outcome Milp.Solver.Optimal r;
   Alcotest.(check bool) "no incumbent" true (r.Milp.Solver.incumbent = None);
   Alcotest.(check bool) "bound <= cutoff" true
@@ -265,7 +265,7 @@ let test_parallel_infeasible () =
   Milp.Model.add_ge m [ (x, 1.0) ] 0.4;
   Milp.Model.add_le m [ (x, 1.0) ] 0.6;
   Milp.Model.set_objective m [ (x, 1.0) ];
-  check_outcome Milp.Solver.Infeasible (Milp.Parallel.solve ~cores:3 m)
+  check_outcome Milp.Solver.Infeasible (Milp.Solver.solve ~cores:3 m)
 
 let test_solve_min_objective_untouched () =
   (* solve_min used to negate the shared objective in place and restore
@@ -280,7 +280,7 @@ let test_solve_min_objective_untouched () =
   let after = Lp.Problem.objective (Milp.Model.lp m) in
   Alcotest.(check (float 1e-6)) "min integer" 4.0 (incumbent_value r);
   Alcotest.(check (array (float 0.0))) "objective untouched" before after;
-  let rp = Milp.Parallel.solve_min ~cores:2 m in
+  let rp = Milp.Solver.solve_min ~cores:2 m in
   Alcotest.(check (float 1e-6)) "parallel min" 4.0 (incumbent_value rp);
   Alcotest.(check (array (float 0.0))) "objective untouched (parallel)"
     before
@@ -296,11 +296,64 @@ let test_open_bound_stack_matches_heap () =
   Milp.Model.set_objective m
     (List.mapi (fun i x -> (x, 1.0 +. (0.1 *. float_of_int i))) xs);
   let bfs = Milp.Solver.solve ~node_limit:1 m in
-  let dfs = Milp.Solver.solve ~node_limit:1 ~depth_first:true m in
+  let dfs = Milp.Solver.solve ~node_limit:1 ~portfolio:(1, 0) m in
   check_outcome Milp.Solver.Node_limit bfs;
   check_outcome Milp.Solver.Node_limit dfs;
   Alcotest.(check (float 1e-9)) "same open bound" bfs.Milp.Solver.best_bound
     dfs.Milp.Solver.best_bound
+
+(* The Klee–Minty cube in [n] dimensions — maximise sum 2^(n-j) x_j
+   subject to 2 sum_{j<i} 2^(i-j) x_j + x_i <= 5^i, x_j in [0, 5^j] —
+   plus one binary z of objective 1. Its LP optimum is 5^n (+ 1 for z),
+   and at n = 16 the root relaxation stops at its pivot limit on both
+   LP cores. *)
+let klee_minty n =
+  let m = Milp.Model.create () in
+  let pow b e = b ** float_of_int e in
+  let xs =
+    Array.init n (fun j ->
+        Milp.Model.add_continuous m ~lo:0.0 ~hi:(pow 5.0 (j + 1)) ())
+  in
+  for i = 0 to n - 1 do
+    Milp.Model.add_le m
+      ((xs.(i), 1.0)
+      :: List.init i (fun j -> (xs.(j), 2.0 *. pow 2.0 (i - j))))
+      (pow 5.0 (i + 1))
+  done;
+  let z = Milp.Model.add_binary m () in
+  Milp.Model.set_objective m
+    ((z, 1.0) :: List.init n (fun j -> (xs.(j), pow 2.0 (n - 1 - j))));
+  m
+
+let test_lp_iteration_limit_keeps_node_open () =
+  (* Closing a node whose LP stopped at its iteration limit like an
+     infeasible one turns this feasible model into [Infeasible] and the
+     cutoff query into a "proof" of max <= 0 with no incumbent, while
+     the LP optimum is 5^16. The node must stay open, so the search
+     stops short of a verdict and its bound still covers the node. The
+     n = 12 cube, which solves, checks the model itself. *)
+  let small = Milp.Solver.solve (klee_minty 12) in
+  check_outcome Milp.Solver.Optimal small;
+  Alcotest.(check (float 1e-3)) "n = 12 solves" ((5.0 ** 12.0) +. 1.0)
+    (incumbent_value small);
+  let m = klee_minty 16 in
+  List.iter
+    (fun (cores, cutoff) ->
+      let r = Milp.Solver.solve ~cores ?cutoff m in
+      let name =
+        Printf.sprintf "%d core(s), %s: %s, bound %g" cores
+          (match cutoff with
+           | Some c -> Printf.sprintf "cutoff %g" c
+           | None -> "no cutoff")
+          (outcome_name r.Milp.Solver.outcome)
+          r.Milp.Solver.best_bound
+      in
+      Alcotest.(check bool) (name ^ " is no verdict") true
+        (r.Milp.Solver.outcome <> Milp.Solver.Optimal
+        && r.Milp.Solver.outcome <> Milp.Solver.Infeasible);
+      Alcotest.(check bool) (name ^ " covers the LP optimum") true
+        (r.Milp.Solver.best_bound >= 5.0 ** 16.0))
+    [ (1, None); (1, Some 0.0); (2, None); (2, Some 0.0) ]
 
 (* The standard knapsack used by the degradation tests (optimum 21). *)
 let degraded_knapsack () =
@@ -326,7 +379,7 @@ let test_parallel_degrades_on_worker_death () =
     if Atomic.exchange armed false then failwith "injected worker fault"
     else None
   in
-  let r = Milp.Parallel.solve ~cores:2 ~primal_heuristic:heuristic m in
+  let r = Milp.Solver.solve ~cores:2 ~primal_heuristic:heuristic m in
   check_outcome Milp.Solver.Optimal r;
   Alcotest.(check (float 1e-6)) "optimum survives" 21.0 (incumbent_value r);
   Alcotest.(check int) "one worker lost" 1 r.Milp.Solver.failed_workers
@@ -338,7 +391,7 @@ let test_parallel_reraises_when_all_workers_die () =
   let heuristic _ = failwith "poison" in
   Alcotest.(check bool) "exception propagates" true
     (try
-       ignore (Milp.Parallel.solve ~cores:2 ~primal_heuristic:heuristic m);
+       ignore (Milp.Solver.solve ~cores:2 ~primal_heuristic:heuristic m);
        false
      with Failure msg -> msg = "poison")
 
@@ -545,7 +598,7 @@ let test_portfolio_knapsack_all_splits () =
   let m = knapsack_model () in
   List.iter
     (fun (d, p) ->
-      let r = Milp.Parallel.solve ~portfolio:(d, p) m in
+      let r = Milp.Solver.solve ~portfolio:(d, p) m in
       check_outcome Milp.Solver.Optimal r;
       Alcotest.(check (float 1e-6))
         (Printf.sprintf "optimum under %d:%d" d p)
@@ -558,7 +611,7 @@ let test_portfolio_rejects_empty_split () =
       Alcotest.(check bool)
         "invalid split rejected" true
         (try
-           ignore (Milp.Parallel.solve ~portfolio:split (knapsack_model ()));
+           ignore (Milp.Solver.solve ~portfolio:split (knapsack_model ()));
            false
          with Invalid_argument _ -> true))
     [ (0, 0); (-1, 2); (2, -1) ]
@@ -593,7 +646,7 @@ let test_portfolio_degrades_on_worker_death () =
     else None
   in
   let r =
-    Milp.Parallel.solve ~portfolio:(1, 1) ~primal_heuristic:heuristic m
+    Milp.Solver.solve ~portfolio:(1, 1) ~primal_heuristic:heuristic m
   in
   check_outcome Milp.Solver.Optimal r;
   Alcotest.(check (float 1e-6)) "optimum survives" 21.0 (incumbent_value r);
@@ -605,7 +658,7 @@ let test_portfolio_reraises_when_all_workers_die () =
   Alcotest.(check bool) "exception propagates" true
     (try
        ignore
-         (Milp.Parallel.solve ~portfolio:(1, 1) ~primal_heuristic:heuristic m);
+         (Milp.Solver.solve ~portfolio:(1, 1) ~primal_heuristic:heuristic m);
        false
      with Failure msg -> msg = "poison")
 
@@ -621,7 +674,7 @@ let test_portfolio_dives_to_first_incumbent_faster () =
   let enc = Encoding.Encoder.encode net box in
   let priority = Encoding.Encoder.layer_order_priority enc in
   let solve portfolio =
-    Milp.Parallel.solve ~portfolio
+    Milp.Solver.solve ~portfolio
       ~branch_rule:(Milp.Solver.Priority priority)
       ~objective:
         (Encoding.Encoder.output_objective enc
@@ -693,7 +746,7 @@ let test_objective_override () =
   Alcotest.(check (float 1e-6)) "model objective again" 5.0
     (incumbent_value (Milp.Solver.solve m));
   (* Parallel path applies the override on every domain's private copy. *)
-  let rp = Milp.Parallel.solve ~cores:2 ~objective:[ (y, 2.0) ] m in
+  let rp = Milp.Solver.solve ~cores:2 ~objective:[ (y, 2.0) ] m in
   Alcotest.(check (float 1e-6)) "parallel override" 10.0 (incumbent_value rp);
   let rm = Milp.Solver.solve_min ~objective:[ (y, 1.0); (x, 1.0) ] m in
   Alcotest.(check (float 1e-6)) "min override" 0.0 (incumbent_value rm)
@@ -707,7 +760,10 @@ let gen_knapsack =
     let* capacity = float_range 1.0 12.0 in
     return (values, weights, capacity))
 
-let brute_force values weights capacity =
+(* With [tail], the optimum of the model the properties below build: a
+   continuous y in [0, 1] with objective 0.7 and the row y + x0 <= 1.4,
+   so the tail adds 0.7 when x0 = 0 and 0.28 when x0 = 1. *)
+let brute_force ?(tail = false) values weights capacity =
   let n = List.length values in
   let values = Array.of_list values and weights = Array.of_list weights in
   let best = ref 0.0 in
@@ -719,9 +775,20 @@ let brute_force values weights capacity =
         w := !w +. weights.(i)
       end
     done;
+    if tail then v := !v +. if mask land 1 <> 0 then 0.28 else 0.7;
     if !w <= capacity +. 1e-9 && !v > !best then best := !v
   done;
   !best
+
+(* Ground truth that does not use branch and bound: the configuration
+   is [Optimal], its incumbent matches brute force and its bound does
+   not undercut it. *)
+let matches_brute_force truth r =
+  outcome_name r.Milp.Solver.outcome = "optimal"
+  && (match r.Milp.Solver.incumbent with
+     | Some (_, v) -> Float.abs (v -. truth) < 1e-5
+     | None -> false)
+  && r.Milp.Solver.best_bound >= truth -. 1e-5
 
 let prop_knapsack_matches_brute_force =
   QCheck.Test.make ~name:"knapsack matches brute force" ~count:60
@@ -748,10 +815,11 @@ let prop_parallel_matches_sequential =
       Milp.Model.set_objective m
         ((y, 0.7) :: List.map2 (fun x v -> (x, v)) xs values);
       let seq = Milp.Solver.solve m in
+      let truth = brute_force ~tail:true values weights capacity in
       let eps = 1e-6 in
       let close a b = a = b || Float.abs (a -. b) < eps in
       let agrees cores =
-        let par = Milp.Parallel.solve ~cores m in
+        let par = Milp.Solver.solve ~cores m in
         outcome_name par.Milp.Solver.outcome
         = outcome_name seq.Milp.Solver.outcome
         && (match (seq.Milp.Solver.incumbent, par.Milp.Solver.incumbent) with
@@ -759,8 +827,9 @@ let prop_parallel_matches_sequential =
            | None, None -> true
            | _ -> false)
         && close par.Milp.Solver.best_bound seq.Milp.Solver.best_bound
+        && matches_brute_force truth par
       in
-      List.for_all agrees [ 1; 2; 4 ])
+      matches_brute_force truth seq && List.for_all agrees [ 1; 2; 4 ])
 
 let prop_portfolio_matches_sequential =
   QCheck.Test.make ~name:"portfolio matches sequential" ~count:25
@@ -773,10 +842,11 @@ let prop_portfolio_matches_sequential =
       Milp.Model.set_objective m
         ((y, 0.7) :: List.map2 (fun x v -> (x, v)) xs values);
       let seq = Milp.Solver.solve m in
+      let truth = brute_force ~tail:true values weights capacity in
       let eps = 1e-6 in
       let close a b = a = b || Float.abs (a -. b) < eps in
       let agrees split =
-        let par = Milp.Parallel.solve ~portfolio:split m in
+        let par = Milp.Solver.solve ~portfolio:split m in
         outcome_name par.Milp.Solver.outcome
         = outcome_name seq.Milp.Solver.outcome
         && (match (seq.Milp.Solver.incumbent, par.Milp.Solver.incumbent) with
@@ -784,8 +854,10 @@ let prop_portfolio_matches_sequential =
            | None, None -> true
            | _ -> false)
         && close par.Milp.Solver.best_bound seq.Milp.Solver.best_bound
+        && matches_brute_force truth par
       in
-      List.for_all agrees [ (1, 0); (0, 1); (1, 1); (2, 2) ])
+      matches_brute_force truth seq
+      && List.for_all agrees [ (1, 0); (0, 1); (1, 1); (2, 2) ])
 
 let prop_warm_matches_cold =
   QCheck.Test.make ~name:"warm B&B matches cold B&B" ~count:40
@@ -908,6 +980,8 @@ let () =
           quick "node bound empty subtree" test_node_bound_empty_subtree_prunes;
           quick "node bound min sense" test_node_bound_solve_min_sense;
           quick "first incumbent reported" test_first_incumbent_reported;
+          quick "lp iteration limit keeps node open"
+            test_lp_iteration_limit_keeps_node_open;
         ] );
       ("model", [ quick "bookkeeping" test_model_bookkeeping ]);
       ( "search",
