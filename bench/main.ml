@@ -8,7 +8,6 @@
      dune exec bench/main.exe ablation   -- encoder/solver ablations
      dune exec bench/main.exe fault      -- fault campaign + guard overhead
      dune exec bench/main.exe micro      -- Bechamel microbenchmarks
-     dune exec bench/main.exe sparse     -- sparse vs dense LP core report
      dune exec bench/main.exe warm       -- warm vs cold B&B pivot report
      dune exec bench/main.exe absint     -- symbolic vs interval bound report
      dune exec bench/main.exe portfolio  -- diver/prover portfolio report
@@ -914,16 +913,13 @@ let micro ?(json = false) () =
   (* Warm vs cold node re-solve: the other half of the node hot path.
      Fix a depth-12 chain of binaries (a typical B&B node) and compare a
      from-scratch two-phase solve of the child LP against a dual-simplex
-     resolve from the parent's optimal basis. *)
+     resolve from the parent's optimal basis, whose snapshot carries the
+     factored basis as it does inside branch & bound. The historical
+     cold entry names stay pinned to the dense tableau so the
+     BENCH_milp.json trajectory keeps comparing like with like. *)
   let node_lp = Lp.Problem.copy enc_lp in
   Lp.Problem.set_objective node_lp (Encoding.Encoder.output_objective enc 0);
-  (* Each core warms from its own parent solve: the sparse snapshot
-     carries its factored basis, the dense one its tableau basis — the
-     same provenance each core sees inside branch & bound. The
-     historical entry names stay pinned to the dense tableau so the
-     BENCH_milp.json trajectory keeps comparing like with like. *)
-  let parent = Lp.Simplex.solve ~core:Lp.Simplex.Dense node_lp in
-  let sparse_parent = Lp.Simplex.solve ~core:Lp.Simplex.Sparse node_lp in
+  let parent = Lp.Simplex.solve node_lp in
   List.iter
     (fun (v, lo, hi) -> Lp.Problem.set_bounds node_lp v ~lo ~hi)
     node_fixes;
@@ -931,24 +927,13 @@ let micro ?(json = false) () =
     match parent.Lp.Simplex.basis with
     | None -> None
     | Some basis ->
-        let cold_child = Lp.Simplex.solve ~core:Lp.Simplex.Dense node_lp in
-        let warm_child =
-          Lp.Simplex.resolve ~core:Lp.Simplex.Dense ~basis node_lp
-        in
+        let cold_child = Lp.Simplex.solve node_lp in
+        let warm_child = Lp.Simplex.resolve ~basis node_lp in
         Some
           ( basis,
             cold_child.Lp.Simplex.iterations,
             warm_child.Lp.Simplex.iterations,
             warm_child.Lp.Simplex.warm )
-  in
-  let sparse_warm_basis =
-    match sparse_parent.Lp.Simplex.basis with
-    | None -> None
-    | Some basis ->
-        let warm_child =
-          Lp.Simplex.resolve ~core:Lp.Simplex.Sparse ~basis node_lp
-        in
-        if warm_child.Lp.Simplex.warm then Some basis else None
   in
   let guard =
     Guard.make
@@ -967,11 +952,9 @@ let micro ?(json = false) () =
       Test.make ~name:"scene encode (84 features)"
         (Staged.stage (fun () -> Highway.Features.encode scene));
       Test.make ~name:"simplex solve (40 vars)"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve ~core:Lp.Simplex.Dense (Lp.Problem.copy lp)));
+        (Staged.stage (fun () -> Lp.Simplex.solve_dense (Lp.Problem.copy lp)));
       Test.make ~name:"simplex solve sparse (40 vars)"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve ~core:Lp.Simplex.Sparse (Lp.Problem.copy lp)));
+        (Staged.stage (fun () -> Lp.Simplex.solve (Lp.Problem.copy lp)));
       Test.make ~name:"simulator step (57 vehicles)"
         (Staged.stage (fun () -> Highway.Simulator.step sim ~dt:0.2 ()));
       Test.make ~name:"node-eval copy (depth 12)"
@@ -988,26 +971,16 @@ let micro ?(json = false) () =
                node_fixes;
              Lp.Problem.pop_bounds enc_lp));
       Test.make ~name:"node re-solve cold (depth 12)"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve ~core:Lp.Simplex.Dense node_lp));
+        (Staged.stage (fun () -> Lp.Simplex.solve_dense node_lp));
     ]
-    @ (match warm_stats with
-      | None -> []
-      | Some (basis, _, _, _) ->
-          [
-            Test.make ~name:"node re-solve warm (depth 12)"
-              (Staged.stage (fun () ->
-                   Lp.Simplex.resolve ~core:Lp.Simplex.Dense ~basis node_lp));
-          ])
     @
-    match sparse_warm_basis with
-    | None -> []
-    | Some basis ->
+    match warm_stats with
+    | Some (basis, _, _, true) ->
         [
           Test.make ~name:"node re-solve warm sparse (depth 12)"
-            (Staged.stage (fun () ->
-                 Lp.Simplex.resolve ~core:Lp.Simplex.Sparse ~basis node_lp));
+            (Staged.stage (fun () -> Lp.Simplex.resolve ~basis node_lp));
         ]
+    | Some (_, _, _, false) | None -> []
   in
   let benchmark test =
     let instance = Toolkit.Instance.monotonic_clock in
@@ -1050,16 +1023,6 @@ let micro ?(json = false) () =
    | None ->
        print_endline
          "node re-solve: parent kept an artificial basic, no warm snapshot");
-  (match
-     ( List.assoc_opt "/node re-solve warm (depth 12)" measured,
-       List.assoc_opt "/node re-solve warm sparse (depth 12)" measured )
-   with
-   | Some dense_ns, Some sparse_ns when sparse_ns > 0.0 ->
-       Printf.printf
-         "node re-solve: sparse revised simplex is %.1fx faster than the \
-          dense tableau\n"
-         (dense_ns /. sparse_ns)
-   | _ -> ());
   if json then begin
     let oc = open_out "BENCH_milp.json" in
     Fun.protect
@@ -1086,24 +1049,6 @@ let micro ?(json = false) () =
                 \"warm_iterations\": %d, \"warm_used\": %b},\n"
                cold_it warm_it warm_used
          | None -> Printf.fprintf oc "  \"warm_start\": null,\n");
-        (* Sparse-core trajectory: warm node re-solve against the dense
-           tableau on the same I4x20 child LP, plus the problem shape
-           the factorization works on. *)
-        (match
-           ( List.assoc_opt "/node re-solve warm (depth 12)" measured,
-             List.assoc_opt "/node re-solve warm sparse (depth 12)" measured
-           )
-         with
-         | Some dense_ns, Some sparse_ns when sparse_ns > 0.0 ->
-             Printf.fprintf oc
-               "  \"sparse_simplex\": {\"dense_warm_ns\": %.2f, \
-                \"sparse_warm_ns\": %.2f, \"speedup\": %.2f, \"rows\": %d, \
-                \"cols\": %d, \"nnz\": %d, \"density\": %.4f},\n"
-               dense_ns sparse_ns (dense_ns /. sparse_ns)
-               (Lp.Problem.num_constraints node_lp)
-               (Lp.Problem.num_vars node_lp) (Lp.Problem.nnz node_lp)
-               (Lp.Problem.density node_lp)
-         | _ -> Printf.fprintf oc "  \"sparse_simplex\": null,\n");
         (* Bound-tightness trajectory: how many binaries the symbolic
            analysis removes on the reference I4x20 box, and the mean
            big-M width under each analysis. *)
@@ -1249,62 +1194,6 @@ let micro ?(json = false) () =
         Printf.fprintf oc "}\n");
     Printf.printf "wrote BENCH_milp.json (%d entries)\n" (List.length measured)
   end
-
-(* {1 Sparse-core report (CI runs this report-only)} *)
-
-let sparse_report () =
-  heading "Sparse revised simplex: warm node re-solve vs the dense tableau";
-  let rng = Linalg.Rng.create 1 in
-  let net = Nn.Network.i4xn ~rng 20 in
-  let box = Array.make 84 (Interval.make (-0.5) 0.5) in
-  let enc = Encoding.Encoder.encode net box in
-  let p = Lp.Problem.copy (Milp.Model.lp enc.Encoding.Encoder.model) in
-  Lp.Problem.set_objective p (Encoding.Encoder.output_objective enc 0);
-  Printf.printf "child lp: %d rows x %d cols, %d nnz (density %.4f)\n\n"
-    (Lp.Problem.num_constraints p)
-    (Lp.Problem.num_vars p) (Lp.Problem.nnz p) (Lp.Problem.density p);
-  let node_fixes =
-    List.filteri (fun i _ -> i < 12) enc.Encoding.Encoder.binaries
-    |> List.mapi (fun i (v, _, _) ->
-           if i mod 2 = 0 then (v, 0.0, 0.0) else (v, 1.0, 1.0))
-  in
-  let run name core =
-    let parent = Lp.Simplex.solve ~core p in
-    match parent.Lp.Simplex.basis with
-    | None ->
-        Printf.printf "%-7s parent kept an artificial basic, no snapshot\n"
-          name;
-        None
-    | Some basis ->
-        Lp.Problem.push_bounds p;
-        List.iter
-          (fun (v, lo, hi) -> Lp.Problem.set_bounds p v ~lo ~hi)
-          node_fixes;
-        let sol = Lp.Simplex.resolve ~core ~basis p in
-        let best = ref infinity in
-        for _ = 1 to 5 do
-          let t0 = Unix.gettimeofday () in
-          ignore (Lp.Simplex.resolve ~core ~basis p);
-          best := Float.min !best (Unix.gettimeofday () -. t0)
-        done;
-        Lp.Problem.pop_bounds p;
-        Printf.printf "%-7s warm=%b pivots=%-5d obj=%-12.6f best %.3f ms\n"
-          name sol.Lp.Simplex.warm sol.Lp.Simplex.iterations
-          sol.Lp.Simplex.objective (1e3 *. !best);
-        Some !best
-  in
-  let sparse_t = run "sparse" Lp.Simplex.Sparse in
-  let dense_t = run "dense" Lp.Simplex.Dense in
-  (match (sparse_t, dense_t) with
-   | Some s, Some d when s > 0.0 ->
-       Printf.printf
-         "\nsparse warm re-solve speedup: %.1fx over the dense tableau \
-          (report-only)\n"
-         (d /. s)
-   | _ -> ());
-  let fb = Lp.Simplex.sparse_fallbacks () in
-  if fb > 0 then
-    Printf.printf "sparse fallbacks to the dense oracle: %d\n" fb
 
 (* {1 Warm-start report (CI runs this report-only)} *)
 
@@ -1491,7 +1380,6 @@ let () =
    | "ablation" -> ablation ()
    | "fault" -> fault_bench ()
    | "micro" -> micro ~json ()
-   | "sparse" -> sparse_report ()
    | "warm" -> warm_report ()
    | "absint" -> absint_report ()
    | "portfolio" -> portfolio_report ()
@@ -1506,7 +1394,6 @@ let () =
        ablation ();
        fault_bench ();
        micro ~json ();
-       sparse_report ();
        warm_report ();
        absint_report ();
        portfolio_report ();
@@ -1516,7 +1403,7 @@ let () =
    | other ->
        Printf.eprintf
          "unknown mode %s (expected \
-          table1|table2|fig1|mcdc|ablation|fault|micro|sparse|warm|absint|\
+          table1|table2|fig1|mcdc|ablation|fault|micro|warm|absint|\
           portfolio|batch|serve|partition|all)\n"
          other;
        exit 2);

@@ -7,7 +7,7 @@
      depnn data-audit --samples 2000 --risky 0.25
      depnn train      --width 20 --epochs 20 --out predictor.net
      depnn verify     predictor.net --threshold 1.5 --time-limit 60
-     depnn verify     predictor.net --certify certs/ --watchdog
+     depnn verify     predictor.net --certify certs/
      depnn verify     predictor.net --split auto --certify certs/
      depnn audit      predictor.net certs/
      depnn perturb    predictor.net --out perturbed.net
@@ -101,33 +101,21 @@ let batch_arg =
 
 let components = 3
 
-(* {1 LP core} *)
+(* {1 network files} *)
 
-let lp_core_conv =
-  let parse s =
-    match Lp.Simplex.core_of_string s with
-    | Some c -> Ok c
-    | None -> Error (`Msg "expected 'sparse' or 'dense'")
+(* Every subcommand reads its network through here, so a malformed or
+   unreadable file ends the run with the loader's reason and exit 2, the
+   error code of the scriptable contract, instead of an uncaught
+   exception. *)
+let load_net path =
+  let fail reason =
+    Printf.eprintf "depnn: %s: %s\n" path reason;
+    exit 2
   in
-  let print ppf c = Format.pp_print_string ppf (Lp.Simplex.core_to_string c) in
-  Arg.conv (parse, print)
-
-let lp_core_arg =
-  Arg.(
-    value
-    & opt (some lp_core_conv) None
-    & info [ "lp-core" ] ~docv:"CORE"
-        ~env:(Cmd.Env.info "DEPNN_LP_CORE")
-        ~doc:
-          "LP engine behind every relaxation solve: $(b,sparse) (revised \
-           simplex on a factored basis — the default) or $(b,dense) \
-           (Gauss-Jordan tableau, the reference oracle). The sparse core \
-           falls back to dense on any numerical doubt, so results are \
-           identical; only wall-clock differs.")
-
-(* Make the choice global before any solve runs, so OBBT probes, node
-   re-solves and envelope proofs all use the same engine. *)
-let apply_lp_core = Option.iter Lp.Simplex.set_default_core
+  match Nn.Io.load path with
+  | net -> net
+  | exception Nn.Io.Invalid_network e -> fail (Nn.Io.error_message e)
+  | exception Sys_error reason -> fail reason
 
 (* {1 bound modes} *)
 
@@ -256,7 +244,7 @@ let train_cmd =
    with one forward pass each, and only the leaves the evidence no
    longer settles are re-solved. *)
 let perturb net_path seed scale out =
-  let net = Nn.Network.copy (Nn.Io.load net_path) in
+  let net = Nn.Network.copy (load_net net_path) in
   let rng = Linalg.Rng.create seed in
   let li = Linalg.Rng.int rng (Nn.Network.num_layers net) in
   let w = (Nn.Network.layer net li).Nn.Layer.weights in
@@ -311,16 +299,14 @@ let net_arg =
     & info [] ~docv:"NETWORK" ~doc:"Trained network file (depnn-network v1).")
 
 let verify net_path threshold time_limit slack cores portfolio bound_mode
-    lp_core certify_dir resume watchdog split =
-  apply_lp_core lp_core;
-  let net = Nn.Io.load net_path in
-  Printf.printf "verifying %s (%s, %s bounds, %s lp core)\n"
+    certify_dir resume split =
+  let net = load_net net_path in
+  Printf.printf "verifying %s (%s, %s bounds)\n"
     (Nn.Network.describe net)
     (match portfolio with
      | Some (d, p) -> Printf.sprintf "portfolio %d diver:%d prover" d p
      | None -> Printf.sprintf "%d core%s" cores (if cores = 1 then "" else "s"))
-    (bound_mode_name bound_mode)
-    (Lp.Simplex.core_to_string (Lp.Simplex.default_core ()));
+    (bound_mode_name bound_mode);
   let box = Verify.Scenario.vehicle_on_left ~slack () in
   (* Pre-OBBT stability under both analyses, so the binary-count
      reduction bought by the symbolic mode is visible at a glance. *)
@@ -371,7 +357,7 @@ let verify net_path threshold time_limit slack cores portfolio bound_mode
          st.Encoding.Encoder.nnz st.Encoding.Encoder.density;
        let fb = Lp.Simplex.sparse_fallbacks () in
        if fb > 0 then
-         Printf.printf "lp: %d sparse solve%s fell back to the dense oracle\n"
+         Printf.printf "lp: %d sparse solve%s fell back to the dense tableau\n"
            fb
            (if fb = 1 then "" else "s");
        Printf.printf "per-component solve time:%s\n"
@@ -387,8 +373,7 @@ let verify net_path threshold time_limit slack cores portfolio bound_mode
            ob.Encoding.Encoder.failed ob.Encoding.Encoder.skipped_budget);
   let proof =
     Verify.Driver.prove_lateral_velocity_le ~time_limit ~cores ?portfolio
-      ~components ~bound_mode ~threshold ?certify_dir ~resume ~watchdog ?split
-      net box
+      ~components ~bound_mode ~threshold ?certify_dir ~resume ?split net box
   in
   (match proof.Verify.Driver.partition with
    | Some stats ->
@@ -415,9 +400,9 @@ let verify net_path threshold time_limit slack cores portfolio bound_mode
               proof.Verify.Driver.resumed
         | None -> ()));
   if proof.Verify.Driver.degraded > 0 then
-    Printf.printf "watchdog: %d fallback transition%s taken\n"
+    Printf.printf "degraded: %d search%s failed numerically, left unknown\n"
       proof.Verify.Driver.degraded
-      (if proof.Verify.Driver.degraded = 1 then "" else "s");
+      (if proof.Verify.Driver.degraded = 1 then "" else "es");
   (* Scriptable contract: 0 = Proved, 1 = Disproved, 2 = Unknown. *)
   match proof.Verify.Driver.proof with
   | Verify.Driver.Proved ->
@@ -452,16 +437,6 @@ let resume_arg =
            directory's journal for the same network and property \
            (survives kills: a torn journal line is ignored and the \
            component re-proved).")
-
-let watchdog_arg =
-  Arg.(
-    value & flag
-    & info [ "watchdog" ]
-        ~doc:
-          "Run each component under its share of the deadline and \
-           degrade along a fallback ladder (symbolic-only, sparse \
-           MILP, dense MILP, honest unknown) instead of aborting the \
-           campaign on a timeout or numerical failure.")
 
 let split_conv =
   let parse s =
@@ -509,8 +484,8 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Formally verify the vehicle-on-left safety property (pillar B).")
     Term.(const verify $ net_arg $ threshold $ time_limit $ slack $ cores_arg
-          $ portfolio_arg $ bound_mode_arg $ lp_core_arg $ certify_dir_arg
-          $ resume_arg $ watchdog_arg $ split_arg)
+          $ portfolio_arg $ bound_mode_arg $ certify_dir_arg $ resume_arg
+          $ split_arg)
 
 (* {1 audit} *)
 
@@ -523,7 +498,7 @@ let audit_plain ~net ~dir =
   | `Unknown -> exit 2
 
 let audit net_path dir =
-  let net = Nn.Io.load net_path in
+  let net = load_net net_path in
   Printf.printf "auditing %s against %s\n" (Nn.Network.describe net) dir;
   match Certify.Audit.shard_manifests ~dir with
   | [] -> audit_plain ~net ~dir
@@ -586,7 +561,7 @@ let audit_cmd =
 (* {1 trace} *)
 
 let trace net_path seed samples =
-  let net = Nn.Io.load net_path in
+  let net = load_net net_path in
   let recorded = record ~seed ~samples ~risky:0.0 in
   let probes = Array.map (fun s -> s.Highway.Recorder.features) recorded in
   let t =
@@ -604,7 +579,7 @@ let trace_cmd =
 (* {1 simulate} *)
 
 let simulate net_path seed steps =
-  let net = Nn.Io.load net_path in
+  let net = load_net net_path in
   let rng = Linalg.Rng.create seed in
   let sim =
     Highway.Simulator.spawn ~rng ~road:Highway.Recorder.default_road
@@ -638,7 +613,7 @@ let simulate_cmd =
    realistic architecture). *)
 let load_or_synthesize net_path ~seed ~width =
   match net_path with
-  | Some path -> Nn.Io.load path
+  | Some path -> load_net path
   | None ->
       Nn.Network.i4xn
         ~rng:(Linalg.Rng.create (seed + 17))
@@ -831,9 +806,8 @@ let socket_arg =
            or a bare path (unix socket).")
 
 let serve net_path socket workers cache_dir queue max_time stats_interval
-    lp_core split =
-  apply_lp_core lp_core;
-  let net = Nn.Io.load net_path in
+    split =
+  let net = load_net net_path in
   Printf.printf "serving %s (hash %s) on %s\n%!"
     (Nn.Network.describe net) (Nn.Io.content_hash net)
     (Serve.Protocol.address_to_string socket);
@@ -887,7 +861,7 @@ let serve_cmd =
           subsuming verified box), solved and certified otherwise. \
           SIGINT/SIGTERM drain the queue and shut down cleanly.")
     Term.(const serve $ net_arg $ socket_arg $ workers $ cache_dir $ queue
-          $ max_time $ stats_interval $ lp_core_arg $ split_arg)
+          $ max_time $ stats_interval $ split_arg)
 
 (* The client builds the same deterministic scenario box as [verify], so
    two processes asking the same question serialise bit-identical
@@ -903,7 +877,7 @@ let scenario_property ~threshold ~slack ~bound_mode =
 
 let client op socket net_path threshold slack bound_mode time_limit timeout =
   let net_hash =
-    Option.map (fun p -> Nn.Io.content_hash (Nn.Io.load p)) net_path
+    Option.map (fun p -> Nn.Io.content_hash (load_net p)) net_path
   in
   let request =
     match op with

@@ -181,7 +181,7 @@ let build net box (bounds : Bounds.t) =
    Probes are independent of one another (each only changes the private
    copy's objective), so with [cores > 1] they fan out across a domain
    pool; the shared model is never mutated. *)
-let refine_bounds_lp ?(budget = infinity) ?(cores = 1) ?lp_core t net box =
+let refine_bounds_lp ?(budget = infinity) ?(cores = 1) t net box =
   let started = Linalg.Mclock.now () in
   let lp = Milp.Model.lp t.model in
   let nlayers = Nn.Network.num_layers net in
@@ -212,8 +212,8 @@ let refine_bounds_lp ?(budget = infinity) ?(cores = 1) ?lp_core t net box =
     if Linalg.Mclock.now () -. started >= budget then `Skipped_budget
     else begin
       Lp.Problem.set_objective problem [ (z, 1.0) ];
-      let up = Lp.Simplex.solve ?core:lp_core problem in
-      let down = Lp.Simplex.solve_min ?core:lp_core problem in
+      let up = Lp.Simplex.solve problem in
+      let down = Lp.Simplex.solve_min problem in
       match (up.Lp.Simplex.status, down.Lp.Simplex.status) with
       | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
           `Refined (li, r, down.Lp.Simplex.objective, up.Lp.Simplex.objective)
@@ -271,7 +271,7 @@ let refine_bounds_lp ?(budget = infinity) ?(cores = 1) ?lp_core t net box =
   ({ Bounds.pre; post }, stats)
 
 let encode ?(bound_mode = Interval_bounds) ?(tighten_rounds = 0)
-    ?(tighten_budget = infinity) ?(cores = 1) ?lp_core net box =
+    ?(tighten_budget = infinity) ?(cores = 1) net box =
   if Array.length box <> Nn.Network.input_dim net then
     invalid_arg "Encoder.encode: box dimension mismatch";
   let bounds =
@@ -299,8 +299,7 @@ let encode ?(bound_mode = Interval_bounds) ?(tighten_rounds = 0)
     else begin
       let remaining = tighten_budget -. (Linalg.Mclock.now () -. started) in
       let refined, stats =
-        refine_bounds_lp ~budget:(Float.max 0.0 remaining) ~cores ?lp_core t
-          net box
+        refine_bounds_lp ~budget:(Float.max 0.0 remaining) ~cores t net box
       in
       acc :=
         {

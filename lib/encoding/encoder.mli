@@ -68,7 +68,6 @@ val encode :
   ?tighten_rounds:int ->
   ?tighten_budget:float ->
   ?cores:int ->
-  ?lp_core:Lp.Simplex.core ->
   Nn.Network.t ->
   Interval.Box.box ->
   t
@@ -86,8 +85,7 @@ val encode :
     tightening (neurons are refined in layer order, so the budget is
     spent where it matters most); default unlimited. [cores] (default 1)
     fans the independent OBBT probes across that many domains, each
-    probing a private LP copy. [lp_core] selects the LP engine for the
-    OBBT probes (default {!Lp.Simplex.default_core}). *)
+    probing a private LP copy. *)
 
 val output_objective : t -> int -> (Milp.Model.var * float) list
 (** [output_objective enc k] is the objective maximising output

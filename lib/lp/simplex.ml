@@ -6,7 +6,7 @@ type var_status = Basic | At_lower | At_upper
    bound every nonbasic column is parked on. Together with the problem's
    current bounds this determines a unique basic point, so a child
    branch-and-bound node (one bound change away from its parent) can
-   rebuild the parent's optimal tableau and re-solve with the dual
+   rebuild the parent's optimal basis and re-solve with the dual
    simplex instead of starting from the artificial identity. The arrays
    are immutable by contract — snapshots migrate across domains in the
    parallel solver — and every consumer copies before mutating.
@@ -49,7 +49,9 @@ type solution = {
   cert : cert option;
 }
 
-(* Two-phase primal bounded-variable simplex on a dense tableau.
+(* Two-phase primal bounded-variable simplex on a dense tableau: the
+   cold solve the sparse core below hands doubt and numerical errors
+   to, and the reference [solve_dense].
 
    Columns are laid out [structural | slacks | artificials]. Every
    variable carries finite bounds (slack bounds are implied by the
@@ -439,10 +441,10 @@ let recompute_reduced_costs tb =
 
 (* Dual vector over the original rows, read straight off the maintained
    reduced costs: row i's slack column satisfies r_si = −sign_i·ŷ_i in
-   the build-scaled tableau and r_si = −ŷ_i in the unscaled warm
-   tableau, while the original-row dual is y_i = sign_i·ŷ_i — the row
-   scaling cancels because the slack column carries the same sign
-   factor as its row, so y_i = −r_si in both layouts. O(m) copy, no
+   the build-scaled tableau, while the original-row dual is
+   y_i = sign_i·ŷ_i — the row scaling cancels because the slack column
+   carries the same sign factor as its row, so y_i = −r_si here as in
+   the unscaled sparse layout (r_si = −ŷ_i). O(m) copy, no
    extra factorisation; drift since the last reduced-cost refresh only
    loosens the certified bound, never unsoundly (the auditor recomputes
    everything from y). *)
@@ -542,264 +544,6 @@ let snapshot tb =
         bfactor = None;
       }
 
-(* Rebuild a tableau at [basis] under the problem's *current* bounds.
-   Rows are loaded raw (structural + slack columns, no artificials) and
-   Gauss-Jordan elimination with partial pivoting drives the basic
-   columns to the identity; the rhs is transformed alongside so basic
-   values can be read off against the new nonbasic bound values.
-   Returns [None] when the snapshot does not fit this problem or the
-   claimed basis is singular — the caller then solves cold. Raises
-   [Row_infeasible] when a row's slack range is empty under the
-   current box (the same sound, cheap detection the cold build does). *)
-let restore_basis problem basis ~negate =
-  let rows = Problem.rows problem in
-  let m = Array.length rows in
-  let nstruct = Problem.num_vars problem in
-  let nreal = nstruct + m in
-  let valid =
-    basis.bm = m && basis.bnstruct = nstruct
-    && Array.length basis.bbasic = m
-    && Array.length basis.bupper = nreal
-    &&
-    let seen = Array.make nreal false in
-    Array.for_all
-      (fun v ->
-        v >= 0 && v < nreal
-        &&
-        if seen.(v) then false
-        else begin
-          seen.(v) <- true;
-          true
-        end)
-      basis.bbasic
-  in
-  if not valid then None
-  else begin
-    let vlo = Problem.var_lo problem and vhi = Problem.var_hi problem in
-    let lo = Array.make nreal 0.0 and hi = Array.make nreal 0.0 in
-    Array.blit vlo 0 lo 0 nstruct;
-    Array.blit vhi 0 hi 0 nstruct;
-    let t = Array.init m (fun _ -> Array.make nreal 0.0) in
-    let b = Array.make m 0.0 in
-    Array.iteri
-      (fun i row ->
-        Array.iter
-          (fun (_, c) -> check_finite "non-finite constraint coefficient" c)
-          row.Problem.terms;
-        check_finite "non-finite constraint rhs" row.Problem.rhs;
-        let slo, shi = slack_bounds ~row:i vlo vhi row in
-        lo.(nstruct + i) <- slo;
-        hi.(nstruct + i) <- shi;
-        Array.iter
-          (fun (v, c) -> t.(i).(v) <- t.(i).(v) +. c)
-          row.Problem.terms;
-        t.(i).(nstruct + i) <- 1.0;
-        b.(i) <- row.Problem.rhs)
-      rows;
-    let basis_arr = Array.make m (-1) in
-    let assigned = Array.make m false in
-    let singular = ref false in
-    Array.iter
-      (fun q ->
-        if not !singular then begin
-          let r = ref (-1) and best = ref 1e-9 in
-          for i = 0 to m - 1 do
-            if (not assigned.(i)) && Float.abs t.(i).(q) > !best then begin
-              best := Float.abs t.(i).(q);
-              r := i
-            end
-          done;
-          if !r < 0 then singular := true
-          else begin
-            let r = !r in
-            assigned.(r) <- true;
-            basis_arr.(r) <- q;
-            let tr = t.(r) in
-            let inv = 1.0 /. tr.(q) in
-            if not (Float.is_finite inv) then singular := true
-            else begin
-              for j = 0 to nreal - 1 do
-                tr.(j) <- tr.(j) *. inv
-              done;
-              tr.(q) <- 1.0;
-              b.(r) <- b.(r) *. inv;
-              for i = 0 to m - 1 do
-                if i <> r then begin
-                  let f = t.(i).(q) in
-                  if f <> 0.0 then begin
-                    let ti = t.(i) in
-                    for j = 0 to nreal - 1 do
-                      ti.(j) <- ti.(j) -. (f *. tr.(j))
-                    done;
-                    ti.(q) <- 0.0;
-                    b.(i) <- b.(i) -. (f *. b.(r))
-                  end
-                end
-              done
-            end
-          end
-        end)
-      basis.bbasic;
-    if !singular || Array.exists (fun bi -> not (Float.is_finite bi)) b then
-      None
-    else begin
-      let status = Array.make nreal At_lower in
-      for j = 0 to nreal - 1 do
-        if basis.bupper.(j) then status.(j) <- At_upper
-      done;
-      Array.iter (fun q -> status.(q) <- Basic) basis.bbasic;
-      let value j =
-        match status.(j) with
-        | At_lower -> lo.(j)
-        | At_upper -> hi.(j)
-        | Basic -> assert false
-      in
-      let xb = Array.make m 0.0 in
-      for i = 0 to m - 1 do
-        let acc = ref b.(i) in
-        let ti = t.(i) in
-        for j = 0 to nreal - 1 do
-          if status.(j) <> Basic && ti.(j) <> 0.0 then
-            acc := !acc -. (ti.(j) *. value j)
-        done;
-        if not (Float.is_finite !acc) then singular := true;
-        xb.(i) <- !acc
-      done;
-      if !singular then None
-      else begin
-        let cost = Array.make nreal 0.0 in
-        let obj = Problem.objective problem in
-        for j = 0 to nstruct - 1 do
-          check_finite "non-finite objective coefficient" obj.(j);
-          cost.(j) <- (if negate then -.obj.(j) else obj.(j))
-        done;
-        let tb =
-          { m; n = nreal; nstruct; nreal; t; lo; hi;
-            r = Array.make nreal 0.0; cost; basis = basis_arr; status; xb }
-        in
-        recompute_reduced_costs tb;
-        Some tb
-      end
-    end
-  end
-
-(* ['ray] is what an infeasible exit carries: nothing for the dense
-   core, whose caller re-confirms with a cold solve; the iterations
-   spent and the Farkas ray for the sparse core, whose caller checks the
-   ray itself. *)
-type 'ray dual_outcome = Dual_feasible of int | Dual_limit | Dual_infeasible of 'ray
-
-(* Bounded-variable dual simplex: starting from a (near) dual-feasible
-   basis whose basic values may violate their bounds — exactly the state
-   a parent-optimal basis is in after one child bound change — drive the
-   basic point back inside the box while keeping the reduced costs
-   optimal. Each iteration kicks the most-violated basic variable out to
-   its violated bound; the entering column is chosen by the dual ratio
-   test (smallest |r_j / alpha_j| over sign-eligible columns), ties to
-   the largest pivot magnitude, or the smallest index once a stall has
-   switched the loop to Bland mode. *)
-let dual_optimize tb ~limit ~start_iter =
-  let tol v = 1e-9 *. (1.0 +. Float.abs v) in
-  let violation i =
-    let v = tb.basis.(i) in
-    if tb.xb.(i) < tb.lo.(v) -. tol tb.lo.(v) then tb.lo.(v) -. tb.xb.(i)
-    else if tb.xb.(i) > tb.hi.(v) +. tol tb.hi.(v) then tb.xb.(i) -. tb.hi.(v)
-    else 0.0
-  in
-  let stall_threshold = 4 * (tb.m + 16) in
-  let rec loop iter ~bland ~stall ~best_obj =
-    if iter >= limit then Dual_limit
-    else begin
-      if iter mod 1024 = 1023 then recompute_reduced_costs tb;
-      let rrow = ref (-1) and worst = ref 0.0 in
-      for i = 0 to tb.m - 1 do
-        let v = violation i in
-        if v > !worst then begin
-          worst := v;
-          rrow := i
-        end
-      done;
-      if !rrow < 0 then Dual_feasible iter
-      else begin
-        let rrow = !rrow in
-        let vleave = tb.basis.(rrow) in
-        let below = tb.xb.(rrow) < tb.lo.(vleave) in
-        let trow = tb.t.(rrow) in
-        let q = ref (-1) and best_ratio = ref infinity and best_mag = ref 0.0 in
-        for j = 0 to tb.n - 1 do
-          let a = trow.(j) in
-          let eligible =
-            tb.lo.(j) < tb.hi.(j)
-            &&
-            match tb.status.(j) with
-            | Basic -> false
-            | At_lower -> if below then a < -.pivot_tolerance else a > pivot_tolerance
-            | At_upper -> if below then a > pivot_tolerance else a < -.pivot_tolerance
-          in
-          if eligible then begin
-            let ratio = Float.abs (tb.r.(j) /. a) in
-            if Float.is_nan ratio then
-              raise (Numerical_error "NaN dual ratio");
-            let mag = Float.abs a in
-            if ratio < !best_ratio -. 1e-10 then begin
-              q := j;
-              best_ratio := ratio;
-              best_mag := mag
-            end
-            else if ratio < !best_ratio +. 1e-10 && !q >= 0 then begin
-              let wins = if bland then j < !q else mag > !best_mag in
-              if wins then begin
-                q := j;
-                best_ratio := ratio;
-                best_mag := mag
-              end
-            end
-          end
-        done;
-        if !q < 0 then
-          if !worst > 1e-6 then
-            (* No column can raise/lower this basic variable: its current
-               value is extremal over the box, so the violated bound is a
-               sound infeasibility certificate (mirrors the cold phase-1
-               threshold). The caller re-confirms with a cold solve. *)
-            Dual_infeasible ()
-          else begin
-            (* Within tolerance noise: accept the bound as met. *)
-            tb.xb.(rrow) <-
-              (if below then tb.lo.(vleave) else tb.hi.(vleave));
-            loop (iter + 1) ~bland ~stall ~best_obj
-          end
-        else begin
-          let q = !q in
-          let alpha = trow.(q) in
-          let target = if below then tb.lo.(vleave) else tb.hi.(vleave) in
-          let delta = (tb.xb.(rrow) -. target) /. alpha in
-          check_finite "non-finite dual step" delta;
-          apply_move tb ~q ~dir:1.0 ~t:delta;
-          let entering_value =
-            (match tb.status.(q) with
-             | At_lower -> tb.lo.(q)
-             | At_upper -> tb.hi.(q)
-             | Basic -> assert false)
-            +. delta
-          in
-          pivot tb ~rrow ~q ~entering_value ~leaving_to_lower:below;
-          (* The (max-sense) objective is non-increasing along dual
-             steps; a long run without decrease is the stall signal. *)
-          let obj = phase_objective tb in
-          let bland, stall, best_obj =
-            if bland then (true, 0, best_obj)
-            else if obj < best_obj -. 1e-12 then (false, 0, obj)
-            else if stall + 1 >= stall_threshold then (true, 0, best_obj)
-            else (false, stall + 1, best_obj)
-          in
-          loop (iter + 1) ~bland ~stall ~best_obj
-        end
-      end
-    end
-  in
-  loop start_iter ~bland:false ~stall:0 ~best_obj:(phase_objective tb)
-
 let solve_internal ?max_iterations ?(eps = 1e-7) problem ~negate =
   match build problem ~negate with
   | exception Row_infeasible i ->
@@ -859,63 +603,23 @@ let solve_internal ?max_iterations ?(eps = 1e-7) problem ~negate =
       { status; objective = !value; x; iterations; warm = false; cert;
         basis = (if status = Optimal then snapshot tb else None) }
 
-(* Warm re-solve: rebuild the parent's optimal basis under the child's
-   bounds, run the dual simplex to restore primal feasibility, then a
-   primal cleanup to optimality. Every failure mode — snapshot/problem
-   shape mismatch, singular basis, dual iteration limit, a dual
-   infeasibility certificate (re-confirmed cold so pruning never rests
-   on the warm path), numerical trouble, or a primal cleanup limit —
-   falls back to the cold two-phase solve, so [resolve] is always at
-   least as correct as [solve], just usually much cheaper. *)
-let resolve_internal ?max_iterations ?(eps = 1e-7) problem ~basis =
-  let cold () = solve_internal ?max_iterations ~eps problem ~negate:false in
-  match restore_basis problem basis ~negate:false with
-  | exception Row_infeasible i ->
-      { status = Infeasible; objective = 0.0; x = [||]; iterations = 0;
-        basis = None; warm = false; cert = Some (Cert_empty_row i) }
-  | exception Numerical_error _ -> cold ()
-  | None -> cold ()
-  | Some tb -> (
-      let limit =
-        match max_iterations with
-        | Some l -> l
-        | None -> 500 * (tb.m + tb.n)
-      in
-      let dual_limit = Int.min limit (Int.max 100 (200 + (4 * tb.m))) in
-      match dual_optimize tb ~limit:dual_limit ~start_iter:0 with
-      | exception Numerical_error _ -> cold ()
-      | Dual_limit | Dual_infeasible () -> cold ()
-      | Dual_feasible it -> (
-          match optimize tb ~eps ~limit ~start_iter:it with
-          | exception Numerical_error _ -> cold ()
-          | None -> cold ()
-          | Some iterations ->
-              let x = extract tb in
-              let obj = Problem.objective problem in
-              let value = ref 0.0 in
-              for j = 0 to tb.nstruct - 1 do
-                value := !value +. (obj.(j) *. x.(j))
-              done;
-              { status = Optimal; objective = !value; x; iterations;
-                basis = snapshot tb; warm = true;
-                cert = Some (Cert_duals (row_duals tb)) }))
-
 (* ------------------------------------------------------------------ *)
-(* Sparse revised simplex.
+(* Sparse revised simplex, the engine behind every solve.
 
-   Same algorithm as the dense core above — two-phase bounded-variable
-   primal, dual warm restart, identical pricing/ratio/stall rules — but
-   the basis inverse lives in an LU factorization plus a product-form
-   eta file ({!Sparse.factor}) instead of an explicit m×n tableau.
-   Tableau columns are materialized on demand: the entering column by
-   FTRAN, the pivot row by BTRAN of a unit vector, so a pivot costs
-   O(nnz) work instead of O(rows·cols).
+   Same two-phase bounded-variable primal as the dense tableau above,
+   with identical pricing/ratio/stall rules, plus a dual-simplex warm
+   restart — but the basis inverse lives in an LU factorization plus a
+   product-form eta file ({!Sparse.factor}) instead of an explicit m×n
+   tableau. Tableau columns are materialized on demand: the entering
+   column by FTRAN, the pivot row by BTRAN of a unit vector, so a pivot
+   costs O(nnz) work instead of O(rows·cols).
 
    The sparse path reports [Infeasible] only on evidence it has checked:
    a row whose slack range is empty under the box, or a Farkas ray that
-   passes [farkas_certifies]. Any numerical doubt, and an infeasibility
-   conclusion whose ray fails the check, surfaces as [Doubt], and the
-   dispatcher below re-runs the dense oracle. *)
+   passes [farkas_certifies]. An infeasibility conclusion whose ray
+   fails the check surfaces as [Doubt], numerical trouble as
+   [Numerical_error], and the dispatcher below re-runs either on the
+   dense cold solve. *)
 
 (* Refactorize once the eta file reaches this length: each eta adds one
    O(nnz alpha) term to every FTRAN/BTRAN and compounds round-off, so
@@ -1155,7 +859,7 @@ module Rev = struct
     | None ->
         (* Eta rejected (tiny/non-finite diagonal): rebuild from
            scratch; a singular rebuild raises and the dispatcher falls
-           back to the dense core. *)
+           back to the dense cold solve. *)
         refactor st
 
   let optimize st ~eps ~limit ~start_iter =
@@ -1321,11 +1025,15 @@ module Rev = struct
     recompute_reduced_costs st;
     st
 
-  (* Warm restore at a snapshot basis. Validation mirrors the dense
-     [restore_basis]; the basis inverse comes either from the factor
-     that rode in on the snapshot — accepted only after an O(nnz)
-     residual probe against this problem's basis matrix — or from a
-     fresh factorization. *)
+  (* Warm restore at a snapshot basis under the problem's *current*
+     bounds. The basis inverse comes either from the factor that rode
+     in on the snapshot — accepted only after an O(nnz) residual probe
+     against this problem's basis matrix — or from a fresh
+     factorization. Returns [None] when the snapshot does not fit this
+     problem or the claimed basis is singular — the caller then solves
+     cold. Raises [Row_infeasible] when a row's slack range is empty
+     under the current box (the same sound, cheap detection the cold
+     build does). *)
   let restore problem basis ~negate =
     let rows = Problem.rows problem in
     let m = Array.length rows in
@@ -1435,6 +1143,22 @@ module Rev = struct
           Some st
     end
 
+  (* An infeasible exit carries the iterations spent and the Farkas
+     ray, which the caller checks itself. *)
+  type dual_outcome =
+    | Dual_feasible of int
+    | Dual_limit
+    | Dual_infeasible of int * float array
+
+  (* Bounded-variable dual simplex: starting from a (near) dual-feasible
+     basis whose basic values may violate their bounds — exactly the
+     state a parent-optimal basis is in after one child bound change —
+     drive the basic point back inside the box while keeping the reduced
+     costs optimal. Each iteration kicks the most-violated basic
+     variable out to its violated bound; the entering column is chosen
+     by the dual ratio test (smallest |r_j / alpha_j| over sign-eligible
+     columns), ties to the largest pivot magnitude, or the smallest
+     index once a stall has switched the loop to Bland mode. *)
   let dual_optimize st ~limit ~start_iter =
     let tol v = 1e-9 *. (1.0 +. Float.abs v) in
     let violation i =
@@ -1522,6 +1246,7 @@ module Rev = struct
               Dual_infeasible (iter, rho)
             end
             else begin
+              (* Within tolerance noise: accept the bound as met. *)
               st.xb.(rrow) <-
                 (if below then st.lo.(vleave) else st.hi.(vleave));
               loop (iter + 1) ~bland ~stall ~best_obj
@@ -1543,6 +1268,8 @@ module Rev = struct
             in
             pivot st ~rrow ~q ~alpha ~rho ~arow ~entering_value
               ~leaving_to_lower:below ();
+            (* The (max-sense) objective is non-increasing along dual
+               steps; a long run without decrease is the stall signal. *)
             let obj = phase_objective st in
             let bland, stall, best_obj =
               if bland then (true, 0, best_obj)
@@ -1642,6 +1369,15 @@ module Rev = struct
                        ~iterations:it2 ~warm:false problem)
             end)
 
+  (* Warm re-solve: rebuild the parent's optimal basis under the child's
+     bounds, run the dual simplex to restore primal feasibility, then a
+     primal cleanup to optimality. A dual infeasibility conclusion
+     prunes on its ray once that passes the outward check. Every other
+     failure mode — snapshot/problem shape mismatch, singular basis,
+     dual iteration limit, a ray that fails the check, numerical
+     trouble in either phase, or a primal cleanup limit — falls back to
+     the cold two-phase solve, so [resolve] is always at least as
+     correct as [solve], just usually much cheaper. *)
   let resolve_internal ?max_iterations ?(eps = 1e-7) problem ~basis =
     let cold () = solve_internal ?max_iterations ~eps problem ~negate:false in
     match restore problem basis ~negate:false with
@@ -1673,84 +1409,38 @@ module Rev = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Core selection and the sparse→dense fallback contract. *)
+(* The sparse→dense fallback contract. *)
 
-type core = Dense | Sparse
+let solve_dense problem = solve_internal problem ~negate:false
 
-let core_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | _ -> None
-
-let core_to_string = function Dense -> "dense" | Sparse -> "sparse"
-
-(* Resolved once at startup (module init runs on the main domain;
-   worker domains only read). *)
-let env_core =
-  match Sys.getenv_opt "DEPNN_LP_CORE" with
-  | Some s -> core_of_string s
-  | None -> None
-
-let default_core_override : core option Atomic.t = Atomic.make None
-
-let default_core () =
-  match Atomic.get default_core_override with
-  | Some c -> c
-  | None -> ( match env_core with Some c -> c | None -> Sparse)
-
-let set_default_core c = Atomic.set default_core_override (Some c)
-
-(* How often the sparse core handed a conclusion back to the dense
-   oracle — observability for tests and the bench, not control flow. *)
+(* How often the sparse core handed a problem to the dense cold solve —
+   observability for tests and the bench, not control flow. *)
 let fallback_count = Atomic.make 0
 let sparse_fallbacks () = Atomic.get fallback_count
 
-let note_fallback () = Atomic.incr fallback_count
+(* Every solve runs the sparse core. A conclusion it doubts (an
+   infeasibility ray that failed its outward check) or numerical
+   trouble it raised goes to the dense cold solve, which raises in turn
+   when the problem itself holds NaN/Inf. *)
+let sparse_or_dense ?max_iterations ?eps ?basis problem ~negate =
+  match
+    match basis with
+    | None -> Rev.solve_internal ?max_iterations ?eps problem ~negate
+    | Some basis -> Rev.resolve_internal ?max_iterations ?eps problem ~basis
+  with
+  | Rev.Done s -> s
+  | Rev.Doubt _ | (exception Numerical_error _) ->
+      Atomic.incr fallback_count;
+      solve_internal ?max_iterations ?eps problem ~negate
 
-let solve ?max_iterations ?eps ?core problem =
-  let core = match core with Some c -> c | None -> default_core () in
-  match core with
-  | Dense -> solve_internal ?max_iterations ?eps problem ~negate:false
-  | Sparse -> (
-      match Rev.solve_internal ?max_iterations ?eps problem ~negate:false with
-      | Rev.Done s -> s
-      | Rev.Doubt _ ->
-          note_fallback ();
-          solve_internal ?max_iterations ?eps problem ~negate:false
-      | exception Numerical_error _ ->
-          note_fallback ();
-          solve_internal ?max_iterations ?eps problem ~negate:false)
+let solve ?max_iterations ?eps problem =
+  sparse_or_dense ?max_iterations ?eps problem ~negate:false
 
-let solve_min ?max_iterations ?eps ?core problem =
-  let core = match core with Some c -> c | None -> default_core () in
-  match core with
-  | Dense -> solve_internal ?max_iterations ?eps problem ~negate:true
-  | Sparse -> (
-      match Rev.solve_internal ?max_iterations ?eps problem ~negate:true with
-      | Rev.Done s -> s
-      | Rev.Doubt _ ->
-          note_fallback ();
-          solve_internal ?max_iterations ?eps problem ~negate:true
-      | exception Numerical_error _ ->
-          note_fallback ();
-          solve_internal ?max_iterations ?eps problem ~negate:true)
+let solve_min ?max_iterations ?eps problem =
+  sparse_or_dense ?max_iterations ?eps problem ~negate:true
 
-let resolve ?max_iterations ?eps ?core ~basis problem =
-  let core = match core with Some c -> c | None -> default_core () in
-  match core with
-  | Dense -> resolve_internal ?max_iterations ?eps problem ~basis
-  | Sparse -> (
-      match Rev.resolve_internal ?max_iterations ?eps problem ~basis with
-      | Rev.Done s -> s
-      | Rev.Doubt _ ->
-          (* Sparse concluded infeasible on a ray that failed its
-             outward check: the dense oracle decides. *)
-          note_fallback ();
-          solve_internal ?max_iterations ?eps problem ~negate:false
-      | exception Numerical_error _ ->
-          note_fallback ();
-          resolve_internal ?max_iterations ?eps problem ~basis)
+let resolve ?max_iterations ?eps ~basis problem =
+  sparse_or_dense ?max_iterations ?eps ~basis problem ~negate:false
 
 let primal_feasible ?(eps = 1e-6) problem x =
   let n = Problem.num_vars problem in

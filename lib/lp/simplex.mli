@@ -10,6 +10,16 @@
     finishes the job. This is the natural fit for branch & bound, where
     a child's LP differs from its parent's by exactly one bound.
 
+    One engine runs every solve: the revised simplex on factored sparse
+    columns (LU plus an eta file, {!Sparse.factor}), O(nnz) per pivot
+    instead of O(rows·cols). It reports [Infeasible] only with a row
+    that is empty under the box or with a Farkas ray that passes
+    {!farkas_certifies}. A ray that fails the check, and any
+    {!Numerical_error} the sparse core raises, hand the problem to a
+    cold solve on the dense Gauss-Jordan tableau ({!sparse_fallbacks}
+    counts the handoffs). {!solve_dense} runs that tableau directly, as
+    the reference tests and benchmarks compare against.
+
     Primal unboundedness cannot occur because every variable carries
     finite bounds (enforced by {!Problem.add_var}). *)
 
@@ -47,32 +57,9 @@ type basis = {
     count); {!resolve} validates this and falls back to a cold solve on
     any mismatch. *)
 
-type core = Dense | Sparse
-(** Which LP engine runs a query. [Dense]: the original Gauss-Jordan
-    tableau. [Sparse]: the revised simplex on factored sparse columns —
-    asymptotically cheaper (O(nnz) per pivot instead of O(rows·cols))
-    and the default; on any numerical doubt it transparently re-runs
-    the dense oracle. It reports [Infeasible] only with a row that is
-    empty under the box, with a Farkas ray that passes
-    {!farkas_certifies}, or with the dense oracle's confirmation. *)
-
-val core_of_string : string -> core option
-(** Parses ["dense"] / ["sparse"] (case-insensitive). *)
-
-val core_to_string : core -> string
-
-val default_core : unit -> core
-(** The core used when a solve is not given [?core] explicitly:
-    {!set_default_core}'s value if called, else the [DEPNN_LP_CORE]
-    environment variable (["sparse"]/["dense"], read once at startup),
-    else [Sparse]. *)
-
-val set_default_core : core -> unit
-(** Process-wide override (the CLI's [--lp-core] lands here). *)
-
 val sparse_fallbacks : unit -> int
-(** How many times the sparse core handed a conclusion back to the
-    dense oracle since startup (observability for tests/bench). *)
+(** How many times the sparse core handed a problem to the dense cold
+    solve since startup (observability for tests/bench). *)
 
 val refactor_interval : int ref
 (** Eta-file length that triggers a refactorization of the sparse
@@ -133,34 +120,36 @@ type solution = {
           from [y] alone. *)
 }
 
-val solve :
-  ?max_iterations:int -> ?eps:float -> ?core:core -> Problem.t -> solution
+val solve : ?max_iterations:int -> ?eps:float -> Problem.t -> solution
 (** Maximise the problem's objective from a cold start. [eps] is the
     feasibility/optimality tolerance (default [1e-7]).
-    [max_iterations] defaults to [500 * (rows + cols)]. [core] defaults
-    to {!default_core}. *)
+    [max_iterations] defaults to [500 * (rows + cols)]. *)
 
 val resolve :
-  ?max_iterations:int -> ?eps:float -> ?core:core -> basis:basis ->
-  Problem.t -> solution
+  ?max_iterations:int -> ?eps:float -> basis:basis -> Problem.t -> solution
 (** Maximise like {!solve}, but warm-start from [basis] (typically the
     parent node's optimal basis under slightly different bounds). The
     restored basis is driven primal-feasible by the dual simplex, then
     polished by the primal simplex. Correctness never depends on the
     warm path: a stale/corrupted snapshot, a singular restored basis,
-    an iteration limit, or numerical trouble all transparently fall
-    back to a cold {!solve} (the returned [warm] flag tells which path
-    produced the answer). A dual-simplex infeasibility conclusion falls
-    back too under the dense core. The sparse core instead reports it
-    as [Infeasible] with [warm = true] and its [Cert_farkas] ray when
-    {!farkas_certifies} accepts the ray, and falls back cold otherwise.
-    Under the sparse core the same contract extends one layer down:
-    sparse doubt, including a phase-1 ray that fails the check, falls
-    back to the dense engine. *)
+    an iteration limit, or numerical trouble in the simplex phases all
+    transparently fall back to a cold {!solve} (the returned [warm]
+    flag tells which path produced the answer). A dual-simplex
+    infeasibility conclusion is reported as [Infeasible] with
+    [warm = true] and its [Cert_farkas] ray when {!farkas_certifies}
+    accepts the ray, and falls back cold otherwise. A
+    {!Numerical_error} that escapes the sparse warm path, like sparse
+    doubt in a cold solve, re-runs the dense cold solve. *)
 
-val solve_min :
-  ?max_iterations:int -> ?eps:float -> ?core:core -> Problem.t -> solution
+val solve_min : ?max_iterations:int -> ?eps:float -> Problem.t -> solution
 (** Minimise instead; [objective] is reported in the minimisation sense. *)
+
+val solve_dense : Problem.t -> solution
+(** Maximise from a cold start on the dense Gauss-Jordan tableau alone,
+    with {!solve}'s default tolerance and iteration limit: the
+    reference engine tests and benchmarks compare the sparse core
+    against. Same certificates; a snapshot it returns carries no
+    [bfactor]. *)
 
 val primal_feasible : ?eps:float -> Problem.t -> float array -> bool
 (** Check a point against all bounds and constraints (testing helper). *)

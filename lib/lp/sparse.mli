@@ -15,7 +15,7 @@
     when the eta file is long enough to refactorize ({!eta_count}); a
     tiny or non-finite pivot makes {!update} (or {!factorize}) refuse,
     which is the sparse path's numerical-doubt signal — the simplex
-    layer then refactorizes or falls back to the dense core. *)
+    layer then refactorizes or falls back to the dense cold solve. *)
 
 type mat
 (** Immutable sparse matrix, stored by column. *)

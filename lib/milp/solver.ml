@@ -67,7 +67,7 @@ let dive_open = 4
 let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
     ?(node_limit = max_int) ?(eps = 1e-6) ?(int_eps = 1e-6)
     ?(branch_rule = Most_fractional) ?(cutoff = neg_infinity)
-    ?primal_heuristic ?node_bound ?objective ?(warm = true) ?lp_core ?on_leaf
+    ?primal_heuristic ?node_bound ?objective ?(warm = true) ?on_leaf
     model =
   let divers, provers =
     match portfolio with
@@ -178,8 +178,8 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
                  eta file directly after an O(nnz) consistency probe. *)
               let relax =
                 match (if warm then node.Search.parent_basis else None) with
-                | Some b -> Lp.Simplex.resolve ?core:lp_core ~basis:b problem
-                | None -> Lp.Simplex.solve ?core:lp_core problem
+                | Some b -> Lp.Simplex.resolve ~basis:b problem
+                | None -> Lp.Simplex.solve problem
               in
               ignore
                 (Atomic.fetch_and_add lp_iters relax.Lp.Simplex.iterations);
@@ -381,7 +381,7 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
 
 let solve_min ?cores ?portfolio ?time_limit ?node_limit ?eps ?int_eps
     ?branch_rule ?cutoff ?primal_heuristic ?node_bound ?objective ?warm
-    ?lp_core model =
+    model =
   (* Negate the objective on a private copy of the model, maximise, then
      report back in min sense. The caller's model is never touched, so
      concurrent solves over the same model are safe and an exception
@@ -413,7 +413,7 @@ let solve_min ?cores ?portfolio ?time_limit ?node_limit ?eps ?int_eps
       ?branch_rule
       ?cutoff:(Option.map (fun c -> -.c) cutoff)
       ?primal_heuristic:neg_heuristic ?node_bound:neg_node_bound
-      ?objective:neg_objective ?warm ?lp_core minned
+      ?objective:neg_objective ?warm minned
   in
   {
     r with

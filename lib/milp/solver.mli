@@ -116,7 +116,6 @@ val solve :
   ?node_bound:((Model.var * float * float) list -> float option) ->
   ?objective:(Model.var * float) list ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   ?on_leaf:((Model.var * float * float) list -> leaf_cert -> unit) ->
   Model.t ->
   result
@@ -131,10 +130,8 @@ val solve :
     seconds. A node whose LP relaxation stops at its iteration limit
     has proven nothing about its subtree: it goes back into the pool
     and the search stops with [Node_limit], so [best_bound] still
-    covers it. [lp_core] selects the LP engine per node
-    ({!Lp.Simplex.core}, default {!Lp.Simplex.default_core}); under the
-    sparse core each node re-solve reuses the factored basis carried in
-    its parent snapshot.
+    covers it. Each node re-solve reuses the factored basis carried in
+    its parent snapshot ({!Lp.Simplex.resolve}).
 
     [objective] replaces the model's objective for this solve only — it
     is applied to every domain's private problem copy, so the caller's
@@ -197,7 +194,6 @@ val solve_min :
   ?node_bound:((Model.var * float * float) list -> float option) ->
   ?objective:(Model.var * float) list ->
   ?warm:bool ->
-  ?lp_core:Lp.Simplex.core ->
   Model.t ->
   result
 (** Minimise; [best_bound] is then a valid lower bound, and incumbent

@@ -267,7 +267,7 @@ let handle_job t session job =
          corrupt it. *)
       let r =
         Verify.Driver.prove_in_session session ~time_limit ~bound_mode
-          ~certify_dir:dir ~resume:true ~watchdog:true ?split:t.config.split
+          ~certify_dir:dir ~resume:true ?split:t.config.split
           ~store:t.store ~components:p.Certify.Certificate.components
           ~threshold:p.Certify.Certificate.threshold (box_of p)
       in
@@ -546,8 +546,8 @@ let run ?(worker_hook = fun _ -> ()) config net =
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
    done);
   (* Graceful drain: stop accepting, let the pool finish everything
-     already queued (each query under its own watchdogged budget), then
-     join. Anything still queued after the join means every worker died
+     already queued (each query under its own budget), then join.
+     Anything still queued after the join means every worker died
      mid-drain — those clients still get a clean error. *)
   let pending = Bqueue.depth t.queue in
   if pending > 0 then logf t "draining %d queued queries" pending;

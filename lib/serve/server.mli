@@ -22,8 +22,8 @@
       in-flight client receives a clean protocol error first;
     - SIGINT/SIGTERM (when [handle_signals]) or a [shutdown] request
       drain the queue: in-flight and queued queries finish — each under
-      its own watchdogged time limit, so the worst case is an honest
-      [unknown] — then workers are joined, the socket is closed and
+      its own time limit, so the worst case is an honest [unknown] —
+      then workers are joined, the socket is closed and
       unlinked, and {!run} returns;
     - every solved query is certified into the store's directory for
       that property hash with [resume] enabled, so a server killed

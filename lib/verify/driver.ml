@@ -75,12 +75,12 @@ let node_bound_for ~bound_mode enc net box ~output =
    more than one node's slack. *)
 let maximize_outputs ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?portfolio ?lp_core ~outputs:output_indices net box =
+    ?(cores = 1) ?portfolio ~outputs:output_indices net box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
   let enc =
     Encoding.Encoder.encode ~bound_mode ~tighten_rounds
-      ~tighten_budget:(0.5 *. time_limit) ~cores ?lp_core net box
+      ~tighten_budget:(0.5 *. time_limit) ~cores net box
   in
   let priority = Encoding.Encoder.layer_order_priority enc in
   let queries = Array.of_list output_indices in
@@ -97,7 +97,7 @@ let maximize_outputs ?(time_limit = 60.0)
       ~branch_rule:(Milp.Solver.Priority priority) ~primal_heuristic
       ?node_bound:(node_bound_for ~bound_mode enc net box ~output:k)
       ~objective:(Encoding.Encoder.output_objective enc k)
-      ?lp_core enc.Encoding.Encoder.model
+      enc.Encoding.Encoder.model
   in
   let results =
     if cores > 1 && n_queries > 1 && portfolio = None then begin
@@ -185,17 +185,17 @@ let maximize_outputs ?(time_limit = 60.0)
   }
 
 let max_lateral_velocity ?time_limit ?bound_mode ?tighten_rounds ?cores
-    ?portfolio ?lp_core ~components net box =
+    ?portfolio ~components net box =
   let outputs =
     List.init components (fun k -> Nn.Gmm.mu_lat_index ~components k)
   in
   maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
-    ?lp_core ~outputs net box
+    ~outputs net box
 
 let maximize_output ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
-    ?lp_core ~output net box =
+    ~output net box =
   maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
-    ?lp_core ~outputs:[ output ] net box
+    ~outputs:[ output ] net box
 
 type proof = Proved | Disproved of witness | Unknown of { best_bound : float }
 
@@ -219,8 +219,7 @@ type session = {
   session_net : Nn.Network.t;
   session_net_hash : string;
   mutable session_enc :
-    ((Encoding.Encoder.bound_mode * (float * float) array
-     * Lp.Simplex.core option)
+    ((Encoding.Encoder.bound_mode * (float * float) array)
     * Encoding.Encoder.t)
     option;
 }
@@ -262,8 +261,6 @@ type query = {
   tighten_rounds : int;
   cores : int;
   portfolio : (int * int) option;
-  lp_core : Lp.Simplex.core option;
-  watchdog : bool;
   components : int;
   threshold : float;
 }
@@ -301,9 +298,9 @@ let encode q ~time_limit box =
   let fresh () =
     Encoding.Encoder.encode ~bound_mode:q.bound_mode
       ~tighten_rounds:q.tighten_rounds ~tighten_budget:(0.5 *. time_limit)
-      ~cores:q.cores ?lp_core:q.lp_core q.net box
+      ~cores:q.cores q.net box
   in
-  let key = (q.bound_mode, bounds box, q.lp_core) in
+  let key = (q.bound_mode, bounds box) in
   match q.session with
   | Some { session_enc = Some (k, enc); _ } when k = key -> enc
   | session ->
@@ -379,72 +376,52 @@ let settle_leaf q ~store ~sink ~resume ~attempt ~time_limit ~upper box =
   in
   let search k ~share ~bound =
     let enc = Lazy.force enc and output = output_of q k in
-    let share_end = Linalg.Mclock.now () +. share in
     let model = enc.Encoding.Encoder.model in
-    let objective = Encoding.Encoder.output_objective enc output in
-    let branch_rule =
-      Milp.Solver.Priority (Encoding.Encoder.layer_order_priority enc)
-    in
-    (* A rung streams every closed search leaf as evidence when
+    (* The search streams every closed leaf as evidence when
        certificates are wanted, and takes the analysis node bound
        otherwise. *)
-    let solve lp_core ~time_limit =
-      let leaves = ref [] in
-      let collect fixes c = leaves := Cert.leaf_of_search fixes c :: !leaves in
-      let node_bound, on_leaf =
-        match sink with
-        | None ->
-            ( node_bound_for ~bound_mode:q.bound_mode enc q.net box ~output,
-              None )
-        | Some _ -> (None, Some collect)
-      in
-      let r =
-        Milp.Solver.solve ~cores:q.cores ?portfolio:q.portfolio ~time_limit
-          ~cutoff:threshold ~branch_rule ~objective ?node_bound ?on_leaf
-          ?lp_core model
-      in
-      (r, Array.of_list (List.rev !leaves))
+    let leaves = ref [] in
+    let collect fixes c = leaves := Cert.leaf_of_search fixes c :: !leaves in
+    let node_bound, on_leaf =
+      match sink with
+      | None ->
+          (node_bound_for ~bound_mode:q.bound_mode enc q.net box ~output, None)
+      | Some _ -> (None, Some collect)
     in
-    let rec fall = function
-      | [] -> `Bound bound
-      | lp_core :: lower -> (
-          let time_limit =
-            if lower = [] then Float.max 0.0 (share_end -. Linalg.Mclock.now ())
-            else 0.6 *. share
-          in
-          match solve lp_core ~time_limit with
-          | exception (Lp.Simplex.Numerical_error _ | Failure _)
-            when q.watchdog ->
-              incr degraded;
-              fall lower
-          | r, leaves -> (
-              nodes := !nodes + r.Milp.Solver.nodes;
-              match (r.Milp.Solver.incumbent, r.Milp.Solver.outcome) with
-              | Some (solution, _), _ ->
-                  (* A feasible point above the cutoff refutes the
-                     property. *)
-                  let w =
-                    witness_at q.net ~component:k ~output
-                      (Encoding.Encoder.input_point enc solution)
-                  in
-                  ignore (emit k (witness_body w));
-                  `Disproved w
-              | None, Milp.Solver.Optimal ->
-                  ignore
-                    (emit k
-                       (lazy
-                         (let model_hash = Cert.model_fingerprint model in
-                          Cert.Milp_tree { model_hash; leaves })));
-                  `Proved
-              | None, _ when lower = [] ->
-                  `Bound (Float.min r.Milp.Solver.best_bound bound)
-              | None, _ ->
-                  incr degraded;
-                  fall lower))
-    in
-    fall
-      (if q.watchdog then [ Some Lp.Simplex.Sparse; Some Lp.Simplex.Dense ]
-       else [ q.lp_core ])
+    match
+      Milp.Solver.solve ~cores:q.cores ?portfolio:q.portfolio
+        ~time_limit:share ~cutoff:threshold
+        ~branch_rule:
+          (Milp.Solver.Priority (Encoding.Encoder.layer_order_priority enc))
+        ~objective:(Encoding.Encoder.output_objective enc output)
+        ?node_bound ?on_leaf model
+    with
+    | exception (Lp.Simplex.Numerical_error _ | Failure _) ->
+        (* A search that fails numerically settles nothing: the
+           component stays Unknown at its analysis bound instead of
+           aborting the whole query. *)
+        incr degraded;
+        `Bound bound
+    | r -> (
+        nodes := !nodes + r.Milp.Solver.nodes;
+        match (r.Milp.Solver.incumbent, r.Milp.Solver.outcome) with
+        | Some (solution, _), _ ->
+            (* A feasible point above the cutoff refutes the property. *)
+            let w =
+              witness_at q.net ~component:k ~output
+                (Encoding.Encoder.input_point enc solution)
+            in
+            ignore (emit k (witness_body w));
+            `Disproved w
+        | None, Milp.Solver.Optimal ->
+            let leaves = Array.of_list (List.rev !leaves) in
+            ignore
+              (emit k
+                 (lazy
+                   (let model_hash = Cert.model_fingerprint model in
+                    Cert.Milp_tree { model_hash; leaves })));
+            `Proved
+        | None, _ -> `Bound (Float.min r.Milp.Solver.best_bound bound))
   in
   let settled = Hashtbl.create 8 in
   let rec ladder worst = function
@@ -656,8 +633,8 @@ let decide q ~split ~store ~certify_dir ~resume ~time_limit box =
 
 let prove_lateral_velocity_le ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?portfolio ?lp_core ?certify_dir ?(resume = false)
-    ?(watchdog = false) ?split ?store ~components ~threshold net box =
+    ?(cores = 1) ?portfolio ?certify_dir ?(resume = false) ?split ?store
+    ~components ~threshold net box =
   (* OBBT is off under a sink (see above), and per leaf under a split:
      its budget share would dominate hundreds of small boxes, and the
      planner's symbolic pre-pass is what partitioning relies on. *)
@@ -665,18 +642,16 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
     { net; session = None; net_hash = lazy (Nn.Io.content_hash net);
       tighten_rounds =
         (if certify_dir = None && split = None then tighten_rounds else 0);
-      bound_mode; cores; portfolio; lp_core; watchdog; components; threshold }
+      bound_mode; cores; portfolio; components; threshold }
     ~split ~store ~certify_dir ~resume ~time_limit box
 
 let prove_in_session session ?(time_limit = 60.0)
-    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?lp_core ?certify_dir
-    ?(resume = false) ?(watchdog = true) ?split ?store ~components ~threshold
-    box =
+    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?certify_dir
+    ?(resume = false) ?split ?store ~components ~threshold box =
   decide
     { net = session.session_net; session = Some session;
       net_hash = Lazy.from_val session.session_net_hash; bound_mode;
-      tighten_rounds = 0; cores = 1; portfolio = None; lp_core; watchdog;
-      components; threshold }
+      tighten_rounds = 0; cores = 1; portfolio = None; components; threshold }
     ~split ~store ~certify_dir ~resume ~time_limit box
 
 let sampled_max_lateral_velocity ~rng ~samples ~components net box =

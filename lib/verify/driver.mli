@@ -44,7 +44,6 @@ val max_lateral_velocity :
   ?tighten_rounds:int ->
   ?cores:int ->
   ?portfolio:int * int ->
-  ?lp_core:Lp.Simplex.core ->
   components:int ->
   Nn.Network.t ->
   Interval.Box.box ->
@@ -63,9 +62,7 @@ val max_lateral_velocity :
     {!Encoding.Encoder.encode}). [cores] (default 1) also runs the
     OBBT probes on that many domains ({!Milp.Parallel}); results agree
     with [cores = 1] up to solver epsilon. Child nodes warm-start from
-    their parent's basis. [lp_core] selects the LP engine for OBBT and
-    every node re-solve ({!Lp.Simplex.core}; default
-    {!Lp.Simplex.default_core}, i.e. sparse unless overridden).
+    their parent's basis.
 
     [bound_mode] selects the encoder's bound analysis
     ({!Encoding.Encoder.bound_mode}). Under [Symbolic_bounds] the
@@ -90,7 +87,6 @@ val maximize_output :
   ?tighten_rounds:int ->
   ?cores:int ->
   ?portfolio:int * int ->
-  ?lp_core:Lp.Simplex.core ->
   output:int ->
   Nn.Network.t ->
   Interval.Box.box ->
@@ -121,8 +117,9 @@ type proof_result = {
           previous run of the same question already settled them;
           [0] without [resume] on a monolithic query *)
   degraded : int;
-      (** watchdog fallback-ladder transitions taken (a rung timed out
-          or failed numerically and the next one was tried) *)
+      (** MILP searches that raised {!Lp.Simplex.Numerical_error} or
+          [Failure]: each left its component [Unknown] at the analysis
+          bound instead of aborting the query *)
   partition : Partition.stats option;
       (** leaf accounting when the query ran partitioned ([?split]);
           [None] for a monolithic solve *)
@@ -144,10 +141,8 @@ val prove_lateral_velocity_le :
   ?tighten_rounds:int ->
   ?cores:int ->
   ?portfolio:int * int ->
-  ?lp_core:Lp.Simplex.core ->
   ?certify_dir:string ->
   ?resume:bool ->
-  ?watchdog:bool ->
   ?split:Partition.policy ->
   ?store:Certify.Store.t ->
   components:int ->
@@ -181,10 +176,9 @@ val prove_lateral_velocity_le :
       meets [threshold] is discharged without search ([presolved]
       counts them; when every component goes this way the verdict is
       [Proved] with [proof_nodes = 0]);
-    + the cutoff MILP under the component's share of the leaf budget:
-      the configured [lp_core] or, with [watchdog] (default [false]),
-      sparse then dense, each rung catching its own numerical failures
-      ([degraded] counts the transitions);
+    + one cutoff MILP search under the component's whole share of the
+      leaf budget; a search that raises {!Lp.Simplex.Numerical_error}
+      or [Failure] settles nothing and counts in [degraded];
     + an honest [Unknown].
 
     One disproved leaf disproves the parent (the witness lies inside
@@ -225,7 +219,7 @@ val prove_lateral_velocity_le :
     session computes the network's {!Nn.Io.content_hash} {e once} at
     creation (a certified call without one re-hashes the network every
     time) and memoises the deterministic [tighten_rounds = 0] encoding
-    of the most recent (bound mode, box, lp core) question, so
+    of the most recent (bound mode, box) question, so
     back-to-back queries over the same box — different thresholds, a
     server's cache-miss burst — skip the encoder. A session is
     single-domain state: give each worker domain its own. *)
@@ -242,10 +236,8 @@ val prove_in_session :
   session ->
   ?time_limit:float ->
   ?bound_mode:Encoding.Encoder.bound_mode ->
-  ?lp_core:Lp.Simplex.core ->
   ?certify_dir:string ->
   ?resume:bool ->
-  ?watchdog:bool ->
   ?split:Partition.policy ->
   ?store:Certify.Store.t ->
   components:int ->
@@ -254,13 +246,13 @@ val prove_in_session :
   proof_result
 (** The decision query of {!prove_lateral_velocity_le}, down the same
     ladder, with the session's cached hash and encoding memo threaded
-    through. [watchdog] defaults to [true] here (a server must degrade
-    to an honest [Unknown], never abort); the session never applies
-    OBBT, and the solve is sequential within the session — parallelism
-    belongs to the caller's worker pool. [certify_dir], [resume],
-    [split] and [store] behave as in {!prove_lateral_velocity_le},
-    reusing the session's cached network hash for the property
-    hashes. *)
+    through. A search that fails numerically degrades to an honest
+    [Unknown] here as everywhere, so a server never aborts; the session
+    never applies OBBT, and the solve is sequential within the session
+    — parallelism belongs to the caller's worker pool. [certify_dir],
+    [resume], [split] and [store] behave as in
+    {!prove_lateral_velocity_le}, reusing the session's cached network
+    hash for the property hashes. *)
 
 val sampled_max_lateral_velocity :
   rng:Linalg.Rng.t ->

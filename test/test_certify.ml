@@ -169,13 +169,13 @@ let replays p s =
       s.Lp.Simplex.status = Lp.Simplex.Infeasible
       && Certify.Checker.row_certainly_empty (view_of p) i
 
-let cert_replays core p = replays p (Lp.Simplex.solve ~core p)
+let cert_replays solve p = replays p (solve p)
 
 (* A branch-and-bound child: re-solve warm from the optimal basis after
    tightening one side of one variable. The warm certificate must replay
    and its status must match the dense cold solve of the child. *)
-let warm_cert_replays core p (vidx, side, frac) =
-  let parent = Lp.Simplex.solve ~core p in
+let warm_cert_replays p (vidx, side, frac) =
+  let parent = Lp.Simplex.solve p in
   match (parent.Lp.Simplex.status, parent.Lp.Simplex.basis) with
   | Lp.Simplex.Optimal, Some basis ->
       let v = vidx mod Lp.Problem.num_vars p in
@@ -183,10 +183,9 @@ let warm_cert_replays core p (vidx, side, frac) =
       let cut = lo +. (frac *. (hi -. lo)) in
       if side then Lp.Problem.set_bounds p v ~lo ~hi:cut
       else Lp.Problem.set_bounds p v ~lo:cut ~hi;
-      let warm = Lp.Simplex.resolve ~core ~basis p in
+      let warm = Lp.Simplex.resolve ~basis p in
       replays p warm
-      && warm.Lp.Simplex.status
-         = (Lp.Simplex.solve ~core:Lp.Simplex.Dense p).Lp.Simplex.status
+      && warm.Lp.Simplex.status = (Lp.Simplex.solve_dense p).Lp.Simplex.status
   | _ -> true
 
 let prop_lp_certs_replay_both_cores =
@@ -199,11 +198,9 @@ let prop_lp_certs_replay_both_cores =
             (triple (int_range 0 100) bool (float_range 0.05 0.95))))
     (fun (seed, child) ->
       let p = random_lp seed in
-      List.for_all
-        (fun core ->
-          cert_replays core (Lp.Problem.copy p)
-          && warm_cert_replays core (Lp.Problem.copy p) child)
-        [ Lp.Simplex.Dense; Lp.Simplex.Sparse ])
+      cert_replays Lp.Simplex.solve_dense (Lp.Problem.copy p)
+      && cert_replays (fun p -> Lp.Simplex.solve p) (Lp.Problem.copy p)
+      && warm_cert_replays (Lp.Problem.copy p) child)
 
 (* The solver's own Farkas check must never accept a ray the independent
    checker rejects: solver rays, perturbed and rescaled ones, and
@@ -217,7 +214,7 @@ let prop_farkas_check_implies_replay =
       let m = Lp.Problem.num_constraints p in
       let rng = Linalg.Rng.create pseed in
       let base =
-        match (Lp.Simplex.solve ~core:Lp.Simplex.Dense p).Lp.Simplex.cert with
+        match (Lp.Simplex.solve_dense p).Lp.Simplex.cert with
         | Some (Lp.Simplex.Cert_farkas y | Lp.Simplex.Cert_duals y) -> y
         | Some (Lp.Simplex.Cert_empty_row _) | None ->
             Array.init m (fun _ -> Linalg.Rng.uniform rng (-1.0) 1.0)
@@ -345,9 +342,9 @@ let exact_max net b0 =
   Option.get
     (Verify.Driver.max_lateral_velocity ~components:2 net b0).Verify.Driver.value
 
-let prove ?certify_dir ?(resume = false) ?(watchdog = false) ~threshold net b0 =
-  Verify.Driver.prove_lateral_velocity_le ?certify_dir ~resume ~watchdog
-    ~components:2 ~threshold net b0
+let prove ?certify_dir ?(resume = false) ~threshold net b0 =
+  Verify.Driver.prove_lateral_velocity_le ?certify_dir ~resume ~components:2
+    ~threshold net b0
 
 let test_certified_proof_audits () =
   let net = mini_predictor 61 in
@@ -490,25 +487,11 @@ let test_resume_ignores_overwritten_certificates () =
         (rep.Certify.Audit.verdict = claimed && rep.Certify.Audit.ok))
     [ 61; 64; 65 ]
 
-let test_watchdog_same_verdict () =
-  let net = mini_predictor 66 in
-  let b0 = box 6 0.3 in
-  let v = exact_max net b0 in
-  let p = prove ~watchdog:true ~threshold:(v +. 0.5) net b0 in
-  Alcotest.(check bool) "watchdog proves" true
-    (p.Verify.Driver.proof = Verify.Driver.Proved);
-  let dir = fresh_dir "watchdog" in
-  let pc = prove ~certify_dir:dir ~watchdog:true ~threshold:(v +. 0.5) net b0 in
-  Alcotest.(check bool) "certified watchdog proves" true
-    (pc.Verify.Driver.proof = Verify.Driver.Proved);
-  let rep = Certify.Audit.run ~net ~dir in
-  Alcotest.(check bool) "audit confirms" true rep.Certify.Audit.ok
-
 (* {1 Cross-mode agreement}
 
-   Eight ways to ask the same decision query: plain, watchdogged,
-   certified (on one core, on two, and on a 1:1 portfolio),
-   partitioned, partitioned and certified, and through a session.
+   Seven ways to ask the same decision query: plain, certified (on one
+   core, on two, and on a 1:1 portfolio), partitioned, partitioned and
+   certified, and through a session.
    Thresholds sit just above or just below the exact maximum, where a
    wrong prune or a lost leaf would flip the answer. Any two modes that
    settle must agree, every disproof must replay through the network,
@@ -536,10 +519,9 @@ let prop_decision_modes_agree =
       let cores_dir = fresh_dir "modes_cert_cores" in
       let portfolio_dir = fresh_dir "modes_cert_portfolio" in
       let shard_dir = fresh_dir "modes_shard" in
-      let decide ?watchdog ?certify_dir ?split ?cores ?portfolio () =
-        (Verify.Driver.prove_lateral_velocity_le ~bound_mode ?watchdog
-           ?certify_dir ?split ?cores ?portfolio ~components:2 ~threshold net
-           b0)
+      let decide ?certify_dir ?split ?cores ?portfolio () =
+        (Verify.Driver.prove_lateral_velocity_le ~bound_mode ?certify_dir
+           ?split ?cores ?portfolio ~components:2 ~threshold net b0)
           .Verify.Driver.proof
       in
       let settled = function
@@ -564,7 +546,6 @@ let prop_decision_modes_agree =
       let verdicts =
         [
           settled (decide ());
-          settled (decide ~watchdog:true ());
           certified;
           certified_cores;
           certified_portfolio;
@@ -640,7 +621,6 @@ let () =
           slow "kill + resume" test_resume_after_kill;
           slow "resume ignores overwritten certificates"
             test_resume_ignores_overwritten_certificates;
-          slow "watchdog verdict" test_watchdog_same_verdict;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -434,13 +434,11 @@ let prop_min_is_neg_max =
 
 (* {2 Sparse core}
 
-   The revised simplex on a factored basis is the default LP engine; the
-   dense tableau stays compiled in as its oracle. These tests pin the
-   {!Lp.Sparse} primitives and the equivalence / fallback contract the
-   dispatcher promises. *)
-
-let sparse = Lp.Simplex.Sparse
-let dense = Lp.Simplex.Dense
+   The revised simplex on a factored basis is the only LP engine; the
+   dense tableau stays compiled in as its cold fallback and as the
+   reference {!Lp.Simplex.solve_dense}. These tests pin the {!Lp.Sparse}
+   primitives and the equivalence / fallback contract the dispatcher
+   promises. *)
 
 (* Columns [0;1;2] form
        | 2 0 1 |
@@ -560,8 +558,8 @@ let test_refactor_every_pivot_matches_dense () =
               ([ 0.5; 0.5; -1.0; 1.0 ], 3.0);
             ] )
       in
-      let s = Lp.Simplex.solve ~core:sparse p in
-      let d = Lp.Simplex.solve ~core:dense p in
+      let s = Lp.Simplex.solve p in
+      let d = Lp.Simplex.solve_dense p in
       check_status d.Lp.Simplex.status s;
       Alcotest.(check (float 1e-6)) "same objective" d.Lp.Simplex.objective
         s.Lp.Simplex.objective)
@@ -575,9 +573,25 @@ let test_sparse_falls_back_on_numerical_error () =
   Lp.Problem.add_constraint p [ (x, Float.nan) ] Lp.Problem.Le 1.0;
   let before = Lp.Simplex.sparse_fallbacks () in
   Alcotest.(check bool) "still fails fast" true
-    (raises_numerical_error (fun () -> Lp.Simplex.solve ~core:sparse p));
+    (raises_numerical_error (fun () -> Lp.Simplex.solve p));
   Alcotest.(check bool) "fallback counted" true
-    (Lp.Simplex.sparse_fallbacks () > before)
+    (Lp.Simplex.sparse_fallbacks () > before);
+  (* The warm path hands over the same way: a clean parent's basis
+     replayed on a same-shape child with a NaN coefficient. *)
+  let build c =
+    let p = Lp.Problem.create () in
+    let x = Lp.Problem.add_var p ~lo:0.0 ~hi:1.0 ~obj:1.0 () in
+    Lp.Problem.add_constraint p [ (x, c) ] Lp.Problem.Le 1.0;
+    p
+  in
+  let parent = Lp.Simplex.solve (build 1.0) in
+  let basis = Option.get parent.Lp.Simplex.basis in
+  let before = Lp.Simplex.sparse_fallbacks () in
+  Alcotest.(check bool) "warm re-solve fails fast" true
+    (raises_numerical_error (fun () ->
+         Lp.Simplex.resolve ~basis (build Float.nan)));
+  Alcotest.(check int) "one warm fallback counted" (before + 1)
+    (Lp.Simplex.sparse_fallbacks ())
 
 let test_sparse_corrupted_basis_falls_back () =
   (* Garbage snapshots under the sparse core: degrade to a cold solve
@@ -587,10 +601,10 @@ let test_sparse_corrupted_basis_falls_back () =
   let y = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:2.0 () in
   let _z = Lp.Problem.add_var p ~lo:0.0 ~hi:1.0 ~obj:0.0 () in
   Lp.Problem.add_constraint p [ (x, 1.0); (y, 1.0) ] Lp.Problem.Le 4.0;
-  let cold = Lp.Simplex.solve ~core:dense p in
+  let cold = Lp.Simplex.solve_dense p in
   List.iter
     (fun basis ->
-      let r = Lp.Simplex.resolve ~core:sparse ~basis p in
+      let r = Lp.Simplex.resolve ~basis p in
       check_status Lp.Simplex.Optimal r;
       Alcotest.(check bool) "fell back to cold" false r.Lp.Simplex.warm;
       Alcotest.(check (float 1e-9)) "same answer as dense cold"
@@ -617,12 +631,12 @@ let test_sparse_warm_farkas_ray () =
   let y = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
   Lp.Problem.add_constraint p [ (x, 1.0); (y, 1.0) ] Lp.Problem.Ge 6.0;
   Lp.Problem.add_constraint p [ (y, 1.0); (x, -1.0) ] Lp.Problem.Le 1.0;
-  let parent = Lp.Simplex.solve ~core:sparse p in
+  let parent = Lp.Simplex.solve p in
   check_status Lp.Simplex.Optimal parent;
   let basis = Option.get parent.Lp.Simplex.basis in
   Lp.Problem.set_bounds p x ~lo:0.0 ~hi:2.0;
   let before = Lp.Simplex.sparse_fallbacks () in
-  let r = Lp.Simplex.resolve ~core:sparse ~basis p in
+  let r = Lp.Simplex.resolve ~basis p in
   check_status Lp.Simplex.Infeasible r;
   Alcotest.(check bool) "pruned on the warm path" true r.Lp.Simplex.warm;
   (match r.Lp.Simplex.cert with
@@ -632,7 +646,7 @@ let test_sparse_warm_farkas_ray () =
    | _ -> Alcotest.fail "expected a Farkas certificate");
   Alcotest.(check int) "no dense fallback" before
     (Lp.Simplex.sparse_fallbacks ());
-  check_status Lp.Simplex.Infeasible (Lp.Simplex.solve ~core:dense p)
+  check_status Lp.Simplex.Infeasible (Lp.Simplex.solve_dense p)
 
 let test_sparse_stale_factor_probe () =
   (* A factored snapshot from problem A replayed against a same-shape
@@ -646,13 +660,13 @@ let test_sparse_stale_factor_probe () =
     Lp.Problem.add_constraint p [ (x, 1.0); (y, c) ] Lp.Problem.Le 6.0;
     p
   in
-  let other = Lp.Simplex.solve ~core:sparse (build (-1.0)) in
+  let other = Lp.Simplex.solve (build (-1.0)) in
   let basis = Option.get other.Lp.Simplex.basis in
   Alcotest.(check bool) "sparse snapshot carries a factor" true
     (Option.is_some basis.Lp.Simplex.bfactor);
   let p = build 2.0 in
-  let warm = Lp.Simplex.resolve ~core:sparse ~basis p in
-  let cold = Lp.Simplex.solve ~core:dense p in
+  let warm = Lp.Simplex.resolve ~basis p in
+  let cold = Lp.Simplex.solve_dense p in
   check_status cold.Lp.Simplex.status warm;
   Alcotest.(check (float 1e-6)) "matches dense cold"
     cold.Lp.Simplex.objective warm.Lp.Simplex.objective
@@ -679,8 +693,8 @@ let prop_sparse_equals_dense_cold =
   QCheck.Test.make ~name:"sparse core = dense core (cold solve)" ~count:200
     (QCheck.make gen_lp) (fun spec ->
       let p, _ = build_random_lp spec in
-      let s = Lp.Simplex.solve ~core:sparse p in
-      let d = Lp.Simplex.solve ~core:dense p in
+      let s = Lp.Simplex.solve p in
+      let d = Lp.Simplex.solve_dense p in
       match (s.Lp.Simplex.status, d.Lp.Simplex.status) with
       | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
           Float.abs (s.Lp.Simplex.objective -. d.Lp.Simplex.objective) < 1e-5
@@ -700,7 +714,7 @@ let prop_sparse_resolve_equals_dense_cold =
          return (spec, vidx, side, frac)))
     (fun (spec, vidx, side, frac) ->
       let p, nvars = build_random_lp spec in
-      let parent = Lp.Simplex.solve ~core:sparse p in
+      let parent = Lp.Simplex.solve p in
       match (parent.Lp.Simplex.status, parent.Lp.Simplex.basis) with
       | Lp.Simplex.Optimal, Some basis ->
           let v = vidx mod nvars in
@@ -708,8 +722,8 @@ let prop_sparse_resolve_equals_dense_cold =
           let cut = lo +. (frac *. (hi -. lo)) in
           if side then Lp.Problem.set_bounds p v ~lo ~hi:cut
           else Lp.Problem.set_bounds p v ~lo:cut ~hi;
-          let warm = Lp.Simplex.resolve ~core:sparse ~basis p in
-          let cold = Lp.Simplex.solve ~core:dense p in
+          let warm = Lp.Simplex.resolve ~basis p in
+          let cold = Lp.Simplex.solve_dense p in
           (match (warm.Lp.Simplex.status, cold.Lp.Simplex.status) with
            | Lp.Simplex.Optimal, Lp.Simplex.Optimal ->
                Float.abs

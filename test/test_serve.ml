@@ -373,7 +373,7 @@ let test_store_never_caches_unknown () =
   let session = Verify.Driver.create_session net in
   let p = prop ~threshold:0.0 () in
   let prop_hash = Certify.Certificate.property_hash ~net_hash p in
-  (* A hopeless budget forces the watchdog's honest Unknown. *)
+  (* A hopeless budget forces an honest Unknown. *)
   let r =
     Verify.Driver.prove_in_session session ~time_limit:1e-9
       ~certify_dir:(Certify.Store.entry_dir store ~prop_hash) ~components:2
