@@ -78,15 +78,18 @@ let portfolio_arg =
 
 (* A plain [Arg.int] would accept 0 or negative sizes and only blow up
    deep inside the replay; reject them at the usage level like the other
-   suffixed options ($(b,--portfolio), $(b,--bound-mode)). *)
-let batch_conv =
+   suffixed options ($(b,--portfolio), $(b,--bound-mode)). [what] names
+   the count in the error message. *)
+let positive_int_conv what =
   let parse s =
     match int_of_string_opt (String.trim s) with
     | Some n when n >= 1 -> Ok n
     | Some _ | None ->
-        Error (`Msg "expected a positive integer (columns per batched forward)")
+        Error (`Msg (Printf.sprintf "expected a positive integer (%s)" what))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let batch_conv = positive_int_conv "columns per batched forward"
 
 let batch_arg =
   Arg.(
@@ -691,17 +694,27 @@ let opt_net_arg =
            is synthesized.")
 
 let trials_arg =
-  Arg.(value & opt int 50
+  Arg.(value & opt (positive_int_conv "faults to inject") 50
        & info [ "trials" ] ~docv:"N" ~doc:"Faults to inject.")
 
 let scenes_arg =
-  Arg.(value & opt int 100
+  Arg.(value & opt (positive_int_conv "scenes to replay") 100
        & info [ "scenes" ] ~docv:"N" ~doc:"Scenes replayed per fault.")
+
+(* The envelope must be a number the guard can compare against: NaN or
+   an infinity is a usage error, not an uncaught exception. *)
+let finite_float_conv =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some f when Float.is_finite f -> Ok f
+    | Some _ | None -> Error (`Msg "expected a finite number")
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let lat_limit_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some finite_float_conv) None
     & info [ "lat-limit" ] ~docv:"V"
         ~doc:
           "Envelope limit on the lateral velocity (m/s). When omitted the \

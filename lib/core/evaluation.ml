@@ -20,8 +20,9 @@ let drive ?(steps = 600) ?(dt = 0.2) ?(seed = 17) ~components net () =
   for _ = 1 to steps do
     let scene = Highway.Simulator.scene sim in
     let features = Highway.Features.encode scene in
-    let mixture = Nn.Gmm.decode ~components (Nn.Network.forward net features) in
-    let lat, lon = Nn.Gmm.mean mixture in
+    let lat, lon =
+      Nn.Gmm.mean_of_output ~components (Nn.Network.forward net features)
+    in
     if lat > !max_lat then max_lat := lat;
     if Highway.Risk.risky ~features ~lat_velocity:lat then incr risky;
     Highway.Simulator.step sim

@@ -36,7 +36,7 @@ type stats = {
   density : float;
       (** [nnz / (rows · cols)] — each big-M row touches only one
           neuron's fan-in, so this collapses as networks widen; it is
-          the figure the sparse LP core ({!Lp.Simplex.core}) exploits,
+          the figure the sparse LP core ({!Lp.Sparse}) exploits,
           reported here so bench claims are auditable from
           [depnn_cli verify] output *)
 }

@@ -35,85 +35,38 @@ type report = {
   elapsed : float;
 }
 
-let worst_component_lat ~components out =
-  let worst = ref neg_infinity in
-  for k = 0 to components - 1 do
-    let v = out.(Nn.Gmm.mu_lat_index ~components k) in
-    if v > !worst then worst := v
-  done;
-  !worst
-
-(* Unguarded evaluation of the faulted predictor on one input: did the
-   action the actuator would receive come out NaN/Inf (raw output
-   non-finite, the GMM decode overflowing — exp of a huge logit is inf,
-   softmax inf/inf is NaN — or a raised exception), and what is the
-   worst-case component lateral velocity the verifier's objective would
-   see? *)
+(* Unguarded evaluation of the faulted predictor on one forward result:
+   did the action the actuator would receive come out NaN/Inf (raw
+   output non-finite, the mixture mean overflowing — exp of a huge logit
+   is inf, softmax inf/inf is NaN — or a raised exception), and what is
+   the worst-case component lateral velocity the verifier's objective
+   would see? *)
 type raw_verdict = Raw_nan | Raw_finite of float
 
-let raw_classify ~components out =
-  if Array.exists (fun x -> not (Float.is_finite x)) out then Raw_nan
-  else begin
-    match Nn.Gmm.decode ~components out with
-    | exception _ -> Raw_nan
-    | mixture ->
-        let lat, lon = Nn.Gmm.mean mixture in
-        if not (Float.is_finite lat && Float.is_finite lon) then Raw_nan
-        else Raw_finite (worst_component_lat ~components out)
-  end
+let raw_verdict ~components = function
+  | Error _ -> Raw_nan
+  | Ok out when Array.exists (fun x -> not (Float.is_finite x)) out -> Raw_nan
+  | Ok out -> (
+      match Nn.Gmm.mean_of_output ~components out with
+      | exception _ -> Raw_nan
+      | lat, lon ->
+          if not (Float.is_finite lat && Float.is_finite lon) then Raw_nan
+          else Raw_finite (Nn.Gmm.max_mu_lat_of_output ~components out))
 
 let raw_eval ~components net input =
-  match Nn.Network.forward net input with
-  | exception _ -> Raw_nan
-  | out -> raw_classify ~components out
-
-(* Chunked batched forward shared by the reference sweep and the replay:
-   every network output is classified with [of_out] in scene order;
-   [scalar] takes over per input when the batched forward raises (a
-   corrupted weight can blow up mid-kernel) or when an input has the
-   wrong arity and cannot be packed into a column, so the verdicts are
-   always the ones the scalar loop would have produced. *)
-let map_forward_batch ~batch net ~of_out ~scalar inputs =
-  let n = Array.length inputs in
-  let in_dim = Nn.Network.input_dim net in
-  if Array.exists (fun x -> Array.length x <> in_dim) inputs then
-    Array.map scalar inputs
-  else begin
-    let batch = max 1 batch in
-    let out = Array.make n None in
-    let off = ref 0 in
-    while !off < n do
-      let len = min batch (n - !off) in
-      let chunk = Array.sub inputs !off len in
-      (match
-         Nn.Network.forward_batch net (Linalg.Mat.of_cols ~rows:in_dim chunk)
-       with
-      | y ->
-          for j = 0 to len - 1 do
-            out.(!off + j) <- Some (of_out (Linalg.Mat.col y j))
-          done
-      | exception _ ->
-          for j = 0 to len - 1 do
-            out.(!off + j) <- Some (scalar chunk.(j))
-          done);
-      off := !off + len
-    done;
-    Array.map Option.get out
-  end
-
-let raw_eval_batch ~components ~batch net inputs =
-  map_forward_batch ~batch net inputs
-    ~of_out:(raw_classify ~components)
-    ~scalar:(raw_eval ~components net)
+  raw_verdict ~components
+    (match Nn.Network.forward net input with
+     | out -> Ok out
+     | exception e -> Error e)
 
 (* Clean-predictor reference lateral action, for the silent-corruption
    test; anything non-finite (or a raised forward) references as 0. *)
-let reference_lat_of_out ~components out =
-  match Nn.Gmm.decode ~components out with
-  | exception _ -> 0.0
-  | mixture ->
-      let lat, _ = Nn.Gmm.mean mixture in
-      if Float.is_finite lat then lat else 0.0
+let reference_lat_of ~components = function
+  | Error _ -> 0.0
+  | Ok out -> (
+      match Nn.Gmm.mean_of_output ~components out with
+      | exception _ -> 0.0
+      | lat, _ -> if Float.is_finite lat then lat else 0.0)
 
 let network_params_finite net =
   let ok = ref true in
@@ -178,12 +131,8 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
   let components = envelope.Guard.components in
   let start = Linalg.Mclock.now () in
   let reference_lat =
-    map_forward_batch ~batch net scenes
-      ~of_out:(reference_lat_of_out ~components)
-      ~scalar:(fun s ->
-        match Nn.Network.forward net s with
-        | exception _ -> 0.0
-        | out -> reference_lat_of_out ~components out)
+    Array.map (reference_lat_of ~components)
+      (Nn.Network.forward_each ~batch net scenes)
   in
   (* The explicit faults run first, then the sampled ones; sampling is
      sequential so the campaign stays bit-reproducible from the seed. *)
@@ -212,35 +161,18 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
       | Some ch -> Array.map (Model.corrupt ch) scenes
       | None -> scenes
     in
-    (* Unguarded raws first, guarded replay second: [raw_eval] never
-       touches the guard, so splitting the historically interleaved
-       per-scene loop into two batched sweeps observes the same values
-       and updates the same counters in the same scene order. *)
-    let raws = raw_eval_batch ~components ~batch faulted_net inputs in
-    let preds =
-      match Guard.predict_batch ~batch guard inputs with
-      | ps -> Array.map Option.some ps
-      | exception _ ->
-          (* [predict_batch] shares [predict]'s never-raise contract; if
-             it is ever broken, classify scene by scene exactly as the
-             scalar loop did: a raising scene is counted as escaped and
-             contributes nothing else. *)
-          Array.map
-            (fun input ->
-              match Guard.predict guard input with
-              | r -> Some r
-              | exception _ ->
-                  escaped := true;
-                  None)
-            inputs
-    in
+    (* One forward sweep, classified twice per scene in scene order:
+       unguarded, and through the guard (which updates its counters
+       exactly as [Guard.predict] would). A classification that raises
+       marks the scene escaped and contributes nothing else. *)
+    let results = Nn.Network.forward_each ~batch faulted_net inputs in
     Array.iteri
-      (fun si pred ->
-        match pred with
-        | None -> ()
-        | Some ((glat, _glon), state) ->
+      (fun si result ->
+        match Guard.classify guard inputs.(si) result with
+        | exception _ -> escaped := true
+        | (glat, _glon), state ->
             if state <> Guard.Nominal then detected := true;
-            (match raws.(si) with
+            (match raw_verdict ~components result with
              | Raw_nan ->
                  nan_raw := true;
                  if state <> Guard.Fallback then nan_all_tripped := false
@@ -252,7 +184,7 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
             let dev = Float.abs (glat -. reference_lat.(si)) in
             if Float.is_finite dev && dev > !max_deviation then
               max_deviation := dev)
-      preds;
+      results;
     let d = Guard.diagnostics guard in
     {
       fault;

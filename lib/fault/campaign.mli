@@ -4,12 +4,13 @@
 
     Per trial, one fault is drawn ({!Model.sample}), injected (into the
     network, or into the input stream for sensor faults) and every scene
-    is replayed through a fresh {!Guard.t} around the faulted predictor.
-    The unguarded faulted outputs are evaluated alongside to classify
-    the trial:
+    is replayed through the faulted predictor in one batched forward
+    sweep. Each output is classified twice, in scene order: unguarded,
+    and through a fresh {!Guard.t} ({!Guard.classify}). Together they
+    classify the trial:
 
     - {e nan}: the unguarded faulted path delivered NaN/Inf to the
-      actuator — raw network output non-finite, the GMM decode
+      actuator — raw network output non-finite, the mixture mean
       overflowed (softmax of huge logits), or the forward pass raised;
     - {e violation}: the raw worst-case component lateral velocity
       exceeded the verified envelope on some scene;
@@ -30,7 +31,7 @@ type trial = {
   fault : Model.t;
   detected : bool;       (** guard left [Nominal] at least once *)
   nan_raw : bool;
-      (** unguarded path delivered NaN/Inf (raw output, decode overflow
+      (** unguarded path delivered NaN/Inf (raw output, mean overflow
           or a raised exception) *)
   nan_detected : bool;   (** every such scene ended in [Fallback] *)
   violation_raw : bool;  (** unguarded worst-lat exceeded the envelope *)
@@ -40,7 +41,7 @@ type trial = {
   max_deviation : float;
       (** max |guarded lat - clean lat| over the replay (m/s) *)
   fallbacks : int;       (** fallback predictions during the replay *)
-  escaped_exception : bool;  (** an exception escaped {!Guard.predict} *)
+  escaped_exception : bool;  (** an exception escaped {!Guard.classify} *)
 }
 
 type reverification = {
@@ -100,12 +101,14 @@ val run :
     in [failed_workers] and its unfinished trials are {e re-queued} and
     run in the parent rather than silently dropped, mirroring
     {!Milp.Parallel}'s degradation. [batch] (default
-    {!Guard.default_batch}) is how many scenes each replay sweep packs
-    into one cache-blocked batched forward; verdicts, counters and
-    deviations are identical for every batch size — the scalar loop is
-    the [batch = 1] special case. [faults] are explicit faults run as
-    the first trials (in addition to the [trials] sampled ones) — the
-    CI smoke uses this to pin a known NaN-producing flip. Raises
+    {!Guard.default_batch}) is how many scenes {!Nn.Network.forward_each}
+    packs into one cache-blocked batched forward, both in each trial's
+    single sweep and in the clean reference sweep; verdicts, counters
+    and deviations are identical for every batch size, and equal to a
+    per-scene loop of scalar forwards and {!Guard.predict}. [faults] are
+    explicit faults run as the first trials (in addition to the
+    [trials] sampled ones) — the CI smoke uses this to pin a known
+    NaN-producing flip. Raises
     [Invalid_argument] when [scenes] is empty or when there is nothing
     to run ([trials <= 0] and no explicit faults). *)
 

@@ -180,31 +180,35 @@ let run_fallback t x =
   | exception _ -> (0.0, 0.0)
 
 (* Classification given the raw forward output (or the exception the
-   forward pass raised). Shared verbatim between the scalar [predict]
-   and the batched [predict_batch], so both update the counters and trip
-   records identically for the same network output. *)
-let with_output t x out_result =
+   forward pass raised). Shared verbatim by the scalar [predict], the
+   batched [predict_batch] and callers holding their own outputs (the
+   fault campaign), so all update the counters and trip records
+   identically for the same network output. The mean is read
+   straight from the output, bit-equal to decoding the mixture first;
+   its length check runs before the finiteness scan, as [decode]'s did,
+   so a wrong-length output trips as [Forward_raised]. *)
+let classify t x result =
   t.c.predictions <- t.c.predictions + 1;
+  let components = t.env.components in
   let trip reason =
     t.c.last_trip <- Some reason;
     (run_fallback t x, Fallback)
   in
   match
-    match out_result with
+    match result with
     | Error e -> raise e
-    | Ok out -> (out, Nn.Gmm.decode ~components:t.env.components out)
+    | Ok out -> (out, Nn.Gmm.mean_of_output ~components out)
   with
   | exception e ->
       t.c.exception_trips <- t.c.exception_trips + 1;
       trip (Forward_raised { exn = Printexc.to_string e })
-  | out, mixture -> (
+  | out, (lat, lon) -> (
       match first_non_finite out with
       | Some index ->
           t.c.nan_trips <- t.c.nan_trips + 1;
           trip (Non_finite_output { index })
       | None ->
-          let lat, lon = Nn.Gmm.mean mixture in
-          let worst_lat = Nn.Gmm.max_component_mu_lat mixture in
+          let worst_lat = Nn.Gmm.max_mu_lat_of_output ~components out in
           if
             not
               (Float.is_finite lat && Float.is_finite lon
@@ -239,47 +243,16 @@ let with_output t x out_result =
           end)
 
 let predict t x =
-  with_output t x (match Nn.Network.forward t.net x with
-                   | out -> Ok out
-                   | exception e -> Error e)
+  classify t x
+    (match Nn.Network.forward t.net x with
+     | out -> Ok out
+     | exception e -> Error e)
 
 let default_batch = 128
 
 let predict_batch ?(batch = default_batch) t xs =
-  let n = Array.length xs in
-  let in_dim = Nn.Network.input_dim t.net in
-  if n = 0 then [||]
-  else if not (Array.for_all (fun x -> Array.length x = in_dim) xs) then
-    (* A malformed input would make the scalar forward raise per input;
-       process the whole set scalar so every input trips (or not)
-       exactly as [predict] would, in order. *)
-    Array.map (fun x -> predict t x) xs
-  else begin
-    let batch = max 1 batch in
-    let results = Array.make n ((0.0, 0.0), Fallback) in
-    let off = ref 0 in
-    while !off < n do
-      let len = min batch (n - !off) in
-      let chunk = Array.sub xs !off len in
-      (match
-         Nn.Network.forward_batch t.net (Linalg.Mat.of_cols ~rows:in_dim chunk)
-       with
-      | y ->
-          for j = 0 to len - 1 do
-            results.(!off + j) <-
-              with_output t chunk.(j) (Ok (Linalg.Mat.col y j))
-          done
-      | exception _ ->
-          (* Defensive: the batched kernel should never raise on
-             dimension-checked inputs, but the guard's contract is
-             "never raises" — fall back to the scalar path. *)
-          for j = 0 to len - 1 do
-            results.(!off + j) <- predict t chunk.(j)
-          done);
-      off := !off + len
-    done;
-    results
-  end
+  let results = Nn.Network.forward_each ~batch t.net xs in
+  Array.mapi (fun i result -> classify t xs.(i) result) results
 
 let render_diagnostics (d : diagnostics) =
   let buf = Buffer.create 256 in

@@ -93,9 +93,25 @@ val make :
 val network : t -> Nn.Network.t
 val guard_envelope : t -> envelope
 
+val classify :
+  t ->
+  Linalg.Vec.t ->
+  (Linalg.Vec.t, exn) result ->
+  (float * float) * state
+(** [classify t x result] classifies one forward result for input [x]:
+    the raw network output, or [Error e] for the exception [e] the
+    forward pass raised (a [Fallback] counted in [exception_trips], with
+    [last_trip] set to [Forward_raised]). It updates the counters
+    exactly as {!predict} would for the same output, and uses [x] only
+    for the fallback. This lets a caller that already holds the
+    network's outputs (the fault campaign, which also reads them
+    unguarded) guard them without a second forward. Never raises;
+    both action components are always finite. *)
+
 val predict : t -> Linalg.Vec.t -> (float * float) * state
-(** [(lat, lon), state]: the (possibly clamped or fallback) action mean.
-    Never raises; both action components are always finite. *)
+(** [(lat, lon), state]: the (possibly clamped or fallback) action mean,
+    {!classify} of the scalar forward. Never raises; both action
+    components are always finite. *)
 
 val default_batch : int
 (** Columns per batched forward chunk when [?batch] is omitted (128):
@@ -104,12 +120,12 @@ val default_batch : int
 
 val predict_batch :
   ?batch:int -> t -> Linalg.Vec.t array -> ((float * float) * state) array
-(** [predict_batch t xs] evaluates every input through the batched
-    forward path ([batch] columns at a time, default 128) and classifies
-    each column with the same logic, in input order — results, counters
-    and [last_trip] are identical to mapping {!predict}, at roughly an
-    order of magnitude higher throughput. NaN/Inf cannot leak between
-    samples: matrix columns are independent. Never raises. *)
+(** [predict_batch t xs] is {!classify} over
+    [Nn.Network.forward_each ~batch] (default 128 columns per chunk), in
+    input order — results, counters and [last_trip] are identical to
+    mapping {!predict}, at roughly an order of magnitude higher
+    throughput. NaN/Inf cannot leak between samples: matrix columns are
+    independent. Never raises. *)
 
 val diagnostics : t -> diagnostics
 val reset : t -> unit

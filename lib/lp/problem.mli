@@ -55,7 +55,7 @@ val nnz : t -> int
 
 val density : t -> float
 (** [nnz / (rows · cols)], or [0.] for an empty problem — the sparsity
-    figure the revised simplex ({!Simplex.core} = [Sparse]) exploits. *)
+    figure the sparse revised simplex ({!Sparse}) exploits. *)
 
 val var_name : t -> var -> string
 

@@ -21,19 +21,34 @@ let log_sigma_max = 3.0
 
 let clamp_log_sigma x = Float.max log_sigma_min (Float.min log_sigma_max x)
 
-let softmax logits =
-  let m = Array.fold_left Float.max neg_infinity logits in
-  let e = Array.map (fun x -> exp (x -. m)) logits in
-  let s = Array.fold_left ( +. ) 0.0 e in
-  Array.map (fun x -> x /. s) e
-
-let decode ~components v =
+let check_length ~components v =
   if Array.length v <> output_dim ~components then
     invalid_arg
       (Printf.sprintf "Gmm.decode: expected %d outputs, got %d"
-         (output_dim ~components) (Array.length v));
-  let logits = Array.init components (fun k -> v.(logit_index ~components k)) in
-  let weights = softmax logits in
+         (output_dim ~components) (Array.length v))
+
+(* The softmax of the [components] logits, read straight from [v]:
+   max-fold, [exp], sum, then divide in place. [decode] and
+   [mean_of_output] both take their weights from here, so the mean read
+   either way is the same bits. *)
+let weights_of_output ~components v =
+  let m = ref neg_infinity in
+  for k = 0 to components - 1 do
+    m := Float.max !m v.(logit_index ~components k)
+  done;
+  let m = !m in
+  let e =
+    Array.init components (fun k -> exp (v.(logit_index ~components k) -. m))
+  in
+  let s = Array.fold_left ( +. ) 0.0 e in
+  for k = 0 to components - 1 do
+    e.(k) <- e.(k) /. s
+  done;
+  e
+
+let decode ~components v =
+  check_length ~components v;
+  let weights = weights_of_output ~components v in
   Array.init components (fun k ->
       {
         weight = weights.(k);
@@ -50,6 +65,26 @@ let mean t =
 
 let max_component_mu_lat t =
   Array.fold_left (fun acc c -> Float.max acc c.mu_lat) neg_infinity t
+
+(* [mean (decode v)] without the records and the sigma [exp]s: the same
+   weights, then [mean]'s weighted sums in the same order. *)
+let mean_of_output ~components v =
+  check_length ~components v;
+  let w = weights_of_output ~components v in
+  let lat = ref 0.0 and lon = ref 0.0 in
+  for k = 0 to components - 1 do
+    lat := !lat +. (w.(k) *. v.(mu_lat_index ~components k));
+    lon := !lon +. (w.(k) *. v.(mu_lon_index ~components k))
+  done;
+  (!lat, !lon)
+
+let max_mu_lat_of_output ~components v =
+  check_length ~components v;
+  let m = ref neg_infinity in
+  for k = 0 to components - 1 do
+    m := Float.max !m v.(mu_lat_index ~components k)
+  done;
+  !m
 
 let log_gauss x mu sigma =
   let d = (x -. mu) /. sigma in

@@ -35,6 +35,26 @@ val max_component_mu_lat : t -> float
 (** Upper bound on the mixture's mean lateral velocity: the mixture mean
     is a convex combination of component means, so it is at most this. *)
 
+(** {1 Decode-free readers}
+
+    For callers that need only the mean: each reads the raw output
+    vector directly and is {e bit-identical} to decoding first, for
+    every input (NaN, infinities and softmax overflow included).
+    {!decode} and {!mean_of_output} take their weights from one softmax
+    (max-fold, [exp], sum, divide), and the weighted sums run from
+    [0.0] in the same order as {!mean}; the readers skip the sigma
+    [exp]s and the per-component records. One caveat: a NaN result is NaN on both paths, but when
+    an operation meets two NaNs, which payload survives depends on the
+    operand order the compiler picks for the machine instruction, so
+    NaN payloads are not promised. A wrong-length vector raises the
+    same [Invalid_argument] as {!decode}. *)
+
+val mean_of_output : components:int -> Linalg.Vec.t -> float * float
+(** [mean (decode ~components v)]. *)
+
+val max_mu_lat_of_output : components:int -> Linalg.Vec.t -> float
+(** [max_component_mu_lat (decode ~components v)]. *)
+
 val density : t -> lat:float -> lon:float -> float
 (** Mixture density at an action (diagonal Gaussians). *)
 

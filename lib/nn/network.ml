@@ -50,6 +50,32 @@ let forward_batch t x =
          (Linalg.Mat.rows x) (input_dim t));
   Array.fold_left (fun acc l -> Layer.forward_batch l acc) x t.layers
 
+let forward_each ~batch t xs =
+  let scalar x = match forward t x with y -> Ok y | exception e -> Error e in
+  let in_dim = input_dim t in
+  if Array.exists (fun x -> Array.length x <> in_dim) xs then
+    Array.map scalar xs
+  else begin
+    let n = Array.length xs and batch = max 1 batch in
+    let results = Array.make n (Ok [||]) in
+    let off = ref 0 in
+    while !off < n do
+      let len = min batch (n - !off) in
+      let chunk = Array.sub xs !off len in
+      (match forward_batch t (Linalg.Mat.of_cols ~rows:in_dim chunk) with
+       | y ->
+           for j = 0 to len - 1 do
+             results.(!off + j) <- Ok (Linalg.Mat.col y j)
+           done
+       | exception _ ->
+           for j = 0 to len - 1 do
+             results.(!off + j) <- scalar chunk.(j)
+           done);
+      off := !off + len
+    done;
+    results
+  end
+
 type batch_trace = { pres : Linalg.Mat.t array; posts : Linalg.Mat.t array }
 
 let forward_trace_batch t x =

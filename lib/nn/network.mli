@@ -40,6 +40,17 @@ val forward_batch : t -> Linalg.Mat.t -> Linalg.Mat.t
 (** Raises [Invalid_argument] if [Mat.rows x <> input_dim t]. A
     zero-column batch returns a zero-column result. *)
 
+val forward_each :
+  batch:int -> t -> Linalg.Vec.t array -> (Linalg.Vec.t, exn) result array
+(** [forward_each ~batch t xs] is [forward t x] for every [x] in [xs],
+    in order, with a raised exception kept as [Error]: the one chunked
+    loop over {!forward_batch} behind every replay of many inputs.
+    Inputs go [batch] columns at a time (a [batch] below 1 counts as 1).
+    A chunk whose batched forward raises, or an input set containing
+    any vector of the wrong length, runs the scalar {!forward} one
+    input at a time, so each result is bit-equal to [forward t x] (or
+    its exception) whatever the chunk size. [[||]] gives [[||]]. *)
+
 type batch_trace = {
   pres : Linalg.Mat.t array;   (** pre-activations per layer *)
   posts : Linalg.Mat.t array;  (** activations; [posts.(last)] is the output *)

@@ -284,6 +284,202 @@ let test_campaign_batch_invariance () =
            baseline.Fault.Campaign.trials r.Fault.Campaign.trials))
     [ 7; 25; 128 ]
 
+(* {1 Scalar oracle}
+
+   An independent rebuild of one campaign trial, one scene at a time:
+   the scalar forward, the full mixture decode and [mean] for the
+   unguarded verdict and the clean reference, and a fresh guard's
+   [predict] for the guarded one. Stateful input channels see the
+   scenes once each, in order, as the campaign's do. *)
+let oracle_trial ~envelope ~scenes net fault : Fault.Campaign.trial =
+  let components = envelope.Guard.components in
+  let decoded out =
+    match Nn.Gmm.decode ~components out with
+    | exception _ -> None
+    | mixture -> Some (mixture, Nn.Gmm.mean mixture)
+  in
+  let reference scene =
+    match Nn.Network.forward net scene with
+    | exception _ -> 0.0
+    | out -> (
+        match decoded out with
+        | Some (_, (lat, _)) when Float.is_finite lat -> lat
+        | _ -> 0.0)
+  in
+  (* [None]: the actuator would receive NaN/Inf; otherwise the worst
+     component lateral mean. *)
+  let unguarded faulted input =
+    match Nn.Network.forward faulted input with
+    | exception _ -> None
+    | out when Array.exists (fun x -> not (Float.is_finite x)) out -> None
+    | out -> (
+        match decoded out with
+        | Some (mixture, (lat, lon))
+          when Float.is_finite lat && Float.is_finite lon ->
+            Some (Nn.Gmm.max_component_mu_lat mixture)
+        | _ -> None)
+  in
+  let faulted, channel =
+    match fault with
+    | Fault.Model.Network_fault nf -> (Fault.Model.inject nf net, None)
+    | Fault.Model.Input_fault f -> (net, Some (Fault.Model.input_channel f))
+  in
+  let guard = Guard.make ~envelope faulted in
+  let detected = ref false and escaped = ref false in
+  let nan_raw = ref false and nan_all_tripped = ref true in
+  let violation_raw = ref false and violation_all_flagged = ref true in
+  let max_deviation = ref 0.0 in
+  Array.iter
+    (fun scene ->
+      let input =
+        match channel with
+        | Some ch -> Fault.Model.corrupt ch scene
+        | None -> scene
+      in
+      let raw = unguarded faulted input in
+      match Guard.predict guard input with
+      | exception _ -> escaped := true
+      | (glat, _), state ->
+          if state <> Guard.Nominal then detected := true;
+          (match raw with
+           | None ->
+               nan_raw := true;
+               if state <> Guard.Fallback then nan_all_tripped := false
+           | Some worst ->
+               if worst > envelope.Guard.lat_limit then begin
+                 violation_raw := true;
+                 if state = Guard.Nominal then violation_all_flagged := false
+               end);
+          let dev = Float.abs (glat -. reference scene) in
+          if Float.is_finite dev && dev > !max_deviation then
+            max_deviation := dev)
+    scenes;
+  {
+    Fault.Campaign.fault;
+    detected = !detected;
+    nan_raw = !nan_raw;
+    nan_detected = !nan_raw && !nan_all_tripped;
+    violation_raw = !violation_raw;
+    violation_detected = !violation_raw && !violation_all_flagged;
+    (* 0.05 m/s: the campaign's default [silent_tolerance]. *)
+    silent = (not !detected) && !max_deviation > 0.05;
+    max_deviation = !max_deviation;
+    fallbacks = (Guard.diagnostics guard).Guard.fallbacks;
+    escaped_exception = !escaped;
+  }
+
+let check_trial_bits tag (expected : Fault.Campaign.trial)
+    (got : Fault.Campaign.trial) =
+  let flag name f =
+    Alcotest.(check bool) (tag ^ ": " ^ name) (f expected) (f got)
+  in
+  Alcotest.(check bool) (tag ^ ": fault") true
+    (expected.Fault.Campaign.fault = got.Fault.Campaign.fault);
+  flag "detected" (fun t -> t.Fault.Campaign.detected);
+  flag "nan_raw" (fun t -> t.Fault.Campaign.nan_raw);
+  flag "nan_detected" (fun t -> t.Fault.Campaign.nan_detected);
+  flag "violation_raw" (fun t -> t.Fault.Campaign.violation_raw);
+  flag "violation_detected" (fun t -> t.Fault.Campaign.violation_detected);
+  flag "silent" (fun t -> t.Fault.Campaign.silent);
+  flag "escaped_exception" (fun t -> t.Fault.Campaign.escaped_exception);
+  Alcotest.(check int64) (tag ^ ": max_deviation bits")
+    (Int64.bits_of_float expected.Fault.Campaign.max_deviation)
+    (Int64.bits_of_float got.Fault.Campaign.max_deviation);
+  Alcotest.(check int) (tag ^ ": fallbacks") expected.Fault.Campaign.fallbacks
+    got.Fault.Campaign.fallbacks
+
+(* Every fault kind explicitly (the stateful freeze and stale-hold
+   channels included), the pinned NaN flip, and sampled trials, on the
+   clean scenes and on a set with one truncated scene (which the
+   campaign cannot pack into a batch), at several chunk sizes. *)
+let test_campaign_scalar_oracle () =
+  let net = make_net 9 8 in
+  let clean = scenes 10 25 in
+  (* Just above the clean network's worst component lateral mean, so
+     the clean predictor runs nominal and only faults trip the guard. *)
+  let clean_worst =
+    Array.fold_left
+      (fun acc s ->
+        Float.max acc
+          (Nn.Gmm.max_component_mu_lat
+             (Nn.Gmm.decode ~components (Nn.Network.forward net s))))
+      neg_infinity clean
+  in
+  let envelope =
+    Guard.envelope ~components ~lat_limit:(clean_worst +. 0.01) ()
+  in
+  let nan_fault =
+    match Fault.Campaign.find_nan_fault ~components ~scenes:clean net with
+    | Some f -> f
+    | None -> Alcotest.fail "no NaN-producing bit flip found on I4x8"
+  in
+  let mu_lat0 = Nn.Gmm.mu_lat_index ~components 0 in
+  let faults =
+    Fault.Model.
+      [
+        Network_fault
+          (Weight_bit_flip { layer = 0; row = 3; col = 10; bit = 62 });
+        Network_fault
+          (Weight_bit_flip { layer = 4; row = mu_lat0; col = 2; bit = 61 });
+        Network_fault (Bias_bit_flip { layer = 4; row = mu_lat0; bit = 62 });
+        Network_fault (Bias_bit_flip { layer = 2; row = 0; bit = 52 });
+        Network_fault
+          (Stuck_neuron { layer = 1; neuron = 2; mode = Stuck_saturation });
+        Network_fault
+          (Stuck_neuron { layer = 3; neuron = 0; mode = Stuck_zero });
+        Network_fault (Weight_drift { seed = 5; sigma = 0.3 });
+        Input_fault (Sensor_dropout { feature = 7 });
+        Input_fault (Sensor_freeze { feature = 0 });
+        Input_fault (Stale_hold { feature = 1; lag = 3 });
+        nan_fault;
+      ]
+  in
+  let truncated = Array.append clean [| Array.sub clean.(0) 0 40 |] in
+  List.iter
+    (fun (set, scenes, mixed) ->
+      List.iter
+        (fun batch ->
+          let r =
+            Fault.Campaign.run ~rng:(Linalg.Rng.create 41) ~envelope ~batch
+              ~faults ~scenes ~trials:10 net
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s, batch %d: trial count" set batch)
+            (List.length faults + 10)
+            (Array.length r.Fault.Campaign.trials);
+          Array.iteri
+            (fun i (got : Fault.Campaign.trial) ->
+              check_trial_bits
+                (Printf.sprintf "%s, batch %d, trial %d (%s)" set batch i
+                   (Fault.Model.describe got.Fault.Campaign.fault))
+                (oracle_trial ~envelope ~scenes net got.Fault.Campaign.fault)
+                got)
+            r.Fault.Campaign.trials;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, batch %d: the pinned flip is a NaN trial" set
+               batch)
+            true
+            r.Fault.Campaign.trials.(List.length faults - 1).Fault.Campaign
+              .nan_raw;
+          let some name f =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s, batch %d: some trial %s" set batch name)
+              true
+              (Array.exists f r.Fault.Campaign.trials)
+          in
+          (* The truncated scene trips the guard in every trial. *)
+          if mixed then begin
+            some "violates" (fun t -> t.Fault.Campaign.violation_raw);
+            some "is silent" (fun t -> t.Fault.Campaign.silent);
+            some "is benign" (fun t ->
+                (not t.Fault.Campaign.detected) && not t.Fault.Campaign.silent)
+          end)
+        [ 1; 7; 128 ])
+    [
+      ("clean scenes", clean, true);
+      ("one truncated scene", truncated, false);
+    ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "fault"
@@ -311,5 +507,6 @@ let () =
           quick "re-queues dead worker" test_campaign_requeues_dead_worker;
           quick "reverify sound" test_campaign_reverify_sound;
           quick "batch invariance" test_campaign_batch_invariance;
+          quick "scalar oracle" test_campaign_scalar_oracle;
         ] );
     ]

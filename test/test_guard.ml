@@ -176,6 +176,24 @@ let prop_never_raises_always_finite =
       | (lat, lon), _ -> Float.is_finite lat && Float.is_finite lon
       | exception _ -> false)
 
+(* A forward that raised, handed in as [Error]: the guard falls back
+   and records the exception, exactly as [predict] does when its own
+   forward raises. *)
+let test_classify_forward_raised () =
+  let guard = Guard.make ~envelope:(env 1.0) (const_net (head ~lat:0.3 ~lon:0.1)) in
+  let (lat, lon), state = Guard.classify guard input (Error (Failure "boom")) in
+  Alcotest.(check bool) "fallback" true (state = Guard.Fallback);
+  Alcotest.(check bool) "finite" true (Float.is_finite lat && Float.is_finite lon);
+  let d = Guard.diagnostics guard in
+  Alcotest.(check int) "counted" 1 d.Guard.predictions;
+  Alcotest.(check int) "one exception trip" 1 d.Guard.exception_trips;
+  Alcotest.(check int) "one fallback" 1 d.Guard.fallbacks;
+  match d.Guard.last_trip with
+  | Some (Guard.Forward_raised { exn }) ->
+      Alcotest.(check string) "exception recorded"
+        (Printexc.to_string (Failure "boom")) exn
+  | _ -> Alcotest.fail "expected Forward_raised trip"
+
 (* {1 Batched prediction} *)
 
 (* [predict_batch] must be observationally identical to mapping
@@ -247,6 +265,7 @@ let () =
           quick "out of range" test_out_of_range_falls_back;
           quick "fenced fallback" test_fallback_is_fenced;
           quick "counters" test_counters_consistent;
+          quick "classify forward raised" test_classify_forward_raised;
         ] );
       ( "envelope",
         [

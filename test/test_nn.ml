@@ -132,6 +132,12 @@ let batch_of rng net n =
   Array.init n (fun _ ->
       Array.init input_dim (fun _ -> Linalg.Rng.uniform rng (-2.0) 2.0))
 
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
 (* Batched forward must be bit-equal to the scalar path, per column, for
    every activation at every bench width (the ISSUE's parity matrix). *)
 let test_forward_batch_parity_matrix () =
@@ -179,6 +185,28 @@ let test_forward_batch_edges () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* One wrong-length input sends the whole set through the scalar
+   forward: its own result is the exception, the rest are unaffected. *)
+let test_forward_each_edges () =
+  let rng = Linalg.Rng.create 8 in
+  let net = Nn.Network.create ~rng [ 4; 6; 3 ] in
+  Alcotest.(check int) "empty in, empty out" 0
+    (Array.length (Nn.Network.forward_each ~batch:7 net [||]));
+  let inputs = batch_of rng net 5 in
+  inputs.(2) <- [| 0.1; 0.2 |];
+  let each = Nn.Network.forward_each ~batch:2 net inputs in
+  Array.iteri
+    (fun i r ->
+      match (i, r) with
+      | 2, Error (Invalid_argument _) -> ()
+      | 2, _ -> Alcotest.fail "wrong-arity input: expected Error"
+      | _, Ok out ->
+          if not (bits_equal (Nn.Network.forward net inputs.(i)) out) then
+            Alcotest.failf "input %d differs from the scalar forward" i
+      | _, Error e ->
+          Alcotest.failf "input %d raised %s" i (Printexc.to_string e))
+    each
+
 let test_forward_trace_batch_parity () =
   let rng = Linalg.Rng.create 9 in
   let net = Nn.Network.create ~rng [ 5; 7; 7; 4 ] in
@@ -198,6 +226,9 @@ let test_forward_trace_batch_parity () =
         t.Nn.Network.pre)
     inputs
 
+(* Both batched paths against the scalar forward: [forward_batch]'s
+   columns, and [forward_each]'s results at chunk sizes that do and do
+   not divide the input count. *)
 let prop_forward_batch_matches_scalar =
   QCheck.Test.make ~name:"forward_batch = per-column forward (bit-exact)"
     ~count:50
@@ -223,13 +254,20 @@ let prop_forward_batch_matches_scalar =
       let y =
         Nn.Network.forward_batch net (Linalg.Mat.of_cols ~rows:input_dim inputs)
       in
+      let expected = Array.map (Nn.Network.forward net) inputs in
       Linalg.Mat.cols y = n
       && Array.for_all
-           (fun j ->
-             Linalg.Vec.approx_equal ~eps:0.0
-               (Nn.Network.forward net inputs.(j))
-               (Linalg.Mat.col y j))
-           (Array.init n Fun.id))
+           (fun j -> bits_equal expected.(j) (Linalg.Mat.col y j))
+           (Array.init n Fun.id)
+      && List.for_all
+           (fun batch ->
+             let each = Nn.Network.forward_each ~batch net inputs in
+             Array.length each = n
+             && Array.for_all2
+                  (fun e r ->
+                    match r with Ok out -> bits_equal e out | Error _ -> false)
+                  expected each)
+           [ 1; 7; n; 128 ])
 
 let test_create_validation () =
   let rng = Linalg.Rng.create 4 in
@@ -328,6 +366,69 @@ let test_gmm_log_likelihood_matches_density () =
   Alcotest.(check (float 1e-9)) "exp(ll) = density"
     (Nn.Gmm.density g ~lat:0.2 ~lon:0.7)
     (exp (Nn.Gmm.log_likelihood g ~lat:0.2 ~lon:0.7))
+
+(* The decode-free readers against decoding first, bit for bit, on
+   outputs salted with what breaks a softmax or a weighted sum: NaN,
+   infinities, logits far apart enough to underflow [exp], means whose
+   products overflow, signed zeros. A NaN result must be NaN on both
+   sides; its payload is not compared (see [Nn.Gmm]). *)
+let prop_gmm_mean_of_output_bit_identical =
+  let special =
+    [|
+      Float.nan; Float.infinity; Float.neg_infinity; 1e308; -1e308; 800.0;
+      -800.0; 0.0; -0.0;
+    |]
+  in
+  QCheck.Test.make ~name:"decode-free mean/max = decode, then read (bit-exact)"
+    ~count:1000
+    QCheck.(triple (int_range 1 4) (int_range 0 4) (int_range 0 100000))
+    (fun (components, salt, seed) ->
+      let rng = Linalg.Rng.create seed in
+      let v =
+        Array.init (Nn.Gmm.output_dim ~components) (fun _ ->
+            if Linalg.Rng.int rng 4 < salt then
+              special.(Linalg.Rng.int rng (Array.length special))
+            else Linalg.Rng.uniform rng (-5.0) 5.0)
+      in
+      let same x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        || (Float.is_nan x && Float.is_nan y)
+      in
+      (* A plain array softmax, the reference for [decode]'s weights. *)
+      let logits = Array.sub v 0 components in
+      let m = Array.fold_left Float.max neg_infinity logits in
+      let e = Array.map (fun x -> exp (x -. m)) logits in
+      let s = Array.fold_left ( +. ) 0.0 e in
+      let weights = Array.map (fun x -> x /. s) e in
+      let mixture = Nn.Gmm.decode ~components v in
+      let lat, lon = Nn.Gmm.mean mixture in
+      let lat', lon' = Nn.Gmm.mean_of_output ~components v in
+      Array.for_all2 (fun w c -> same w c.Nn.Gmm.weight) weights mixture
+      && same lat lat' && same lon lon'
+      && same
+           (Nn.Gmm.max_component_mu_lat mixture)
+           (Nn.Gmm.max_mu_lat_of_output ~components v))
+
+let test_gmm_readers_reject_wrong_length () =
+  let message f =
+    match f () with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.fail "wrong-length output accepted"
+  in
+  List.iter
+    (fun len ->
+      let v = Array.make len 0.0 in
+      let expected = message (fun () -> ignore (decode3 v)) in
+      Alcotest.(check string)
+        (Printf.sprintf "mean_of_output, length %d" len)
+        expected
+        (message (fun () -> ignore (Nn.Gmm.mean_of_output ~components:3 v)));
+      Alcotest.(check string)
+        (Printf.sprintf "max_mu_lat_of_output, length %d" len)
+        expected
+        (message (fun () ->
+             ignore (Nn.Gmm.max_mu_lat_of_output ~components:3 v))))
+    [ 0; 14; 16 ]
 
 let prop_gmm_grad_matches_finite_diff =
   QCheck.Test.make ~name:"MDN gradient matches finite differences" ~count:50
@@ -525,6 +626,7 @@ let () =
         [
           quick "parity matrix" test_forward_batch_parity_matrix;
           quick "edge cases" test_forward_batch_edges;
+          quick "forward_each edges" test_forward_each_edges;
           quick "trace parity" test_forward_trace_batch_parity;
         ] );
       ( "gmm",
@@ -537,6 +639,8 @@ let () =
           quick "density integrates" test_gmm_density_integrates;
           quick "sampling" test_gmm_sample_within_reason;
           quick "log likelihood" test_gmm_log_likelihood_matches_density;
+          quick "readers reject wrong length"
+            test_gmm_readers_reject_wrong_length;
         ] );
       ( "quantize",
         [
@@ -557,6 +661,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_gmm_grad_matches_finite_diff;
+            prop_gmm_mean_of_output_bit_identical;
             prop_io_roundtrip_random;
             prop_forward_batch_matches_scalar;
           ] );
