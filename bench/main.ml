@@ -293,15 +293,15 @@ let mcdc () =
 (* {1 Ablations (Sec. IV(ii): scalability)} *)
 
 let ablation () =
-  heading "Ablation: encoding and search choices (Sec. IV(ii) scalability)";
+  heading "Ablation: encoding choices (Sec. IV(ii) scalability)";
   let width = List.hd widths in
   let net = train_width width in
   let box = Lazy.force scenario in
   let run name ?(bound_mode = Encoding.Encoder.Interval_bounds)
-      ?(tighten_rounds = 1) ?portfolio () =
+      ?(tighten_rounds = 1) () =
     let r =
       Verify.Driver.max_lateral_velocity ~time_limit ~bound_mode
-        ~tighten_rounds ?portfolio ~components net box
+        ~tighten_rounds ~components net box
     in
     Printf.printf "%-34s binaries=%-4d nodes=%-6d pivots=%-8d %6.1fs %s\n%!"
       name r.Verify.Driver.unstable_neurons r.Verify.Driver.nodes
@@ -314,7 +314,6 @@ let ablation () =
   Printf.printf "verifying I4x%d under different configurations:\n\n" width;
   run "interval big-M + OBBT, best-first" ();
   run "interval big-M, no OBBT" ~tighten_rounds:0 ();
-  run "interval big-M + OBBT, lone diver" ~portfolio:(1, 0) ();
   run "coarse big-M (radius 4), no OBBT"
     ~bound_mode:(Encoding.Encoder.Coarse 4.0) ~tighten_rounds:0 ();
   print_newline ();

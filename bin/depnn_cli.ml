@@ -42,44 +42,10 @@ let width_arg =
 let epochs_arg =
   Arg.(value & opt int 20 & info [ "epochs" ] ~docv:"N" ~doc:"Training epochs.")
 
-let cores_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "cores" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the MILP verifier (bound tightening and \
-           branch & bound); 1 = sequential.")
-
-let portfolio_conv =
-  let parse s =
-    match Milp.Parallel.portfolio_of_string s with
-    | Some split -> Ok split
-    | None ->
-        Error
-          (`Msg
-             "expected D:P (divers:provers), two non-negative integers \
-              with at least one worker in total")
-  in
-  let print ppf (d, p) = Format.fprintf ppf "%d:%d" d p in
-  Arg.conv (parse, print)
-
-let portfolio_arg =
-  Arg.(
-    value
-    & opt (some portfolio_conv) None
-    & info [ "portfolio" ] ~docv:"D:P"
-        ~env:(Cmd.Env.info "DEPNN_PORTFOLIO")
-        ~doc:
-          "Diver:prover split for the branch & bound portfolio inside \
-           each MILP query ($(b,D) depth-first diving domains hunting \
-           incumbents, $(b,P) best-first proving domains driving the \
-           bound). Overrides the split derived from $(b,--cores) and \
-           disables the per-component query fan-out.")
-
 (* A plain [Arg.int] would accept 0 or negative sizes and only blow up
-   deep inside the replay; reject them at the usage level like the other
-   suffixed options ($(b,--portfolio), $(b,--bound-mode)). [what] names
-   the count in the error message. *)
+   deep inside the run (or silently run on one core); reject them at the
+   usage level like the other suffixed options ($(b,--bound-mode)).
+   [what] names the count in the error message. *)
 let positive_int_conv what =
   let parse s =
     match int_of_string_opt (String.trim s) with
@@ -88,6 +54,33 @@ let positive_int_conv what =
         Error (`Msg (Printf.sprintf "expected a positive integer (%s)" what))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let cores_arg =
+  Arg.(
+    value
+    & opt (positive_int_conv "worker domains") 1
+    & info [ "cores" ] ~docv:"N"
+        ~doc:
+          "Worker domains for the MILP verifier (bound tightening and \
+           branch & bound); 1 = sequential.")
+
+(* A float option that only [accept]ed values pass; [msg] says why the
+   others are usage errors. *)
+let checked_float_conv ~accept msg =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some f when accept f -> Ok f
+    | Some _ | None -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* A time budget the deadline arithmetic can use: a NaN makes every
+   deadline comparison false, so the solve never stops. The rule is the
+   serve protocol's: finite and >= 0. *)
+let time_limit_conv =
+  checked_float_conv
+    ~accept:(fun t -> Float.is_finite t && t >= 0.0)
+    "time limit must be finite and >= 0"
 
 let batch_conv = positive_int_conv "columns per batched forward"
 
@@ -301,14 +294,12 @@ let net_arg =
     & pos 0 (some file) None
     & info [] ~docv:"NETWORK" ~doc:"Trained network file (depnn-network v1).")
 
-let verify net_path threshold time_limit slack cores portfolio bound_mode
-    certify_dir resume split =
+let verify net_path threshold time_limit slack cores bound_mode certify_dir
+    split =
   let net = load_net net_path in
-  Printf.printf "verifying %s (%s, %s bounds)\n"
-    (Nn.Network.describe net)
-    (match portfolio with
-     | Some (d, p) -> Printf.sprintf "portfolio %d diver:%d prover" d p
-     | None -> Printf.sprintf "%d core%s" cores (if cores = 1 then "" else "s"))
+  Printf.printf "verifying %s (%d core%s, %s bounds)\n"
+    (Nn.Network.describe net) cores
+    (if cores = 1 then "" else "s")
     (bound_mode_name bound_mode);
   let box = Verify.Scenario.vehicle_on_left ~slack () in
   (* Pre-OBBT stability under both analyses, so the binary-count
@@ -334,8 +325,8 @@ let verify net_path threshold time_limit slack cores portfolio bound_mode
          "partitioned decision query: skipping the exact maximisation"
    | None ->
        let r =
-         Verify.Driver.max_lateral_velocity ~time_limit ~cores ?portfolio
-           ~components ~bound_mode net box
+         Verify.Driver.max_lateral_velocity ~time_limit ~cores ~components
+           ~bound_mode net box
        in
        (match (r.Verify.Driver.value, r.Verify.Driver.optimal) with
         | Some v, true ->
@@ -375,8 +366,8 @@ let verify net_path threshold time_limit slack cores portfolio bound_mode
            ob.Encoding.Encoder.probes ob.Encoding.Encoder.refined
            ob.Encoding.Encoder.failed ob.Encoding.Encoder.skipped_budget);
   let proof =
-    Verify.Driver.prove_lateral_velocity_le ~time_limit ~cores ?portfolio
-      ~components ~bound_mode ~threshold ?certify_dir ~resume ?split net box
+    Verify.Driver.prove_lateral_velocity_le ~time_limit ~cores ~components
+      ~bound_mode ~threshold ?certify_dir ?split net box
   in
   (match proof.Verify.Driver.partition with
    | Some stats ->
@@ -428,18 +419,11 @@ let certify_dir_arg =
           "Write an auditable proof certificate per component plus a \
            crash-safe journal into $(docv); replay them independently \
            with $(b,depnn audit). Forces re-encodable solves (no OBBT, \
-           no analysis node bounds); $(b,--cores) and $(b,--portfolio) \
-           still apply.")
-
-let resume_arg =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "Skip components already settled in the $(b,--certify) \
-           directory's journal for the same network and property \
-           (survives kills: a torn journal line is ignored and the \
-           component re-proved).")
+           no analysis node bounds); $(b,--cores) still applies. \
+           Components the directory's journal already settled for the \
+           same network and property are not re-proved (this survives \
+           kills: a torn journal line is ignored and the component \
+           re-proved); use a fresh directory for fresh evidence.")
 
 let split_conv =
   let parse s =
@@ -476,7 +460,7 @@ let verify_cmd =
          & info [ "threshold" ] ~docv:"V" ~doc:"Lateral velocity limit (m/s).")
   in
   let time_limit =
-    Arg.(value & opt float 60.0
+    Arg.(value & opt time_limit_conv 60.0
          & info [ "time-limit" ] ~docv:"S" ~doc:"Wall-clock budget in seconds.")
   in
   let slack =
@@ -487,8 +471,7 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Formally verify the vehicle-on-left safety property (pillar B).")
     Term.(const verify $ net_arg $ threshold $ time_limit $ slack $ cores_arg
-          $ portfolio_arg $ bound_mode_arg $ certify_dir_arg $ resume_arg
-          $ split_arg)
+          $ bound_mode_arg $ certify_dir_arg $ split_arg)
 
 (* {1 audit} *)
 
@@ -630,24 +613,24 @@ let record_scenes ~seed ~n =
 
 (* The runtime envelope: either the caller's explicit limit, or the
    MILP-proven bound over the vehicle-on-left scenario box. *)
-let derive_envelope ~lat_limit ~time_limit ~cores ~portfolio net =
+let derive_envelope ~lat_limit ~time_limit ~cores net =
   match lat_limit with
   | Some l -> Guard.envelope ~components ~lat_limit:l ()
   | None ->
       Printf.printf "verifying envelope (%.0fs budget)...\n%!" time_limit;
       let box = Verify.Scenario.vehicle_on_left () in
       let r =
-        Verify.Driver.max_lateral_velocity ~time_limit ~cores ?portfolio
-          ~components net box
+        Verify.Driver.max_lateral_velocity ~time_limit ~cores ~components net
+          box
       in
       let e = Guard.envelope_of_verification ~components r in
       Printf.printf "proven lat limit: %.3f m/s\n%!" e.Guard.lat_limit;
       e
 
 let fault_campaign net_path seed width trials scenes lat_limit time_limit
-    cores portfolio batch reverify smoke =
+    cores batch reverify smoke =
   let net = load_or_synthesize net_path ~seed ~width in
-  let envelope = derive_envelope ~lat_limit ~time_limit ~cores ~portfolio net in
+  let envelope = derive_envelope ~lat_limit ~time_limit ~cores net in
   let scenes = record_scenes ~seed ~n:scenes in
   let rng = Linalg.Rng.create seed in
   (* In smoke mode, pin a known overflow-producing bit flip so the NaN
@@ -704,12 +687,7 @@ let scenes_arg =
 (* The envelope must be a number the guard can compare against: NaN or
    an infinity is a usage error, not an uncaught exception. *)
 let finite_float_conv =
-  let parse s =
-    match float_of_string_opt (String.trim s) with
-    | Some f when Float.is_finite f -> Ok f
-    | Some _ | None -> Error (`Msg "expected a finite number")
-  in
-  Arg.conv (parse, Format.pp_print_float)
+  checked_float_conv ~accept:Float.is_finite "expected a finite number"
 
 let lat_limit_arg =
   Arg.(
@@ -722,7 +700,7 @@ let lat_limit_arg =
            (slower).")
 
 let time_limit_arg =
-  Arg.(value & opt float 30.0
+  Arg.(value & opt time_limit_conv 30.0
        & info [ "time-limit" ] ~docv:"S"
            ~doc:"Verification budget when proving the envelope (seconds).")
 
@@ -745,17 +723,17 @@ let fault_campaign_cmd =
        ~doc:"Inject seeded faults and measure how the runtime guard degrades.")
     Term.(const fault_campaign $ opt_net_arg $ seed_arg $ width_arg
           $ trials_arg $ scenes_arg $ lat_limit_arg $ time_limit_arg
-          $ cores_arg $ portfolio_arg $ batch_arg $ reverify $ smoke)
+          $ cores_arg $ batch_arg $ reverify $ smoke)
 
 let fault_cmd =
   Cmd.group
     (Cmd.info "fault" ~doc:"Fault-injection experiments on the predictor.")
     [ fault_campaign_cmd ]
 
-let guard_run net_path seed width scenes lat_limit time_limit cores portfolio
-    batch demo_fault =
+let guard_run net_path seed width scenes lat_limit time_limit cores batch
+    demo_fault =
   let net = load_or_synthesize net_path ~seed ~width in
-  let envelope = derive_envelope ~lat_limit ~time_limit ~cores ~portfolio net in
+  let envelope = derive_envelope ~lat_limit ~time_limit ~cores net in
   let scenes = record_scenes ~seed ~n:scenes in
   let subject, channel =
     if not demo_fault then (net, None)
@@ -792,8 +770,8 @@ let guard_cmd =
          "Replay scenes through the runtime safety monitor and print its \
           diagnostics.")
     Term.(const guard_run $ opt_net_arg $ seed_arg $ width_arg $ scenes_arg
-          $ lat_limit_arg $ time_limit_arg $ cores_arg $ portfolio_arg
-          $ batch_arg $ demo_fault)
+          $ lat_limit_arg $ time_limit_arg $ cores_arg $ batch_arg
+          $ demo_fault)
 
 (* {1 serve / client} *)
 
@@ -839,7 +817,7 @@ let serve net_path socket workers cache_dir queue max_time stats_interval
 
 let serve_cmd =
   let workers =
-    Arg.(value & opt int 2
+    Arg.(value & opt (positive_int_conv "worker domains") 2
          & info [ "workers" ] ~docv:"N"
              ~doc:"Worker domains solving cache misses.")
   in
@@ -852,12 +830,12 @@ let serve_cmd =
                 restart.")
   in
   let queue =
-    Arg.(value & opt int 64
+    Arg.(value & opt (positive_int_conv "queued cache misses") 64
          & info [ "queue" ] ~docv:"N"
              ~doc:"Queued cache misses before new ones are refused.")
   in
   let max_time =
-    Arg.(value & opt float 60.0
+    Arg.(value & opt time_limit_conv 60.0
          & info [ "max-time-limit" ] ~docv:"S"
              ~doc:"Cap on any client's requested solve budget (seconds).")
   in
@@ -1005,14 +983,13 @@ let client_cmd =
 
 (* {1 certify} *)
 
-let certify seed width samples epochs cores portfolio batch =
+let certify seed width samples epochs cores batch =
   let config =
     {
       (Pipeline.default_config ~width ~seed ()) with
       Pipeline.n_samples = samples;
       epochs;
       verify_cores = cores;
-      verify_portfolio = portfolio;
       batch;
     }
   in
@@ -1033,7 +1010,7 @@ let certify_cmd =
   Cmd.v
     (Cmd.info "certify" ~doc:"Run the full three-pillar certification pipeline.")
     Term.(const certify $ seed_arg $ width_arg $ samples_arg $ epochs_arg
-          $ cores_arg $ portfolio_arg $ batch_arg)
+          $ cores_arg $ batch_arg)
 
 let () =
   let doc = "dependable neural networks for safety-critical applications" in

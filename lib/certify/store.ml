@@ -41,8 +41,8 @@ let locked t f =
    their own checksum (a torn tail parses to nothing), certificates
    their own, and {!Journal.trusted} admits a settled component only on
    a certificate about the directory's own network and property. The
-   last journal entry per component wins, mirroring [Audit.run] and
-   [--resume]. *)
+   last journal entry per component wins, mirroring [Audit.run] and a
+   certified verify re-run in the same directory. *)
 let recover_dir root name =
   let dir = Filename.concat root name in
   match Journal.load ~dir with

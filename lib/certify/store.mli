@@ -9,8 +9,9 @@
     plus the append-only fsynced {!Journal}), so every cached verdict
     remains independently replayable with [depnn audit] and a restarted
     server recovers its whole cache from disk — torn journal tails and
-    mutated certificates are skipped exactly as a [--resume] would skip
-    them, and the question is re-proved, never trusted.
+    mutated certificates are skipped exactly as a certified re-run in
+    the same directory would skip them, and the question is re-proved,
+    never trusted.
 
     Two kinds of hit:
 

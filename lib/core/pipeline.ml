@@ -10,7 +10,6 @@ type config = {
   threshold : float;
   verify_time_limit : float;
   verify_cores : int;
-  verify_portfolio : (int * int) option;
   batch : int;
 }
 
@@ -27,7 +26,6 @@ let default_config ?(width = 10) ?(seed = 7) () =
     threshold = 1.5;
     verify_time_limit = 60.0;
     verify_cores = 1;
-    verify_portfolio = None;
     batch = Guard.default_batch;
   }
 
@@ -91,14 +89,12 @@ let run ?(progress = fun _ -> ()) config =
   let scenario = Verify.Scenario.vehicle_on_left ~slack:config.scenario_slack () in
   let verification =
     Verify.Driver.max_lateral_velocity ~time_limit:config.verify_time_limit
-      ~cores:config.verify_cores ?portfolio:config.verify_portfolio
-      ~components:config.components net scenario
+      ~cores:config.verify_cores ~components:config.components net scenario
   in
   let proof =
     Verify.Driver.prove_lateral_velocity_le
       ~time_limit:config.verify_time_limit ~cores:config.verify_cores
-      ?portfolio:config.verify_portfolio ~components:config.components
-      ~threshold:config.threshold net scenario
+      ~components:config.components ~threshold:config.threshold net scenario
   in
   progress "runtime guard: turning the proven bound into a monitor";
   let guard_envelope =

@@ -1,7 +1,7 @@
 (* Domain plumbing shared by the branch & bound pool ({!Solver.solve})
    and the independent-LP fan-outs (OBBT probes, per-component queries,
-   partition leaves): core-count and portfolio parsing, and a generic
-   work-stealing map over OCaml 5 domains. *)
+   partition leaves): core-count parsing and a generic work-stealing map
+   over OCaml 5 domains. *)
 
 let available_cores () = Domain.recommended_domain_count ()
 
@@ -24,32 +24,6 @@ let cores_of_env () =
              integer); running on 1 core\n%!"
             s;
           1)
-
-let portfolio_of_string s =
-  match String.index_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let divers = String.sub s 0 i
-      and provers = String.sub s (i + 1) (String.length s - i - 1) in
-      match
-        ( int_of_string_opt (String.trim divers),
-          int_of_string_opt (String.trim provers) )
-      with
-      | Some d, Some p when d >= 0 && p >= 0 && d + p >= 1 -> Some (d, p)
-      | _ -> None)
-
-let portfolio_of_env () =
-  match Sys.getenv_opt "DEPNN_PORTFOLIO" with
-  | None -> None
-  | Some s -> (
-      match portfolio_of_string s with
-      | Some split -> Some split
-      | None ->
-          Printf.eprintf
-            "depnn: ignoring malformed DEPNN_PORTFOLIO=%S (want D:P with \
-             D + P >= 1); using the default split\n%!"
-            s;
-          None)
 
 (* {1 Generic domain fan} *)
 

@@ -1,7 +1,7 @@
-(** Domain plumbing on OCaml 5: core-count and portfolio-split parsing
-    for the branch & bound pool ({!Solver.solve} takes [?cores] and
-    [?portfolio]), and a generic work-stealing {!map} for independent
-    work items such as OBBT probes or per-component queries. *)
+(** Domain plumbing on OCaml 5: core-count parsing for the branch &
+    bound pool ({!Solver.solve} takes [?cores]), and a generic
+    work-stealing {!map} for independent work items such as OBBT probes
+    or per-component queries. *)
 
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
@@ -14,16 +14,6 @@ val cores_of_env : unit -> int
     a malformed value is rejected with a one-line [stderr] warning
     naming it (it used to be silently coerced to 1, hiding typos like
     [DEPNN_CORES=four] from CI logs) and also falls back to 1. *)
-
-val portfolio_of_string : string -> (int * int) option
-(** Parse a ["D:P"] portfolio split (divers [:] provers): two
-    non-negative integers with [D + P >= 1], else [None]. *)
-
-val portfolio_of_env : unit -> (int * int) option
-(** Parse the [DEPNN_PORTFOLIO] environment variable as ["D:P"]. Unset
-    means no explicit split ({!Solver.solve} then derives one from
-    [cores]); a malformed value warns on [stderr] and is treated as
-    unset. *)
 
 val map : ?cores:int -> init:(unit -> 'state) -> ('state -> 'a -> 'b) -> 'a array -> 'b array
 (** [map ~cores ~init f items]: apply [f state item] to every item, the

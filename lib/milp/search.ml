@@ -145,58 +145,24 @@ let fractionality x =
 type branch_rule =
   | Most_fractional
   | Priority of (Model.var -> int)
-  | Pseudo_first of int array
 
 let select_branch_var rule ints int_eps x =
   let fractional =
     List.filter (fun v -> fractionality x.(v) > int_eps) ints
   in
-  match fractional with
-  | [] -> None
-  | first_fractional :: _ -> (
-      match rule with
-      | Most_fractional ->
-          let best =
-            List.fold_left
-              (fun acc v ->
-                match acc with
-                | None -> Some v
-                | Some b ->
-                    if fractionality x.(v) > fractionality x.(b) then Some v
-                    else acc)
-              None fractional
-          in
-          best
-      | Priority priority ->
-          let best =
-            List.fold_left
-              (fun acc v ->
-                match acc with
-                | None -> Some v
-                | Some b ->
-                    let pv = priority v and pb = priority b in
-                    if
-                      pv < pb
-                      || (pv = pb && fractionality x.(v) > fractionality x.(b))
-                    then Some v
-                    else acc)
-              None fractional
-          in
-          best
-      | Pseudo_first order ->
-          (* Scan the order array in place: this runs on every node, so
-             the old [Array.to_list |> List.filter] rebuild allocated a
-             list per node for nothing. First ordered variable that is
-             fractional wins; none fractional falls back to the first
-             fractional integer (the outer match guarantees one). *)
-          let n = Array.length order in
-          let rec scan i =
-            if i >= n then Some first_fractional
-            else
-              let v = order.(i) in
-              if fractionality x.(v) > int_eps then Some v else scan (i + 1)
-          in
-          scan 0)
+  (* [better v b]: branch on [v] rather than on [b]. *)
+  let better =
+    match rule with
+    | Most_fractional -> fun v b -> fractionality x.(v) > fractionality x.(b)
+    | Priority priority ->
+        fun v b ->
+          let pv = priority v and pb = priority b in
+          pv < pb || (pv = pb && fractionality x.(v) > fractionality x.(b))
+  in
+  List.fold_left
+    (fun acc v ->
+      match acc with Some b when not (better v b) -> acc | _ -> Some v)
+    None fractional
 
 (* Evaluate [f] with [node]'s bound chain applied to [problem], then
    undo every write through the journal. Fixes are applied root-first so

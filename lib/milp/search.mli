@@ -61,7 +61,6 @@ end
 type branch_rule =
   | Most_fractional
   | Priority of (Model.var -> int)
-  | Pseudo_first of int array
 
 val fractionality : float -> float
 

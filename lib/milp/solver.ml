@@ -46,7 +46,6 @@ type result = {
 type branch_rule = Search.branch_rule =
   | Most_fractional
   | Priority of (Model.var -> int)
-  | Pseudo_first of int array
 
 type leaf_cert =
   | Leaf_bounded of float array
@@ -64,9 +63,15 @@ type leaf_cert =
    the nodes with the best bounds, out to the provers. *)
 let dive_open = 4
 
+(* The absolute optimality gap below which a node is pruned against the
+   incumbent, and the distance from an integer below which a variable
+   counts as integral. *)
+let eps = 1e-6
+let int_eps = 1e-6
+
 let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
-    ?(node_limit = max_int) ?(eps = 1e-6) ?(int_eps = 1e-6)
-    ?(branch_rule = Most_fractional) ?(cutoff = neg_infinity)
+    ?(node_limit = max_int) ?(branch_rule = Most_fractional)
+    ?(cutoff = neg_infinity)
     ?primal_heuristic ?node_bound ?objective ?(warm = true) ?on_leaf
     model =
   let divers, provers =
@@ -377,46 +382,4 @@ let solve ?(cores = 1) ?portfolio ?(time_limit = infinity)
     failed_workers = !failed;
     first_incumbent_nodes = Option.map fst (Atomic.get first);
     first_incumbent_elapsed = Option.map snd (Atomic.get first);
-  }
-
-let solve_min ?cores ?portfolio ?time_limit ?node_limit ?eps ?int_eps
-    ?branch_rule ?cutoff ?primal_heuristic ?node_bound ?objective ?warm
-    model =
-  (* Negate the objective on a private copy of the model, maximise, then
-     report back in min sense. The caller's model is never touched, so
-     concurrent solves over the same model are safe and an exception
-     cannot leave the objective negated. An explicit objective override
-     is negated the same way before it lands on [solve]'s private copy. *)
-  let minned = Model.copy model in
-  let problem = Model.lp minned in
-  let n = Lp.Problem.num_vars problem in
-  let original = Lp.Problem.objective problem in
-  let negated = List.init n (fun v -> (v, -.original.(v))) in
-  Lp.Problem.set_objective problem negated;
-  let neg_objective =
-    Option.map (List.map (fun (v, c) -> (v, -.c))) objective
-  in
-  let neg_heuristic =
-    Option.map
-      (fun h x -> Option.map (fun (p, v) -> (p, -.v)) (h x))
-      primal_heuristic
-  in
-  (* A min-sense node bound is a lower bound on the subtree minimum;
-     negated it is an upper bound on the negated-objective maximum. *)
-  let neg_node_bound =
-    Option.map
-      (fun f fixes -> Option.map (fun b -> -.b) (f fixes))
-      node_bound
-  in
-  let r =
-    solve ?cores ?portfolio ?time_limit ?node_limit ?eps ?int_eps
-      ?branch_rule
-      ?cutoff:(Option.map (fun c -> -.c) cutoff)
-      ?primal_heuristic:neg_heuristic ?node_bound:neg_node_bound
-      ?objective:neg_objective ?warm minned
-  in
-  {
-    r with
-    incumbent = Option.map (fun (x, v) -> (x, -.v)) r.incumbent;
-    best_bound = -.r.best_bound;
   }

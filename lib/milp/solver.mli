@@ -34,7 +34,7 @@
     (the depth-first search) are deterministic, node counts and leaf
     stream included. For any core count or split, a completed search
     agrees on the [outcome], the incumbent objective and [best_bound]
-    up to [eps]; [nodes], [lp_iterations], the particular optimal point
+    up to the 1e-6 optimality gap; [nodes], [lp_iterations], the particular optimal point
     and the order of [on_leaf] calls may differ because exploration
     order is timing-dependent.
 
@@ -50,7 +50,7 @@
     possibly retried nodes) but never unsound. *)
 
 type outcome =
-  | Optimal        (** incumbent proven optimal within [eps] *)
+  | Optimal        (** incumbent proven optimal within 1e-6 *)
   | Infeasible
   | Time_limit     (** stopped early; [incumbent]/[best_bound] still valid *)
   | Node_limit
@@ -85,8 +85,6 @@ type branch_rule = Search.branch_rule =
       (** branch on the eligible fractional variable with the smallest
           priority value (ties broken by fractionality); lets the
           encoder branch layer-by-layer *)
-  | Pseudo_first of int array
-      (** explicit order: first fractional variable in the given array *)
 
 type leaf_cert =
   | Leaf_bounded of float array
@@ -108,8 +106,6 @@ val solve :
   ?portfolio:int * int ->
   ?time_limit:float ->
   ?node_limit:int ->
-  ?eps:float ->
-  ?int_eps:float ->
   ?branch_rule:branch_rule ->
   ?cutoff:float ->
   ?primal_heuristic:(float array -> (float array * float) option) ->
@@ -125,9 +121,9 @@ val solve :
     picks the split: 1 is one prover, [n >= 2] becomes [(1, n - 1)].
     [Invalid_argument] on a negative or empty split.
 
-    [eps] (default 1e-6) is the absolute optimality gap below which a
-    node is pruned against the incumbent. [time_limit] is wall-clock
-    seconds. A node whose LP relaxation stops at its iteration limit
+    A node is pruned against the incumbent within an absolute
+    optimality gap of 1e-6, and a variable within 1e-6 of an integer
+    counts as integral. [time_limit] is wall-clock seconds. A node whose LP relaxation stops at its iteration limit
     has proven nothing about its subtree: it goes back into the pool
     and the search stops with [Node_limit], so [best_bound] still
     covers it. Each node re-solve reuses the factored basis carried in
@@ -180,25 +176,3 @@ val solve :
     varies between runs. Over a completed [Optimal] run the reported
     fixes tile the whole branching tree, which is what lets an auditor
     check coverage without replaying the search. *)
-
-val solve_min :
-  ?cores:int ->
-  ?portfolio:int * int ->
-  ?time_limit:float ->
-  ?node_limit:int ->
-  ?eps:float ->
-  ?int_eps:float ->
-  ?branch_rule:branch_rule ->
-  ?cutoff:float ->
-  ?primal_heuristic:(float array -> (float array * float) option) ->
-  ?node_bound:((Model.var * float * float) list -> float option) ->
-  ?objective:(Model.var * float) list ->
-  ?warm:bool ->
-  Model.t ->
-  result
-(** Minimise; [best_bound] is then a valid lower bound, and incumbent
-    objectives are reported in the minimisation sense. Operates on a
-    private copy of the model, so the caller's objective is never
-    touched. An [objective] override is given in the minimisation sense
-    too, and [node_bound] must return a {e lower} bound on the subtree
-    minimum. *)

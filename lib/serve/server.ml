@@ -267,7 +267,7 @@ let handle_job t session job =
          corrupt it. *)
       let r =
         Verify.Driver.prove_in_session session ~time_limit ~bound_mode
-          ~certify_dir:dir ~resume:true ?split:t.config.split
+          ~certify_dir:dir ?split:t.config.split
           ~store:t.store ~components:p.Certify.Certificate.components
           ~threshold:p.Certify.Certificate.threshold (box_of p)
       in

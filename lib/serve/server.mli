@@ -26,10 +26,10 @@
       then workers are joined, the socket is closed and
       unlinked, and {!run} returns;
     - every solved query is certified into the store's directory for
-      that property hash with [resume] enabled, so a server killed
-      mid-solve loses at most the component in flight and the next
-      miss on that key resumes from the journal instead of starting
-      over. *)
+      that property hash, whose journal the driver always reads, so a
+      server killed mid-solve loses at most the component in flight and
+      the next miss on that key resumes from the journal instead of
+      starting over. *)
 
 type config = {
   address : Protocol.address;

@@ -58,24 +58,32 @@ let node_bound_for ~bound_mode enc net box ~output =
       Some (Encoding.Encoder.symbolic_node_bound enc net box ~output)
   | Encoding.Encoder.Interval_bounds | Encoding.Encoder.Coarse _ -> None
 
+(* The one rule that spreads [cores] and the time left before [deadline]
+   over a query's [n] searches (driver.mli states it). [search i ~cores
+   ~time_limit] runs search [i]. Searches are claimed in order: fanned
+   out, each domain runs its share of the queue in turn, so search [i]
+   of [n] gets an equal share of the time left across the
+   [ceil ((n - i) / fan)] searches its domain still has to run; time a
+   fast search leaves unused rolls forward. *)
+let spread ~cores ~fan_out ~deadline n search =
+  let fan = if fan_out then max 1 (min cores n) else 1 in
+  let cores = if fan > 1 then 1 else cores in
+  Milp.Parallel.map ~cores:fan ~init:ignore
+    (fun () i ->
+      search i ~cores
+        ~time_limit:
+          (budget_slice ~deadline ~queue_len:((n - i + fan - 1) / fan) ()))
+    (Array.init n Fun.id)
+
 (* Maximise a set of output coordinates one by one over the same
    encoding; the overall maximum is the max of the per-coordinate
-   results.
-
-   Budget contract: [time_limit] covers *everything* — OBBT tightening
-   during [encode] and every output query. OBBT may take at most half
-   the budget. Sequentially ([cores = 1] or a single query) each query
-   gets an equal share of whatever is left *at the moment it starts*,
-   so time unspent by fast early queries (or by cheap OBBT) rolls over
-   to later ones. With [cores > 1] and several queries, the queries
-   themselves run concurrently on the worker domains and each receives
-   an equal share of the remaining budget up front — the shares are
-   spent in parallel, so the wall-clock total still respects the
-   caller's limit. Either way the total can never exceed the limit by
-   more than one node's slack. *)
+   results. [time_limit] covers everything: OBBT during [encode] spends
+   at most half of it, and [spread] hands the rest to the output
+   queries, so the total can never exceed the limit by more than one
+   node's slack. *)
 let maximize_outputs ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?portfolio ~outputs:output_indices net box =
+    ?(cores = 1) ~outputs:output_indices net box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
   let enc =
@@ -85,50 +93,22 @@ let maximize_outputs ?(time_limit = 60.0)
   let priority = Encoding.Encoder.layer_order_priority enc in
   let queries = Array.of_list output_indices in
   let n_queries = Array.length queries in
-  let run_query ~cores ~portfolio ~per_query_limit k =
-    (* Any relaxation point projects to a feasible incumbent: forward-
-       run the network on its input block. *)
-    let primal_heuristic relaxation =
-      let input = Encoding.Encoder.input_point enc relaxation in
-      let point = Encoding.Encoder.assignment_of_input enc net input in
-      Some (point, point.(enc.Encoding.Encoder.output_vars.(k)))
-    in
-    Milp.Solver.solve ~cores ?portfolio ~time_limit:per_query_limit
-      ~branch_rule:(Milp.Solver.Priority priority) ~primal_heuristic
-      ?node_bound:(node_bound_for ~bound_mode enc net box ~output:k)
-      ~objective:(Encoding.Encoder.output_objective enc k)
-      enc.Encoding.Encoder.model
-  in
   let results =
-    if cores > 1 && n_queries > 1 && portfolio = None then begin
-      (* Per-component parallelism: the queries fan out over the worker
-         domains (each solving sequentially inside — no nested domain
-         oversubscription, so the inner solves carry no portfolio
-         either), every query granted an equal share of the remaining
-         budget up front. An explicit portfolio split takes the other
-         branch: the caller asked for within-query parallelism. *)
-      (* Shares are spent concurrently, so the slice is sized for one
-         domain's sequential chain of queries, not for the whole queue —
-         which also stops under-granting by a factor of [cores]. *)
-      let fan_cores = min cores n_queries in
-      let per_domain = (n_queries + fan_cores - 1) / fan_cores in
-      let share = budget_slice ~deadline ~queue_len:per_domain () in
-      Milp.Parallel.map ~cores:fan_cores
-        ~init:(fun () -> ())
-        (fun () k -> run_query ~cores:1 ~portfolio:None ~per_query_limit:share k)
-        queries
-    end
-    else begin
-      let results = Array.make n_queries None in
-      for qi = 0 to n_queries - 1 do
-        let per_query_limit =
-          budget_slice ~deadline ~queue_len:(n_queries - qi) ()
+    spread ~cores ~fan_out:true ~deadline n_queries
+      (fun qi ~cores ~time_limit ->
+        let k = queries.(qi) in
+        (* Any relaxation point projects to a feasible incumbent: forward-
+           run the network on its input block. *)
+        let primal_heuristic relaxation =
+          let input = Encoding.Encoder.input_point enc relaxation in
+          let point = Encoding.Encoder.assignment_of_input enc net input in
+          Some (point, point.(enc.Encoding.Encoder.output_vars.(k)))
         in
-        results.(qi) <-
-          Some (run_query ~cores ~portfolio ~per_query_limit queries.(qi))
-      done;
-      Array.map (function Some r -> r | None -> assert false) results
-    end
+        Milp.Solver.solve ~cores ~time_limit
+          ~branch_rule:(Milp.Solver.Priority priority) ~primal_heuristic
+          ?node_bound:(node_bound_for ~bound_mode enc net box ~output:k)
+          ~objective:(Encoding.Encoder.output_objective enc k)
+          enc.Encoding.Encoder.model)
   in
   let best_value = ref None and best_witness = ref None in
   let upper = ref neg_infinity in
@@ -185,16 +165,16 @@ let maximize_outputs ?(time_limit = 60.0)
   }
 
 let max_lateral_velocity ?time_limit ?bound_mode ?tighten_rounds ?cores
-    ?portfolio ~components net box =
+    ~components net box =
   let outputs =
     List.init components (fun k -> Nn.Gmm.mu_lat_index ~components k)
   in
-  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
-    ~outputs net box
+  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores ~outputs
+    net box
 
-let maximize_output ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
-    ~output net box =
-  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores ?portfolio
+let maximize_output ?time_limit ?bound_mode ?tighten_rounds ?cores ~output
+    net box =
+  maximize_outputs ?time_limit ?bound_mode ?tighten_rounds ?cores
     ~outputs:[ output ] net box
 
 type proof = Proved | Disproved of witness | Unknown of { best_bound : float }
@@ -228,13 +208,10 @@ let create_session net =
   { session_net = net; session_net_hash = Nn.Io.content_hash net;
     session_enc = None }
 
-let session_net s = s.session_net
-let session_net_hash s = s.session_net_hash
-
 (* {2 The settle ladder}
 
    One walk over the leaf boxes takes every component down store,
-   revalidation, resume, presolve, MILP and Unknown (driver.mli states
+   revalidation, journal, presolve, MILP and Unknown (driver.mli states
    the contract). The evidence sink is the only switch. With a sink
    every settled component leaves a replayable certificate and a
    fsynced journal line, so a kill at any instant loses at most the
@@ -244,10 +221,10 @@ let session_net_hash s = s.session_net_hash
    take on faith) and searches without analysis node bounds (prunes
    against a bound the certificate cannot replay would be
    [Leaf_uncertified]): certified campaigns trade speed for
-   auditability. The search itself keeps [cores] and [portfolio], since
-   every worker streams its closed leaves. One disproved leaf disproves
-   the parent (its witness lies inside the leaf box, hence inside the
-   parent box). *)
+   auditability. The search itself keeps [cores], since every worker
+   streams its closed leaves. One disproved leaf disproves the parent
+   (its witness lies inside the leaf box, hence inside the parent
+   box). *)
 
 module Cert = Certify.Certificate
 module Journal = Certify.Journal
@@ -260,7 +237,6 @@ type query = {
   bound_mode : Encoding.Encoder.bound_mode;
   tighten_rounds : int;
   cores : int;
-  portfolio : (int * int) option;
   components : int;
   threshold : float;
 }
@@ -315,7 +291,7 @@ let witness_body w =
    the partition stats. [upper] is an analysis bound over the whole
    leaf known before it is encoded (the planner's; [infinity] for an
    unplanned box): a leaf it discharges needs no encoding. *)
-let settle_leaf q ~store ~sink ~resume ~attempt ~time_limit ~upper box =
+let settle_leaf q ~store ~sink ~attempt ~time_limit ~upper box =
   let started = Linalg.Mclock.now () and threshold = q.threshold in
   let deadline = started +. time_limit in
   let nodes = ref 0 and presolved = ref 0 and certified = ref 0 in
@@ -389,8 +365,7 @@ let settle_leaf q ~store ~sink ~resume ~attempt ~time_limit ~upper box =
       | Some _ -> (None, Some collect)
     in
     match
-      Milp.Solver.solve ~cores:q.cores ?portfolio:q.portfolio
-        ~time_limit:share ~cutoff:threshold
+      Milp.Solver.solve ~cores:q.cores ~time_limit:share ~cutoff:threshold
         ~branch_rule:
           (Milp.Solver.Priority (Encoding.Encoder.layer_order_priority enc))
         ~objective:(Encoding.Encoder.output_objective enc output)
@@ -462,17 +437,18 @@ let settle_leaf q ~store ~sink ~resume ~attempt ~time_limit ~upper box =
          encoding would overrun the whole-call deadline. *)
       result (Unknown { best_bound = upper }) `Unsettled
     else begin
-      (* Resume: the last journal entry per component, admitted only on a
-         certificate that still backs it; anything else is re-proved. *)
+      (* The sink's journal: the last entry per component, admitted only
+         on a certificate that still backs it; anything else is
+         re-proved. *)
       (match sink with
-       | Some s when resume ->
+       | Some s ->
            let net_hash = Lazy.force q.net_hash and prop_hash = s.prop_hash in
            List.iter
              (fun (e : Journal.entry) ->
                Result.iter (Hashtbl.replace settled e.Journal.component)
                  (Journal.trusted ~dir:s.dir ~net_hash ~prop_hash e))
              (Journal.latest (Journal.load ~dir:s.dir))
-       | _ -> ());
+       | None -> ());
       match ladder neg_infinity (List.init q.components Fun.id) with
       | Proved when !presolved = q.components && !nodes = 0 ->
           result Proved `Presolved
@@ -517,7 +493,7 @@ let settle_leaf q ~store ~sink ~resume ~attempt ~time_limit ~upper box =
           (r, if revalidated then `Revalidated else via))
   | _ -> climb ()
 
-let decide q ~split ~store ~certify_dir ~resume ~time_limit box =
+let decide q ~split ~store ~certify_dir ~time_limit box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
   (* Planning is cheap symbolic work, but it must never starve the
@@ -529,7 +505,7 @@ let decide q ~split ~store ~certify_dir ~resume ~time_limit box =
           ~components:q.components ~threshold:q.threshold q.net box)
       split
   in
-  (* A partitioned run certifies into a store (the caller's, or one
+  (* A partitioned run certifies into a store (a session's, or one
      opened on the certification directory), one directory per leaf. *)
   let store =
     match (store, certify_dir) with
@@ -566,41 +542,26 @@ let decide q ~split ~store ~certify_dir ~resume ~time_limit box =
                 Array.map (fun s -> (Option.get s).prop_hash) sinks })
    | _ -> ());
   let n = Array.length boxes in
-  (* Without a sink the leaves fan out over the worker domains, each
-     solving sequentially (no nested oversubscription); an explicit
-     portfolio keeps them in turn, as within-query parallelism. *)
-  let fan =
-    if sinks.(0) = None && q.portfolio = None then max 1 (min q.cores n)
-    else 1
-  in
-  let leaf_q = if fan > 1 then { q with cores = 1; portfolio = None } else q in
   let stop = Atomic.make false in
-  let settle () i =
-    if Atomic.get stop then None
-    else
-      (* Leaves are claimed in order, [n - i] are left: an equal share of
-         the time left, per domain when they fan out (shares are spent
-         concurrently); unused time rolls forward. *)
-      let time_limit =
-        budget_slice ~deadline ~queue_len:((n - i + fan - 1) / fan) ()
-      in
-      let r, via =
-        settle_leaf leaf_q ~store ~sink:sinks.(i) ~time_limit ~upper:upper.(i)
-          ~resume:(resume || plan <> None) boxes.(i)
-          ~attempt:
-            (plan = None || upper.(i) <= q.threshold
-            || Linalg.Mclock.now () < deadline)
-      in
-      let bound =
-        match r.proof with
-        | Proved -> Float.min upper.(i) q.threshold
-        | Unknown { best_bound } -> best_bound
-        | Disproved _ -> Atomic.set stop true; neg_infinity
-      in
-      Some (r, via, bound)
-  in
   let leaves =
-    Milp.Parallel.map ~cores:fan ~init:ignore settle (Array.init n Fun.id)
+    spread ~cores:q.cores ~fan_out:(sinks.(0) = None) ~deadline n
+      (fun i ~cores ~time_limit ->
+        if Atomic.get stop then None
+        else
+          let r, via =
+            settle_leaf { q with cores } ~store ~sink:sinks.(i) ~time_limit
+              ~upper:upper.(i) boxes.(i)
+              ~attempt:
+                (plan = None || upper.(i) <= q.threshold
+                || Linalg.Mclock.now () < deadline)
+          in
+          let bound =
+            match r.proof with
+            | Proved -> Float.min upper.(i) q.threshold
+            | Unknown { best_bound } -> best_bound
+            | Disproved _ -> Atomic.set stop true; neg_infinity
+          in
+          Some (r, via, bound))
     |> Array.to_list |> List.filter_map Fun.id
   in
   let count v = List.length (List.filter (fun (_, u, _) -> u = v) leaves) in
@@ -633,8 +594,7 @@ let decide q ~split ~store ~certify_dir ~resume ~time_limit box =
 
 let prove_lateral_velocity_le ?(time_limit = 60.0)
     ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?portfolio ?certify_dir ?(resume = false) ?split ?store
-    ~components ~threshold net box =
+    ?(cores = 1) ?certify_dir ?split ~components ~threshold net box =
   (* OBBT is off under a sink (see above), and per leaf under a split:
      its budget share would dominate hundreds of small boxes, and the
      planner's symbolic pre-pass is what partitioning relies on. *)
@@ -642,17 +602,17 @@ let prove_lateral_velocity_le ?(time_limit = 60.0)
     { net; session = None; net_hash = lazy (Nn.Io.content_hash net);
       tighten_rounds =
         (if certify_dir = None && split = None then tighten_rounds else 0);
-      bound_mode; cores; portfolio; components; threshold }
-    ~split ~store ~certify_dir ~resume ~time_limit box
+      bound_mode; cores; components; threshold }
+    ~split ~store:None ~certify_dir ~time_limit box
 
 let prove_in_session session ?(time_limit = 60.0)
-    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?certify_dir
-    ?(resume = false) ?split ?store ~components ~threshold box =
+    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?certify_dir ?split
+    ?store ~components ~threshold box =
   decide
     { net = session.session_net; session = Some session;
       net_hash = Lazy.from_val session.session_net_hash; bound_mode;
-      tighten_rounds = 0; cores = 1; portfolio = None; components; threshold }
-    ~split ~store ~certify_dir ~resume ~time_limit box
+      tighten_rounds = 0; cores = 1; components; threshold }
+    ~split ~store ~certify_dir ~time_limit box
 
 let sampled_max_lateral_velocity ~rng ~samples ~components net box =
   if samples <= 0 then invalid_arg "Driver.sampled_max_lateral_velocity";

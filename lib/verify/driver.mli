@@ -8,7 +8,23 @@
     reproduces the decision query of the table's last row ("prove that
     the lateral velocity can never be larger than 3 m/s"), which uses
     the solver cutoff and is typically much cheaper than the exact
-    maximum. *)
+    maximum.
+
+    {b Budget and cores.} [time_limit] (default 60 s) bounds the
+    {e whole} call, encoding included, and [cores] (default 1) is every
+    worker domain the call may use. A query runs [n] searches: one per
+    output component for a maximisation, one per leaf box for a
+    decision query. One rule spreads [cores] and the time left over
+    them. With more than one search and no evidence sink
+    ([certify_dir]), the searches fan out over [min cores n] domains
+    with one core each; otherwise they run in turn, each with all of
+    [cores]. Searches are claimed in order, and search [i] of [n] gets
+    {!budget_slice} with [queue_len = ceil ((n - i) / fan)], [fan]
+    being the number of domains: an equal share of the time left across
+    the searches its domain still has to run, computed when it is
+    claimed, so time a fast search leaves unused rolls forward. The
+    total elapsed respects the caller's limit plus at most one node's
+    slack. *)
 
 type witness = {
   input : Linalg.Vec.t;       (** feature point inside the scenario box *)
@@ -43,26 +59,16 @@ val max_lateral_velocity :
   ?bound_mode:Encoding.Encoder.bound_mode ->
   ?tighten_rounds:int ->
   ?cores:int ->
-  ?portfolio:int * int ->
   components:int ->
   Nn.Network.t ->
   Interval.Box.box ->
   max_result
-(** [time_limit] (default 60 s) bounds the {e whole} call: OBBT
-    tightening spends from it (at most half) and the component queries
-    share the remainder — sequentially each query gets an equal share
-    of the time remaining when it starts (leftover time from fast
-    queries rolls over to later ones); with [cores > 1] and several
-    components the queries themselves run {e concurrently} on the
-    worker domains, each granted an equal share of the remaining budget
-    up front (the inner solves are then sequential, so domains are
-    never oversubscribed). Either way the total elapsed respects the
-    caller's limit (plus at most one node's slack). [tighten_rounds]
-    (default 1) rounds of OBBT are applied before searching (see
-    {!Encoding.Encoder.encode}). [cores] (default 1) also runs the
-    OBBT probes on that many domains ({!Milp.Parallel}); results agree
-    with [cores = 1] up to solver epsilon. Child nodes warm-start from
-    their parent's basis.
+(** [time_limit] and [cores] follow the budget rule above. OBBT
+    tightening spends at most half of [time_limit] before the component
+    searches start: [tighten_rounds] (default 1) rounds of it (see
+    {!Encoding.Encoder.encode}), its probes run on [cores] domains
+    ({!Milp.Parallel}); results agree with [cores = 1] up to solver
+    epsilon. Child nodes warm-start from their parent's basis.
 
     [bound_mode] selects the encoder's bound analysis
     ({!Encoding.Encoder.bound_mode}). Under [Symbolic_bounds] the
@@ -70,23 +76,13 @@ val max_lateral_velocity :
     bound and (2) passes the branch-aware symbolic re-propagation hook
     ([Encoding.Encoder.symbolic_node_bound]) to the solver, pruning
     subtrees whose fixed ReLU phases already bound the objective below
-    the incumbent.
-
-    [portfolio] forces the diver/prover split of {!Milp.Solver.solve}
-    inside {e each} query ([(1, 0)], a lone diver, is the depth-first
-    search). Explicitly splitting disables the
-    per-component fan-out — the caller asked for within-query
-    parallelism — so each component query runs the full portfolio in
-    turn. Left unset, the fan-out path keeps its sequential inner
-    solves and single-query calls inherit the default split from
-    [cores]. *)
+    the incumbent. *)
 
 val maximize_output :
   ?time_limit:float ->
   ?bound_mode:Encoding.Encoder.bound_mode ->
   ?tighten_rounds:int ->
   ?cores:int ->
-  ?portfolio:int * int ->
   output:int ->
   Nn.Network.t ->
   Interval.Box.box ->
@@ -115,7 +111,7 @@ type proof_result = {
   resumed : int;
       (** components skipped because a trusted journal entry from a
           previous run of the same question already settled them;
-          [0] without [resume] on a monolithic query *)
+          [0] without an evidence sink *)
   degraded : int;
       (** MILP searches that raised {!Lp.Simplex.Numerical_error} or
           [Failure]: each left its component [Unknown] at the analysis
@@ -126,59 +122,56 @@ type proof_result = {
 }
 
 val budget_slice : ?now:float -> deadline:float -> queue_len:int -> unit -> float
-(** The whole-call budget contract's per-query slice: an equal share of
-    the time remaining at [now] (default: the monotonic clock) across
-    [queue_len] queries still pending, floored at a minimum slice of
-    0.2 s — so late queries in a long queue are attempted rather than
+(** The budget rule's per-search slice: an equal share of the time
+    remaining at [now] (default: the monotonic clock) across
+    [queue_len] searches still pending, floored at a minimum slice of
+    0.2 s — so late searches in a long queue are attempted rather than
     starved by rounding the remainder down to nothing — and clamped to
     the remaining budget itself, so the floor can never grant time the
     caller no longer has. Exposed for tests. *)
-
 
 val prove_lateral_velocity_le :
   ?time_limit:float ->
   ?bound_mode:Encoding.Encoder.bound_mode ->
   ?tighten_rounds:int ->
   ?cores:int ->
-  ?portfolio:int * int ->
   ?certify_dir:string ->
-  ?resume:bool ->
   ?split:Partition.policy ->
-  ?store:Certify.Store.t ->
   components:int ->
   threshold:float ->
   Nn.Network.t ->
   Interval.Box.box ->
   proof_result
-(** Decision query under the same whole-call budget contract as
-    {!max_lateral_velocity}.
+(** Decision query; [time_limit] and [cores] follow the budget rule
+    above, the searches being the leaf boxes.
 
     {b One settle ladder.} The query is a list of leaf boxes: the whole
     box (no planner call, [partition = None]), or under [split] the
-    tiles of {!Partition.plan}. The leaves are walked in order, each
-    under an equal share of the time left, and every component of every
-    leaf goes down the same rungs, cheapest first:
+    tiles of {!Partition.plan}. Every component of every leaf goes down
+    the same rungs, cheapest first, each component's MILP search under
+    an equal share of the leaf's time left:
     + with a store (partitioned runs only), a lookup for this network,
       exact or subsumed, then cross-network revalidation: a disproving
       witness stored for the same leaf question about other weights is
       replayed through this network with one forward pass, and a proved
       one is re-established by this network's own analysis (rung 3) —
       the mechanism that answers most leaves after a retrain;
-    + journal resume (with [resume], or always for a partition leaf):
-      components whose last journal entry is admitted by
-      {!Certify.Journal.trusted} for this network and property are not
-      re-proved ([resumed] counts them); entries for any other
-      question, torn lines and certificates another question has since
-      overwritten are ignored;
+    + with an evidence sink, its journal: components whose last journal
+      entry is admitted by {!Certify.Journal.trusted} for this network
+      and property are not re-proved ([resumed] counts them); entries
+      for any other question, torn lines and certificates another
+      question has since overwritten are ignored. Asking a question
+      again in a directory that has settled it therefore answers from
+      that evidence; use a fresh directory for fresh evidence;
     + the analysis pre-pass: a component whose output upper bound from
       the encoding's bound analysis (symbolic under [Symbolic_bounds])
       — or, for a partition leaf, the planner's symbolic bound — already
       meets [threshold] is discharged without search ([presolved]
       counts them; when every component goes this way the verdict is
       [Proved] with [proof_nodes = 0]);
-    + one cutoff MILP search under the component's whole share of the
-      leaf budget; a search that raises {!Lp.Simplex.Numerical_error}
-      or [Failure] settles nothing and counts in [degraded];
+    + one cutoff MILP search under the component's whole share; a
+      search that raises {!Lp.Simplex.Numerical_error} or [Failure]
+      settles nothing and counts in [degraded];
     + an honest [Unknown].
 
     One disproved leaf disproves the parent (the witness lies inside
@@ -186,11 +179,11 @@ val prove_lateral_velocity_le :
     settled.
 
     {b The evidence sink} decides everything else. It is [certify_dir]
-    for a monolithic query; a partitioned query certifies into [store]
-    (default: opened on [certify_dir]), one directory per leaf named by
-    its property hash, plus a checksummed {!Certify.Shard} manifest of
-    the split tree so the audit re-establishes the tiling too. With a
-    sink, every settled component writes a replayable
+    for a monolithic query; a partitioned query certifies into a
+    {!Certify.Store} opened on [certify_dir], one directory per leaf
+    named by its property hash, plus a checksummed {!Certify.Shard}
+    manifest of the split tree so the audit re-establishes the tiling
+    too. With a sink, every settled component writes a replayable
     {!Certify.Certificate} (dual or Farkas evidence per branch-and-bound
     leaf, the symbolic bounding hyperplane for presolved components, a
     concrete witness for falsifications), replays it in-process through
@@ -202,15 +195,13 @@ val prove_lateral_velocity_le :
     also forces [tighten_rounds = 0] (OBBT-tightened models are not
     independently rebuildable) and no analysis node-bound hook (such
     prunes have no replayable evidence): certified campaigns trade
-    speed for auditability by design. Each search still runs on
-    [cores] and [portfolio], since every worker streams the leaves it
-    closes; with more than one worker the leaf order in a tree
-    certificate varies between runs, which the audit does not depend
-    on. Without a sink, OBBT ([tighten_rounds], default 1, for a
-    monolithic query only: per leaf it would dominate many small
-    boxes), the node-bound hook under [Symbolic_bounds], [cores] and
-    [portfolio] apply, and the leaves of a partition fan out over
-    [cores] (unless [portfolio] asks for within-query parallelism). *)
+    speed for auditability by design. Each search still runs on the
+    cores the budget rule gives it, since every worker streams the
+    leaves it closes; with more than one worker the leaf order in a
+    tree certificate varies between runs, which the audit does not
+    depend on. Without a sink, OBBT ([tighten_rounds], default 1, for
+    a monolithic query only: per leaf it would dominate many small
+    boxes) and the node-bound hook under [Symbolic_bounds] apply. *)
 
 (** {2 Sessions}
 
@@ -229,15 +220,11 @@ type session
 val create_session : Nn.Network.t -> session
 (** Hashes the network once and starts with an empty encoding memo. *)
 
-val session_net : session -> Nn.Network.t
-val session_net_hash : session -> string
-
 val prove_in_session :
   session ->
   ?time_limit:float ->
   ?bound_mode:Encoding.Encoder.bound_mode ->
   ?certify_dir:string ->
-  ?resume:bool ->
   ?split:Partition.policy ->
   ?store:Certify.Store.t ->
   components:int ->
@@ -249,10 +236,11 @@ val prove_in_session :
     through. A search that fails numerically degrades to an honest
     [Unknown] here as everywhere, so a server never aborts; the session
     never applies OBBT, and the solve is sequential within the session
-    — parallelism belongs to the caller's worker pool. [certify_dir],
-    [resume], [split] and [store] behave as in
-    {!prove_lateral_velocity_le}, reusing the session's cached network
-    hash for the property hashes. *)
+    — parallelism belongs to the caller's worker pool. [certify_dir]
+    and [split] behave as in {!prove_lateral_velocity_le}, reusing the
+    session's cached network hash for the property hashes; a
+    partitioned query certifies into [store] when one is given, else
+    into one opened on [certify_dir]. *)
 
 val sampled_max_lateral_velocity :
   rng:Linalg.Rng.t ->

@@ -342,8 +342,8 @@ let exact_max net b0 =
   Option.get
     (Verify.Driver.max_lateral_velocity ~components:2 net b0).Verify.Driver.value
 
-let prove ?certify_dir ?(resume = false) ~threshold net b0 =
-  Verify.Driver.prove_lateral_velocity_le ?certify_dir ~resume ~components:2
+let prove ?certify_dir ~threshold net b0 =
+  Verify.Driver.prove_lateral_velocity_le ?certify_dir ~components:2
     ~threshold net b0
 
 let test_certified_proof_audits () =
@@ -432,7 +432,9 @@ let test_resume_after_kill () =
   let oc = open_out_bin (Filename.concat dir "journal.log") in
   output_string oc (first ^ "\n");
   close_out oc;
-  let p2 = prove ~certify_dir:dir ~resume:true ~threshold net b0 in
+  (* A run in a directory that already holds journal lines resumes from
+     them: nothing asks it to. *)
+  let p2 = prove ~certify_dir:dir ~threshold net b0 in
   Alcotest.(check bool) "resumed run proved" true
     (p2.Verify.Driver.proof = Verify.Driver.Proved);
   Alcotest.(check int) "one component resumed, not re-proved" 1
@@ -441,13 +443,13 @@ let test_resume_after_kill () =
   Alcotest.(check bool) "audit confirms after resume" true
     (rep.Certify.Audit.verdict = `Proved && rep.Certify.Audit.ok);
   (* A third run resumes everything and does no solving at all. *)
-  let p3 = prove ~certify_dir:dir ~resume:true ~threshold net b0 in
+  let p3 = prove ~certify_dir:dir ~threshold net b0 in
   Alcotest.(check int) "everything resumed" 2 p3.Verify.Driver.resumed;
   Alcotest.(check int) "no nodes searched" 0 p3.Verify.Driver.proof_nodes;
   Alcotest.(check bool) "verdict preserved" true
     (p3.Verify.Driver.proof = Verify.Driver.Proved);
   (* Asking a different question must not reuse the journal. *)
-  let p4 = prove ~certify_dir:dir ~resume:true ~threshold:(v +. 0.7) net b0 in
+  let p4 = prove ~certify_dir:dir ~threshold:(v +. 0.7) net b0 in
   Alcotest.(check int) "different threshold resumes nothing" 0
     p4.Verify.Driver.resumed
 
@@ -472,7 +474,7 @@ let test_resume_ignores_overwritten_certificates () =
        | Verify.Driver.Disproved _ -> ()
        | _ -> Alcotest.fail "second question should be disproved");
       let p3 =
-        prove ~certify_dir:dir ~resume:true ~threshold:(v +. 0.5) net b0
+        prove ~certify_dir:dir ~threshold:(v +. 0.5) net b0
       in
       let claimed =
         match p3.Verify.Driver.proof with
@@ -489,9 +491,9 @@ let test_resume_ignores_overwritten_certificates () =
 
 (* {1 Cross-mode agreement}
 
-   Seven ways to ask the same decision query: plain, certified (on one
-   core, on two, and on a 1:1 portfolio), partitioned, partitioned and
-   certified, and through a session.
+   Six ways to ask the same decision query: plain, certified (on one
+   core and on two), partitioned, partitioned and certified, and
+   through a session.
    Thresholds sit just above or just below the exact maximum, where a
    wrong prune or a lost leaf would flip the answer. Any two modes that
    settle must agree, every disproof must replay through the network,
@@ -517,11 +519,10 @@ let prop_decision_modes_agree =
       let split = Verify.Partition.Depth 1 in
       let cert_dir = fresh_dir "modes_cert" in
       let cores_dir = fresh_dir "modes_cert_cores" in
-      let portfolio_dir = fresh_dir "modes_cert_portfolio" in
       let shard_dir = fresh_dir "modes_shard" in
-      let decide ?certify_dir ?split ?cores ?portfolio () =
+      let decide ?certify_dir ?split ?cores () =
         (Verify.Driver.prove_lateral_velocity_le ~bound_mode ?certify_dir
-           ?split ?cores ?portfolio ~components:2 ~threshold net b0)
+           ?split ?cores ~components:2 ~threshold net b0)
           .Verify.Driver.proof
       in
       let settled = function
@@ -539,16 +540,12 @@ let prop_decision_modes_agree =
       let certified_cores =
         settled (decide ~cores:2 ~certify_dir:cores_dir ())
       in
-      let certified_portfolio =
-        settled (decide ~portfolio:(1, 1) ~certify_dir:portfolio_dir ())
-      in
       let sharded = settled (decide ~split ~certify_dir:shard_dir ()) in
       let verdicts =
         [
           settled (decide ());
           certified;
           certified_cores;
-          certified_portfolio;
           settled (decide ~split ());
           sharded;
           settled
@@ -570,9 +567,7 @@ let prop_decision_modes_agree =
             rep.Certify.Audit.ok && rep.Certify.Audit.verdict = v
       in
       let audit_ok =
-        audits cert_dir certified
-        && audits cores_dir certified_cores
-        && audits portfolio_dir certified_portfolio
+        audits cert_dir certified && audits cores_dir certified_cores
       in
       let shard_ok =
         match (sharded, Certify.Audit.shard_manifests ~dir:shard_dir) with

@@ -59,14 +59,6 @@ let test_infeasible_milp () =
   (* LP relaxation feasible (x in [0.4, 0.6]) but no integral point. *)
   check_outcome Milp.Solver.Infeasible (Milp.Solver.solve m)
 
-let test_solve_min () =
-  let m = Milp.Model.create () in
-  let x = Milp.Model.add_integer m ~lo:0 ~hi:10 () in
-  Milp.Model.add_ge m [ (x, 2.0) ] 7.0;
-  Milp.Model.set_objective m [ (x, 1.0) ];
-  let r = Milp.Solver.solve_min m in
-  Alcotest.(check (float 1e-6)) "min integer" 4.0 (incumbent_value r)
-
 let test_cutoff_prunes_all () =
   (* With a cutoff above the optimum, solver certifies max <= cutoff by
      finishing without an incumbent. *)
@@ -116,12 +108,7 @@ let test_branch_rules_same_optimum () =
   let b =
     Milp.Solver.solve ~branch_rule:(Milp.Solver.Priority (fun v -> v)) m
   in
-  let c =
-    Milp.Solver.solve
-      ~branch_rule:(Milp.Solver.Pseudo_first (Array.of_list xs)) m
-  in
-  Alcotest.(check (float 1e-6)) "priority rule" (incumbent_value a) (incumbent_value b);
-  Alcotest.(check (float 1e-6)) "pseudo order" (incumbent_value a) (incumbent_value c)
+  Alcotest.(check (float 1e-6)) "priority rule" (incumbent_value a) (incumbent_value b)
 
 let test_primal_heuristic_adopted () =
   let m = Milp.Model.create () in
@@ -193,16 +180,6 @@ let test_node_bound_empty_subtree_prunes () =
   Alcotest.(check int) "only the root was touched" 1 r.Milp.Solver.nodes;
   Alcotest.(check int) "no LP was solved" 0 r.Milp.Solver.lp_iterations
 
-let test_node_bound_solve_min_sense () =
-  (* In min sense the callback supplies a lower bound; the trivially
-     valid 0 (all values non-negative... here objective min x+y over the
-     knapsack is 0) must not disturb the answer. *)
-  let m = knapsack_model () in
-  let r = Milp.Solver.solve_min ~node_bound:(fun _ -> Some 0.0) m in
-  check_outcome Milp.Solver.Optimal r;
-  Alcotest.(check (float 1e-6)) "minimum is the empty knapsack" 0.0
-    (incumbent_value r)
-
 let test_parallel_node_bound_same_answer () =
   List.iter
     (fun cores ->
@@ -266,25 +243,6 @@ let test_parallel_infeasible () =
   Milp.Model.add_le m [ (x, 1.0) ] 0.6;
   Milp.Model.set_objective m [ (x, 1.0) ];
   check_outcome Milp.Solver.Infeasible (Milp.Solver.solve ~cores:3 m)
-
-let test_solve_min_objective_untouched () =
-  (* solve_min used to negate the shared objective in place and restore
-     it afterwards — racy in parallel and unsafe under exceptions. It
-     must leave the caller's model untouched. *)
-  let m = Milp.Model.create () in
-  let x = Milp.Model.add_integer m ~lo:0 ~hi:10 () in
-  Milp.Model.add_ge m [ (x, 2.0) ] 7.0;
-  Milp.Model.set_objective m [ (x, 1.0) ];
-  let before = Lp.Problem.objective (Milp.Model.lp m) in
-  let r = Milp.Solver.solve_min m in
-  let after = Lp.Problem.objective (Milp.Model.lp m) in
-  Alcotest.(check (float 1e-6)) "min integer" 4.0 (incumbent_value r);
-  Alcotest.(check (array (float 0.0))) "objective untouched" before after;
-  let rp = Milp.Solver.solve_min ~cores:2 m in
-  Alcotest.(check (float 1e-6)) "parallel min" 4.0 (incumbent_value rp);
-  Alcotest.(check (array (float 0.0))) "objective untouched (parallel)"
-    before
-    (Lp.Problem.objective (Milp.Model.lp m))
 
 let test_open_bound_stack_matches_heap () =
   (* Stopping at the node limit, the depth-first stack must report the
@@ -517,40 +475,6 @@ let test_pool_depth_first_donates_bottom () =
     (List.length (Milp.Search.Pool.drain pool));
   Alcotest.(check int) "empty after drain" 0 (Milp.Search.Pool.size pool)
 
-(* Reference implementation of the list-based [Pseudo_first] scan the
-   solver shipped before the in-place rewrite, for agreement checking. *)
-let reference_pseudo_first order ints int_eps x =
-  let fractional =
-    List.filter (fun v -> Milp.Search.fractionality x.(v) > int_eps) ints
-  in
-  match fractional with
-  | [] -> None
-  | first :: _ -> (
-      match
-        Array.to_list order
-        |> List.filter (fun v -> Milp.Search.fractionality x.(v) > int_eps)
-      with
-      | v :: _ -> Some v
-      | [] -> Some first)
-
-let gen_pseudo_case =
-  QCheck.Gen.(
-    let* n = int_range 1 8 in
-    let* raw = array_size (return n) (float_range 0.0 3.0) in
-    let* snap = array_size (return n) bool in
-    let x = Array.mapi (fun i v -> if snap.(i) then Float.round v else v) raw in
-    let* order = array_size (int_range 0 (2 * n)) (int_range 0 (n - 1)) in
-    return (x, order))
-
-let prop_pseudo_first_matches_reference =
-  QCheck.Test.make ~name:"Pseudo_first scan matches list reference" ~count:200
-    (QCheck.make gen_pseudo_case) (fun (x, order) ->
-      let ints = List.init (Array.length x) Fun.id in
-      let int_eps = 1e-6 in
-      Milp.Search.select_branch_var (Milp.Solver.Pseudo_first order) ints
-        int_eps x
-      = reference_pseudo_first order ints int_eps x)
-
 (* {2 environment parsing} *)
 
 let test_cores_of_string () =
@@ -575,22 +499,6 @@ let test_cores_of_env_rejects_garbage () =
   Unix.putenv "DEPNN_CORES" "0";
   Alcotest.(check int) "non-positive rejected" 1 (Milp.Parallel.cores_of_env ());
   Unix.putenv "DEPNN_CORES" ""
-
-let test_portfolio_of_string () =
-  let check s expect =
-    Alcotest.(check (option (pair int int)))
-      s expect
-      (Milp.Parallel.portfolio_of_string s)
-  in
-  check "1:3" (Some (1, 3));
-  check "0:2" (Some (0, 2));
-  check "2:0" (Some (2, 0));
-  check " 1 : 2 " (Some (1, 2));
-  check "0:0" None;
-  check "-1:2" None;
-  check "3" None;
-  check "a:b" None;
-  check "" None
 
 (* {2 portfolio search} *)
 
@@ -747,9 +655,7 @@ let test_objective_override () =
     (incumbent_value (Milp.Solver.solve m));
   (* Parallel path applies the override on every domain's private copy. *)
   let rp = Milp.Solver.solve ~cores:2 ~objective:[ (y, 2.0) ] m in
-  Alcotest.(check (float 1e-6)) "parallel override" 10.0 (incumbent_value rp);
-  let rm = Milp.Solver.solve_min ~objective:[ (y, 1.0); (x, 1.0) ] m in
-  Alcotest.(check (float 1e-6)) "min override" 0.0 (incumbent_value rm)
+  Alcotest.(check (float 1e-6)) "parallel override" 10.0 (incumbent_value rp)
 
 (* Random knapsacks vs brute force. *)
 let gen_knapsack =
@@ -952,7 +858,6 @@ let () =
           quick "incumbent integral" test_integrality_of_incumbent;
           quick "integer variable" test_integer_variable;
           quick "infeasible" test_infeasible_milp;
-          quick "solve_min" test_solve_min;
           quick "cutoff prunes" test_cutoff_prunes_all;
           quick "cutoff violation" test_cutoff_finds_violation;
           quick "node limit" test_node_limit;
@@ -964,7 +869,6 @@ let () =
           quick "node bound sound cap" test_node_bound_sound_cap_same_answer;
           quick "node bound sees fixes" test_node_bound_sees_fixes;
           quick "node bound empty subtree" test_node_bound_empty_subtree_prunes;
-          quick "node bound min sense" test_node_bound_solve_min_sense;
           quick "first incumbent reported" test_first_incumbent_reported;
           quick "lp iteration limit keeps node open"
             test_lp_iteration_limit_keeps_node_open;
@@ -979,7 +883,6 @@ let () =
         [
           quick "cores_of_string" test_cores_of_string;
           quick "cores_of_env rejects garbage" test_cores_of_env_rejects_garbage;
-          quick "portfolio_of_string" test_portfolio_of_string;
         ] );
       ( "parallel",
         [
@@ -987,7 +890,6 @@ let () =
           quick "node bound on 1/2/4 cores" test_parallel_node_bound_same_answer;
           quick "cutoff prunes" test_parallel_cutoff_prunes;
           quick "infeasible" test_parallel_infeasible;
-          quick "solve_min leaves objective" test_solve_min_objective_untouched;
           quick "open bound stack = heap" test_open_bound_stack_matches_heap;
           quick "map order + state" test_parallel_map_order_and_state;
           quick "map joins on throwing init" test_parallel_map_joins_on_throwing_init;
@@ -1015,7 +917,6 @@ let () =
             prop_knapsack_matches_brute_force;
             prop_parallel_matches_sequential;
             prop_portfolio_matches_sequential;
-            prop_pseudo_first_matches_reference;
             prop_warm_matches_cold;
           ] );
     ]

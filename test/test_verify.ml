@@ -9,28 +9,6 @@ let box dim radius = Array.make dim (Interval.make (-.radius) radius)
 let mini_predictor seed =
   small_net seed [ 6; 8; 8; Nn.Gmm.output_dim ~components:2 ]
 
-(* {1 Property} *)
-
-let test_property_output_indices () =
-  Alcotest.(check (list int)) "maximize" [ 3 ]
-    (Verify.Property.output_indices ~components:2 (Verify.Property.Maximize_output 3));
-  Alcotest.(check (list int)) "lat velocity components" [ 2; 3 ]
-    (Verify.Property.output_indices ~components:2
-       (Verify.Property.Max_lateral_velocity { components = 2 }));
-  let p =
-    Verify.Property.make ~name:"test" ~box:(box 3 1.0)
-      (Verify.Property.Output_le { output = 0; threshold = 1.0 })
-  in
-  Alcotest.(check string) "name kept" "test" p.Verify.Property.name
-
-let test_property_pp () =
-  let s =
-    Format.asprintf "%a" Verify.Property.pp_query
-      (Verify.Property.Lateral_velocity_le { components = 3; threshold = 3.0 })
-  in
-  Alcotest.(check bool) "mentions threshold" true
-    (String.length s > 0)
-
 (* {1 Scenario} *)
 
 let test_scenario_vehicle_on_left_pins_presence () =
@@ -253,14 +231,16 @@ let test_warm_start_fewer_iterations_same_answer () =
    0.5 * time_limit on top of the full time_limit granted to the output
    queries. The call must finish within the limit plus one node's
    slack. A wide network on a wide box guarantees both OBBT and the
-   searches would gladly eat far more than the budget. *)
-let test_finite_time_limit_respected_globally () =
+   searches would gladly eat far more than the budget. On two cores the
+   two component queries fan out, each under a share computed as it is
+   claimed: the budget must hold there too. *)
+let test_finite_time_limit_respected_globally cores () =
   let net = small_net 48 [ 8; 48; 48; Nn.Gmm.output_dim ~components:2 ] in
   let b0 = box 8 1.0 in
   let time_limit = 4.0 in
   let t0 = Unix.gettimeofday () in
   let r =
-    Verify.Driver.max_lateral_velocity ~time_limit ~tighten_rounds:2
+    Verify.Driver.max_lateral_velocity ~time_limit ~tighten_rounds:2 ~cores
       ~components:2 net b0
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -450,11 +430,6 @@ let () =
   let slow name f = Alcotest.test_case name `Slow f in
   Alcotest.run "verify"
     [
-      ( "property",
-        [
-          quick "output indices" test_property_output_indices;
-          quick "pp" test_property_pp;
-        ] );
       ( "scenario",
         [
           quick "pins presence" test_scenario_vehicle_on_left_pins_presence;
@@ -474,7 +449,10 @@ let () =
           slow "proof cheaper" test_proof_cheaper_than_max;
           slow "time limit" test_time_limit_respected;
           slow "warm start acceptance" test_warm_start_fewer_iterations_same_answer;
-          slow "finite budget global" test_finite_time_limit_respected_globally;
+          slow "finite budget global"
+            (test_finite_time_limit_respected_globally 1);
+          slow "finite budget global, 2 cores"
+            (test_finite_time_limit_respected_globally 2);
           slow "component fan-out" test_component_queries_fan_out;
           slow "bound modes agree" test_bound_modes_agree;
           slow "pre-pass proves, zero nodes" test_prepass_proves_with_zero_nodes;
