@@ -904,6 +904,10 @@ let micro ?(json = false) () =
   let sim = Highway.Simulator.spawn ~rng ~road ~vehicles_per_lane:14 () in
   Highway.Simulator.run sim ~dt:0.2 ~steps:20 ();
   let scene = Highway.Simulator.scene sim in
+  let step_name =
+    Printf.sprintf "simulator step (%d vehicles)"
+      (Array.length scene.Highway.Scene.others + 1)
+  in
   let lp =
     let p = Lp.Problem.create () in
     let vars =
@@ -973,7 +977,7 @@ let micro ?(json = false) () =
         (Staged.stage (fun () -> Lp.Simplex.solve_dense (Lp.Problem.copy lp)));
       Test.make ~name:"simplex solve sparse (40 vars)"
         (Staged.stage (fun () -> Lp.Simplex.solve (Lp.Problem.copy lp)));
-      Test.make ~name:"simulator step (57 vehicles)"
+      Test.make ~name:step_name
         (Staged.stage (fun () -> Highway.Simulator.step sim ~dt:0.2 ()));
       Test.make ~name:"node-eval copy (depth 12)"
         (Staged.stage (fun () ->

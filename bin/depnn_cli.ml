@@ -24,24 +24,6 @@ open Cmdliner
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let samples_arg =
-  Arg.(value & opt int 1500 & info [ "samples" ] ~docv:"N" ~doc:"Scenes to record.")
-
-let risky_arg =
-  Arg.(
-    value
-    & opt float 0.25
-    & info [ "risky" ] ~docv:"P"
-        ~doc:"Blind-spot failure rate of the recording expert.")
-
-let width_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "width" ] ~docv:"N" ~doc:"Hidden width of the I4xN architecture.")
-
-let epochs_arg =
-  Arg.(value & opt int 20 & info [ "epochs" ] ~docv:"N" ~doc:"Training epochs.")
-
 (* A plain [Arg.int] would accept 0 or negative sizes and only blow up
    deep inside the run (or silently run on one core); reject them at the
    usage level like the other suffixed options ($(b,--bound-mode)).
@@ -55,15 +37,6 @@ let positive_int_conv what =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let cores_arg =
-  Arg.(
-    value
-    & opt (positive_int_conv "worker domains") 1
-    & info [ "cores" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the MILP verifier (bound tightening and \
-           branch & bound); 1 = sequential.")
-
 (* A float option that only [accept]ed values pass; [msg] says why the
    others are usage errors. *)
 let checked_float_conv ~accept msg =
@@ -73,6 +46,47 @@ let checked_float_conv ~accept msg =
     | Some _ | None -> Error (`Msg msg)
   in
   Arg.conv (parse, Format.pp_print_float)
+
+(* Shared by generate, data-audit, train, trace, fault campaign, guard
+   and certify: no scenes, no epochs or no hidden neuron is a usage
+   error, not an empty run or an uncaught exception. *)
+let samples_arg =
+  Arg.(
+    value
+    & opt (positive_int_conv "scenes to record") 1500
+    & info [ "samples" ] ~docv:"N" ~doc:"Scenes to record.")
+
+let risky_arg =
+  Arg.(
+    value
+    & opt
+        (checked_float_conv
+           ~accept:(fun p -> Float.is_finite p && p >= 0.0 && p <= 1.0)
+           "expected a probability in [0, 1]")
+        0.25
+    & info [ "risky" ] ~docv:"P"
+        ~doc:"Blind-spot failure rate of the recording expert.")
+
+let width_arg =
+  Arg.(
+    value
+    & opt (positive_int_conv "hidden width") 10
+    & info [ "width" ] ~docv:"N" ~doc:"Hidden width of the I4xN architecture.")
+
+let epochs_arg =
+  Arg.(
+    value
+    & opt (positive_int_conv "training epochs") 20
+    & info [ "epochs" ] ~docv:"N" ~doc:"Training epochs.")
+
+let cores_arg =
+  Arg.(
+    value
+    & opt (positive_int_conv "worker domains") 1
+    & info [ "cores" ] ~docv:"N"
+        ~doc:
+          "Worker domains for the MILP verifier (bound tightening and \
+           branch & bound); 1 = sequential.")
 
 (* A time budget the deadline arithmetic can use: a NaN makes every
    deadline comparison false, so the solve never stops. The rule is the

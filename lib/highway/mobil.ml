@@ -22,68 +22,73 @@ let idm_accel_towards idm road (follower : Vehicle.t) (leader : Vehicle.t option
         ~gap:(Vehicle.gap road ~follower ~leader:l)
         ~leader_speed:l.Vehicle.speed
 
-let evaluate p idm scene vehicle ~target_lane =
+(* The terms that do not depend on the target lane: the vehicle's own
+   acceleration behind its current leader, and what its current follower
+   gains once it leaves. [decide] computes them at most once for both
+   target lanes; they are the same calls on the same arguments either
+   way. *)
+type own = { a_self_old : float; old_follower_delta : float }
+
+let own_terms idm scene vehicle =
+  let road = scene.Scene.road in
+  let old_leader = Scene.leader scene vehicle ~lane:vehicle.Vehicle.lane in
+  let old_follower = Scene.follower scene vehicle ~lane:vehicle.Vehicle.lane in
+  let a_self_old = idm_accel_towards idm road vehicle old_leader in
+  let old_follower_delta =
+    match old_follower with
+    | None -> 0.0
+    | Some f ->
+        (* The old follower gains our leader once we leave. *)
+        let before = idm_accel_towards idm road f (Some vehicle) in
+        let after = idm_accel_towards idm road f old_leader in
+        after -. before
+  in
+  { a_self_old; old_follower_delta }
+
+let assess p idm scene vehicle ~target_lane own =
   let road = scene.Scene.road in
   if
     (not (Road.valid_lane road target_lane))
     || target_lane = vehicle.Vehicle.lane
+    (* A vehicle alongside in the target lane blocks the change outright. *)
+    || Scene.alongside scene vehicle ~lane:target_lane
   then { safe = false; incentive = neg_infinity }
   else begin
-    (* A vehicle alongside in the target lane blocks the change outright. *)
-    let blocked =
-      List.exists
-        (fun (v : Vehicle.t) ->
-          v.Vehicle.id <> vehicle.Vehicle.id
-          && v.Vehicle.lane = target_lane
-          && Float.abs (Road.delta road v.Vehicle.x vehicle.Vehicle.x)
-             <= Scene.alongside_window)
-        (Scene.vehicles scene)
+    let own = Lazy.force own in
+    let new_leader = Scene.leader scene vehicle ~lane:target_lane in
+    let new_follower = Scene.follower scene vehicle ~lane:target_lane in
+    let moved = { vehicle with Vehicle.lane = target_lane } in
+    let a_self_new = idm_accel_towards idm road moved new_leader in
+    (* New follower's deceleration if we cut in. *)
+    let follower_after =
+      match new_follower with
+      | None -> 0.0
+      | Some f -> idm_accel_towards idm road f (Some moved)
     in
-    if blocked then { safe = false; incentive = neg_infinity }
-    else begin
-      let old_leader = Scene.leader scene vehicle ~lane:vehicle.Vehicle.lane in
-      let new_leader = Scene.leader scene vehicle ~lane:target_lane in
-      let new_follower = Scene.follower scene vehicle ~lane:target_lane in
-      let old_follower = Scene.follower scene vehicle ~lane:vehicle.Vehicle.lane in
-      let a_self_old = idm_accel_towards idm road vehicle old_leader in
-      let moved = { vehicle with Vehicle.lane = target_lane } in
-      let a_self_new = idm_accel_towards idm road moved new_leader in
-      (* New follower's deceleration if we cut in. *)
-      let follower_after =
-        match new_follower with
-        | None -> 0.0
-        | Some f -> idm_accel_towards idm road f (Some moved)
-      in
-      let safe = follower_after >= -.p.safe_brake in
-      let follower_delta =
-        match new_follower with
-        | None -> 0.0
-        | Some f ->
-            let before =
-              idm_accel_towards idm road f (Scene.leader scene f ~lane:target_lane)
-            in
-            follower_after -. before
-      in
-      let old_follower_delta =
-        match old_follower with
-        | None -> 0.0
-        | Some f ->
-            (* The old follower gains our leader once we leave. *)
-            let before = idm_accel_towards idm road f (Some vehicle) in
-            let after = idm_accel_towards idm road f old_leader in
-            after -. before
-      in
-      let incentive =
-        a_self_new -. a_self_old
-        +. (p.politeness *. (follower_delta +. old_follower_delta))
-      in
-      { safe; incentive }
-    end
+    let safe = follower_after >= -.p.safe_brake in
+    let follower_delta =
+      match new_follower with
+      | None -> 0.0
+      | Some f ->
+          let before =
+            idm_accel_towards idm road f (Scene.leader scene f ~lane:target_lane)
+          in
+          follower_after -. before
+    in
+    let incentive =
+      a_self_new -. own.a_self_old
+      +. (p.politeness *. (follower_delta +. own.old_follower_delta))
+    in
+    { safe; incentive }
   end
 
+let evaluate p idm scene vehicle ~target_lane =
+  assess p idm scene vehicle ~target_lane (lazy (own_terms idm scene vehicle))
+
 let decide p idm scene vehicle =
+  let own = lazy (own_terms idm scene vehicle) in
   let consider target_lane bias =
-    let d = evaluate p idm scene vehicle ~target_lane in
+    let d = assess p idm scene vehicle ~target_lane own in
     if d.safe && d.incentive +. bias > p.threshold then
       Some (target_lane, d.incentive +. bias)
     else None

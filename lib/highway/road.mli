@@ -29,7 +29,10 @@ val make :
   t
 
 val wrap : t -> float -> float
-(** Normalise a longitudinal position into [\[0, length)]. *)
+(** Normalise a longitudinal position into [\[0, length)]. Positions
+    already in range come back unchanged; a negative position so close
+    to a multiple of [length] that adding [length] would round up to
+    [length] itself wraps to 0. *)
 
 val delta : t -> float -> float -> float
 (** [delta road a b] is the signed shortest longitudinal distance from

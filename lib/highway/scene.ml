@@ -1,18 +1,73 @@
-type t = { road : Road.t; ego : Vehicle.t; others : Vehicle.t array }
+(* Slot [i < Array.length others] is [others.(i)], the last slot is the
+   ego: slot order is the scan order every query breaks ties by. *)
+type index = {
+  all : Vehicle.t array;
+  lanes : int array array;  (* per lane: slots sorted by (x, slot) *)
+}
+
+type t = {
+  road : Road.t;
+  ego : Vehicle.t;
+  others : Vehicle.t array;
+  index : index;
+}
+
+let on_road road x = x >= 0.0 && x < road.Road.length
 
 let make road ~ego ~others =
-  List.iter
+  let others = Array.of_list others in
+  let all = Array.append others [| ego |] in
+  let counts = Array.make road.Road.num_lanes 0 in
+  Array.iter
     (fun (v : Vehicle.t) ->
       if not (Road.valid_lane road v.Vehicle.lane) then
-        invalid_arg "Scene.make: vehicle in invalid lane")
-    (ego :: others);
-  { road; ego; others = Array.of_list others }
+        invalid_arg "Scene.make: vehicle in invalid lane";
+      if not (on_road road v.Vehicle.x) then
+        invalid_arg "Scene.make: position outside [0, length)";
+      counts.(v.Vehicle.lane) <- counts.(v.Vehicle.lane) + 1)
+    all;
+  let lanes = Array.map (fun n -> Array.make n 0) counts in
+  let filled = Array.make road.Road.num_lanes 0 in
+  (* Insertion in slot order: a slot moves in front of strictly larger
+     positions only, so equal positions keep scan order. *)
+  Array.iteri
+    (fun slot (v : Vehicle.t) ->
+      let lane = lanes.(v.Vehicle.lane) in
+      let k = ref filled.(v.Vehicle.lane) in
+      while !k > 0 && all.(lane.(!k - 1)).Vehicle.x > v.Vehicle.x do
+        lane.(!k) <- lane.(!k - 1);
+        decr k
+      done;
+      lane.(!k) <- slot;
+      filled.(v.Vehicle.lane) <- filled.(v.Vehicle.lane) + 1)
+    all;
+  { road; ego; others; index = { all; lanes } }
 
 let alongside_window = 7.5
 
-let candidates t reference =
-  Array.to_list t.others @ [ t.ego ]
-  |> List.filter (fun (v : Vehicle.t) -> v.Vehicle.id <> reference.Vehicle.id)
+(* Nearest vehicle of [lane] by [keep dx] and absolute distance, the
+   earliest slot winning ties, as the linear scan of [others] then the
+   ego found it. *)
+let nearest_in_lane t reference ~lane keep =
+  let all = t.index.all and slots = t.index.lanes.(lane) in
+  let best = ref (-1) and best_d = ref infinity in
+  for k = 0 to Array.length slots - 1 do
+    let slot = slots.(k) in
+    let v = all.(slot) in
+    if v.Vehicle.id <> reference.Vehicle.id then begin
+      let dx = Road.delta t.road v.Vehicle.x reference.Vehicle.x in
+      if keep dx then begin
+        let d = Float.abs dx in
+        if d < !best_d || (d = !best_d && (!best < 0 || slot < !best)) then begin
+          best := slot;
+          best_d := d
+        end
+      end
+    end
+  done;
+  if !best < 0 then None else Some all.(!best)
+
+let within_window dx = Float.abs dx <= alongside_window
 
 let neighbor_of t reference orientation =
   let target_lane =
@@ -20,66 +75,116 @@ let neighbor_of t reference orientation =
   in
   if not (Road.valid_lane t.road target_lane) then None
   else begin
-    let eligible (v : Vehicle.t) =
-      v.Vehicle.lane = target_lane
-      && begin
-           let dx = Road.delta t.road v.Vehicle.x reference.Vehicle.x in
-           match orientation with
-           | Orientation.Front | Orientation.Left_front | Orientation.Right_front
-             ->
-               dx > (if Orientation.lane_shift orientation = 0 then 0.0
-                     else alongside_window)
-           | Orientation.Back | Orientation.Left_back | Orientation.Right_back
-             ->
-               dx < (if Orientation.lane_shift orientation = 0 then 0.0
-                     else -.alongside_window)
-           | Orientation.Left | Orientation.Right ->
-               Float.abs dx <= alongside_window
-         end
+    let adjacent = Orientation.lane_shift orientation <> 0 in
+    let keep =
+      match orientation with
+      | Orientation.Front | Orientation.Left_front | Orientation.Right_front ->
+          let limit = if adjacent then alongside_window else 0.0 in
+          fun dx -> dx > limit
+      | Orientation.Back | Orientation.Left_back | Orientation.Right_back ->
+          let limit = if adjacent then -.alongside_window else 0.0 in
+          fun dx -> dx < limit
+      | Orientation.Left | Orientation.Right -> within_window
     in
-    let closer (a : Vehicle.t) (b : Vehicle.t) =
-      let da = Float.abs (Road.delta t.road a.Vehicle.x reference.Vehicle.x) in
-      let db = Float.abs (Road.delta t.road b.Vehicle.x reference.Vehicle.x) in
-      if da <= db then a else b
-    in
-    candidates t reference
-    |> List.filter eligible
-    |> function
-    | [] -> None
-    | v :: rest -> Some (List.fold_left closer v rest)
+    nearest_in_lane t reference ~lane:target_lane keep
   end
 
 let neighbor t orientation = neighbor_of t t.ego orientation
 
-let leader t reference ~lane =
-  let best = ref None in
-  let consider (v : Vehicle.t) =
-    if v.Vehicle.id <> reference.Vehicle.id && v.Vehicle.lane = lane then begin
-      let dx = Road.delta t.road v.Vehicle.x reference.Vehicle.x in
-      if dx > 0.0 then
-        match !best with
-        | None -> best := Some (v, dx)
-        | Some (_, d) -> if dx < d then best := Some (v, dx)
-    end
-  in
-  Array.iter consider t.others;
-  consider t.ego;
-  Option.map fst !best
+(* Leader and follower. With every position in [\[0, length)], the
+   computed [Road.delta road x b] is non-decreasing in [x] along a
+   lane's sorted slots except where it wraps from +length/2 to
+   -length/2, so it rises in at most three runs: ahead across the wrap
+   (positive), then from behind through 0 to ahead (the vehicles level
+   with [b], at delta 0, sit in the middle), then behind across the
+   wrap (negative). The nearest vehicle strictly ahead therefore heads
+   either the run starting at the first slot past [b] or the one
+   starting at slot 0; the nearest strictly behind heads, walking
+   backwards, the run below [b] or the one ending at the last slot.
+   [walk] follows one run, skipping the reference and vehicles level
+   with it, and keeps the earliest slot among the vehicles at the run's
+   first distance; [pick] then compares the two candidates as the scan
+   would: strictly nearer wins, equal distance goes to the earlier
+   slot. *)
 
-let follower t reference ~lane =
-  let best = ref None in
-  let consider (v : Vehicle.t) =
-    if v.Vehicle.id <> reference.Vehicle.id && v.Vehicle.lane = lane then begin
-      let dx = Road.delta t.road v.Vehicle.x reference.Vehicle.x in
-      if dx < 0.0 then
-        match !best with
-        | None -> best := Some (v, dx)
-        | Some (_, d) -> if dx > d then best := Some (v, dx)
+(* First sorted position in [slots] whose vehicle lies at or beyond [b]
+   ([strict]: strictly beyond). *)
+let bisect all slots b ~strict =
+  let lo = ref 0 and hi = ref (Array.length slots) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = all.(slots.(mid)).Vehicle.x in
+    if (if strict then x > b else x >= b) then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let walk t reference slots k ~step ~ahead =
+  let all = t.index.all and b = reference.Vehicle.x in
+  let found = ref (-1) and found_dx = ref 0.0 in
+  let k = ref k and stop = ref false in
+  while (not !stop) && !k >= 0 && !k < Array.length slots do
+    let slot = slots.(!k) in
+    let v = all.(slot) in
+    if v.Vehicle.id <> reference.Vehicle.id then begin
+      let dx = Road.delta t.road v.Vehicle.x b in
+      if !found < 0 then begin
+        if dx <> 0.0 then
+          if (if ahead then dx > 0.0 else dx < 0.0) then begin
+            found := slot;
+            found_dx := dx
+          end
+          else stop := true
+      end
+      else if dx = !found_dx then (if slot < !found then found := slot)
+      else stop := true
+    end;
+    k := !k + step
+  done;
+  !found
+
+let pick t reference a b ~ahead =
+  let slot =
+    if a < 0 then b
+    else if b < 0 then a
+    else begin
+      let all = t.index.all and x = reference.Vehicle.x in
+      let da = Road.delta t.road all.(a).Vehicle.x x
+      and db = Road.delta t.road all.(b).Vehicle.x x in
+      if da = db then Int.min a b
+      else if (if ahead then da < db else da > db) then a
+      else b
     end
   in
-  Array.iter consider t.others;
-  consider t.ego;
-  Option.map fst !best
+  if slot < 0 then None else Some t.index.all.(slot)
+
+let check_reference t reference =
+  if not (on_road t.road reference.Vehicle.x) then
+    invalid_arg "Scene: reference position outside [0, length)"
+
+(* [ahead]: the leader, else the follower. *)
+let nearest_by_runs t reference ~lane ~ahead =
+  check_reference t reference;
+  if not (Road.valid_lane t.road lane) then None
+  else begin
+    let all = t.index.all and slots = t.index.lanes.(lane) in
+    let b = reference.Vehicle.x in
+    let start =
+      if ahead then bisect all slots b ~strict:true
+      else bisect all slots b ~strict:false - 1
+    and across = if ahead then 0 else Array.length slots - 1
+    and step = if ahead then 1 else -1 in
+    pick t reference
+      (walk t reference slots start ~step ~ahead)
+      (walk t reference slots across ~step ~ahead)
+      ~ahead
+  end
+
+let leader t reference ~lane = nearest_by_runs t reference ~lane ~ahead:true
+let follower t reference ~lane = nearest_by_runs t reference ~lane ~ahead:false
+
+let alongside t reference ~lane =
+  Road.valid_lane t.road lane
+  && nearest_in_lane t reference ~lane within_window <> None
 
 let has_vehicle_on_left ?(window = alongside_window) t =
   let target_lane = t.ego.Vehicle.lane + 1 in
@@ -90,23 +195,26 @@ let has_vehicle_on_left ?(window = alongside_window) t =
          && Float.abs (Road.delta t.road v.Vehicle.x t.ego.Vehicle.x) <= window)
        t.others
 
+(* Every ordered same-lane pair, lane by lane. A gap is never -0.0 (its
+   distance is positive), so the minimum's bits do not depend on the
+   order the pairs are visited in. *)
 let min_gap_to_any t =
-  let all = t.ego :: Array.to_list t.others in
+  let all = t.index.all in
   let best = ref infinity in
-  List.iter
-    (fun (a : Vehicle.t) ->
-      List.iter
-        (fun (b : Vehicle.t) ->
-          if a.Vehicle.id <> b.Vehicle.id && a.Vehicle.lane = b.Vehicle.lane
-          then begin
-            let dx = Road.delta t.road b.Vehicle.x a.Vehicle.x in
-            if dx > 0.0 then begin
-              let g = Vehicle.gap t.road ~follower:a ~leader:b in
-              if g < !best then best := g
-            end
-          end)
-        all)
-    all;
+  for lane = 0 to Array.length t.index.lanes - 1 do
+    let slots = t.index.lanes.(lane) in
+    for i = 0 to Array.length slots - 1 do
+      let a = all.(slots.(i)) in
+      for j = 0 to Array.length slots - 1 do
+        let b = all.(slots.(j)) in
+        if a.Vehicle.id <> b.Vehicle.id then begin
+          let dx = Road.delta t.road b.Vehicle.x a.Vehicle.x in
+          if dx > 0.0 then begin
+            let g = Vehicle.gap t.road ~follower:a ~leader:b in
+            if g < !best then best := g
+          end
+        end
+      done
+    done
+  done;
   !best
-
-let vehicles t = t.ego :: Array.to_list t.others

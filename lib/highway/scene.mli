@@ -1,8 +1,32 @@
-(** A snapshot of the road: the ego vehicle plus surrounding traffic. *)
+(** A snapshot of the road: the ego vehicle plus surrounding traffic.
 
-type t = { road : Road.t; ego : Vehicle.t; others : Vehicle.t array }
+    A scene is immutable once built: only {!make} builds one, and it
+    indexes the vehicles of each lane, sorted by position, for the
+    neighbour queries. Callers must not mutate [others]: the queries
+    read the index, which would no longer match it, and
+    {!Simulator.scene} hands the same snapshot to every reader and to
+    its own next step.
+
+    Every query answers exactly as a linear scan over [others] in array
+    order, then the ego, would: the nearest vehicle by the computed
+    {!Road.delta} (with its sign convention), the earliest vehicle in
+    that scan order on equal distances, and never the reference itself,
+    matched by id, whether or not the reference is in the scene. *)
+
+type index
+(** Per lane, the vehicles sorted by position, equal positions in scan
+    order. *)
+
+type t = private {
+  road : Road.t;
+  ego : Vehicle.t;
+  others : Vehicle.t array;
+  index : index;
+}
 
 val make : Road.t -> ego:Vehicle.t -> others:Vehicle.t list -> t
+(** Raises [Invalid_argument] if a vehicle is in an invalid lane or its
+    position lies outside [\[0, length)] (see {!Road.wrap}). *)
 
 val alongside_window : float
 (** Longitudinal half-window (m) within which a vehicle in an adjacent
@@ -19,9 +43,18 @@ val neighbor_of : t -> Vehicle.t -> Orientation.t -> Vehicle.t option
     included among the candidates). *)
 
 val leader : t -> Vehicle.t -> lane:int -> Vehicle.t option
-(** Nearest vehicle strictly ahead in [lane]. *)
+(** Nearest vehicle strictly ahead in [lane] (smallest positive delta).
+    Answered from the index in logarithmic time. The reference's
+    position must lie in [\[0, length)]; raises [Invalid_argument]
+    otherwise. *)
 
 val follower : t -> Vehicle.t -> lane:int -> Vehicle.t option
+(** Nearest vehicle strictly behind in [lane] (largest negative delta);
+    same contract as {!leader}. *)
+
+val alongside : t -> Vehicle.t -> lane:int -> bool
+(** Is a vehicle other than the reference in [lane] within
+    {!alongside_window} of it (bounds included)? MOBIL's blocked test. *)
 
 val has_vehicle_on_left : ?window:float -> t -> bool
 (** The safety-critical predicate of the paper's case study: is there a
@@ -32,6 +65,3 @@ val min_gap_to_any : t -> float
 (** Smallest bumper gap between any same-lane pair (collision monitor:
     negative means overlap). Returns [infinity] when no pair shares a
     lane. *)
-
-val vehicles : t -> Vehicle.t list
-(** Ego first, then others. *)

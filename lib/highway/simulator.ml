@@ -2,6 +2,7 @@ type t = {
   road : Road.t;
   mutable ego : Vehicle.t;
   mutable others : Vehicle.t array;
+  mutable world : Scene.t;  (* snapshot of [ego] and [others] *)
   mutable clock : float;
   mutable collided : bool;
   idm : Idm.params;
@@ -18,6 +19,7 @@ let create ?(road = Road.default) ~ego ~others () =
     road;
     ego;
     others = Array.of_list others;
+    world = Scene.make road ~ego ~others;
     clock = 0.0;
     collided = false;
     idm = Idm.default;
@@ -68,7 +70,7 @@ let spawn ~rng ?(road = Road.default) ?(vehicles_per_lane = 6) () =
   in
   create ~road ~ego ~others ()
 
-let scene t = Scene.make t.road ~ego:t.ego ~others:(Array.to_list t.others)
+let scene t = t.world
 
 let time t = t.clock
 let ego t = t.ego
@@ -114,7 +116,8 @@ let apply_ego_action t dt (action : Policy.action option) =
   let ego = t.ego in
   match action with
   | None ->
-      let world = scene t in
+      (* The ego follows the traffic as it has just moved. *)
+      let world = Scene.make t.road ~ego ~others:(Array.to_list t.others) in
       let accel =
         match Scene.leader world ego ~lane:ego.Vehicle.lane with
         | None ->
@@ -141,7 +144,7 @@ let apply_ego_action t dt (action : Policy.action option) =
       t.ego <- { moved with Vehicle.lane; lat_offset }
 
 let step t ?ego_action ~dt () =
-  let world = scene t in
+  let world = t.world in
   t.others <- Array.map (update_traffic_vehicle t world dt) t.others;
   apply_ego_action t dt ego_action;
   t.clock <- t.clock +. dt;
@@ -151,7 +154,8 @@ let step t ?ego_action ~dt () =
     t.ego <- Vehicle.push_history t.ego;
     t.others <- Array.map Vehicle.push_history t.others
   end;
-  if Scene.min_gap_to_any (scene t) < 0.0 then t.collided <- true
+  t.world <- Scene.make t.road ~ego:t.ego ~others:(Array.to_list t.others);
+  if Scene.min_gap_to_any t.world < 0.0 then t.collided <- true
 
 let run t ?controller ~dt ~steps () =
   for _ = 1 to steps do

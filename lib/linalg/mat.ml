@@ -178,7 +178,12 @@ let outer u v = init (Array.length u) (Array.length v) (fun i j -> u.(i) *. v.(j
 
 let map f m = { m with data = Array.map f m.data }
 
-let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
+let frobenius m =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length m.data - 1 do
+    acc := !acc +. (m.data.(i) *. m.data.(i))
+  done;
+  sqrt !acc
 
 let approx_equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols

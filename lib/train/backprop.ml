@@ -16,13 +16,14 @@ let accumulate acc g =
   Array.iteri (fun i m -> Linalg.Mat.add_in_place acc.dw.(i) m) g.dw;
   Array.iteri (fun i v -> Linalg.Vec.axpy 1.0 v acc.db.(i)) g.db
 
+let scale_array s (a : float array) =
+  for k = 0 to Array.length a - 1 do
+    a.(k) <- s *. a.(k)
+  done
+
 let scale_in_place g s =
-  Array.iteri
-    (fun i m ->
-      let scaled = Linalg.Mat.scale s m in
-      g.dw.(i) <- scaled)
-    g.dw;
-  Array.iteri (fun i v -> g.db.(i) <- Linalg.Vec.scale s v) g.db
+  Array.iter (fun m -> scale_array s (Linalg.Mat.data m)) g.dw;
+  Array.iter (scale_array s) g.db
 
 let global_norm g =
   let acc = ref 0.0 in

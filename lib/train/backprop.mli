@@ -10,8 +10,14 @@ val accumulate : grads -> grads -> unit
 (** [accumulate acc g] adds [g] into [acc]. *)
 
 val scale_in_place : grads -> float -> unit
+(** [scale_in_place g s] multiplies every entry by [s] in [g]'s own
+    arrays ([s *. x] per entry, the same product an allocating scale
+    computes). *)
+
 val global_norm : grads -> float
-(** L2 norm over all gradient entries (for clipping). *)
+(** L2 norm over all gradient entries (for clipping), summed layer by
+    layer in ascending order: the bits do not depend on how the loop is
+    written. *)
 
 val gradient :
   ?hint:Hint.t ->

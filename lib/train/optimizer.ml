@@ -16,53 +16,49 @@ type state = {
 let init _ net =
   { m = Backprop.zero_like net; v = Backprop.zero_like net; step_count = 0 }
 
-let update_layer_weights net i f =
-  let l = Nn.Network.layer net i in
-  let w = l.Nn.Layer.weights and b = l.Nn.Layer.bias in
-  for r = 0 to Linalg.Mat.rows w - 1 do
-    for c = 0 to Linalg.Mat.cols w - 1 do
-      Linalg.Mat.set w r c (f `Weight i r c (Linalg.Mat.get w r c))
-    done;
-    Linalg.Vec.set b r (f `Bias i r (-1) (Linalg.Vec.get b r))
+(* Each parameter array is updated with one flat loop; the expressions
+   per parameter are those of the textbook rules, and no parameter's
+   update reads another's, so the visiting order changes no bit. *)
+let sgd_update ~lr ~momentum (p : float array) (g : float array)
+    (m : float array) =
+  for k = 0 to Array.length p - 1 do
+    let vel = (momentum *. m.(k)) -. (lr *. g.(k)) in
+    m.(k) <- vel;
+    p.(k) <- p.(k) +. vel
+  done
+
+let adam_update ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 (p : float array)
+    (grad : float array) (m : float array) (v : float array) =
+  for k = 0 to Array.length p - 1 do
+    let g = grad.(k) in
+    let m' = (beta1 *. m.(k)) +. ((1.0 -. beta1) *. g) in
+    let v' = (beta2 *. v.(k)) +. ((1.0 -. beta2) *. g *. g) in
+    m.(k) <- m';
+    v.(k) <- v';
+    let mhat = m' /. bc1 and vhat = v' /. bc2 in
+    p.(k) <- p.(k) -. (lr *. mhat /. (sqrt vhat +. eps))
   done
 
 let step t state net (grads : Backprop.grads) =
   state.step_count <- state.step_count + 1;
-  let read (g : Backprop.grads) kind i r c =
-    match kind with
-    | `Weight -> Linalg.Mat.get g.dw.(i) r c
-    | `Bias -> Linalg.Vec.get g.db.(i) r
-  in
-  let write (g : Backprop.grads) kind i r c value =
-    match kind with
-    | `Weight -> Linalg.Mat.set g.dw.(i) r c value
-    | `Bias -> Linalg.Vec.set g.db.(i) r value
-  in
+  let data = Linalg.Mat.data in
   match t with
   | Sgd { lr; momentum } ->
-      let f kind i r c current =
-        let g = read grads kind i r c in
-        let vel = (momentum *. read state.m kind i r c) -. (lr *. g) in
-        write state.m kind i r c vel;
-        current +. vel
-      in
       for i = 0 to Nn.Network.num_layers net - 1 do
-        update_layer_weights net i f
+        let l = Nn.Network.layer net i in
+        sgd_update ~lr ~momentum (data l.Nn.Layer.weights) (data grads.dw.(i))
+          (data state.m.dw.(i));
+        sgd_update ~lr ~momentum l.Nn.Layer.bias grads.db.(i) state.m.db.(i)
       done
   | Adam { lr; beta1; beta2; eps } ->
       let tstep = float_of_int state.step_count in
       let bc1 = 1.0 -. (beta1 ** tstep) and bc2 = 1.0 -. (beta2 ** tstep) in
-      let f kind i r c current =
-        let g = read grads kind i r c in
-        let m' = (beta1 *. read state.m kind i r c) +. ((1.0 -. beta1) *. g) in
-        let v' = (beta2 *. read state.v kind i r c) +. ((1.0 -. beta2) *. g *. g) in
-        write state.m kind i r c m';
-        write state.v kind i r c v';
-        let mhat = m' /. bc1 and vhat = v' /. bc2 in
-        current -. (lr *. mhat /. (sqrt vhat +. eps))
-      in
       for i = 0 to Nn.Network.num_layers net - 1 do
-        update_layer_weights net i f
+        let l = Nn.Network.layer net i in
+        adam_update ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 (data l.Nn.Layer.weights)
+          (data grads.dw.(i)) (data state.m.dw.(i)) (data state.v.dw.(i));
+        adam_update ~lr ~beta1 ~beta2 ~eps ~bc1 ~bc2 l.Nn.Layer.bias
+          grads.db.(i) state.m.db.(i) state.v.db.(i)
       done
 
 let name = function

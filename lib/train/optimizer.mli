@@ -10,8 +10,20 @@ val sgd : ?momentum:float -> float -> t
 val adam : ?beta1:float -> ?beta2:float -> ?eps:float -> float -> t
 (** [adam lr] with the usual defaults (0.9, 0.999, 1e-8). *)
 
-type state
+type state = private {
+  m : Backprop.grads;  (** SGD velocity, or Adam's first moment *)
+  v : Backprop.grads;  (** Adam's second moment (unused by SGD) *)
+  mutable step_count : int;
+}
 
 val init : t -> Nn.Network.t -> state
+
 val step : t -> state -> Nn.Network.t -> Backprop.grads -> unit
+(** One update of every weight and bias, one flat loop per parameter
+    array. Each parameter gets the same arithmetic as the textbook
+    per-weight rule (SGD: [v <- momentum*v - lr*g; w <- w + v]; Adam
+    with bias correction), so runs are bit-identical to a per-weight
+    implementation; the test suite keeps one as its reference.
+    [grads] must have the network's shape. *)
+
 val name : t -> string

@@ -7,7 +7,29 @@ let test_road_wrap () =
   let road = Highway.Road.make ~length:100.0 () in
   Alcotest.(check (float 1e-9)) "inside" 40.0 (Highway.Road.wrap road 40.0);
   Alcotest.(check (float 1e-9)) "positive wrap" 5.0 (Highway.Road.wrap road 105.0);
-  Alcotest.(check (float 1e-9)) "negative wrap" 95.0 (Highway.Road.wrap road (-5.0))
+  Alcotest.(check (float 1e-9)) "negative wrap" 95.0 (Highway.Road.wrap road (-5.0));
+  (* [r +. length] rounds up to [length] for a tiny negative remainder;
+     [length] is the same point as 0 and lies outside [\[0, length)]. *)
+  let ring = Highway.Road.make ~length:1000.0 () in
+  Alcotest.(check (float 0.0)) "tiny negative wraps to 0" 0.0
+    (Highway.Road.wrap ring (-1e-14))
+
+let prop_road_wrap_range =
+  QCheck.Test.make ~name:"wrap within [0, L) near 0 and +-L" ~count:500
+    (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Linalg.Rng.create seed in
+      let length = Linalg.Rng.uniform rng 1.0 3000.0 in
+      let road = Highway.Road.make ~length () in
+      let near base =
+        let eps = Float.ldexp 1.0 (-(Linalg.Rng.int rng 60)) in
+        base +. Linalg.Rng.uniform rng (-.eps) eps
+      in
+      List.for_all
+        (fun base ->
+          let w = Highway.Road.wrap road (near base) in
+          w >= 0.0 && w < length)
+        [ 0.0; length; -.length; Float.pred length; -.Float.pred length ])
 
 let test_road_delta () =
   let road = Highway.Road.make ~length:100.0 () in
@@ -409,6 +431,342 @@ let test_render_side_by_side () =
   let lines = String.split_on_char '\n' s in
   Alcotest.(check bool) "three content lines" true (List.length lines >= 3)
 
+(* {1 Reference scans}
+
+   The neighbour queries as plain linear scans over every vehicle, the
+   MOBIL code on top of them, and [Road.delta] in its [Float.rem] form.
+   The per-lane index must answer exactly as they do, tie-breaks
+   included, and [Road.delta]'s fast path must keep every bit. *)
+
+module Ref = struct
+  open Highway
+
+  let delta (road : Road.t) a b =
+    let d = Float.rem (a -. b) road.Road.length in
+    let d = if d < 0.0 then d +. road.Road.length else d in
+    if d >= road.Road.length /. 2.0 then d -. road.Road.length else d
+
+  let gap road ~(follower : Vehicle.t) ~(leader : Vehicle.t) =
+    delta road leader.Vehicle.x follower.Vehicle.x
+    -. (0.5 *. leader.Vehicle.length)
+    -. (0.5 *. follower.Vehicle.length)
+
+  let vehicles (t : Scene.t) = t.Scene.ego :: Array.to_list t.Scene.others
+
+  let candidates (t : Scene.t) reference =
+    Array.to_list t.Scene.others @ [ t.Scene.ego ]
+    |> List.filter (fun (v : Vehicle.t) -> v.Vehicle.id <> reference.Vehicle.id)
+
+  let neighbor_of (t : Scene.t) reference orientation =
+    let target_lane =
+      reference.Vehicle.lane + Orientation.lane_shift orientation
+    in
+    if not (Road.valid_lane t.Scene.road target_lane) then None
+    else begin
+      let eligible (v : Vehicle.t) =
+        v.Vehicle.lane = target_lane
+        && begin
+             let dx = delta t.Scene.road v.Vehicle.x reference.Vehicle.x in
+             match orientation with
+             | Orientation.Front | Orientation.Left_front
+             | Orientation.Right_front ->
+                 dx > (if Orientation.lane_shift orientation = 0 then 0.0
+                       else Scene.alongside_window)
+             | Orientation.Back | Orientation.Left_back | Orientation.Right_back
+               ->
+                 dx < (if Orientation.lane_shift orientation = 0 then 0.0
+                       else -.Scene.alongside_window)
+             | Orientation.Left | Orientation.Right ->
+                 Float.abs dx <= Scene.alongside_window
+           end
+      in
+      let closer (a : Vehicle.t) (b : Vehicle.t) =
+        let da = Float.abs (delta t.Scene.road a.Vehicle.x reference.Vehicle.x) in
+        let db = Float.abs (delta t.Scene.road b.Vehicle.x reference.Vehicle.x) in
+        if da <= db then a else b
+      in
+      candidates t reference
+      |> List.filter eligible
+      |> function
+      | [] -> None
+      | v :: rest -> Some (List.fold_left closer v rest)
+    end
+
+  let leader (t : Scene.t) reference ~lane =
+    let best = ref None in
+    let consider (v : Vehicle.t) =
+      if v.Vehicle.id <> reference.Vehicle.id && v.Vehicle.lane = lane then begin
+        let dx = delta t.Scene.road v.Vehicle.x reference.Vehicle.x in
+        if dx > 0.0 then
+          match !best with
+          | None -> best := Some (v, dx)
+          | Some (_, d) -> if dx < d then best := Some (v, dx)
+      end
+    in
+    Array.iter consider t.Scene.others;
+    consider t.Scene.ego;
+    Option.map fst !best
+
+  let follower (t : Scene.t) reference ~lane =
+    let best = ref None in
+    let consider (v : Vehicle.t) =
+      if v.Vehicle.id <> reference.Vehicle.id && v.Vehicle.lane = lane then begin
+        let dx = delta t.Scene.road v.Vehicle.x reference.Vehicle.x in
+        if dx < 0.0 then
+          match !best with
+          | None -> best := Some (v, dx)
+          | Some (_, d) -> if dx > d then best := Some (v, dx)
+      end
+    in
+    Array.iter consider t.Scene.others;
+    consider t.Scene.ego;
+    Option.map fst !best
+
+  let min_gap_to_any (t : Scene.t) =
+    let all = t.Scene.ego :: Array.to_list t.Scene.others in
+    let best = ref infinity in
+    List.iter
+      (fun (a : Vehicle.t) ->
+        List.iter
+          (fun (b : Vehicle.t) ->
+            if a.Vehicle.id <> b.Vehicle.id && a.Vehicle.lane = b.Vehicle.lane
+            then begin
+              let dx = delta t.Scene.road b.Vehicle.x a.Vehicle.x in
+              if dx > 0.0 then begin
+                let g = gap t.Scene.road ~follower:a ~leader:b in
+                if g < !best then best := g
+              end
+            end)
+          all)
+      all;
+    !best
+
+  let idm_accel_towards idm road (follower : Vehicle.t)
+      (leader : Vehicle.t option) =
+    match leader with
+    | None ->
+        Idm.free_road_accel idm ~speed:follower.Vehicle.speed
+          ~desired_speed:follower.Vehicle.desired_speed
+    | Some l ->
+        Idm.accel idm ~speed:follower.Vehicle.speed
+          ~desired_speed:follower.Vehicle.desired_speed
+          ~gap:(gap road ~follower ~leader:l)
+          ~leader_speed:l.Vehicle.speed
+
+  let evaluate (p : Mobil.params) idm (scene : Scene.t) vehicle ~target_lane =
+    let road = scene.Scene.road in
+    if
+      (not (Road.valid_lane road target_lane))
+      || target_lane = vehicle.Vehicle.lane
+    then { Mobil.safe = false; incentive = neg_infinity }
+    else begin
+      let blocked =
+        List.exists
+          (fun (v : Vehicle.t) ->
+            v.Vehicle.id <> vehicle.Vehicle.id
+            && v.Vehicle.lane = target_lane
+            && Float.abs (delta road v.Vehicle.x vehicle.Vehicle.x)
+               <= Scene.alongside_window)
+          (vehicles scene)
+      in
+      if blocked then { Mobil.safe = false; incentive = neg_infinity }
+      else begin
+        let old_leader = leader scene vehicle ~lane:vehicle.Vehicle.lane in
+        let new_leader = leader scene vehicle ~lane:target_lane in
+        let new_follower = follower scene vehicle ~lane:target_lane in
+        let old_follower = follower scene vehicle ~lane:vehicle.Vehicle.lane in
+        let a_self_old = idm_accel_towards idm road vehicle old_leader in
+        let moved = { vehicle with Vehicle.lane = target_lane } in
+        let a_self_new = idm_accel_towards idm road moved new_leader in
+        let follower_after =
+          match new_follower with
+          | None -> 0.0
+          | Some f -> idm_accel_towards idm road f (Some moved)
+        in
+        let safe = follower_after >= -.p.Mobil.safe_brake in
+        let follower_delta =
+          match new_follower with
+          | None -> 0.0
+          | Some f ->
+              let before =
+                idm_accel_towards idm road f (leader scene f ~lane:target_lane)
+              in
+              follower_after -. before
+        in
+        let old_follower_delta =
+          match old_follower with
+          | None -> 0.0
+          | Some f ->
+              let before = idm_accel_towards idm road f (Some vehicle) in
+              let after = idm_accel_towards idm road f old_leader in
+              after -. before
+        in
+        let incentive =
+          a_self_new -. a_self_old
+          +. (p.Mobil.politeness *. (follower_delta +. old_follower_delta))
+        in
+        { Mobil.safe; incentive }
+      end
+    end
+
+  let decide (p : Mobil.params) idm scene vehicle =
+    let consider target_lane bias =
+      let d = evaluate p idm scene vehicle ~target_lane in
+      if d.Mobil.safe && d.Mobil.incentive +. bias > p.Mobil.threshold then
+        Some (target_lane, d.Mobil.incentive +. bias)
+      else None
+    in
+    let left = consider (vehicle.Vehicle.lane + 1) 0.0 in
+    let right = consider (vehicle.Vehicle.lane - 1) p.Mobil.keep_right_bias in
+    match (left, right) with
+    | Some (l, li), Some (_, ri) when li >= ri -> Some l
+    | Some _, Some (r, _) -> Some r
+    | Some (l, _), None -> Some l
+    | None, Some (r, _) -> Some r
+    | None, None -> None
+end
+
+let bits = Int64.bits_of_float
+
+(* A random ring scene built to hit the index's edge cases: positions at
+   0 and just below the length, duplicate positions, neighbours one ulp
+   apart, pairs exactly half a ring apart (on grid rings), crowded lanes
+   and empty ones. *)
+let random_scene rng =
+  let module R = Linalg.Rng in
+  let num_lanes = 1 + R.int rng 4 in
+  let grid = R.int rng 3 = 0 in
+  let length =
+    if grid then float_of_int (20 * (1 + R.int rng 100))
+    else R.uniform rng 20.0 2000.0
+  in
+  let road = Highway.Road.make ~num_lanes ~length () in
+  let n = R.int rng 61 in
+  let xs = ref [] in
+  let position () =
+    let fresh () =
+      if grid then length *. float_of_int (R.int rng 64) /. 64.0
+      else
+        let x = R.float rng length in
+        if x >= length then Float.pred length else x
+    in
+    let x =
+      match (R.int rng 10, !xs) with
+      | 0, _ -> 0.0
+      | 1, _ -> Float.pred length
+      | 2, y :: _ -> y
+      | 3, y :: _ -> Highway.Road.wrap road (y +. (length /. 2.0))
+      | 4, y :: _ when y > 0.0 -> Float.pred y
+      | 5, y :: _ when Float.succ y < length -> Float.succ y
+      | _ -> fresh ()
+    in
+    xs := x :: !xs;
+    x
+  in
+  let vehicle id =
+    let length = if R.bool rng then 4.5 else R.uniform rng 2.0 12.0 in
+    Highway.Vehicle.make ~id ~x:(position ()) ~lane:(R.int rng num_lanes)
+      ~speed:(R.uniform rng 0.0 40.0) ~desired_speed:(R.uniform rng 5.0 40.0)
+      ~length ()
+  in
+  let others = List.init n (fun i -> vehicle (i + 1)) in
+  let ego = vehicle 0 in
+  let scene = Highway.Scene.make road ~ego ~others in
+  (* References: every scene vehicle, MOBIL's lane-changed copies of
+     them, and vehicles that are not in the scene. *)
+  let all = ego :: others in
+  let moved =
+    List.concat_map
+      (fun (v : Highway.Vehicle.t) ->
+        List.filter_map
+          (fun lane ->
+            if lane = v.Highway.Vehicle.lane then None
+            else Some { v with Highway.Vehicle.lane })
+          (List.init num_lanes Fun.id))
+      (List.filteri (fun i _ -> i < 6) all)
+  in
+  let strangers = List.init 4 (fun i -> vehicle (1000 + i)) in
+  (scene, all, moved @ strangers)
+
+let same_vehicle a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> a == b
+  | Some _, None | None, Some _ -> false
+
+let prop_scene_queries_match_scan =
+  QCheck.Test.make ~name:"scene queries match the linear scan" ~count:300
+    (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Linalg.Rng.create seed in
+      let scene, members, extra = random_scene rng in
+      let road = scene.Highway.Scene.road in
+      let lanes = List.init road.Highway.Road.num_lanes Fun.id in
+      let check what ok =
+        if not ok then QCheck.Test.fail_reportf "seed %d: %s differs" seed what
+      in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun lane ->
+              check "leader"
+                (same_vehicle (Highway.Scene.leader scene r ~lane)
+                   (Ref.leader scene r ~lane));
+              check "follower"
+                (same_vehicle (Highway.Scene.follower scene r ~lane)
+                   (Ref.follower scene r ~lane)))
+            lanes;
+          List.iter
+            (fun o ->
+              check (Highway.Orientation.name o)
+                (same_vehicle (Highway.Scene.neighbor_of scene r o)
+                   (Ref.neighbor_of scene r o)))
+            Highway.Orientation.all)
+        (members @ extra);
+      check "min gap"
+        (bits (Highway.Scene.min_gap_to_any scene)
+         = bits (Ref.min_gap_to_any scene));
+      let p = Highway.Mobil.default and idm = Highway.Idm.default in
+      List.iter
+        (fun v ->
+          List.iter
+            (fun target_lane ->
+              let d = Highway.Mobil.evaluate p idm scene v ~target_lane in
+              let e = Ref.evaluate p idm scene v ~target_lane in
+              check "MOBIL evaluate"
+                (d.Highway.Mobil.safe = e.Highway.Mobil.safe
+                 && bits d.Highway.Mobil.incentive
+                    = bits e.Highway.Mobil.incentive))
+            (-1 :: road.Highway.Road.num_lanes :: lanes);
+          check "MOBIL decide"
+            (Highway.Mobil.decide p idm scene v = Ref.decide p idm scene v))
+        members;
+      true)
+
+(* Road.delta's fast path returns Float.rem's bits, edges included. *)
+let prop_road_delta_matches_rem =
+  QCheck.Test.make ~name:"delta matches the Float.rem form" ~count:500
+    (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Linalg.Rng.create seed in
+      let length = Linalg.Rng.uniform rng 1.0 3000.0 in
+      let road = Highway.Road.make ~length () in
+      let pick () =
+        match Linalg.Rng.int rng 7 with
+        | 0 -> 0.0
+        | 1 -> Float.pred length
+        | 2 -> length
+        | 3 -> -.length
+        | 4 -> length /. 2.0
+        | 5 -> Linalg.Rng.uniform rng (-3.0 *. length) (3.0 *. length)
+        | _ -> Linalg.Rng.float rng length
+      in
+      List.for_all
+        (fun _ ->
+          let a = pick () and b = pick () in
+          bits (Highway.Road.delta road a b) = bits (Ref.delta road a b))
+        (List.init 20 Fun.id))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -478,5 +836,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_road_delta_antisymmetric; prop_road_delta_range ] );
+          [
+            prop_road_delta_antisymmetric;
+            prop_road_delta_range;
+            prop_road_delta_matches_rem;
+            prop_road_wrap_range;
+            prop_scene_queries_match_scan;
+          ] );
     ]

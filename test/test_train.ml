@@ -381,6 +381,192 @@ let test_gradient_batch_empty () =
   Alcotest.(check bool) "zero grads" true
     (grads_bit_equal grads (Train.Backprop.zero_like net))
 
+(* {1 Reference optimiser step}
+
+   The optimiser step written per weight (one closure call per
+   parameter), gradient scaling into fresh arrays, and the fold-based
+   norm. The flat loops must reproduce them bit for bit: the
+   benchmark's pinned models are trained through them. *)
+
+module Ref = struct
+  type state = {
+    m : Train.Backprop.grads;
+    v : Train.Backprop.grads;
+    mutable step_count : int;
+  }
+
+  let init net =
+    {
+      m = Train.Backprop.zero_like net;
+      v = Train.Backprop.zero_like net;
+      step_count = 0;
+    }
+
+  let update_layer_weights net i f =
+    let l = Nn.Network.layer net i in
+    let w = l.Nn.Layer.weights and b = l.Nn.Layer.bias in
+    for r = 0 to Linalg.Mat.rows w - 1 do
+      for c = 0 to Linalg.Mat.cols w - 1 do
+        Linalg.Mat.set w r c (f `Weight i r c (Linalg.Mat.get w r c))
+      done;
+      Linalg.Vec.set b r (f `Bias i r (-1) (Linalg.Vec.get b r))
+    done
+
+  let step t state net (grads : Train.Backprop.grads) =
+    state.step_count <- state.step_count + 1;
+    let read (g : Train.Backprop.grads) kind i r c =
+      match kind with
+      | `Weight -> Linalg.Mat.get g.Train.Backprop.dw.(i) r c
+      | `Bias -> Linalg.Vec.get g.Train.Backprop.db.(i) r
+    in
+    let write (g : Train.Backprop.grads) kind i r c value =
+      match kind with
+      | `Weight -> Linalg.Mat.set g.Train.Backprop.dw.(i) r c value
+      | `Bias -> Linalg.Vec.set g.Train.Backprop.db.(i) r value
+    in
+    match t with
+    | Train.Optimizer.Sgd { lr; momentum } ->
+        let f kind i r c current =
+          let g = read grads kind i r c in
+          let vel = (momentum *. read state.m kind i r c) -. (lr *. g) in
+          write state.m kind i r c vel;
+          current +. vel
+        in
+        for i = 0 to Nn.Network.num_layers net - 1 do
+          update_layer_weights net i f
+        done
+    | Train.Optimizer.Adam { lr; beta1; beta2; eps } ->
+        let tstep = float_of_int state.step_count in
+        let bc1 = 1.0 -. (beta1 ** tstep) and bc2 = 1.0 -. (beta2 ** tstep) in
+        let f kind i r c current =
+          let g = read grads kind i r c in
+          let m' = (beta1 *. read state.m kind i r c) +. ((1.0 -. beta1) *. g) in
+          let v' =
+            (beta2 *. read state.v kind i r c) +. ((1.0 -. beta2) *. g *. g)
+          in
+          write state.m kind i r c m';
+          write state.v kind i r c v';
+          let mhat = m' /. bc1 and vhat = v' /. bc2 in
+          current -. (lr *. mhat /. (sqrt vhat +. eps))
+        in
+        for i = 0 to Nn.Network.num_layers net - 1 do
+          update_layer_weights net i f
+        done
+
+  let scale_in_place (g : Train.Backprop.grads) s =
+    Array.iteri
+      (fun i m ->
+        let scaled = Linalg.Mat.scale s m in
+        g.Train.Backprop.dw.(i) <- scaled)
+      g.Train.Backprop.dw;
+    Array.iteri
+      (fun i v -> g.Train.Backprop.db.(i) <- Linalg.Vec.scale s v)
+      g.Train.Backprop.db
+
+  let frobenius m =
+    sqrt
+      (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 (Linalg.Mat.data m))
+
+  let global_norm (g : Train.Backprop.grads) =
+    let acc = ref 0.0 in
+    Array.iter
+      (fun m -> acc := !acc +. (frobenius m ** 2.0))
+      g.Train.Backprop.dw;
+    Array.iter
+      (fun v -> acc := !acc +. Linalg.Vec.dot v v)
+      g.Train.Backprop.db;
+    sqrt !acc
+end
+
+let floats_bit_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       a b
+
+let grads_bits_equal (a : Train.Backprop.grads) (b : Train.Backprop.grads) =
+  Array.for_all2
+    (fun x y -> floats_bit_equal (Linalg.Mat.data x) (Linalg.Mat.data y))
+    a.Train.Backprop.dw b.Train.Backprop.dw
+  && Array.for_all2 floats_bit_equal a.Train.Backprop.db b.Train.Backprop.db
+
+let nets_bit_equal a b =
+  List.for_all
+    (fun i ->
+      let la = Nn.Network.layer a i and lb = Nn.Network.layer b i in
+      floats_bit_equal
+        (Linalg.Mat.data la.Nn.Layer.weights)
+        (Linalg.Mat.data lb.Nn.Layer.weights)
+      && floats_bit_equal la.Nn.Layer.bias lb.Nn.Layer.bias)
+    (List.init (Nn.Network.num_layers a) Fun.id)
+
+let copy_grads (g : Train.Backprop.grads) =
+  {
+    Train.Backprop.dw = Array.map Linalg.Mat.copy g.Train.Backprop.dw;
+    db = Array.map Array.copy g.Train.Backprop.db;
+  }
+
+(* Gradient entries drawn to reach the arithmetic's edges: zeros of both
+   signs, +-1e300 (whose squares overflow), subnormals, and ordinary
+   values. *)
+let random_grads rng net =
+  let entry () =
+    match Linalg.Rng.int rng 8 with
+    | 0 -> 0.0
+    | 1 -> -0.0
+    | 2 -> 1e300
+    | 3 -> -1e300
+    | 4 -> Float.ldexp (Linalg.Rng.uniform rng (-1.0) 1.0) (-1030)
+    | 5 -> Linalg.Rng.uniform rng (-1e6) 1e6
+    | _ -> Linalg.Rng.uniform rng (-1.0) 1.0
+  in
+  let g = Train.Backprop.zero_like net in
+  Array.iter
+    (fun m ->
+      let d = Linalg.Mat.data m in
+      Array.iteri (fun k _ -> d.(k) <- entry ()) d)
+    g.Train.Backprop.dw;
+  Array.iter
+    (fun v -> Array.iteri (fun k _ -> v.(k) <- entry ()) v)
+    g.Train.Backprop.db;
+  g
+
+let prop_optimizer_matches_reference =
+  QCheck.Test.make ~name:"optimizer step matches the per-weight reference"
+    ~count:60
+    (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Linalg.Rng.create seed in
+      let dims = List.init (2 + Linalg.Rng.int rng 3) (fun _ -> 1 + Linalg.Rng.int rng 6) in
+      let net = Nn.Network.create ~rng dims in
+      List.for_all
+        (fun optimizer ->
+          let net = Nn.Network.copy net and oracle = Nn.Network.copy net in
+          let state = Train.Optimizer.init optimizer net in
+          let ref_state = Ref.init oracle in
+          List.for_all
+            (fun _ ->
+              let g = random_grads rng net in
+              let s = Linalg.Rng.uniform rng (-2.0) 2.0 in
+              let scaled = copy_grads g and ref_scaled = copy_grads g in
+              Train.Backprop.scale_in_place scaled s;
+              Ref.scale_in_place ref_scaled s;
+              Train.Optimizer.step optimizer state net g;
+              Ref.step optimizer ref_state oracle g;
+              grads_bits_equal scaled ref_scaled
+              && Int64.bits_of_float (Train.Backprop.global_norm g)
+                 = Int64.bits_of_float (Ref.global_norm g)
+              && nets_bit_equal net oracle
+              && grads_bits_equal state.Train.Optimizer.m ref_state.Ref.m
+              && grads_bits_equal state.Train.Optimizer.v ref_state.Ref.v)
+            (List.init 20 Fun.id))
+        [
+          Train.Optimizer.adam (Linalg.Rng.uniform rng 1e-4 0.1);
+          Train.Optimizer.sgd
+            ~momentum:(Linalg.Rng.uniform rng 0.0 0.99)
+            (Linalg.Rng.uniform rng 1e-4 0.1);
+        ])
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -422,5 +608,6 @@ let () =
           slow "training suppresses output" test_hint_training_suppresses_output;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_backprop_relu_random ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_backprop_relu_random; prop_optimizer_matches_reference ] );
     ]
