@@ -401,8 +401,8 @@ let fault_bench () =
   Printf.printf "guarded predict         %8.0f ns/prediction (%.1f%% overhead)\n"
     (1e9 *. guarded_s /. float_of_int reps)
     (100.0 *. ((guarded_s /. raw_s) -. 1.0));
-  (* Campaign throughput: seeded end-to-end trials over the batched
-     replay path. *)
+  (* Campaign throughput: seeded end-to-end trials, each replaying
+     only the scenes its fault changed. *)
   let trials = 200 in
   let rng = Linalg.Rng.create (seed + 32) in
   let report =
@@ -522,9 +522,9 @@ let batch_report () =
     (fun (w, b, s, bt, sp) ->
       Printf.printf "I4x%-5d %-7d %-15.0f %-15.0f %.1fx\n%!" w b s bt sp)
     (batched_forward_measurements ());
-  (* End-to-end check: the same seeded campaign through the batched
-     replay (default) and through batch=1, which is the historical
-     scalar loop. Counts must match exactly; only wall clock moves. *)
+  (* End-to-end check: the same seeded campaign with packed products
+     of the default width and of one column each. Counts must match
+     exactly; only wall clock moves. *)
   let rng = Linalg.Rng.create (seed + 33) in
   let scenes =
     Highway.Recorder.record ~rng ~style:(Highway.Policy.Risky 0.0)
@@ -546,9 +546,9 @@ let batch_report () =
   let batched = campaign batch in
   let scalar = campaign 1 in
   Printf.printf
-    "\ncampaign (50 trials x 200 scenes): %.2fs batched vs %.2fs at \
-     batch=1 (%.1fx)\n"
-    batched.Fault.Campaign.elapsed scalar.Fault.Campaign.elapsed
+    "\ncampaign (50 trials x 200 scenes): %.2fs at batch %d vs %.2fs at \
+     batch 1 (%.1fx)\n"
+    batched.Fault.Campaign.elapsed batch scalar.Fault.Campaign.elapsed
     (scalar.Fault.Campaign.elapsed /. batched.Fault.Campaign.elapsed);
   let counts (r : Fault.Campaign.report) =
     Fault.Campaign.
@@ -904,9 +904,21 @@ let micro ?(json = false) () =
   let sim = Highway.Simulator.spawn ~rng ~road ~vehicles_per_lane:14 () in
   Highway.Simulator.run sim ~dt:0.2 ~steps:20 ();
   let scene = Highway.Simulator.scene sim in
+  (* One sampling step of the recorder's loop, in the pinned recipe's
+     style: the expert action, the feature encoding, then the
+     action-driven simulator step. *)
   let step_name =
-    Printf.sprintf "simulator step (%d vehicles)"
+    Printf.sprintf "recorder step (%d vehicles)"
       (Array.length scene.Highway.Scene.others + 1)
+  in
+  let recorder_step () =
+    let world = Highway.Simulator.scene sim in
+    let action =
+      Highway.Policy.act ~style:(Highway.Policy.Risky 0.25)
+        ~idm:Highway.Idm.default ~mobil:Highway.Mobil.default ~rng world
+    in
+    ignore (Highway.Features.encode world);
+    Highway.Simulator.step sim ~ego_action:action ~dt:0.2 ()
   in
   let lp =
     let p = Lp.Problem.create () in
@@ -977,8 +989,7 @@ let micro ?(json = false) () =
         (Staged.stage (fun () -> Lp.Simplex.solve_dense (Lp.Problem.copy lp)));
       Test.make ~name:"simplex solve sparse (40 vars)"
         (Staged.stage (fun () -> Lp.Simplex.solve (Lp.Problem.copy lp)));
-      Test.make ~name:step_name
-        (Staged.stage (fun () -> Highway.Simulator.step sim ~dt:0.2 ()));
+      Test.make ~name:step_name (Staged.stage recorder_step);
       Test.make ~name:"node-eval copy (depth 12)"
         (Staged.stage (fun () ->
              let p = Lp.Problem.copy enc_lp in

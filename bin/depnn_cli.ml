@@ -28,14 +28,20 @@ let seed_arg =
    deep inside the run (or silently run on one core); reject them at the
    usage level like the other suffixed options ($(b,--bound-mode)).
    [what] names the count in the error message. *)
-let positive_int_conv what =
+let int_conv ~accept ~expected what =
   let parse s =
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "expected a positive integer (%s)" what))
+    | Some n when accept n -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s (%s)" expected what))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int_conv =
+  int_conv ~accept:(fun n -> n >= 1) ~expected:"a positive integer"
+
+(* For counts where 0 means "none". *)
+let non_negative_int_conv =
+  int_conv ~accept:(fun n -> n >= 0) ~expected:"a non-negative integer"
 
 (* A float option that only [accept]ed values pass; [msg] says why the
    others are usage errors. *)
@@ -720,9 +726,9 @@ let time_limit_arg =
 
 let fault_campaign_cmd =
   let reverify =
-    Arg.(value & opt int 0
+    Arg.(value & opt (non_negative_int_conv "faulted networks to re-verify") 0
          & info [ "reverify" ] ~docv:"N"
-             ~doc:"Re-verify up to N faulted networks by MILP.")
+             ~doc:"Re-verify up to N faulted networks by MILP (0: none).")
   in
   let smoke =
     Arg.(

@@ -35,29 +35,23 @@ type report = {
   elapsed : float;
 }
 
-(* Unguarded evaluation of the faulted predictor on one forward result:
-   did the action the actuator would receive come out NaN/Inf (raw
-   output non-finite, the mixture mean overflowing — exp of a huge logit
-   is inf, softmax inf/inf is NaN — or a raised exception), and what is
-   the worst-case component lateral velocity the verifier's objective
-   would see? *)
+(* The unguarded verdict on one forward result, read off the guard's
+   reading without the envelope: the actuator receives NaN/Inf when the
+   forward raised, a raw output is non-finite or the mixture mean
+   overflowed (exp of a huge logit is inf, softmax inf/inf is NaN);
+   otherwise the verifier's objective sees the worst-case component
+   lateral mean. *)
 type raw_verdict = Raw_nan | Raw_finite of float
 
-let raw_verdict ~components = function
-  | Error _ -> Raw_nan
-  | Ok out when Array.exists (fun x -> not (Float.is_finite x)) out -> Raw_nan
-  | Ok out -> (
-      match Nn.Gmm.mean_of_output ~components out with
-      | exception _ -> Raw_nan
-      | lat, lon ->
-          if not (Float.is_finite lat && Float.is_finite lon) then Raw_nan
-          else Raw_finite (Nn.Gmm.max_mu_lat_of_output ~components out))
+let raw_verdict = function
+  | Guard.Finite { worst_lat; _ } -> Raw_finite worst_lat
+  | Guard.Raised _ | Guard.Non_finite _ -> Raw_nan
+
+let forward_result net x =
+  match Nn.Network.forward net x with out -> Ok out | exception e -> Error e
 
 let raw_eval ~components net input =
-  raw_verdict ~components
-    (match Nn.Network.forward net input with
-     | out -> Ok out
-     | exception e -> Error e)
+  raw_verdict (Guard.read ~components (forward_result net input))
 
 (* Clean-predictor reference lateral action, for the silent-corruption
    test; anything non-finite (or a raised forward) references as 0. *)
@@ -67,6 +61,163 @@ let reference_lat_of ~components = function
       match Nn.Gmm.mean_of_output ~components out with
       | exception _ -> 0.0
       | lat, _ -> if Float.is_finite lat then lat else 0.0)
+
+(* One scene of one trial: the guarded lateral action, the guard's
+   state and the unguarded verdict, or [Escaped] when the guard's
+   classification raised (it never should). *)
+type verdict =
+  | Escaped
+  | Verdict of { lat : float; state : Guard.state; raw : raw_verdict }
+
+let classify guard x reading =
+  match Guard.classify guard x reading with
+  | exception _ -> Escaped
+  | (lat, _), state -> Verdict { lat; state; raw = raw_verdict reading }
+
+let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let vec_bits_equal a b =
+  let n = Array.length a in
+  let i = ref 0 in
+  while !i < n && !i < Array.length b && bits_equal a.(!i) b.(!i) do
+    incr i
+  done;
+  !i = n && n = Array.length b
+
+(* The indices [0 .. n-1] that satisfy [p], in increasing order. *)
+let indices_where n p =
+  let found = Array.make n 0 and m = ref 0 in
+  for j = 0 to n - 1 do
+    if p j then begin
+      found.(!m) <- j;
+      incr m
+    end
+  done;
+  Array.sub found 0 !m
+
+(* [sweep ~batch net ~first cols ~each] pushes [cols], the activations
+   entering layer [first] (the inputs when [first = 0]), through layers
+   [first..] of [net], at most [batch] columns per packed product, and
+   calls [each l off y] with layer [l]'s activations [y] of the chunk
+   whose first column is [cols.(off)]. Every element of a packed
+   product depends only on its own row and column, so a column's
+   activations are bit-equal whatever else shares its chunk. *)
+let sweep ~batch net ~first cols ~each =
+  let n = Array.length cols and batch = max 1 batch in
+  let off = ref 0 in
+  while !off < n do
+    let len = min batch (n - !off) in
+    let y =
+      ref
+        (Linalg.Mat.of_cols
+           ~rows:(Array.length cols.(!off))
+           (Array.sub cols !off len))
+    in
+    for l = first to Nn.Network.num_layers net - 1 do
+      y := Nn.Layer.forward_batch (Nn.Network.layer net l) !y;
+      each l !off !y
+    done;
+    off := !off + len
+  done
+
+(* The outputs of [sweep] from layer [first], one per column. *)
+let sweep_outputs ~batch net ~first cols =
+  let outs = Array.make (Array.length cols) [||] in
+  let last = Nn.Network.num_layers net - 1 in
+  sweep ~batch net ~first cols ~each:(fun l off y ->
+      if l = last then
+        for j = 0 to Linalg.Mat.cols y - 1 do
+          outs.(off + j) <- Linalg.Mat.col y j
+        done);
+  outs
+
+(* The clean network's pass over the scenes, built once per [run]
+   before any trial and only read after. Only scenes of the network's
+   input length can be packed ([packed] lists them in scene order); a
+   forward of any other raises, with or without a fault, so those
+   scenes are classified here once. [posts.(l).(j)] is layer [l]'s
+   activation column on scene [packed.(j)]; the last layer's is the
+   clean output. *)
+type clean = {
+  packed : int array;
+  posts : Linalg.Vec.t array array;
+  reference_lat : float array;  (** per scene *)
+  verdicts : verdict array;  (** per scene, under a fresh guard *)
+}
+
+let clean_pass ~batch ~components guard net scenes =
+  let in_dim = Nn.Network.input_dim net in
+  let packed =
+    indices_where (Array.length scenes) (fun s ->
+        Array.length scenes.(s) = in_dim)
+  in
+  let posts =
+    Array.init (Nn.Network.num_layers net) (fun _ ->
+        Array.make (Array.length packed) [||])
+  in
+  sweep ~batch net ~first:0
+    (Array.map (fun s -> scenes.(s)) packed)
+    ~each:(fun l off y ->
+      for j = 0 to Linalg.Mat.cols y - 1 do
+        posts.(l).(off + j) <- Linalg.Mat.col y j
+      done);
+  (* A scene that cannot be packed keeps the exception its scalar
+     forward raises; the others take their packed output. *)
+  let results =
+    Array.map
+      (fun x -> if Array.length x = in_dim then Ok [||] else forward_result net x)
+      scenes
+  in
+  Array.iteri
+    (fun j s -> results.(s) <- Ok posts.(Array.length posts - 1).(j))
+    packed;
+  {
+    packed;
+    posts;
+    reference_lat = Array.map (reference_lat_of ~components) results;
+    verdicts =
+      Array.mapi
+        (fun s r -> classify guard scenes.(s) (Guard.read ~components r))
+        results;
+  }
+
+(* Tally one trial from its per-scene verdicts, in scene order. *)
+let tally ~envelope ~silent_tolerance ~reference_lat fault verdicts =
+  let detected = ref false and escaped = ref false in
+  let nan_raw = ref false and nan_all_tripped = ref true in
+  let violation_raw = ref false and violation_all_flagged = ref true in
+  let max_deviation = ref 0.0 and fallbacks = ref 0 in
+  for s = 0 to Array.length verdicts - 1 do
+    match verdicts.(s) with
+    | Escaped -> escaped := true
+    | Verdict { lat; state; raw } ->
+        if state <> Guard.Nominal then detected := true;
+        if state = Guard.Fallback then incr fallbacks;
+        (match raw with
+         | Raw_nan ->
+             nan_raw := true;
+             if state <> Guard.Fallback then nan_all_tripped := false
+         | Raw_finite worst ->
+             if worst > envelope.Guard.lat_limit then begin
+               violation_raw := true;
+               if state = Guard.Nominal then violation_all_flagged := false
+             end);
+        let dev = Float.abs (lat -. reference_lat.(s)) in
+        if Float.is_finite dev && dev > !max_deviation then
+          max_deviation := dev
+  done;
+  {
+    fault;
+    detected = !detected;
+    nan_raw = !nan_raw;
+    nan_detected = !nan_raw && !nan_all_tripped;
+    violation_raw = !violation_raw;
+    violation_detected = !violation_raw && !violation_all_flagged;
+    silent = (not !detected) && !max_deviation > silent_tolerance;
+    max_deviation = !max_deviation;
+    fallbacks = !fallbacks;
+    escaped_exception = !escaped;
+  }
 
 let network_params_finite net =
   let ok = ref true in
@@ -130,9 +281,9 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
     invalid_arg "Campaign.run: trials must be positive";
   let components = envelope.Guard.components in
   let start = Linalg.Mclock.now () in
-  let reference_lat =
-    Array.map (reference_lat_of ~components)
-      (Nn.Network.forward_each ~batch net scenes)
+  let clean =
+    clean_pass ~batch ~components (Guard.make ~envelope ?clamp_band net) net
+      scenes
   in
   (* The explicit faults run first, then the sampled ones; sampling is
      sequential so the campaign stays bit-reproducible from the seed. *)
@@ -144,60 +295,80 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
     Array.append (Array.of_list faults)
       (Array.map Option.get sampled)
   in
+  let last = Nn.Network.num_layers net - 1 in
+  (* Each trial starts from the clean verdicts and re-classifies only
+     the scenes whose output the fault can have changed, through a
+     fresh guard. *)
   let run_trial i fault =
     progress i fault;
-    let faulted_net, channel =
-      match fault with
-      | Model.Network_fault nf -> (Model.inject nf net, None)
-      | Model.Input_fault f -> (net, Some (Model.input_channel f))
+    let guard = Guard.make ~envelope ?clamp_band net in
+    let verdicts = Array.copy clean.verdicts in
+    let reclassify js inputs outs =
+      Array.iteri
+        (fun k j ->
+          let s = clean.packed.(j) in
+          verdicts.(s) <-
+            classify guard inputs.(s) (Guard.read ~components (Ok outs.(k))))
+        js
     in
-    let guard = Guard.make ~envelope ?clamp_band faulted_net in
-    let detected = ref false and escaped = ref false in
-    let nan_raw = ref false and nan_all_tripped = ref true in
-    let violation_raw = ref false and violation_all_flagged = ref true in
-    let max_deviation = ref 0.0 in
-    let inputs =
-      match channel with
-      | Some ch -> Array.map (Model.corrupt ch) scenes
-      | None -> scenes
-    in
-    (* One forward sweep, classified twice per scene in scene order:
-       unguarded, and through the guard (which updates its counters
-       exactly as [Guard.predict] would). A classification that raises
-       marks the scene escaped and contributes nothing else. *)
-    let results = Nn.Network.forward_each ~batch faulted_net inputs in
-    Array.iteri
-      (fun si result ->
-        match Guard.classify guard inputs.(si) result with
-        | exception _ -> escaped := true
-        | (glat, _glon), state ->
-            if state <> Guard.Nominal then detected := true;
-            (match raw_verdict ~components result with
-             | Raw_nan ->
-                 nan_raw := true;
-                 if state <> Guard.Fallback then nan_all_tripped := false
-             | Raw_finite worst ->
-                 if worst > envelope.Guard.lat_limit then begin
-                   violation_raw := true;
-                   if state = Guard.Nominal then violation_all_flagged := false
-                 end);
-            let dev = Float.abs (glat -. reference_lat.(si)) in
-            if Float.is_finite dev && dev > !max_deviation then
-              max_deviation := dev)
-      results;
-    let d = Guard.diagnostics guard in
-    {
-      fault;
-      detected = !detected;
-      nan_raw = !nan_raw;
-      nan_detected = !nan_raw && !nan_all_tripped;
-      violation_raw = !violation_raw;
-      violation_detected = !violation_raw && !violation_all_flagged;
-      silent = (not !detected) && !max_deviation > silent_tolerance;
-      max_deviation = !max_deviation;
-      fallbacks = d.Guard.fallbacks;
-      escaped_exception = !escaped;
-    }
+    (match fault with
+     | Model.Network_fault nf -> (
+         match Model.site nf net with
+         | Some { Model.layer; row; weights; bias } ->
+             (* Only row [row] of layer [layer] differs from the clean
+                pass: recompute it from the cached activations below,
+                in the kernel's order (ascending-k dot product from 0,
+                then the bias, then the activation), and replay the
+                scenes whose value changed by bits from that layer on,
+                their other rows as cached. *)
+             let act = (Nn.Network.layer net layer).Nn.Layer.activation in
+             let cached = clean.posts.(layer) in
+             let value =
+               Array.init (Array.length clean.packed) (fun j ->
+                   let below =
+                     if layer = 0 then scenes.(clean.packed.(j))
+                     else clean.posts.(layer - 1).(j)
+                   in
+                   Nn.Activation.apply act
+                     (Linalg.Vec.dot weights below +. bias))
+             in
+             let js =
+               indices_where (Array.length value) (fun j ->
+                   not (bits_equal value.(j) cached.(j).(row)))
+             in
+             let cols =
+               Array.map
+                 (fun j ->
+                   let col = Array.copy cached.(j) in
+                   col.(row) <- value.(j);
+                   col)
+                 js
+             in
+             reclassify js scenes
+               (if layer = last then cols
+                else sweep_outputs ~batch net ~first:(layer + 1) cols)
+         | None ->
+             (* A drift moves every parameter: a full sweep. *)
+             let js = Array.init (Array.length clean.packed) Fun.id in
+             reclassify js scenes
+               (sweep_outputs ~batch (Model.inject nf net) ~first:0
+                  (Array.map (fun s -> scenes.(s)) clean.packed)))
+     | Model.Input_fault f ->
+         (* Freeze and stale-hold channels are stateful: every scene is
+            corrupted, in order; only those that changed by bits are
+            replayed. *)
+         let ch = Model.input_channel f in
+         let inputs = Array.map (Model.corrupt ch) scenes in
+         let js =
+           indices_where (Array.length clean.packed) (fun j ->
+               let s = clean.packed.(j) in
+               not (vec_bits_equal inputs.(s) scenes.(s)))
+         in
+         reclassify js inputs
+           (sweep_outputs ~batch net ~first:0
+              (Array.map (fun j -> inputs.(clean.packed.(j))) js)));
+    tally ~envelope ~silent_tolerance ~reference_lat:clean.reference_lat fault
+      verdicts
   in
   let failed_workers = ref 0 in
   let trial_results =

@@ -2,12 +2,12 @@
     scenes through the guarded faulted predictor, and report how the
     runtime monitor degraded.
 
-    Per trial, one fault is drawn ({!Model.sample}), injected (into the
-    network, or into the input stream for sensor faults) and every scene
-    is replayed through the faulted predictor in one batched forward
-    sweep. Each output is classified twice, in scene order: unguarded,
-    and through a fresh {!Guard.t} ({!Guard.classify}). Together they
-    classify the trial:
+    Per trial, one fault is drawn ({!Model.sample}) and injected, into
+    the network or into the input stream for sensor faults, and every
+    scene is replayed through the faulted predictor. Each scene's
+    output is read once ({!Guard.read}) and that reading is classified
+    twice: unguarded, and through a fresh {!Guard.t}
+    ({!Guard.classify}). Together they classify the trial:
 
     - {e nan}: the unguarded faulted path delivered NaN/Inf to the
       actuator — raw network output non-finite, the mixture mean
@@ -19,6 +19,40 @@
       clean predictor's by more than [silent_tolerance] — corruption the
       envelope monitor cannot see;
     - {e benign}: undetected and within tolerance.
+
+    {2 Replaying only what a fault changes}
+
+    [run] first makes one clean pass: the clean network over every
+    scene, keeping each layer's activations (post-activation only) and
+    each scene's clean classification (guarded action, state and
+    unguarded verdict). A trial starts from those classifications and
+    recomputes only the scenes its fault can change:
+
+    - a single-site fault ([Weight_bit_flip], [Bias_bit_flip],
+      [Stuck_neuron]) changes one row of one layer ({!Model.site}). That
+      row is recomputed on every scene from the cached activations of
+      the layer below, in the batched kernel's order (an ascending dot
+      product from 0, then the bias, then the activation), and only the
+      scenes whose value differs by bits go on through the layers above,
+      from their cached columns with that row replaced;
+    - a sensor fault corrupts every scene, in order (freeze and
+      stale-hold channels are stateful), and only the scenes whose
+      corrupted input differs from the clean one by bits are replayed
+      through the whole network;
+    - a weight drift moves every parameter, so every scene is replayed
+      through the whole drifted network.
+
+    Every other scene keeps its clean classification. The trial is
+    tallied from the per-scene classifications in scene order, and
+    [fallbacks] counts the scenes in [Fallback]. Each recomputed value
+    is bit-equal to what a full forward of the faulted network would
+    give (every element of a packed product depends only on its own row
+    and column), so every trial field, [max_deviation] to the bit,
+    equals a per-scene loop of scalar forwards and {!Guard.predict}.
+    Scenes whose length is not the network's input dimension cannot be
+    packed: their forward raises with or without a fault, so they are
+    classified once, in the clean pass. The clean pass lives for one
+    [run] call only.
 
     A sample of the faulted networks is optionally re-verified by MILP,
     comparing the empirical maximum observed during replay against the
@@ -40,7 +74,7 @@ type trial = {
   silent : bool;
   max_deviation : float;
       (** max |guarded lat - clean lat| over the replay (m/s) *)
-  fallbacks : int;       (** fallback predictions during the replay *)
+  fallbacks : int;       (** scenes whose guarded state is [Fallback] *)
   escaped_exception : bool;  (** an exception escaped {!Guard.classify} *)
 }
 
@@ -95,22 +129,21 @@ val run :
     encoder) are skipped. [progress] is called with each trial index and
     fault before the replay (from worker domains when [cores > 1]).
     [cores] (default 1) replays trials on that many domains via
-    work-stealing; all faults are sampled up front, so the trial list —
-    and hence the counts — are identical to the sequential run. A
-    worker domain that dies (an exception escaping a trial) is counted
-    in [failed_workers] and its unfinished trials are {e re-queued} and
-    run in the parent rather than silently dropped, mirroring
-    {!Milp.Parallel}'s degradation. [batch] (default
-    {!Guard.default_batch}) is how many scenes {!Nn.Network.forward_each}
-    packs into one cache-blocked batched forward, both in each trial's
-    single sweep and in the clean reference sweep; verdicts, counters
-    and deviations are identical for every batch size, and equal to a
-    per-scene loop of scalar forwards and {!Guard.predict}. [faults] are
-    explicit faults run as the first trials (in addition to the
-    [trials] sampled ones) — the CI smoke uses this to pin a known
-    NaN-producing flip. Raises
-    [Invalid_argument] when [scenes] is empty or when there is nothing
-    to run ([trials <= 0] and no explicit faults). *)
+    work-stealing; the clean pass is built before any trial and the
+    workers only read it, and all faults are sampled up front, so the
+    trial list — and hence the counts — are identical to the sequential
+    run. A worker domain that dies (an exception escaping a trial) is
+    counted in [failed_workers] and its unfinished trials are
+    {e re-queued} and run in the parent rather than silently dropped,
+    mirroring {!Milp.Parallel}'s degradation. [batch] (default
+    {!Guard.default_batch}) is the most columns one packed product
+    takes, in the clean pass and in every replay of the scenes a fault
+    changed; verdicts, counters and deviations are identical for every
+    batch size. [faults] are explicit faults run as the first trials
+    (in addition to the [trials] sampled ones) — the CI smoke uses this
+    to pin a known NaN-producing flip. Raises [Invalid_argument] when
+    [scenes] is empty or when there is nothing to run ([trials <= 0]
+    and no explicit faults). *)
 
 val find_nan_fault :
   components:int ->

@@ -55,55 +55,78 @@ let check_layer net layer =
       (Printf.sprintf "Fault.inject: layer %d outside network with %d layers"
          layer (Nn.Network.num_layers net))
 
+type site = { layer : int; row : int; weights : Linalg.Vec.t; bias : float }
+
+let site fault net =
+  let checked_layer layer =
+    check_layer net layer;
+    Nn.Network.layer net layer
+  in
+  match fault with
+  | Weight_drift _ -> None
+  | Weight_bit_flip { layer; row; col; bit } ->
+      let l = checked_layer layer in
+      let w = l.Nn.Layer.weights in
+      if row < 0 || row >= Linalg.Mat.rows w || col < 0
+         || col >= Linalg.Mat.cols w
+      then invalid_arg "Fault.inject: weight coordinate out of range";
+      let weights = Linalg.Mat.row w row in
+      weights.(col) <- flip_bit ~bit weights.(col);
+      Some { layer; row; weights; bias = l.Nn.Layer.bias.(row) }
+  | Bias_bit_flip { layer; row; bit } ->
+      let l = checked_layer layer in
+      if row < 0 || row >= Linalg.Vec.dim l.Nn.Layer.bias then
+        invalid_arg "Fault.inject: bias index out of range";
+      Some
+        {
+          layer;
+          row;
+          weights = Linalg.Mat.row l.Nn.Layer.weights row;
+          bias = flip_bit ~bit l.Nn.Layer.bias.(row);
+        }
+  | Stuck_neuron { layer; neuron; mode } ->
+      let l = checked_layer layer in
+      let w = l.Nn.Layer.weights in
+      if neuron < 0 || neuron >= Linalg.Mat.rows w then
+        invalid_arg "Fault.inject: neuron index out of range";
+      (* Zero incoming weights: the pre-activation becomes exactly the
+         bias, so the post-activation is act(0) or act(level) for every
+         input — the classic stuck-at fault. *)
+      Some
+        {
+          layer;
+          row = neuron;
+          weights = Array.make (Linalg.Mat.cols w) 0.0;
+          bias =
+            (match mode with
+             | Stuck_zero -> 0.0
+             | Stuck_saturation -> saturation_level);
+        }
+
 let inject fault net =
   let faulted = Nn.Network.copy net in
   (match fault with
-   | Weight_bit_flip { layer; row; col; bit } ->
-       check_layer net layer;
-       let l = Nn.Network.layer faulted layer in
-       let w = l.Nn.Layer.weights in
-       if row < 0 || row >= Linalg.Mat.rows w || col < 0
-          || col >= Linalg.Mat.cols w
-       then invalid_arg "Fault.inject: weight coordinate out of range";
-       Linalg.Mat.set w row col (flip_bit ~bit (Linalg.Mat.get w row col))
-   | Bias_bit_flip { layer; row; bit } ->
-       check_layer net layer;
-       let l = Nn.Network.layer faulted layer in
-       if row < 0 || row >= Linalg.Vec.dim l.Nn.Layer.bias then
-         invalid_arg "Fault.inject: bias index out of range";
-       l.Nn.Layer.bias.(row) <- flip_bit ~bit l.Nn.Layer.bias.(row)
-   | Stuck_neuron { layer; neuron; mode } ->
-       check_layer net layer;
-       let l = Nn.Network.layer faulted layer in
-       let w = l.Nn.Layer.weights in
-       if neuron < 0 || neuron >= Linalg.Mat.rows w then
-         invalid_arg "Fault.inject: neuron index out of range";
-       (* Zero incoming weights: the pre-activation becomes exactly the
-          bias, so the post-activation is act(0) or act(level) for every
-          input — the classic stuck-at fault. *)
-       for c = 0 to Linalg.Mat.cols w - 1 do
-         Linalg.Mat.set w neuron c 0.0
-       done;
-       l.Nn.Layer.bias.(neuron) <-
-         (match mode with
-          | Stuck_zero -> 0.0
-          | Stuck_saturation -> saturation_level)
+   | Weight_bit_flip _ | Bias_bit_flip _ | Stuck_neuron _ ->
+       Option.iter
+         (fun { layer; row; weights; bias } ->
+           let l = Nn.Network.layer faulted layer in
+           Linalg.Mat.set_row l.Nn.Layer.weights row weights;
+           l.Nn.Layer.bias.(row) <- bias)
+         (site fault net)
    | Weight_drift { seed; sigma } ->
+       (* Layer by layer, the weights in row-major storage order, then
+          the biases: one Gaussian per parameter. *)
        let rng = Linalg.Rng.create seed in
-       for i = 0 to Nn.Network.num_layers faulted - 1 do
-         let l = Nn.Network.layer faulted i in
-         let w = l.Nn.Layer.weights in
-         for r = 0 to Linalg.Mat.rows w - 1 do
-           for c = 0 to Linalg.Mat.cols w - 1 do
-             Linalg.Mat.set w r c
-               (Linalg.Mat.get w r c +. (sigma *. Linalg.Rng.gaussian rng))
-           done
-         done;
-         for r = 0 to Linalg.Vec.dim l.Nn.Layer.bias - 1 do
-           l.Nn.Layer.bias.(r) <-
-             l.Nn.Layer.bias.(r) +. (sigma *. Linalg.Rng.gaussian rng)
+       let drift a =
+         for i = 0 to Array.length a - 1 do
+           a.(i) <- a.(i) +. (sigma *. Linalg.Rng.gaussian rng)
          done
-       done);
+       in
+       Array.iter
+         (fun l ->
+           drift (Linalg.Mat.data l.Nn.Layer.weights);
+           drift l.Nn.Layer.bias)
+         faulted.Nn.Network.layers);
   faulted
 
 type input_channel = {

@@ -58,7 +58,25 @@ val flip_bit : bit:int -> float -> float
 val inject : network_fault -> Nn.Network.t -> Nn.Network.t
 (** Returns a faulted deep copy; the argument network is never mutated.
     Raises [Invalid_argument] if the fault's coordinates do not exist in
-    the network. *)
+    the network. A single-site fault writes its {!site}; a drift adds
+    one Gaussian from its own seeded stream to every parameter, layer by
+    layer, the weights in row-major order and then the biases. *)
+
+type site = {
+  layer : int;
+  row : int;  (** the neuron: a row of the layer's weight matrix *)
+  weights : Linalg.Vec.t;  (** that row's faulted incoming weights *)
+  bias : float;  (** its faulted bias *)
+}
+(** The one neuron a single-site fault changes. *)
+
+val site : network_fault -> Nn.Network.t -> site option
+(** [site f net] is the neuron [f] changes, with its faulted weights
+    and bias: exactly the row {!inject} writes into its copy, and
+    nothing else of the network differs. [Some] for [Weight_bit_flip],
+    [Bias_bit_flip] and [Stuck_neuron]; [None] for [Weight_drift], which
+    moves every parameter. Copies nothing but the row. Raises
+    [Invalid_argument] as {!inject} does. *)
 
 type input_channel
 (** Stateful corruptor over a stream of input vectors (freeze and stale

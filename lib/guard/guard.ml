@@ -179,71 +179,76 @@ let run_fallback t x =
   | lat, lon -> (finite_or 0.0 lat, finite_or 0.0 lon)
   | exception _ -> (0.0, 0.0)
 
-(* Classification given the raw forward output (or the exception the
-   forward pass raised). Shared verbatim by the scalar [predict], the
-   batched [predict_batch] and callers holding their own outputs (the
-   fault campaign), so all update the counters and trip records
-   identically for the same network output. The mean is read
-   straight from the output, bit-equal to decoding the mixture first;
-   its length check runs before the finiteness scan, as [decode]'s did,
-   so a wrong-length output trips as [Forward_raised]. *)
-let classify t x result =
+type reading =
+  | Raised of exn
+  | Non_finite of int
+  | Finite of { lat : float; lon : float; worst_lat : float }
+
+(* The mean is read straight from the output, bit-equal to decoding the
+   mixture first; its length check runs before the finiteness scan, as
+   [decode]'s did, so a wrong-length output reads as [Raised]. Finite
+   raw outputs can still decode to a non-finite mean (softmax overflow
+   on extreme logits): that reads as [Non_finite (-1)]. *)
+let read ~components = function
+  | Error e -> Raised e
+  | Ok out -> (
+      match Nn.Gmm.mean_of_output ~components out with
+      | exception e -> Raised e
+      | lat, lon -> (
+          match first_non_finite out with
+          | Some index -> Non_finite index
+          | None ->
+              let worst_lat = Nn.Gmm.max_mu_lat_of_output ~components out in
+              if
+                Float.is_finite lat && Float.is_finite lon
+                && Float.is_finite worst_lat
+              then Finite { lat; lon; worst_lat }
+              else Non_finite (-1)))
+
+(* Classification of one reading. Shared verbatim by the scalar
+   [predict], the batched [predict_batch] and callers holding their own
+   outputs (the fault campaign), so all update the counters and trip
+   records identically for the same network output. *)
+let classify t x reading =
   t.c.predictions <- t.c.predictions + 1;
-  let components = t.env.components in
   let trip reason =
     t.c.last_trip <- Some reason;
     (run_fallback t x, Fallback)
   in
-  match
-    match result with
-    | Error e -> raise e
-    | Ok out -> (out, Nn.Gmm.mean_of_output ~components out)
-  with
-  | exception e ->
+  match reading with
+  | Raised e ->
       t.c.exception_trips <- t.c.exception_trips + 1;
       trip (Forward_raised { exn = Printexc.to_string e })
-  | out, (lat, lon) -> (
-      match first_non_finite out with
-      | Some index ->
-          t.c.nan_trips <- t.c.nan_trips + 1;
-          trip (Non_finite_output { index })
-      | None ->
-          let worst_lat = Nn.Gmm.max_mu_lat_of_output ~components out in
-          if
-            not
-              (Float.is_finite lat && Float.is_finite lon
-             && Float.is_finite worst_lat)
-          then begin
-            (* Finite raw outputs can still decode to NaN (softmax
-               overflow on extreme logits). *)
-            t.c.nan_trips <- t.c.nan_trips + 1;
-            trip (Non_finite_output { index = -1 })
-          end
-          else if
-            Float.abs lat > t.env.output_limit
-            || Float.abs lon > t.env.output_limit
-          then begin
-            t.c.envelope_trips <- t.c.envelope_trips + 1;
-            trip
-              (Output_out_of_range { lat; lon; limit = t.env.output_limit })
-          end
-          else if worst_lat > t.env.lat_limit then begin
-            t.c.envelope_trips <- t.c.envelope_trips + 1;
-            t.c.last_trip <-
-              Some (Envelope_exceeded { lat = worst_lat; limit = t.env.lat_limit });
-            if worst_lat <= t.env.lat_limit +. t.clamp_band then begin
-              t.c.clamped <- t.c.clamped + 1;
-              ((Float.min lat t.env.lat_limit, lon), Clamped)
-            end
-            else (run_fallback t x, Fallback)
-          end
-          else begin
-            t.c.nominal <- t.c.nominal + 1;
-            ((lat, lon), Nominal)
-          end)
+  | Non_finite index ->
+      t.c.nan_trips <- t.c.nan_trips + 1;
+      trip (Non_finite_output { index })
+  | Finite { lat; lon; worst_lat } ->
+      if
+        Float.abs lat > t.env.output_limit || Float.abs lon > t.env.output_limit
+      then begin
+        t.c.envelope_trips <- t.c.envelope_trips + 1;
+        trip (Output_out_of_range { lat; lon; limit = t.env.output_limit })
+      end
+      else if worst_lat > t.env.lat_limit then begin
+        t.c.envelope_trips <- t.c.envelope_trips + 1;
+        t.c.last_trip <-
+          Some (Envelope_exceeded { lat = worst_lat; limit = t.env.lat_limit });
+        if worst_lat <= t.env.lat_limit +. t.clamp_band then begin
+          t.c.clamped <- t.c.clamped + 1;
+          ((Float.min lat t.env.lat_limit, lon), Clamped)
+        end
+        else (run_fallback t x, Fallback)
+      end
+      else begin
+        t.c.nominal <- t.c.nominal + 1;
+        ((lat, lon), Nominal)
+      end
+
+let classify_result t x result =
+  classify t x (read ~components:t.env.components result)
 
 let predict t x =
-  classify t x
+  classify_result t x
     (match Nn.Network.forward t.net x with
      | out -> Ok out
      | exception e -> Error e)
@@ -252,7 +257,7 @@ let default_batch = 128
 
 let predict_batch ?(batch = default_batch) t xs =
   let results = Nn.Network.forward_each ~batch t.net xs in
-  Array.mapi (fun i result -> classify t xs.(i) result) results
+  Array.mapi (fun i result -> classify_result t xs.(i) result) results
 
 let render_diagnostics (d : diagnostics) =
   let buf = Buffer.create 256 in

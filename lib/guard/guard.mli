@@ -93,25 +93,42 @@ val make :
 val network : t -> Nn.Network.t
 val guard_envelope : t -> envelope
 
-val classify :
-  t ->
-  Linalg.Vec.t ->
-  (Linalg.Vec.t, exn) result ->
-  (float * float) * state
-(** [classify t x result] classifies one forward result for input [x]:
-    the raw network output, or [Error e] for the exception [e] the
-    forward pass raised (a [Fallback] counted in [exception_trips], with
-    [last_trip] set to [Forward_raised]). It updates the counters
+(** What one forward result says, before any envelope is applied: the
+    decode the guard and the fault campaign's unguarded verdict share. *)
+type reading =
+  | Raised of exn
+      (** the forward pass raised, or the output has the wrong length *)
+  | Non_finite of int
+      (** index of the first NaN/Inf raw output, or [-1] when every raw
+          output is finite but the mixture mean or the worst component
+          lateral mean is not (softmax overflow) *)
+  | Finite of { lat : float; lon : float; worst_lat : float }
+      (** the mixture mean action and the worst-case component lateral
+          mean, all finite *)
+
+val read : components:int -> (Linalg.Vec.t, exn) result -> reading
+(** [read ~components result] decodes one forward result: the raw
+    network output, or [Error e] for the exception [e] the forward pass
+    raised. The mean is read with {!Nn.Gmm.mean_of_output}, whose length
+    check runs first, so a wrong-length output reads as [Raised]. Never
+    raises. *)
+
+val classify : t -> Linalg.Vec.t -> reading -> (float * float) * state
+(** [classify t x reading] classifies one reading for input [x]:
+    [Raised] is a [Fallback] counted in [exception_trips] (with
+    [last_trip] set to [Forward_raised]), [Non_finite] a [Fallback]
+    counted in [nan_trips], and [Finite] is checked against the sanity
+    range, then the envelope and its clamp band. It updates the counters
     exactly as {!predict} would for the same output, and uses [x] only
     for the fallback. This lets a caller that already holds the
     network's outputs (the fault campaign, which also reads them
-    unguarded) guard them without a second forward. Never raises;
-    both action components are always finite. *)
+    unguarded) guard them without a second forward or a second decode.
+    Never raises; both action components are always finite. *)
 
 val predict : t -> Linalg.Vec.t -> (float * float) * state
 (** [(lat, lon), state]: the (possibly clamped or fallback) action mean,
-    {!classify} of the scalar forward. Never raises; both action
-    components are always finite. *)
+    {!classify} of the {!read} of the scalar forward. Never raises;
+    both action components are always finite. *)
 
 val default_batch : int
 (** Columns per batched forward chunk when [?batch] is omitted (128):
@@ -120,7 +137,7 @@ val default_batch : int
 
 val predict_batch :
   ?batch:int -> t -> Linalg.Vec.t array -> ((float * float) * state) array
-(** [predict_batch t xs] is {!classify} over
+(** [predict_batch t xs] is {!classify} of the {!read} of each result of
     [Nn.Network.forward_each ~batch] (default 128 columns per chunk), in
     input order — results, counters and [last_trip] are identical to
     mapping {!predict}, at roughly an order of magnitude higher

@@ -1,9 +1,16 @@
 (** Deterministic pseudo-random number generation.
 
     All stochastic components of the library (weight initialisation,
-    traffic generation, minibatch shuffling) draw from this splitmix64
-    generator so that every experiment is reproducible from a single
-    integer seed. *)
+    traffic generation, minibatch shuffling, fault sampling and weight
+    drift) draw from this splitmix64 generator so that every experiment
+    is reproducible from a single integer seed. Every recording, trained
+    network and campaign is a function of these streams, and the test
+    suite pins their first draws as golden values.
+
+    The 64-bit state is kept unboxed, so advancing it allocates nothing:
+    only a result handed back across the module boundary (an [int64] or
+    a [float]) is boxed, as any such result is. How the state is stored
+    must never change a stream; the golden values check that. *)
 
 type t
 
@@ -32,7 +39,8 @@ val int : t -> int -> int
 val bool : t -> bool
 
 val gaussian : t -> float
-(** Standard normal deviate (Box-Muller). *)
+(** Standard normal deviate: the cosine half of Box-Muller, from two
+    uniform draws (the first redrawn while it is at most 1e-300). *)
 
 val gaussian_scaled : t -> mean:float -> stddev:float -> float
 

@@ -43,8 +43,8 @@ val forward_batch : t -> Linalg.Mat.t -> Linalg.Mat.t
 val forward_each :
   batch:int -> t -> Linalg.Vec.t array -> (Linalg.Vec.t, exn) result array
 (** [forward_each ~batch t xs] is [forward t x] for every [x] in [xs],
-    in order, with a raised exception kept as [Error]: the one chunked
-    loop over {!forward_batch} behind every replay of many inputs.
+    in order, with a raised exception kept as [Error]: the chunked loop
+    over {!forward_batch} behind the guard's batched prediction.
     Inputs go [batch] columns at a time (a [batch] below 1 counts as 1).
     A chunk whose batched forward raises, or an input set containing
     any vector of the wrong length, runs the scalar {!forward} one

@@ -388,13 +388,68 @@ let check_trial_bits tag (expected : Fault.Campaign.trial)
   Alcotest.(check int) (tag ^ ": fallbacks") expected.Fault.Campaign.fallbacks
     got.Fault.Campaign.fallbacks
 
+(* Random I4xN predictors, scene sets with exact-zero features (some
+   features read 0.0 in every scene, so their dropout changes nothing)
+   and sampled trials at a random chunk size: every trial of the
+   campaign equals its scalar rebuild, bit for bit. *)
+let prop_campaign_matches_oracle =
+  QCheck.Test.make ~count:40 ~name:"campaign trials equal the scalar oracle"
+    (QCheck.make QCheck.Gen.(int_range 0 100_000))
+    (fun seed ->
+      let rng = Linalg.Rng.create seed in
+      let net = make_net (seed + 1) (3 + Linalg.Rng.int rng 8) in
+      let zeroed = Array.init 84 (fun _ -> Linalg.Rng.int rng 8 = 0) in
+      let scenes =
+        Array.init
+          (5 + Linalg.Rng.int rng 26)
+          (fun _ ->
+            Array.init 84 (fun f ->
+                if zeroed.(f) || Linalg.Rng.int rng 8 = 0 then 0.0
+                else Linalg.Rng.uniform rng (-1.0) 1.0))
+      in
+      let envelope =
+        Guard.envelope ~components
+          ~lat_limit:(Linalg.Rng.uniform rng 0.0 2.0)
+          ()
+      in
+      let batch = 1 + Linalg.Rng.int rng (Array.length scenes + 2) in
+      let r =
+        Fault.Campaign.run ~rng:(Linalg.Rng.split rng) ~envelope ~batch
+          ~scenes
+          ~trials:(1 + Linalg.Rng.int rng 20)
+          net
+      in
+      Array.iteri
+        (fun i (got : Fault.Campaign.trial) ->
+          check_trial_bits
+            (Printf.sprintf "seed %d, trial %d (%s)" seed i
+               (Fault.Model.describe got.Fault.Campaign.fault))
+            (oracle_trial ~envelope ~scenes net got.Fault.Campaign.fault)
+            got)
+        r.Fault.Campaign.trials;
+      true)
+
 (* Every fault kind explicitly (the stateful freeze and stale-hold
    channels included), the pinned NaN flip, and sampled trials, on the
    clean scenes and on a set with one truncated scene (which the
-   campaign cannot pack into a batch), at several chunk sizes. *)
+   campaign cannot pack into a batch), at several chunk sizes and on
+   one and two cores. The list also holds the cases an incremental
+   replay treats specially: single-site faults in the output layer's
+   logit and log-sigma rows, a one-ulp (bit 0) weight flip, and two
+   faults that change no scene at all, a stuck-at-zero neuron that is
+   already dead on every scene and the dropout of a feature that reads
+   0.0 in every scene. *)
 let test_campaign_scalar_oracle () =
   let net = make_net 9 8 in
-  let clean = scenes 10 25 in
+  let zero_feature = 11 in
+  let clean =
+    Array.map
+      (fun s ->
+        let s = Array.copy s in
+        s.(zero_feature) <- 0.0;
+        s)
+      (scenes 10 25)
+  in
   (* Just above the clean network's worst component lateral mean, so
      the clean predictor runs nominal and only faults trip the guard. *)
   let clean_worst =
@@ -414,9 +469,47 @@ let test_campaign_scalar_oracle () =
     | None -> Alcotest.fail "no NaN-producing bit flip found on I4x8"
   in
   let mu_lat0 = Nn.Gmm.mu_lat_index ~components 0 in
+  let logit1 = Nn.Gmm.logit_index ~components 1 in
+  let log_sigma_lat0 = Nn.Gmm.log_sigma_lat_index ~components 0 in
+  let log_sigma_lon2 = Nn.Gmm.log_sigma_lon_index ~components 2 in
+  (* A hidden ReLU neuron whose clean activation is +0.0 on every
+     scene: stuck at zero, it changes nothing. *)
+  let dead_neuron =
+    let traces = Array.map (Nn.Network.forward_trace net) clean in
+    let dead layer neuron =
+      Array.for_all
+        (fun t ->
+          Int64.bits_of_float t.Nn.Network.post.(layer).(neuron) = 0L)
+        traces
+    in
+    let found = ref None in
+    for layer = Nn.Network.num_layers net - 2 downto 0 do
+      for neuron = Nn.Layer.output_dim (Nn.Network.layer net layer) - 1
+          downto 0 do
+        if dead layer neuron then found := Some (layer, neuron)
+      done
+    done;
+    match !found with
+    | Some (layer, neuron) ->
+        Fault.Model.(
+          Network_fault (Stuck_neuron { layer; neuron; mode = Stuck_zero }))
+    | None -> Alcotest.fail "no neuron of I4x8 is dead on every scene"
+  in
   let faults =
     Fault.Model.
       [
+        Network_fault
+          (Weight_bit_flip { layer = 4; row = logit1; col = 5; bit = 62 });
+        Network_fault
+          (Bias_bit_flip { layer = 4; row = log_sigma_lat0; bit = 61 });
+        Network_fault
+          (Stuck_neuron
+             { layer = 4; neuron = log_sigma_lon2; mode = Stuck_saturation });
+        Network_fault
+          (Stuck_neuron { layer = 4; neuron = logit1; mode = Stuck_zero });
+        Network_fault (Weight_bit_flip { layer = 1; row = 4; col = 3; bit = 0 });
+        dead_neuron;
+        Input_fault (Sensor_dropout { feature = zero_feature });
         Network_fault
           (Weight_bit_flip { layer = 0; row = 3; col = 10; bit = 62 });
         Network_fault
@@ -438,33 +531,28 @@ let test_campaign_scalar_oracle () =
   List.iter
     (fun (set, scenes, mixed) ->
       List.iter
-        (fun batch ->
+        (fun (batch, cores) ->
           let r =
             Fault.Campaign.run ~rng:(Linalg.Rng.create 41) ~envelope ~batch
-              ~faults ~scenes ~trials:10 net
+              ~cores ~faults ~scenes ~trials:10 net
           in
-          Alcotest.(check int)
-            (Printf.sprintf "%s, batch %d: trial count" set batch)
+          let run = Printf.sprintf "%s, batch %d, %d cores" set batch cores in
+          Alcotest.(check int) (run ^ ": trial count")
             (List.length faults + 10)
             (Array.length r.Fault.Campaign.trials);
           Array.iteri
             (fun i (got : Fault.Campaign.trial) ->
               check_trial_bits
-                (Printf.sprintf "%s, batch %d, trial %d (%s)" set batch i
+                (Printf.sprintf "%s, trial %d (%s)" run i
                    (Fault.Model.describe got.Fault.Campaign.fault))
                 (oracle_trial ~envelope ~scenes net got.Fault.Campaign.fault)
                 got)
             r.Fault.Campaign.trials;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s, batch %d: the pinned flip is a NaN trial" set
-               batch)
-            true
+          Alcotest.(check bool) (run ^ ": the pinned flip is a NaN trial") true
             r.Fault.Campaign.trials.(List.length faults - 1).Fault.Campaign
               .nan_raw;
           let some name f =
-            Alcotest.(check bool)
-              (Printf.sprintf "%s, batch %d: some trial %s" set batch name)
-              true
+            Alcotest.(check bool) (run ^ ": some trial " ^ name) true
               (Array.exists f r.Fault.Campaign.trials)
           in
           (* The truncated scene trips the guard in every trial. *)
@@ -474,7 +562,7 @@ let test_campaign_scalar_oracle () =
             some "is benign" (fun t ->
                 (not t.Fault.Campaign.detected) && not t.Fault.Campaign.silent)
           end)
-        [ 1; 7; 128 ])
+        [ (1, 1); (7, 1); (128, 1); (1, 2); (7, 2); (128, 2) ])
     [
       ("clean scenes", clean, true);
       ("one truncated scene", truncated, false);
@@ -508,5 +596,6 @@ let () =
           quick "reverify sound" test_campaign_reverify_sound;
           quick "batch invariance" test_campaign_batch_invariance;
           quick "scalar oracle" test_campaign_scalar_oracle;
+          QCheck_alcotest.to_alcotest prop_campaign_matches_oracle;
         ] );
     ]

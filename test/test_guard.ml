@@ -181,7 +181,9 @@ let prop_never_raises_always_finite =
    forward raises. *)
 let test_classify_forward_raised () =
   let guard = Guard.make ~envelope:(env 1.0) (const_net (head ~lat:0.3 ~lon:0.1)) in
-  let (lat, lon), state = Guard.classify guard input (Error (Failure "boom")) in
+  let (lat, lon), state =
+    Guard.classify guard input (Guard.read ~components (Error (Failure "boom")))
+  in
   Alcotest.(check bool) "fallback" true (state = Guard.Fallback);
   Alcotest.(check bool) "finite" true (Float.is_finite lat && Float.is_finite lon);
   let d = Guard.diagnostics guard in

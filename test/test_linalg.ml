@@ -73,6 +73,218 @@ let test_rng_copy () =
   Alcotest.(check int64) "copy continues identically" (Linalg.Rng.int64 a)
     (Linalg.Rng.int64 b)
 
+(* Golden streams: the first eight draws of each kind, captured as
+   literals, from a fresh generator, from a [split] of one and from a
+   [copy] taken after one [int64] draw. Every recording, trained
+   weight and fault campaign is a function of these streams, so a
+   change to the generator's representation must leave them bit for
+   bit as they are. *)
+type rng_golden = {
+  seed : int;
+  variant : string;
+  int64s : int64 list;
+  floats : float list;  (** [float _ 1.0] *)
+  ints7 : int list;
+  ints8 : int list;
+  gaussians : float list;
+}
+
+let rng_golden =
+  [
+    {
+      seed = 0;
+      variant = "fresh";
+      int64s =
+        [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x6c45d188009454fL;
+          0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL;
+          0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ];
+      floats =
+        [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+          0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+          0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ];
+      ints7 = [ 4; 4; 3; 2; 1; 4; 3; 6 ];
+      ints8 = [ 7; 4; 7; 4; 3; 2; 1; 4 ];
+      gaussians =
+        [ -0x1.cf9fb99cfab92p-2; 0x1.53470d1ebc1f5p+1; -0x1.fa2a51dfe785dp-1;
+          0x1.0285969ebe6b7p-2; 0x1.99992ecac5d52p+0; 0x1.81fae2d6ddccbp-4;
+          -0x1.11c125d48b7fep+0; -0x1.a66ed714dc55fp-1 ];
+    };
+    {
+      seed = 0;
+      variant = "split";
+      int64s =
+        [ 0xa706dd2f4d197e6fL; 0xb382a305f4414f5eL; 0x631a9154fbabf717L;
+          0xa80aba8c86640906L; 0xc9b5ae106698f0bbL; 0x256fa269a2420ea1L;
+          0xc755bbac848bcebeL; 0x43dec8be6926a4deL ];
+      floats =
+        [ 0x1.4e0dba5e9a32fp-1; 0x1.6705460be8829p-1; 0x1.8c6a4553eeafcp-2;
+          0x1.501575190cc81p-1; 0x1.936b5c20cd31ep-1; 0x1.2b7d134d12104p-3;
+          0x1.8eab775909179p-1; 0x1.0f7b22f9a49a8p-2 ];
+      ints7 = [ 6; 6; 3; 1; 6; 6; 1; 1 ];
+      ints8 = [ 7; 6; 7; 6; 3; 1; 6; 6 ];
+      gaussians =
+        [ -0x1.1d916340baa7bp-2; -0x1.8748380e74bp-1; 0x1.acfad820a59b8p-2;
+          -0x1.12d00471a3746p-4; -0x1.45941b226e684p+0; 0x1.13607cf15c957p+0;
+          -0x1.0dd7b334d7487p+1; -0x1.42c72588cbfp-1 ];
+    };
+    {
+      seed = 0;
+      variant = "copy";
+      int64s =
+        [ 0x6e789e6aa1b965f4L; 0x6c45d188009454fL; 0xf88bb8a8724c81ecL;
+          0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L;
+          0xc584133ac916ab3cL; 0x3ee5789041c98ac3L ];
+      floats =
+        [ 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1;
+          0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3;
+          0x1.8b082675922d5p-1; 0x1.f72bc4820e4c4p-3 ];
+      ints7 = [ 4; 4; 3; 2; 1; 4; 3; 6 ];
+      ints8 = [ 4; 7; 4; 3; 2; 1; 4; 3 ];
+      gaussians =
+        [ 0x1.47548823b8b06p+0; 0x1.86cecad299cffp-3; 0x1.603b8eb7ea964p-1;
+          0x1.3f975dfaf135p-6; -0x1.ff035fc5ff126p-3; -0x1.761a57b837886p-1;
+          -0x1.20468be07318ap-2; -0x1.24b5151fd87a3p+0 ];
+    };
+    {
+      seed = 42;
+      variant = "fresh";
+      int64s =
+        [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+          0x581ce1ff0e4ae394L; 0x9bc585a244823f2L; 0xde4431fa3c80db06L;
+          0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ];
+      floats =
+        [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+          0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+          0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ];
+      ints7 = [ 5; 3; 2; 4; 2; 6; 5; 4 ];
+      ints8 = [ 5; 3; 2; 4; 2; 6; 5; 4 ];
+      gaussians =
+        [ 0x1.a8ac4b546f509p-2; -0x1.c8a54f4e91a7cp-1; 0x1.bac69cd4142bfp+0;
+          0x1.175b8fd2de8bap-1; -0x1.1495f183d321dp+0; -0x1.c76296a7a60e6p+0;
+          -0x1.25473fd96d151p+0; 0x1.0ab38bced1168p-2 ];
+    };
+    {
+      seed = 42;
+      variant = "split";
+      int64s =
+        [ 0x57e1faba65107204L; 0xf4abd143feb24055L; 0x7c816738c12903b2L;
+          0x113e5dec6f8fd8a8L; 0xad4a599062fd1739L; 0x11485b98a7ea20b7L;
+          0x32028f50341ebd74L; 0xbc16a3d4cc48678eL ];
+      floats =
+        [ 0x1.5f87eae99441cp-2; 0x1.e957a287fd648p-1; 0x1.f2059ce304a4p-2;
+          0x1.13e5dec6f8fd8p-4; 0x1.5a94b320c5fa2p-1; 0x1.1485b98a7ea2p-4;
+          0x1.90147a81a0f5cp-3; 0x1.782d47a99890cp-1 ];
+      ints7 = [ 4; 5; 2; 0; 1; 4; 6; 0 ];
+      ints8 = [ 4; 5; 2; 0; 1; 7; 4; 6 ];
+      gaussians =
+        [ 0x1.67f91dc3a5377p+0; 0x1.1841bdc5164edp+0; 0x1.9c38d4031ed02p-1;
+          -0x1.62c6c879f4602p-3; -0x1.b38b2d1aa2fc8p-2; 0x1.b43dd39b85593p-2;
+          -0x1.2ccf7c932afddp-3; 0x1.d05d568beacbp-5 ];
+    };
+    {
+      seed = 42;
+      variant = "copy";
+      int64s =
+        [ 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L;
+          0x9bc585a244823f2L; 0xde4431fa3c80db06L; 0x37e9671c45376d5dL;
+          0xccf635ee9e9e2fa4L; 0x5705b8770b3d7dd5L ];
+      floats =
+        [ 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2;
+          0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3;
+          0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2 ];
+      ints7 = [ 3; 2; 4; 2; 6; 5; 4; 5 ];
+      ints8 = [ 3; 2; 4; 2; 6; 5; 4; 5 ];
+      gaussians =
+        [ -0x1.5e753f17cbbccp-2; 0x1.6b4508469ee03p+0; 0x1.ad6c9ffc2c253p-4;
+          -0x1.6da652115bdeap-2; 0x1.18a6bf75b1098p-2; -0x1.2f64d257b46ddp+0;
+          -0x1.298c661c932dbp-1; 0x1.6b7bbc0d59909p+0 ];
+    };
+    {
+      seed = -3;
+      variant = "fresh";
+      int64s =
+        [ 0xf75f04cbb5a1a1ddL; 0xec779c3693f88501L; 0xfed9eeb4936de39dL;
+          0x6f9fb04b092bd30aL; 0x260ffb0260bbbe5fL; 0x82cfe8866fac366L;
+          0x7a5f67e38e997e3fL; 0xd7c07017388fa2afL ];
+      floats =
+        [ 0x1.eebe09976b434p-1; 0x1.d8ef386d27f1p-1; 0x1.fdb3dd6926dbcp-1;
+          0x1.be7ec12c24af4p-2; 0x1.307fd81305ddcp-3; 0x1.059fd10cdf58p-5;
+          0x1.e97d9f8e3a65ep-2; 0x1.af80e02e711f4p-1 ];
+      ints7 = [ 5; 1; 5; 2; 6; 0; 3; 1 ];
+      ints8 = [ 5; 1; 5; 2; 7; 6; 7; 7 ];
+      gaussians =
+        [ 0x1.dbd91d49c1302p-3; -0x1.6580a87dff4b4p-4; 0x1.e9c9a04c5de9fp+0;
+          0x1.567302cb1a177p-1; -0x1.9d6e21807586fp-1; -0x1.3f9394723847dp+0;
+          -0x1.ec78c173a1f75p+0; -0x1.060cd28eb6ccfp-3 ];
+    };
+    {
+      seed = -3;
+      variant = "split";
+      int64s =
+        [ 0x7d93d2ae0779ab16L; 0x75642efe96062fd4L; 0xdd85cf50e730d8f6L;
+          0x51dac6620fd87b1bL; 0x2c75e5aa09a9791aL; 0x76c3a264ae153b79L;
+          0x903596b1d0ac3067L; 0x1656cd81dbbd4a7aL ];
+      floats =
+        [ 0x1.f64f4ab81de6ap-2; 0x1.d590bbfa5818ap-2; 0x1.bb0b9ea1ce61bp-1;
+          0x1.476b19883f61ep-2; 0x1.63af2d504d4bcp-3; 0x1.db0e8992b854ep-2;
+          0x1.206b2d63a1586p-1; 0x1.656cd81dbbd48p-4 ];
+      ints7 = [ 6; 4; 6; 3; 2; 1; 2; 5 ];
+      ints8 = [ 6; 4; 6; 3; 2; 1; 7; 2 ];
+      gaussians =
+        [ -0x1.273e90d5813dbp+0; -0x1.d36b96db760b1p-3; -0x1.d2c1b7e145533p+0;
+          0x1.d4226563a12f9p-1; -0x1.0bfa88ea78eafp-5; -0x1.7d864f184286dp-7;
+          -0x1.de5e1366f3b3bp-1; -0x1.b5cf65820f2c3p+0 ];
+    };
+    {
+      seed = -3;
+      variant = "copy";
+      int64s =
+        [ 0xec779c3693f88501L; 0xfed9eeb4936de39dL; 0x6f9fb04b092bd30aL;
+          0x260ffb0260bbbe5fL; 0x82cfe8866fac366L; 0x7a5f67e38e997e3fL;
+          0xd7c07017388fa2afL; 0x4f6d6a273422e220L ];
+      floats =
+        [ 0x1.d8ef386d27f1p-1; 0x1.fdb3dd6926dbcp-1; 0x1.be7ec12c24af4p-2;
+          0x1.307fd81305ddcp-3; 0x1.059fd10cdf58p-5; 0x1.e97d9f8e3a65ep-2;
+          0x1.af80e02e711f4p-1; 0x1.3db5a89cd08b8p-2 ];
+      ints7 = [ 1; 5; 2; 6; 0; 3; 1; 5 ];
+      ints8 = [ 1; 5; 2; 7; 6; 7; 7; 0 ];
+      gaussians =
+        [ 0x1.97d0f764687eap-2; 0x1.882914af36fbbp-1; -0x1.4cbcb593e1fedp+1;
+          -0x1.bacd89df9149fp-3; -0x1.62530ca297002p+0; 0x1.f7a411b63750dp-1;
+          0x1.f2ba979c83d7dp-1; -0x1.48ceccc794723p+0 ];
+    };
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun g ->
+      let make () =
+        match g.variant with
+        | "fresh" -> Linalg.Rng.create g.seed
+        | "split" -> Linalg.Rng.split (Linalg.Rng.create g.seed)
+        | _ ->
+            let r = Linalg.Rng.create g.seed in
+            ignore (Linalg.Rng.int64 r);
+            Linalg.Rng.copy r
+      in
+      let draws f =
+        let r = make () in
+        List.init 8 (fun _ -> f r)
+      in
+      let bits = List.map Int64.bits_of_float in
+      let tag what = Printf.sprintf "seed %d, %s: %s" g.seed g.variant what in
+      Alcotest.(check (list int64)) (tag "int64") g.int64s
+        (draws Linalg.Rng.int64);
+      Alcotest.(check (list int64)) (tag "float bits") (bits g.floats)
+        (bits (draws (fun r -> Linalg.Rng.float r 1.0)));
+      Alcotest.(check (list int)) (tag "int 7") g.ints7
+        (draws (fun r -> Linalg.Rng.int r 7));
+      Alcotest.(check (list int)) (tag "int 8") g.ints8
+        (draws (fun r -> Linalg.Rng.int r 8));
+      Alcotest.(check (list int64)) (tag "gaussian bits") (bits g.gaussians)
+        (bits (draws Linalg.Rng.gaussian)))
+    rng_golden
+
 (* {1 Vec} *)
 
 let test_vec_add_sub () =
@@ -339,6 +551,7 @@ let () =
           quick "split independent" test_rng_split_independent;
           quick "shuffle permutation" test_rng_shuffle_is_permutation;
           quick "copy" test_rng_copy;
+          quick "golden streams" test_rng_golden;
         ] );
       ( "vec",
         [
