@@ -543,13 +543,23 @@ let batch_report () =
       ~rng:(Linalg.Rng.create (seed + 35))
       ~envelope ~batch:b ~scenes ~trials:50 net
   in
-  let batched = campaign batch in
-  let scalar = campaign 1 in
+  (* One campaign takes tens of milliseconds, too short for a single
+     timing to say anything: time [repeats] campaigns at each size,
+     alternating, and compare the medians. *)
+  let repeats = 21 in
+  let runs = Array.init repeats (fun _ -> (campaign batch, campaign 1)) in
+  let median_ms pick =
+    let ms =
+      Array.map (fun r -> 1e3 *. (pick r).Fault.Campaign.elapsed) runs
+    in
+    Array.sort Float.compare ms;
+    ms.(repeats / 2)
+  in
+  let batched_ms = median_ms fst and scalar_ms = median_ms snd in
   Printf.printf
-    "\ncampaign (50 trials x 200 scenes): %.2fs at batch %d vs %.2fs at \
-     batch 1 (%.1fx)\n"
-    batched.Fault.Campaign.elapsed batch scalar.Fault.Campaign.elapsed
-    (scalar.Fault.Campaign.elapsed /. batched.Fault.Campaign.elapsed);
+    "\ncampaign (50 trials x 200 scenes), median of %d alternated runs: \
+     %.2f ms at batch %d vs %.2f ms at batch 1 (%.2fx)\n"
+    repeats batched_ms batch scalar_ms (scalar_ms /. batched_ms);
   let counts (r : Fault.Campaign.report) =
     Fault.Campaign.
       [
@@ -565,9 +575,14 @@ let batch_report () =
       ]
   in
   let mismatched =
-    List.filter
-      (fun ((_, a), (_, b)) -> a <> b)
-      (List.combine (counts batched) (counts scalar))
+    Array.fold_left
+      (fun acc (batched, scalar) ->
+        if acc <> [] then acc
+        else
+          List.filter
+            (fun ((_, a), (_, b)) -> a <> b)
+            (List.combine (counts batched) (counts scalar)))
+      [] runs
   in
   List.iter
     (fun ((name, a), (_, b)) ->

@@ -682,6 +682,9 @@ let fault_campaign net_path seed width trials scenes lat_limit time_limit
       && report.Fault.Campaign.escaped_exceptions = 0
       && report.Fault.Campaign.violations_detected
          = report.Fault.Campaign.violation_trials
+      && List.for_all
+           (fun rv -> rv.Fault.Campaign.rv_sound)
+           report.Fault.Campaign.reverified
     in
     Printf.printf "smoke: %s\n" (if ok then "PASS" else "FAIL");
     if not ok then exit 1
@@ -735,8 +738,8 @@ let fault_campaign_cmd =
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "CI mode: exit 1 unless every NaN/Inf fault was detected and \
-             no exception escaped the guard.")
+            "CI mode: exit 1 unless every NaN/Inf fault was detected, no \
+             exception escaped the guard and every re-verified bound held.")
   in
   Cmd.v
     (Cmd.info "campaign"

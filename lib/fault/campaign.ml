@@ -234,8 +234,9 @@ let network_params_finite net =
   done;
   !ok
 
-(* The tightest box that contains every replayed scene: the formal bound
-   over it must dominate anything observed during replay. *)
+(* The tightest box that contains every given scene (all of one
+   length, at least one): the formal bound over it must dominate
+   anything observed during replay. *)
 let bounding_box scenes =
   let dim = Array.length scenes.(0) in
   Array.init dim (fun j ->
@@ -255,6 +256,13 @@ let bounding_box scenes =
    non-vacuous — sampled 64-bit-uniform flips hit this case too rarely. *)
 let find_nan_fault ~components ~scenes net =
   let exception Found of Model.t in
+  (* A scene of another length raises with or without a fault, which
+     would read as non-finite for every candidate. *)
+  let in_dim = Nn.Network.input_dim net in
+  let scenes =
+    Array.of_seq
+      (Seq.filter (fun s -> Array.length s = in_dim) (Array.to_seq scenes))
+  in
   try
     for layer = 0 to Nn.Network.num_layers net - 1 do
       let l = Nn.Network.layer net layer in
@@ -411,10 +419,13 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
     end
   in
   (* Re-verify a sample of the faulted networks by MILP: the empirical
-     maximum seen during replay must stay below the formal bound. *)
+     maximum seen during replay must stay below the formal bound. Only
+     the scenes of the network's input length bound the box; with none,
+     there is nothing to re-verify. *)
   let reverified =
-    if reverify <= 0 then []
+    if reverify <= 0 || Array.length clean.packed = 0 then []
     else begin
+      let scenes = Array.map (fun s -> scenes.(s)) clean.packed in
       let box = bounding_box scenes in
       let taken = ref 0 in
       Array.to_list trial_results

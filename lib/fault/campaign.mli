@@ -81,9 +81,10 @@ type trial = {
 type reverification = {
   rv_fault : Model.t;
   rv_empirical_max : float;
-      (** max worst-lat of the faulted net over the replayed scenes *)
+      (** max worst-lat of the faulted net over the replayed scenes of
+          the network's input length *)
   rv_formal_bound : float;
-      (** MILP-proven upper bound over the scenes' bounding box *)
+      (** MILP-proven upper bound over those scenes' bounding box *)
   rv_sound : bool;  (** empirical <= formal bound (must hold) *)
 }
 
@@ -126,7 +127,8 @@ val run :
     how many faulted networks to re-verify by MILP with
     [reverify_time_limit] seconds each (default 5 s); faulted networks
     whose parameters are no longer finite (or whose bounds overflow the
-    encoder) are skipped. [progress] is called with each trial index and
+    encoder) are skipped, and nothing is re-verified when no scene has
+    the network's input length. [progress] is called with each trial index and
     fault before the replay (from worker domains when [cores > 1]).
     [cores] (default 1) replays trials on that many domains via
     work-stealing; the clean pass is built before any trial and the
@@ -152,7 +154,8 @@ val find_nan_fault :
   Model.t option
 (** Scan single top-exponent-bit (bit 62) weight flips for one that
     drives the unguarded prediction path non-finite on at least one of
-    [scenes]. Uniformly sampled flips rarely overflow (the top exponent
+    [scenes] of the network's input length (a scene of another length
+    cannot be forwarded, fault or not, so it never counts). Uniformly sampled flips rarely overflow (the top exponent
     bit is 1 in 64, and only ~2% of coordinates propagate), so the CI
     smoke injects the found fault explicitly to exercise the NaN
     detection path deterministically. *)

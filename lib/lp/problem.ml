@@ -4,6 +4,13 @@ type cmp = Le | Ge | Eq
 
 type row = { terms : (var * float) array; cmp : cmp; rhs : float; cname : string }
 
+type form = {
+  rows : row array;
+  mat : Sparse.mat;
+  b : float array;
+  finite : bool;
+}
+
 type t = {
   mutable lo : float array;
   mutable hi : float array;
@@ -17,6 +24,11 @@ type t = {
      first. Branch & bound uses this to evaluate a search node with
      O(depth) bound writes instead of an O(problem) copy. *)
   mutable frames : (var * float * float) list list;
+  (* The constraint set in the solver's column form, built on first
+     use and dropped by [add_var]/[add_constraint]. Bounds and the
+     objective are not part of it, so every solve between two such
+     calls shares one build, and a copy shares its original's. *)
+  mutable form : form option;
 }
 
 let create () =
@@ -27,7 +39,8 @@ let create () =
     nvars = 0;
     rows_rev = [];
     nrows = 0;
-    frames = [] }
+    frames = [];
+    form = None }
 
 let grow t =
   let n = Array.length t.lo in
@@ -56,6 +69,7 @@ let add_var t ?name ~lo ~hi ~obj () =
   t.obj.(v) <- obj;
   t.names.(v) <- (match name with Some n -> n | None -> Printf.sprintf "x%d" v);
   t.nvars <- v + 1;
+  t.form <- None;
   v
 
 let check_var t v =
@@ -76,7 +90,8 @@ let add_constraint t ?(name = "") terms cmp rhs =
   let arr = Array.of_list merged in
   Array.sort (fun (a, _) (b, _) -> compare a b) arr;
   t.rows_rev <- { terms = arr; cmp; rhs; cname = name } :: t.rows_rev;
-  t.nrows <- t.nrows + 1
+  t.nrows <- t.nrows + 1;
+  t.form <- None
 
 let set_bounds t v ~lo ~hi =
   check_var t v;
@@ -146,9 +161,37 @@ let copy t =
     nvars = t.nvars;
     rows_rev = t.rows_rev;
     nrows = t.nrows;
-    frames = [] }
+    frames = [];
+    form = t.form }
 
 let rows t = Array.of_list (List.rev t.rows_rev)
+
+let form t =
+  match t.form with
+  | Some f -> f
+  | None ->
+      let rows = rows t in
+      let nvars = t.nvars in
+      let mat =
+        Sparse.of_rows ~cols:(nvars + t.nrows)
+          (Array.mapi
+             (fun i (r : row) -> Array.append r.terms [| (nvars + i, 1.0) |])
+             rows)
+      in
+      let finite (r : row) =
+        Array.for_all (fun (_, c) -> Float.is_finite c) r.terms
+      in
+      let f =
+        {
+          rows;
+          mat;
+          b = Array.map (fun (r : row) -> r.rhs) rows;
+          finite = Array.for_all finite rows;
+        }
+      in
+      t.form <- Some f;
+      f
+
 let var_lo t = Array.sub t.lo 0 t.nvars
 let var_hi t = Array.sub t.hi 0 t.nvars
 let objective t = Array.sub t.obj 0 t.nvars

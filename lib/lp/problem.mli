@@ -61,12 +61,36 @@ val var_name : t -> var -> string
 
 val copy : t -> t
 (** Deep copy; bound mutations on the copy do not affect the original.
-    The copy starts with an empty bound journal. *)
+    The copy starts with an empty bound journal and shares the
+    original's {!form}, if one is built. *)
 
 (** Internal row representation, exposed for the solver and for tests. *)
 type row = { terms : (var * float) array; cmp : cmp; rhs : float; cname : string }
 
 val rows : t -> row array
+
+type form = {
+  rows : row array;
+  mat : Sparse.mat;
+      (** one column per variable, then one slack column [e_i] per row;
+          each column lists its rows in descending order, and the
+          row-wise copy serves {!Sparse.row_product} *)
+  b : float array;    (** each row's right-hand side *)
+  finite : bool;      (** every constraint coefficient is finite *)
+}
+(** The constraint set in the column form the sparse simplex solves
+    on. It depends on the rows and the number of variables only — not
+    on bounds or the objective — so it is built once, on first use,
+    and every later solve, cold or warm, shares it until {!add_var} or
+    {!add_constraint} changes the constraint set. An immutable value:
+    the arrays must not be mutated, and copies ({!copy}) share it. *)
+
+val form : t -> form
+(** The problem's {!type-form}, built now if the constraint set changed
+    since the last call. Building it writes to the problem, like any
+    other mutation: domains that solve in parallel each work on their
+    own {!copy}, as the MILP workers and OBBT probes do. *)
+
 val var_lo : t -> float array
 val var_hi : t -> float array
 val objective : t -> float array

@@ -148,7 +148,7 @@ let[@inline] sup_extreme rlo rhi l h =
     (fmax (Float.succ (rhi *. l)) (Float.succ (rhi *. h)))
 
 let farkas_certifies problem y =
-  let rows = Problem.rows problem in
+  let rows = (Problem.form problem).Problem.rows in
   let m = Array.length rows in
   Array.length y = m
   && Array.for_all Float.is_finite y
@@ -639,11 +639,20 @@ module Rev = struct
     hi : float array;
     r : float array;
     cost : float array;
+    mutable support : int array;  (* columns with cost <> 0, ascending *)
     basis : int array;
     status : var_status array;
     xb : float array;          (* basic values, indexed by basis position *)
+    work : float array;        (* the current pivot row, one per column *)
     mutable fac : Sparse.factor;
   }
+
+  let support_of cost =
+    let s = ref [] in
+    for j = Array.length cost - 1 downto 0 do
+      if cost.(j) <> 0.0 then s := j :: !s
+    done;
+    Array.of_list !s
 
   let value st j =
     match st.status.(j) with
@@ -697,43 +706,48 @@ module Rev = struct
         st.xb.(i) <- v)
       xb
 
+  (* Recomputed after every iteration for stall detection, so the
+     nonbasic part visits the cost's support only — the m artificials
+     in phase 1, the objective's nonzeros in phase 2 — in ascending
+     order, the same additions a scan of every column makes. *)
   let phase_objective st =
     let total = ref 0.0 in
     for i = 0 to st.m - 1 do
       let c = st.cost.(st.basis.(i)) in
       if c <> 0.0 then total := !total +. (c *. st.xb.(i))
     done;
-    for j = 0 to st.n - 1 do
-      (match st.status.(j) with
-       | Basic -> ()
-       | At_lower ->
-           if st.cost.(j) <> 0.0 then
-             total := !total +. (st.cost.(j) *. st.lo.(j))
-       | At_upper ->
-           if st.cost.(j) <> 0.0 then
-             total := !total +. (st.cost.(j) *. st.hi.(j)))
+    let support = st.support in
+    for k = 0 to Array.length support - 1 do
+      let j = support.(k) in
+      match st.status.(j) with
+      | Basic -> ()
+      | At_lower -> total := !total +. (st.cost.(j) *. st.lo.(j))
+      | At_upper -> total := !total +. (st.cost.(j) *. st.hi.(j))
     done;
     if Float.is_nan !total then raise (Numerical_error "NaN objective value");
     !total
 
+  (* Dantzig pricing, or the first eligible column in Bland mode. One
+     plain loop over every column, so the scores stay unboxed. *)
   let select_entering st ~bland eps =
     let best = ref (-1) and best_score = ref eps in
-    let consider j score =
-      if Float.is_nan score then
-        raise (Numerical_error "NaN reduced cost in pricing");
-      if bland then begin
-        if score > eps && !best < 0 then best := j
-      end
-      else if score > !best_score then begin
-        best_score := score;
-        best := j
-      end
-    in
+    let status = st.status and lo = st.lo and hi = st.hi and r = st.r in
     for j = 0 to st.n - 1 do
-      (match st.status.(j) with
-       | Basic -> ()
-       | At_lower -> if st.lo.(j) < st.hi.(j) then consider j st.r.(j)
-       | At_upper -> if st.lo.(j) < st.hi.(j) then consider j (-.st.r.(j)))
+      match status.(j) with
+      | Basic -> ()
+      | (At_lower | At_upper) as s ->
+          if lo.(j) < hi.(j) then begin
+            let score = if s = At_lower then r.(j) else -.r.(j) in
+            if Float.is_nan score then
+              raise (Numerical_error "NaN reduced cost in pricing");
+            if bland then begin
+              if score > eps && !best < 0 then best := j
+            end
+            else if score > !best_score then begin
+              best_score := score;
+              best := j
+            end
+          end
     done;
     !best
 
@@ -742,11 +756,10 @@ module Rev = struct
      column q. *)
   let entering_alpha st q =
     let alpha = Sparse.ftran st.fac (Sparse.col_to_dense st.mat q) in
-    Array.iter
-      (fun v ->
-        if Float.is_nan v then
-          raise (Numerical_error "NaN in FTRAN column"))
-      alpha;
+    for i = 0 to Array.length alpha - 1 do
+      if Float.is_nan alpha.(i) then
+        raise (Numerical_error "NaN in FTRAN column")
+    done;
     alpha
 
   let ratio_test st ~q ~dir ~alpha ~bland =
@@ -803,13 +816,23 @@ module Rev = struct
       if k <> 0.0 then st.xb.(i) <- st.xb.(i) -. (t *. dir *. k)
     done
 
+  (* Tableau row [rrow] into [st.work]: one BTRAN of a unit vector, then
+     ρᵀA over the rows with ρᵢ ≠ 0 ({!Sparse.row_product}). *)
+  let pivot_row st rrow =
+    let e = Array.make st.m 0.0 in
+    e.(rrow) <- 1.0;
+    let rho = Sparse.btran st.fac e in
+    Sparse.row_product st.mat rho st.work;
+    rho
+
   (* Replace basis position [rrow] by column [q]. Reduced costs update
-     in O(nnz): one BTRAN for the pivot row rho (reused from the dual
-     loop when already at hand), then r_j -= (r_q / alpha_piv)·(rho·A_j)
-     over nonbasic columns. The factor takes one eta; once the file
-     reaches [refactor_interval] the basis is refactorized. *)
-  let pivot st ~rrow ~q ~alpha ?rho ?arow ~entering_value ~leaving_to_lower ()
-      =
+     in O(nnz): r_j -= (r_q / alpha_piv)·(ρ·A_j) over nonbasic columns,
+     with the tableau row in [st.work] — computed here, or already
+     there when the dual loop passes [~row_ready:true]. The factor takes
+     one eta; once the file reaches [refactor_interval] the basis is
+     refactorized. *)
+  let pivot st ~rrow ~q ~alpha ?(row_ready = false) ~entering_value
+      ~leaving_to_lower () =
     let apiv = alpha.(rrow) in
     check_finite "non-finite pivot element" (1.0 /. apiv);
     check_finite "non-finite entering value" entering_value;
@@ -817,31 +840,15 @@ module Rev = struct
     let rq = st.r.(q) in
     if rq <> 0.0 then begin
       let k = rq /. apiv in
-      (* The dual loop already materialized this tableau row into
-         [arow]; reuse it instead of repeating the col_dot sweep. *)
-      let row_entry =
-        match arow with
-        | Some ar -> fun j _rho -> ar.(j)
-        | None -> fun j rho -> Sparse.col_dot st.mat j rho
-      in
-      let rho =
-        match (arow, rho) with
-        | Some _, _ -> [||]
-        | None, Some r -> r
-        | None, None ->
-            let e = Array.make st.m 0.0 in
-            e.(rrow) <- 1.0;
-            Sparse.btran st.fac e
-      in
+      if not row_ready then ignore (pivot_row st rrow);
+      let arow = st.work and status = st.status and r = st.r in
       for j = 0 to st.n - 1 do
-        if st.status.(j) <> Basic then begin
-          let a = row_entry j rho in
-          if a <> 0.0 then begin
-            let nr = st.r.(j) -. (k *. a) in
-            if Float.is_nan nr then
-              raise (Numerical_error "NaN reduced cost after pivot");
-            st.r.(j) <- nr
-          end
+        let a = arow.(j) in
+        if a <> 0.0 && status.(j) <> Basic then begin
+          let nr = r.(j) -. (k *. a) in
+          if Float.is_nan nr then
+            raise (Numerical_error "NaN reduced cost after pivot");
+          r.(j) <- nr
         end
       done;
       (* The leaving column's tableau-row entry is exactly 1. *)
@@ -933,14 +940,23 @@ module Rev = struct
           bfactor = Some st.fac;
         }
 
+  (* The problem's column form, refused when a coefficient is not
+     finite. *)
+  let form problem =
+    let form = Problem.form problem in
+    if not form.Problem.finite then
+      raise (Numerical_error "non-finite constraint coefficient");
+    form
+
   (* Cold build. Unlike the dense build, rows are NOT scaled by the
      residual sign — the artificial column i is [(i, sign_i)] instead —
-     so the structural and slack columns here are bit-identical to the
-     warm-restore matrix and a factor snapshot transfers between the
-     two without translation. *)
+     so the structural and slack columns are the problem's own column
+     form, shared with every warm restore, and a factor snapshot
+     transfers between the two without translation. *)
   let build problem ~negate =
     ignore negate;
-    let rows = Problem.rows problem in
+    let form = form problem in
+    let rows = form.Problem.rows in
     let m = Array.length rows in
     let nstruct = Problem.num_vars problem in
     let nreal = nstruct + m in
@@ -950,32 +966,18 @@ module Rev = struct
     Array.blit vlo 0 lo 0 nstruct;
     Array.blit vhi 0 hi 0 nstruct;
     let status = Array.make n At_lower in
+    (* The starting value of each structural column. *)
+    let x0 = Array.make nstruct 0.0 in
     for j = 0 to nstruct - 1 do
-      status.(j) <-
-        (if Float.abs hi.(j) < Float.abs lo.(j) then At_upper else At_lower)
-    done;
-    let value j =
-      match status.(j) with
-      | At_lower -> lo.(j)
-      | At_upper -> hi.(j)
-      | Basic -> assert false
-    in
-    let struct_cols = Array.make nstruct [] in
-    Array.iteri
-      (fun i row ->
-        Array.iter
-          (fun (v, c) ->
-            check_finite "non-finite constraint coefficient" c;
-            struct_cols.(v) <- (i, c) :: struct_cols.(v))
-          row.Problem.terms)
-      rows;
-    let columns = Array.make n [||] in
-    for v = 0 to nstruct - 1 do
-      columns.(v) <- Array.of_list struct_cols.(v)
+      if Float.abs hi.(j) < Float.abs lo.(j) then begin
+        status.(j) <- At_upper;
+        x0.(j) <- hi.(j)
+      end
+      else x0.(j) <- lo.(j)
     done;
     let basis = Array.init m (fun i -> nreal + i) in
     let xb = Array.make m 0.0 in
-    let b = Array.make m 0.0 in
+    let signs = Array.make m 0.0 in
     Array.iteri
       (fun i row ->
         check_finite "non-finite constraint rhs" row.Problem.rhs;
@@ -983,12 +985,13 @@ module Rev = struct
         let si = nstruct + i in
         lo.(si) <- slo;
         hi.(si) <- shi;
-        columns.(si) <- [| (i, 1.0) |];
-        let activity =
-          Array.fold_left
-            (fun acc (v, c) -> acc +. (c *. value v))
-            0.0 row.Problem.terms
-        in
+        let activity = ref 0.0 in
+        let terms = row.Problem.terms in
+        for k = 0 to Array.length terms - 1 do
+          let v, c = terms.(k) in
+          activity := !activity +. (c *. x0.(v))
+        done;
+        let activity = !activity in
         let resid_at bnd = row.Problem.rhs -. activity -. bnd in
         let s_at_lo = resid_at slo and s_at_hi = resid_at shi in
         let sstat, resid =
@@ -996,16 +999,14 @@ module Rev = struct
           else (At_upper, s_at_hi)
         in
         status.(si) <- sstat;
-        let sign = if resid >= 0.0 then 1.0 else -1.0 in
         let ai = nreal + i in
-        columns.(ai) <- [| (i, sign) |];
+        signs.(i) <- (if resid >= 0.0 then 1.0 else -1.0);
         lo.(ai) <- 0.0;
         hi.(ai) <- Float.abs resid;
         status.(ai) <- Basic;
-        xb.(i) <- Float.abs resid;
-        b.(i) <- row.Problem.rhs)
+        xb.(i) <- Float.abs resid)
       rows;
-    let mat = Sparse.of_columns ~rows:m columns in
+    let mat = Sparse.with_units form.Problem.mat signs in
     let fac =
       match Sparse.factorize mat basis with
       | Some f -> f
@@ -1019,8 +1020,9 @@ module Rev = struct
       cost.(nreal + i) <- -1.0
     done;
     let st =
-      { m; n; nstruct; nreal; mat; b; lo; hi; r = Array.make n 0.0; cost;
-        basis; status; xb; fac }
+      { m; n; nstruct; nreal; mat; b = form.Problem.b; lo; hi;
+        r = Array.make n 0.0; cost; support = support_of cost; basis; status;
+        xb; work = Array.make n 0.0; fac }
     in
     recompute_reduced_costs st;
     st
@@ -1035,8 +1037,7 @@ module Rev = struct
      under the current box (the same sound, cheap detection the cold
      build does). *)
   let restore problem basis ~negate =
-    let rows = Problem.rows problem in
-    let m = Array.length rows in
+    let m = Problem.num_constraints problem in
     let nstruct = Problem.num_vars problem in
     let nreal = nstruct + m in
     let valid =
@@ -1058,34 +1059,19 @@ module Rev = struct
     in
     if not valid then None
     else begin
+      let form = form problem in
       let vlo = Problem.var_lo problem and vhi = Problem.var_hi problem in
       let lo = Array.make nreal 0.0 and hi = Array.make nreal 0.0 in
       Array.blit vlo 0 lo 0 nstruct;
       Array.blit vhi 0 hi 0 nstruct;
-      let struct_cols = Array.make nstruct [] in
-      Array.iteri
-        (fun i row ->
-          Array.iter
-            (fun (v, c) ->
-              check_finite "non-finite constraint coefficient" c;
-              struct_cols.(v) <- (i, c) :: struct_cols.(v))
-          row.Problem.terms)
-        rows;
-      let columns = Array.make nreal [||] in
-      for v = 0 to nstruct - 1 do
-        columns.(v) <- Array.of_list struct_cols.(v)
-      done;
-      let b = Array.make m 0.0 in
       Array.iteri
         (fun i row ->
           check_finite "non-finite constraint rhs" row.Problem.rhs;
           let slo, shi = slack_bounds ~row:i vlo vhi row in
           lo.(nstruct + i) <- slo;
-          hi.(nstruct + i) <- shi;
-          columns.(nstruct + i) <- [| (i, 1.0) |];
-          b.(i) <- row.Problem.rhs)
-        rows;
-      let mat = Sparse.of_columns ~rows:m columns in
+          hi.(nstruct + i) <- shi)
+        form.Problem.rows;
+      let mat = form.Problem.mat and b = form.Problem.b in
       let status = Array.make nreal At_lower in
       for j = 0 to nreal - 1 do
         if basis.bupper.(j) then status.(j) <- At_upper
@@ -1136,8 +1122,9 @@ module Rev = struct
           done;
           let st =
             { m; n = nreal; nstruct; nreal; mat; b; lo; hi;
-              r = Array.make nreal 0.0; cost;
-              basis = Array.copy basis.bbasic; status; xb; fac }
+              r = Array.make nreal 0.0; cost; support = support_of cost;
+              basis = Array.copy basis.bbasic; status; xb;
+              work = Array.make nreal 0.0; fac }
           in
           recompute_reduced_costs st;
           Some st
@@ -1169,7 +1156,7 @@ module Rev = struct
       else 0.0
     in
     let stall_threshold = 4 * (st.m + 16) in
-    let arow = Array.make st.n 0.0 in
+    let arow = st.work in
     let rec loop iter ~bland ~stall ~best_obj =
       if iter >= limit then Dual_limit
       else begin
@@ -1187,16 +1174,9 @@ module Rev = struct
           let rrow = !rrow in
           let vleave = st.basis.(rrow) in
           let below = st.xb.(rrow) < st.lo.(vleave) in
-          (* Materialize tableau row rrow: one BTRAN of a unit vector,
-             then a sparse dot per nonbasic column — O(nnz) overall. *)
-          let e = Array.make st.m 0.0 in
-          e.(rrow) <- 1.0;
-          let rho = Sparse.btran st.fac e in
-          for j = 0 to st.n - 1 do
-            arow.(j) <-
-              (if st.status.(j) = Basic then 0.0
-               else Sparse.col_dot st.mat j rho)
-          done;
+          (* Tableau row rrow; the entries of basic columns are never
+             read. *)
+          let rho = pivot_row st rrow in
           let q = ref (-1)
           and best_ratio = ref infinity
           and best_mag = ref 0.0 in
@@ -1266,7 +1246,7 @@ module Rev = struct
                | Basic -> assert false)
               +. delta
             in
-            pivot st ~rrow ~q ~alpha ~rho ~arow ~entering_value
+            pivot st ~rrow ~q ~alpha ~row_ready:true ~entering_value
               ~leaving_to_lower:below ();
             (* The (max-sense) objective is non-increasing along dual
                steps; a long run without decrease is the stall signal. *)
@@ -1357,6 +1337,7 @@ module Rev = struct
                 check_finite "non-finite objective coefficient" obj.(j);
                 st.cost.(j) <- (if negate then -.obj.(j) else obj.(j))
               done;
+              st.support <- support_of st.cost;
               recompute_reduced_costs st;
               match optimize st ~eps ~limit ~start_iter:it1 with
               | None ->

@@ -12,7 +12,12 @@
 
     One engine runs every solve: the revised simplex on factored sparse
     columns (LU plus an eta file, {!Sparse.factor}), O(nnz) per pivot
-    instead of O(rows·cols). It reports [Infeasible] only with a row
+    instead of O(rows·cols). Its columns come from the problem's
+    {!Problem.form}, built once per constraint set and shared by every
+    solve, cold or warm, until the constraint set changes; a solve may
+    build it, which is the only way a solve writes to the problem. A
+    pivot's tableau row is computed row by row ({!Sparse.row_product}),
+    over the rows its BTRAN result touches. It reports [Infeasible] only with a row
     that is empty under the box or with a Farkas ray that passes
     {!farkas_certifies}. A ray that fails the check, and any
     {!Numerical_error} the sparse core raises, hand the problem to a
@@ -96,8 +101,9 @@ val farkas_certifies : Problem.t -> float array -> bool
     operation rounded outward ([Float.succ]/[Float.pred]) and with slack
     ranges recomputed outward from the box, is negative (or some row is
     empty over the box). [false] for a [y] of the wrong length or with a
-    non-finite entry. Each call allocates a few flat arrays (the rows,
-    the bounds and the two ends of −Aᵀy), nothing per column or row. *)
+    non-finite entry. Each call allocates a few flat arrays (the bounds
+    and the two ends of −Aᵀy), nothing per column or row; the rows are
+    read from the problem's {!Problem.form}. *)
 
 type solution = {
   status : status;

@@ -1,4 +1,5 @@
-(* CSC-style column store + factored basis for the revised simplex.
+(* CSC-style column store (with a row-wise copy for pivot rows) +
+   factored basis for the revised simplex.
 
    The factor represents B = L·U·E₁·…·Eₖ (row-permuted L and U from a
    left-looking factorization with partial pivoting, then the eta file
@@ -14,62 +15,125 @@
 
 type mat = {
   m : int;
-  n : int;
-  colptr : int array;  (* n+1 offsets into rowind/value *)
+  n : int;             (* all columns: [nb] stored, then the signed units *)
+  nb : int;
+  colptr : int array;  (* nb+1 offsets into rowind/value *)
   rowind : int array;
   value : float array;
+  rowptr : int array;  (* m+1 offsets into colind/rvalue *)
+  colind : int array;  (* the stored columns again, row by row *)
+  rvalue : float array;
+  usign : float array; (* column nb+i is usign.(i)·e_i *)
 }
 
-let of_columns ~rows columns =
-  let n = Array.length columns in
-  let colptr = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun j c -> colptr.(j + 1) <- colptr.(j) + Array.length c)
-    columns;
-  let nnz = colptr.(n) in
+(* Each column lists its rows in descending order: the rows are walked
+   last to first, and each entry goes to its column's next free slot. *)
+let of_rows ~cols rows =
+  let m = Array.length rows in
+  let colptr = Array.make (cols + 1) 0 in
+  Array.iter
+    (Array.iter (fun (j, _) ->
+         if j < 0 || j >= cols then
+           invalid_arg "Sparse.of_rows: column index out of range";
+         colptr.(j + 1) <- colptr.(j + 1) + 1))
+    rows;
+  for j = 0 to cols - 1 do
+    colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
+  done;
+  let nnz = colptr.(cols) in
+  let next = Array.sub colptr 0 cols in
   let rowind = Array.make nnz 0 and value = Array.make nnz 0.0 in
+  for i = m - 1 downto 0 do
+    Array.iter
+      (fun (j, v) ->
+        rowind.(next.(j)) <- i;
+        value.(next.(j)) <- v;
+        next.(j) <- next.(j) + 1)
+      rows.(i)
+  done;
+  let rowptr = Array.make (m + 1) 0 in
+  Array.iteri (fun i r -> rowptr.(i + 1) <- rowptr.(i) + Array.length r) rows;
+  let colind = Array.make nnz 0 and rvalue = Array.make nnz 0.0 in
   Array.iteri
-    (fun j c ->
+    (fun i r ->
       Array.iteri
-        (fun k (r, v) ->
-          if r < 0 || r >= rows then
-            invalid_arg "Sparse.of_columns: row index out of range";
-          rowind.(colptr.(j) + k) <- r;
-          value.(colptr.(j) + k) <- v)
-        c)
-    columns;
-  { m = rows; n; colptr; rowind; value }
+        (fun k (j, v) ->
+          colind.(rowptr.(i) + k) <- j;
+          rvalue.(rowptr.(i) + k) <- v)
+        r)
+    rows;
+  { m; n = cols; nb = cols; colptr; rowind; value; rowptr; colind; rvalue;
+    usign = [||] }
+
+let with_units a signs =
+  if Array.length signs <> a.m then
+    invalid_arg "Sparse.with_units: one sign per row";
+  { a with n = a.nb + a.m; usign = signs }
 
 let rows a = a.m
 let cols a = a.n
-let nnz a = a.colptr.(a.n)
+let nnz a = a.colptr.(a.nb) + Array.length a.usign
 
 (* Hot loops below use unsafe array access: every index is produced by
    this module's own invariants (colptr/rowind bounds, permutation
    arrays over 0..m-1), never by caller data. *)
 
 let col_dot a j y =
-  let acc = ref 0.0 in
-  let rowind = a.rowind and value = a.value in
-  for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-    acc :=
-      !acc
-      +. Array.unsafe_get value k
-         *. Array.unsafe_get y (Array.unsafe_get rowind k)
+  if j >= a.nb then 0.0 +. (a.usign.(j - a.nb) *. y.(j - a.nb))
+  else begin
+    let acc = ref 0.0 in
+    let rowind = a.rowind and value = a.value in
+    for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+      acc :=
+        !acc
+        +. Array.unsafe_get value k
+           *. Array.unsafe_get y (Array.unsafe_get rowind k)
+    done;
+    !acc
+  end
+
+(* Rows last to first, the order in which [of_rows] stores each
+   column's rows, so every column gets its terms in the order [col_dot]
+   adds them: the same sequence of float additions, minus the [a·0]
+   terms of rows with ρᵢ = 0, which can change only the sign of a
+   zero. *)
+let row_product a rho out =
+  if Array.length rho <> a.m || Array.length out < a.n then
+    invalid_arg "Sparse.row_product: dimension mismatch";
+  Array.fill out 0 a.n 0.0;
+  let rowptr = a.rowptr and colind = a.colind and rvalue = a.rvalue in
+  for i = a.m - 1 downto 0 do
+    let ri = Array.unsafe_get rho i in
+    if ri <> 0.0 then
+      for k = Array.unsafe_get rowptr i to Array.unsafe_get rowptr (i + 1) - 1 do
+        let j = Array.unsafe_get colind k in
+        Array.unsafe_set out j
+          (Array.unsafe_get out j +. (Array.unsafe_get rvalue k *. ri))
+      done
   done;
-  !acc
+  for i = 0 to Array.length a.usign - 1 do
+    let ri = rho.(i) in
+    if ri <> 0.0 then out.(a.nb + i) <- 0.0 +. (a.usign.(i) *. ri)
+  done
 
 let scatter_col a j ~scale x =
-  for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-    let r = a.rowind.(k) in
-    x.(r) <- x.(r) +. (scale *. a.value.(k))
-  done
+  if j >= a.nb then begin
+    let r = j - a.nb in
+    x.(r) <- x.(r) +. (scale *. a.usign.(r))
+  end
+  else
+    for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+      let r = a.rowind.(k) in
+      x.(r) <- x.(r) +. (scale *. a.value.(k))
+    done
 
 let col_to_dense a j =
   let x = Array.make a.m 0.0 in
-  for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-    x.(a.rowind.(k)) <- a.value.(k)
-  done;
+  if j >= a.nb then x.(j - a.nb) <- a.usign.(j - a.nb)
+  else
+    for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+      x.(a.rowind.(k)) <- a.value.(k)
+    done;
   x
 
 (* One product-form eta: the identity with column [epos] replaced by the
@@ -148,6 +212,16 @@ let factorize a basic =
     let nwords = (m + 61) / 62 in
     let bits = Array.make nwords 0 in
     let push p = bits.(p / 62) <- bits.(p / 62) lor (1 lsl (p mod 62)) in
+    let nt = ref 0 in
+    let scatter r v =
+      w.(r) <- v;
+      if not mark.(r) then begin
+        mark.(r) <- true;
+        touched.(!nt) <- r;
+        incr nt;
+        if rowpos.(r) >= 0 then push rowpos.(r)
+      end
+    in
     let ok = ref true in
     let k = ref 0 in
     while !ok && !k < m do
@@ -157,17 +231,12 @@ let factorize a basic =
       else begin
         (* Scatter column j into the dense work vector; queue every
            already-pivoted touched row for elimination. *)
-        let nt = ref 0 in
-        for p = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-          let r = a.rowind.(p) in
-          w.(r) <- a.value.(p);
-          if not mark.(r) then begin
-            mark.(r) <- true;
-            touched.(!nt) <- r;
-            incr nt;
-            if rowpos.(r) >= 0 then push rowpos.(r)
-          end
-        done;
+        nt := 0;
+        if j >= a.nb then scatter (j - a.nb) a.usign.(j - a.nb)
+        else
+          for p = a.colptr.(j) to a.colptr.(j + 1) - 1 do
+            scatter a.rowind.(p) a.value.(p)
+          done;
         (* Left-looking elimination in increasing pivot order via the
            bitset: scan words low to high, clearing the lowest set bit
            each round; new fill lands at strictly later positions, so
@@ -318,9 +387,13 @@ let ftran f b =
     end
   done;
   (* Eta file, oldest first. *)
-  (match f.etas with
-   | [] -> ()
-   | etas -> List.iter (apply_eta_ftran x) (List.rev etas));
+  let rec apply_oldest_first = function
+    | [] -> ()
+    | e :: older ->
+        apply_oldest_first older;
+        apply_eta_ftran x e
+  in
+  apply_oldest_first f.etas;
   x
 
 let btran f c =

@@ -2,9 +2,10 @@
 
     {!mat} is an immutable CSC-style column store of the full constraint
     matrix (structural, slack and — during a cold solve — artificial
-    columns). {!factor} is an LU factorization of one basis of that
-    matrix, extended by a product-form eta file: each pivot appends one
-    eta column instead of refactorizing, and {!ftran}/{!btran} apply
+    columns), with a row-wise copy for pivot rows. {!factor} is an LU
+    factorization of one basis of that matrix, extended by a
+    product-form eta file: each pivot appends one eta column instead of
+    refactorizing, and {!ftran}/{!btran} apply
     [B⁻¹]/[B⁻ᵀ] through the factors in O(nnz + eta entries) instead of
     the O(rows·cols) a dense tableau pays per pivot.
 
@@ -18,12 +19,23 @@
     layer then refactorizes or falls back to the dense cold solve. *)
 
 type mat
-(** Immutable sparse matrix, stored by column. *)
+(** Immutable sparse matrix, stored by column, with a row-wise copy of
+    the same entries for {!row_product}, and optionally followed by one
+    signed unit column per row ({!with_units}). *)
 
-val of_columns : rows:int -> (int * float) array array -> mat
-(** [of_columns ~rows cols] builds a matrix from per-column
-    [(row, value)] entry arrays. Entries within a column must not repeat
-    a row. Raises [Invalid_argument] on an out-of-range row index. *)
+val of_rows : cols:int -> (int * float) array array -> mat
+(** [of_rows ~cols rows] builds a matrix from per-row [(column, value)]
+    entry arrays. Entries within a row must not repeat a column. Each
+    column lists its rows in descending order, the order in which
+    {!row_product} adds them. Raises [Invalid_argument] on an
+    out-of-range column index. *)
+
+val with_units : mat -> float array -> mat
+(** [with_units a signs] is [a] followed by one column [signs.(i)·e_i]
+    per row [i] (the cold solve's artificial columns). Shares [a]'s
+    storage: O(1) besides [signs], which must not be mutated
+    afterwards. Raises [Invalid_argument] unless there is one sign per
+    row. *)
 
 val rows : mat -> int
 val cols : mat -> int
@@ -32,6 +44,15 @@ val nnz : mat -> int
 val col_dot : mat -> int -> float array -> float
 (** [col_dot a j y] is [A_j · y] — one reduced cost / tableau-row entry
     given a BTRAN result [y]. O(nnz of column j). *)
+
+val row_product : mat -> float array -> float array -> unit
+(** [row_product a rho out] writes [ρᵀA_j] into [out.(j)] for every
+    column [j] — a whole tableau row from one BTRAN result [rho] —
+    visiting only the rows with [ρᵢ ≠ 0]. Every nonzero entry equals
+    [col_dot a j rho] bit for bit, because each column's terms are added
+    in the same order; an entry that is zero may differ from [col_dot]'s
+    in the sign of that zero. [out] needs at least [cols a] entries.
+    O(cols + nnz of the rows with ρᵢ ≠ 0). *)
 
 val scatter_col : mat -> int -> scale:float -> float array -> unit
 (** [scatter_col a j ~scale x] adds [scale · A_j] into dense [x]. *)

@@ -244,6 +244,60 @@ let test_campaign_reverify_sound () =
         true rv.Fault.Campaign.rv_sound)
     r.Fault.Campaign.reverified
 
+(* Ten scenes of the network's input length and one of 40 features,
+   which no forward pass accepts. *)
+let mixed_scenes () = Array.append (scenes 10 10) [| Array.make 40 0.25 |]
+
+let test_campaign_reverify_short_scene () =
+  (* The short scene must not size or break the re-verified box. A
+     time-limited search still returns a sound upper bound. *)
+  let net = make_net 9 8 in
+  let envelope = Guard.envelope ~components ~lat_limit:1.0 () in
+  let rng = Linalg.Rng.create 15 in
+  let flip =
+    Fault.Model.Network_fault
+      (Fault.Model.Bias_bit_flip { layer = 1; row = 2; bit = 52 })
+  in
+  let r =
+    Fault.Campaign.run ~rng ~envelope ~reverify:1 ~reverify_time_limit:1.0
+      ~faults:[ flip ] ~scenes:(mixed_scenes ()) ~trials:0 net
+  in
+  match r.Fault.Campaign.reverified with
+  | [ rv ] ->
+      Alcotest.(check bool) "re-verification sound" true
+        rv.Fault.Campaign.rv_sound
+  | l ->
+      Alcotest.failf "expected one re-verification, got %d" (List.length l)
+
+let test_nan_fault_ignores_short_scene () =
+  (* A scene no forward accepts reads as non-finite under every flip;
+     the flip returned must be non-finite on a scene that fits. *)
+  let net = make_net 9 8 in
+  let sc = mixed_scenes () in
+  let non_finite faulted s =
+    match
+      Guard.read ~components
+        (match Nn.Network.forward faulted s with
+         | out -> Ok out
+         | exception e -> Error e)
+    with
+    | Guard.Finite _ -> false
+    | Guard.Raised _ | Guard.Non_finite _ -> true
+  in
+  match Fault.Campaign.find_nan_fault ~components ~scenes:sc net with
+  | None -> ()
+  | Some (Fault.Model.Input_fault _) -> Alcotest.fail "not a network fault"
+  | Some (Fault.Model.Network_fault nf) ->
+      let faulted = Fault.Model.inject nf net in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is non-finite on a full-length scene"
+           (Fault.Model.describe (Fault.Model.Network_fault nf)))
+        true
+        (Array.exists
+           (fun s ->
+             Array.length s = Nn.Network.input_dim net && non_finite faulted s)
+           sc)
+
 (* The batched replay is a pure throughput change: per-scene verdicts,
    counters and deviations must be the same whether scenes go through
    one at a time or in cache-blocked chunks (including a chunk size that
@@ -594,6 +648,9 @@ let () =
             test_campaign_parallel_matches_sequential;
           quick "re-queues dead worker" test_campaign_requeues_dead_worker;
           quick "reverify sound" test_campaign_reverify_sound;
+          quick "reverify short scene" test_campaign_reverify_short_scene;
+          quick "nan fault ignores short scene"
+            test_nan_fault_ignores_short_scene;
           quick "batch invariance" test_campaign_batch_invariance;
           quick "scalar oracle" test_campaign_scalar_oracle;
           QCheck_alcotest.to_alcotest prop_campaign_matches_oracle;

@@ -445,12 +445,8 @@ let prop_min_is_neg_max =
    B = | 1 3 0 |
        | 0 0 4 |  *)
 let small_mat () =
-  Lp.Sparse.of_columns ~rows:3
-    [|
-      [| (0, 2.0); (1, 1.0) |];
-      [| (1, 3.0) |];
-      [| (0, 1.0); (2, 4.0) |];
-    |]
+  Lp.Sparse.of_rows ~cols:3
+    [| [| (0, 2.0); (2, 1.0) |]; [| (0, 1.0); (1, 3.0) |]; [| (2, 4.0) |] |]
 
 let test_sparse_ftran_btran () =
   let a = small_mat () in
@@ -487,12 +483,11 @@ let test_sparse_ftran_btran () =
 
 let test_sparse_update_matches_refactorize () =
   let a =
-    Lp.Sparse.of_columns ~rows:3
+    Lp.Sparse.of_rows ~cols:4
       [|
-        [| (0, 2.0); (1, 1.0) |];
-        [| (1, 3.0) |];
-        [| (0, 1.0); (2, 4.0) |];
-        [| (0, 1.0); (1, -1.0); (2, 2.0) |];
+        [| (0, 2.0); (2, 1.0); (3, 1.0) |];
+        [| (0, 1.0); (1, 3.0); (3, -1.0) |];
+        [| (2, 4.0); (3, 2.0) |];
       |]
   in
   let f = Option.get (Lp.Sparse.factorize a [| 0; 1; 2 |]) in
@@ -522,9 +517,7 @@ let test_sparse_update_matches_refactorize () =
     yr
 
 let test_sparse_singular_is_refused () =
-  let a =
-    Lp.Sparse.of_columns ~rows:2 [| [| (0, 1.0) |]; [| (0, 2.0) |]; [||] |]
-  in
+  let a = Lp.Sparse.of_rows ~cols:3 [| [| (0, 1.0); (1, 2.0) |]; [||] |] in
   (* Columns 0 and 1 both live in row 0; column 2 is empty. *)
   Alcotest.(check bool) "dependent columns" true
     (Option.is_none (Lp.Sparse.factorize a [| 0; 1 |]));
@@ -532,7 +525,7 @@ let test_sparse_singular_is_refused () =
     (Option.is_none (Lp.Sparse.factorize a [| 0; 2 |]));
   (* A degenerate eta must be refused, not applied: its diagonal is the
      pivot the product form divides by. *)
-  let b = Lp.Sparse.of_columns ~rows:2 [| [| (0, 1.0) |]; [| (1, 1.0) |] |] in
+  let b = Lp.Sparse.of_rows ~cols:2 [| [| (0, 1.0) |]; [| (1, 1.0) |] |] in
   let f = Option.get (Lp.Sparse.factorize b [| 0; 1 |]) in
   Alcotest.(check bool) "zero eta diagonal refused" true
     (Option.is_none (Lp.Sparse.update f ~pos:0 ~alpha:[| 0.0; 5.0 |]));
@@ -733,6 +726,318 @@ let prop_sparse_resolve_equals_dense_cold =
            | a, b -> a = b)
       | _ -> true)
 
+(* {2 Same pivots}
+
+   Golden values for the sparse core's exact behaviour: every pivot,
+   and so every bit of every answer and certificate, is pinned. A change
+   to the engine that is meant to be faster, not different, must leave
+   all of these as they are. *)
+
+let hex_digest s = String.sub (Digest.to_hex (Digest.string s)) 0 12
+
+let bits_string a =
+  String.concat ","
+    (Array.to_list
+       (Array.map (fun v -> Printf.sprintf "%Lx" (Int64.bits_of_float v)) a))
+
+(* Everything a solve reports, as one string: status, iterations, path,
+   objective bits, basic columns, and the bits of [x] and of the
+   certificate. *)
+let solution_summary (s : Lp.Simplex.solution) =
+  let basis =
+    match s.Lp.Simplex.basis with
+    | None -> "-"
+    | Some b ->
+        String.concat ","
+          (Array.to_list (Array.map string_of_int b.Lp.Simplex.bbasic))
+  in
+  let cert =
+    match s.Lp.Simplex.cert with
+    | None -> "-"
+    | Some (Lp.Simplex.Cert_duals y) -> "d" ^ bits_string y
+    | Some (Lp.Simplex.Cert_farkas y) -> "f" ^ bits_string y
+    | Some (Lp.Simplex.Cert_empty_row i) -> "e" ^ string_of_int i
+  in
+  Printf.sprintf "%s %d %b %Lx [%s] %s %s"
+    (status_name s.Lp.Simplex.status)
+    s.Lp.Simplex.iterations s.Lp.Simplex.warm
+    (Int64.bits_of_float s.Lp.Simplex.objective)
+    basis
+    (hex_digest (bits_string s.Lp.Simplex.x))
+    (hex_digest cert)
+
+(* Seeded sparse LPs shaped like the encoder's: a few terms per row,
+   mixed senses, some fixed variables, a sparse objective. Each row
+   holds at a hidden point of the box (equalities exactly), except that
+   every tenth LP gains a contradictory pair of rows no single row's
+   range exposes, so phase 1 has to find the ray. *)
+let seeded_lp seed =
+  let rng = Linalg.Rng.create (9000 + seed) in
+  let p = Lp.Problem.create () in
+  let nvars = 10 + Linalg.Rng.int rng 31 in
+  let nrows = 8 + Linalg.Rng.int rng 25 in
+  let point =
+    Array.init nvars (fun _ ->
+        let lo = Linalg.Rng.uniform rng (-3.0) 0.5 in
+        let hi =
+          if Linalg.Rng.int rng 12 = 0 then lo
+          else lo +. Linalg.Rng.uniform rng 0.25 4.0
+        in
+        ignore (Lp.Problem.add_var p ~lo ~hi ~obj:0.0 ());
+        lo +. Linalg.Rng.float rng 1.0 *. (hi -. lo))
+  in
+  let nobj = 1 + Linalg.Rng.int rng 4 in
+  Lp.Problem.set_objective p
+    (List.init nobj (fun _ ->
+         (Linalg.Rng.int rng nvars, Linalg.Rng.uniform rng (-2.0) 2.0)));
+  let random_terms () =
+    List.init
+      (2 + Linalg.Rng.int rng 5)
+      (fun _ -> (Linalg.Rng.int rng nvars, Linalg.Rng.uniform rng (-2.0) 2.0))
+  in
+  let at_point terms =
+    List.fold_left (fun acc (v, c) -> acc +. (c *. point.(v))) 0.0 terms
+  in
+  for _ = 1 to nrows do
+    let terms = random_terms () in
+    let act = at_point terms in
+    match Linalg.Rng.int rng 10 with
+    | 0 -> Lp.Problem.add_constraint p terms Lp.Problem.Eq act
+    | 1 | 2 ->
+        Lp.Problem.add_constraint p terms Lp.Problem.Ge
+          (act -. Linalg.Rng.float rng 1.0)
+    | _ ->
+        Lp.Problem.add_constraint p terms Lp.Problem.Le
+          (act +. Linalg.Rng.float rng 1.0)
+  done;
+  if seed mod 10 = 9 then begin
+    let terms = random_terms () in
+    let act = at_point terms in
+    Lp.Problem.add_constraint p terms Lp.Problem.Le (act -. 0.5);
+    Lp.Problem.add_constraint p terms Lp.Problem.Ge (act +. 0.5)
+  end;
+  p
+
+(* Cold max, cold min, and a warm re-solve after one bound change that
+   cuts the parent's optimum off; iteration counts in clear, the rest
+   as a digest. *)
+let seeded_lp_trace seed =
+  let p = seeded_lp seed in
+  let cold = Lp.Simplex.solve p in
+  let mn = Lp.Simplex.solve_min p in
+  let warm =
+    match (cold.Lp.Simplex.status, cold.Lp.Simplex.basis) with
+    | Lp.Simplex.Optimal, Some basis ->
+        let v = seed mod Lp.Problem.num_vars p in
+        let lo, hi = Lp.Problem.bounds p v in
+        let x = cold.Lp.Simplex.x.(v) in
+        if x > lo +. (0.5 *. (hi -. lo)) then
+          Lp.Problem.set_bounds p v ~lo ~hi:(lo +. (0.3 *. (hi -. lo)))
+        else Lp.Problem.set_bounds p v ~lo:(lo +. (0.7 *. (hi -. lo))) ~hi;
+        Some (Lp.Simplex.resolve ~basis p)
+    | _ -> None
+  in
+  let iters =
+    Option.fold ~none:"-"
+      ~some:(fun s -> string_of_int s.Lp.Simplex.iterations)
+      warm
+  in
+  Printf.sprintf "%d/%d/%s %s" cold.Lp.Simplex.iterations
+    mn.Lp.Simplex.iterations iters
+    (hex_digest
+       (String.concat "|"
+          (List.map solution_summary
+             (cold :: mn :: Option.to_list warm))))
+
+let golden_seeded_lps =
+  [|
+    "35/38/0 2d797cab2139";
+    "78/76/0 5ac720a8f63a";
+    "35/34/2 ed0b3169d134";
+    "47/45/0 0f9782efcba8";
+    "29/33/1 f5271ad69ad6";
+    "62/54/0 8b98f0392487";
+    "49/46/0 89f419b50b78";
+    "41/43/0 da3011fba000";
+    "48/49/0 73e475a6e83f";
+    "25/25/- c3173c6f8d9b";
+    "18/17/0 cb5b361ef74f";
+    "19/19/0 cf93c7d6e85d";
+    "14/18/1 781abbfcfeb4";
+    "20/24/2 26847425c532";
+    "64/64/7 5e4cfaa2dbd4";
+    "28/32/2 38d853bb462c";
+    "17/15/2 e88622103dcf";
+    "16/22/0 e050257fc1f5";
+    "18/18/0 e962bc985624";
+    "17/17/- ee403ee9467d";
+    "46/46/5 30dd2bc03f5b";
+    "16/19/0 58483e2ccbe2";
+    "29/31/1 f761b8eafa57";
+    "69/70/2 dafc6706378d";
+    "44/40/0 b36a6d6d275c";
+    "19/19/1 1e4a2cbf98d5";
+    "24/22/2 e3f65e256217";
+    "35/34/0 c375a1a59246";
+    "30/36/0 163d689e67fe";
+    "62/62/- 7e4229380eb0";
+    "30/33/2 844375fd0e05";
+    "40/41/2 c5b4ee242dd6";
+    "44/51/11 d414fa432b7e";
+    "23/20/0 c42a6f4646c6";
+    "53/51/0 d897ce8c58d9";
+    "54/59/4 afc72aba35f1";
+    "53/46/0 acc4192ea6b1";
+    "84/78/17 b362cf1442d1";
+    "30/31/0 4f55f8273ae3";
+    "33/33/- 93fc8299b623";
+    "56/52/1 78505bd8b766";
+    "31/32/2 04d3e24259df";
+    "45/49/- f1e76a23ab74";
+    "28/31/1 36a651982e9f";
+    "37/34/0 c5b800bbe493";
+    "80/76/0 7c07f3c72d6a";
+    "18/19/0 78b8dd22b2c2";
+    "51/46/0 0d4beeaa9a3a";
+    "68/63/0 a6c8715ec9fa";
+    "75/75/- 55928af6c219";
+  |]
+
+let test_seeded_lps_golden () =
+  let got = Array.init 50 seeded_lp_trace in
+  if got <> golden_seeded_lps then
+    Alcotest.failf "seeded LP traces moved; now:\n%s"
+      (String.concat "\n"
+         (Array.to_list (Array.map (Printf.sprintf "    %S;") got)))
+
+(* OBBT on a seeded I4x10 over the Table II box: every refined
+   pre-activation bound, bit for bit. *)
+let test_obbt_bounds_golden () =
+  let net = Nn.Network.i4xn ~rng:(Linalg.Rng.create 31) 10 in
+  let box = Verify.Scenario.vehicle_on_left ~slack:0.01 () in
+  let enc = Encoding.Encoder.encode ~tighten_rounds:1 net box in
+  let obbt = enc.Encoding.Encoder.obbt in
+  let pre = enc.Encoding.Encoder.bounds.Encoding.Bounds.pre in
+  let bits =
+    String.concat ";"
+      (Array.to_list
+         (Array.map
+            (fun layer ->
+              bits_string
+                (Array.concat
+                   (Array.to_list
+                      (Array.map
+                         (fun (i : Interval.t) ->
+                           [| i.Interval.lo; i.Interval.hi |])
+                         layer))))
+            pre))
+  in
+  Alcotest.(check string) "probes/refined/bound bits" "16/16/0 4fcb478f59c8"
+    (Printf.sprintf "%d/%d/%d %s" obbt.Encoding.Encoder.probes
+       obbt.Encoding.Encoder.refined obbt.Encoding.Encoder.failed
+       (hex_digest bits))
+
+(* The pivot row ρᵀA computed row by row is [col_dot] column by column,
+   bit for bit wherever either is nonzero: the same additions in the
+   same order, over ρ with zeros of both signs, cancelling terms and
+   magnitudes whose products overflow or underflow. *)
+let prop_row_product_is_col_dot =
+  let entry =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, float_range (-2.0) 2.0);
+          (1, oneofl [ 1e300; -1e300; 1e-300; -1e-300; 0.5; -0.5 ]);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* m = int_range 1 12 in
+      let* cols = int_range 1 15 in
+      let* rows =
+        list_size (return m)
+          (list_size (int_range 0 cols) (pair (int_range 0 (cols - 1)) entry))
+      in
+      let* rho =
+        list_size (return m)
+          (frequency [ (3, entry); (1, return 0.0); (1, return (-0.0)) ])
+      in
+      let* signs = list_size (return m) (oneofl [ 1.0; -1.0 ]) in
+      let* units = bool in
+      return (m, cols, rows, rho, signs, units))
+  in
+  QCheck.Test.make ~name:"row-wise pivot row = col_dot, bit for bit"
+    ~count:500 (QCheck.make gen)
+    (fun (_m, cols, rows, rho, signs, units) ->
+      (* One entry per column and row, as a problem's rows have; a
+         repeated column copies an earlier row's value with its sign
+         flipped, so sums cancel. *)
+      let rows =
+        Array.of_list
+          (List.mapi
+             (fun i r ->
+               let seen = Hashtbl.create 8 in
+               Array.of_list
+                 (List.filter_map
+                    (fun (j, v) ->
+                      if Hashtbl.mem seen j then None
+                      else begin
+                        Hashtbl.add seen j ();
+                        Some (j, if i mod 2 = 1 && j mod 3 = 0 then -.v else v)
+                      end)
+                    r))
+             rows)
+      in
+      let a = Lp.Sparse.of_rows ~cols rows in
+      let a =
+        if units then Lp.Sparse.with_units a (Array.of_list signs) else a
+      in
+      let rho = Array.of_list rho in
+      let out = Array.make (Lp.Sparse.cols a) nan in
+      Lp.Sparse.row_product a rho out;
+      let ok = ref true in
+      for j = 0 to Lp.Sparse.cols a - 1 do
+        let c = Lp.Sparse.col_dot a j rho in
+        if (out.(j) <> 0.0 || c <> 0.0)
+           && Int64.bits_of_float out.(j) <> Int64.bits_of_float c
+        then ok := false
+      done;
+      !ok)
+
+(* A problem that gains a row (or a variable) after a solve must then
+   solve to the answer a fresh build of the same problem gives; a copy
+   taken before the change keeps the old answer. *)
+let test_problem_grows_after_solve () =
+  let add_var p = ignore (Lp.Problem.add_var p ~lo:(-1.0) ~hi:2.0 ~obj:0.5 ()) in
+  let add_row p =
+    let n = Lp.Problem.num_vars p in
+    Lp.Problem.add_constraint p
+      [ (0, 1.0); (1, -1.0); (n - 1, 0.5) ] Lp.Problem.Le (-0.25)
+  in
+  let fresh grow =
+    let p = seeded_lp 7 in
+    List.iter (fun g -> g p) grow;
+    Lp.Simplex.solve p
+  in
+  let same what a b =
+    Alcotest.(check string) what (solution_summary b) (solution_summary a)
+  in
+  let p = seeded_lp 7 in
+  let before = Lp.Simplex.solve p in
+  let q = Lp.Problem.copy p in
+  add_row p;
+  same "row added after a solve = fresh build" (Lp.Simplex.solve p)
+    (fresh [ add_row ]);
+  same "copy taken before keeps its rows" (Lp.Simplex.solve q) before;
+  let r = seeded_lp 7 in
+  ignore (Lp.Simplex.solve r);
+  add_var r;
+  same "variable added after a solve = fresh build" (Lp.Simplex.solve r)
+    (fresh [ add_var ]);
+  add_row r;
+  same "then a row = fresh build" (Lp.Simplex.solve r)
+    (fresh [ add_var; add_row ])
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "lp"
@@ -782,6 +1087,13 @@ let () =
           quick "bound journal nested" test_bound_journal_nested;
           quick "bound journal solve" test_bound_journal_protects_solve;
           quick "nnz and density" test_problem_nnz_density;
+          quick "grows after a solve" test_problem_grows_after_solve;
+        ] );
+      ( "same pivots",
+        [
+          quick "seeded LPs" test_seeded_lps_golden;
+          quick "OBBT bounds" test_obbt_bounds_golden;
+          QCheck_alcotest.to_alcotest prop_row_product_is_col_dot;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
