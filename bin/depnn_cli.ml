@@ -102,6 +102,28 @@ let time_limit_conv =
     ~accept:(fun t -> Float.is_finite t && t >= 0.0)
     "time limit must be finite and >= 0"
 
+(* Shared by verify and client verify. A NaN threshold makes every
+   bound comparison false, so the search would run out its budget and
+   answer Unknown; a NaN or negative slack is not a box. *)
+let threshold_arg =
+  Arg.(
+    value
+    & opt
+        (checked_float_conv ~accept:Float.is_finite
+           "threshold must be finite")
+        1.5
+    & info [ "threshold" ] ~docv:"V" ~doc:"Lateral velocity limit (m/s).")
+
+let slack_arg =
+  Arg.(
+    value
+    & opt
+        (checked_float_conv
+           ~accept:(fun r -> Float.is_finite r && r >= 0.0)
+           "slack must be finite and >= 0")
+        0.03
+    & info [ "slack" ] ~docv:"R" ~doc:"Scenario box slack (normalised).")
+
 let batch_conv = positive_int_conv "columns per batched forward"
 
 let batch_arg =
@@ -272,6 +294,15 @@ let perturb net_path seed scale out =
   let nudged =
     if old = 0.0 then scale else old *. (1.0 +. scale)
   in
+  (* Every loader rejects a non-finite weight, so such a file would be
+     useless: write nothing. *)
+  if not (Float.is_finite nudged) then begin
+    Printf.eprintf
+      "depnn: --scale %g makes layer %d weight (%d,%d) %.17g -> %g, not \
+       finite; nothing written\n"
+      scale li r c old nudged;
+    exit 2
+  end;
   Linalg.Mat.set w r c nudged;
   Printf.printf "perturbed layer %d weight (%d,%d): %.17g -> %.17g\n" li r c
     old nudged;
@@ -288,9 +319,15 @@ let perturb_cmd =
   in
   let scale =
     Arg.(
-      value & opt float 1e-3
+      value
+      & opt
+          (checked_float_conv ~accept:Float.is_finite "scale must be finite")
+          1e-3
       & info [ "scale" ] ~docv:"R"
-          ~doc:"Relative size of the nudge (absolute for a zero weight).")
+          ~doc:
+            "Relative size of the nudge (absolute for a zero weight). A \
+             nudge that leaves the weight non-finite writes nothing and \
+             exits 2.")
   in
   let out =
     Arg.(
@@ -475,23 +512,15 @@ let split_arg =
            retraining) answers unchanged leaves from the cache.")
 
 let verify_cmd =
-  let threshold =
-    Arg.(value & opt float 1.5
-         & info [ "threshold" ] ~docv:"V" ~doc:"Lateral velocity limit (m/s).")
-  in
   let time_limit =
     Arg.(value & opt time_limit_conv 60.0
          & info [ "time-limit" ] ~docv:"S" ~doc:"Wall-clock budget in seconds.")
   in
-  let slack =
-    Arg.(value & opt float 0.03
-         & info [ "slack" ] ~docv:"R" ~doc:"Scenario box slack (normalised).")
-  in
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Formally verify the vehicle-on-left safety property (pillar B).")
-    Term.(const verify $ net_arg $ threshold $ time_limit $ slack $ cores_arg
-          $ bound_mode_arg $ certify_dir_arg $ split_arg)
+    Term.(const verify $ net_arg $ threshold_arg $ time_limit $ slack_arg
+          $ cores_arg $ bound_mode_arg $ certify_dir_arg $ split_arg)
 
 (* {1 audit} *)
 
@@ -606,7 +635,10 @@ let simulate net_path seed steps =
 
 let simulate_cmd =
   let steps =
-    Arg.(value & opt int 150 & info [ "steps" ] ~docv:"N" ~doc:"Simulation steps.")
+    Arg.(
+      value
+      & opt (non_negative_int_conv "simulation steps") 150
+      & info [ "steps" ] ~docv:"N" ~doc:"Simulation steps.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Render a simulation snapshot (Fig. 1 analogue).")
@@ -979,14 +1011,6 @@ let client_cmd =
             "Pin the query to this network file's content hash; the \
              server refuses a mismatch.")
   in
-  let threshold =
-    Arg.(value & opt float 1.5
-         & info [ "threshold" ] ~docv:"V" ~doc:"Lateral velocity limit (m/s).")
-  in
-  let slack =
-    Arg.(value & opt float 0.03
-         & info [ "slack" ] ~docv:"R" ~doc:"Scenario box slack (normalised).")
-  in
   let time_limit =
     Arg.(
       value
@@ -1001,7 +1025,7 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:"Query a running $(b,depnn serve) daemon (one request per call).")
-    Term.(const client $ op $ socket_arg $ net $ threshold $ slack
+    Term.(const client $ op $ socket_arg $ net $ threshold_arg $ slack_arg
           $ bound_mode_arg $ time_limit $ timeout)
 
 (* {1 certify} *)

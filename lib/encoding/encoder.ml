@@ -143,6 +143,12 @@ let build net box (bounds : Bounds.t) =
             Milp.Model.add_continuous model ~name:"zero_out" ~lo:0.0 ~hi:0.0 ())
       !previous
   in
+  (* Build the constraint set's column form while the model is still
+     private: OBBT's probes and every search copy the model, and the
+     copies share it, so it is built once per encoding rather than once
+     per copy, and searches fanned out over one encoding never write to
+     it. *)
+  ignore (Lp.Problem.form (Milp.Model.lp model));
   {
     model;
     input_vars;

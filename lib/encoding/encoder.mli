@@ -54,6 +54,9 @@ type obbt_stats = {
 
 type t = {
   model : Milp.Model.t;
+      (** Its LP's column form ({!Lp.Problem.form}) is already built,
+          so every copy a search or OBBT probe takes shares it, and
+          searches may run over one encoding concurrently. *)
   input_vars : Milp.Model.var array;
   output_vars : Milp.Model.var array;
   binaries : (Milp.Model.var * int * int) list;

@@ -19,8 +19,7 @@ let free_road_accel p ~speed ~desired_speed =
   if desired_speed <= 0.0 then -.p.comfortable_brake
   else p.max_accel *. (1.0 -. ((speed /. desired_speed) ** p.exponent))
 
-let accel p ~speed ~desired_speed ~gap ~leader_speed =
-  let free = free_road_accel p ~speed ~desired_speed in
+let accel_from_free p ~free ~speed ~gap ~leader_speed =
   let approach_rate = speed -. leader_speed in
   let desired_gap =
     p.min_gap
@@ -33,5 +32,10 @@ let accel p ~speed ~desired_speed ~gap ~leader_speed =
   let interaction = -.p.max_accel *. ((desired_gap /. gap) ** 2.0) in
   let a = free +. interaction in
   Float.max (-3.0 *. p.comfortable_brake) (Float.min p.max_accel a)
+
+let accel p ~speed ~desired_speed ~gap ~leader_speed =
+  accel_from_free p
+    ~free:(free_road_accel p ~speed ~desired_speed)
+    ~speed ~gap ~leader_speed
 
 let equilibrium_gap p ~speed = p.min_gap +. (speed *. p.time_headway)

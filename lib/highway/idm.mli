@@ -24,7 +24,17 @@ val accel :
   float
 (** Full IDM acceleration towards a leader at bumper gap [gap]. The
     result is clamped to [\[-3*b, a\]] so a pathological (e.g. negative)
-    gap yields an emergency braking value rather than -infinity. *)
+    gap yields an emergency braking value rather than -infinity. It is
+    [accel_from_free] applied to [free_road_accel]. *)
+
+val accel_from_free :
+  params -> free:float -> speed:float -> gap:float -> leader_speed:float -> float
+(** The interaction half of {!accel}: [free] must be
+    [free_road_accel p ~speed ~desired_speed], and the result is then
+    {!accel}'s, bit for bit, since it is the same operations in the
+    same order. The free-road term depends on the follower only, so a
+    caller that weighs one follower against several leaders (MOBIL)
+    computes it once. *)
 
 val equilibrium_gap : params -> speed:float -> float
 (** The gap at which a vehicle following a same-speed leader neither

@@ -4,18 +4,6 @@ type action = { lat_velocity : float; lon_accel : float }
 
 let lane_change_speed = 1.2
 
-let longitudinal idm (scene : Scene.t) =
-  let ego = scene.Scene.ego in
-  match Scene.leader scene ego ~lane:ego.Vehicle.lane with
-  | None ->
-      Idm.free_road_accel idm ~speed:ego.Vehicle.speed
-        ~desired_speed:ego.Vehicle.desired_speed
-  | Some leader ->
-      Idm.accel idm ~speed:ego.Vehicle.speed
-        ~desired_speed:ego.Vehicle.desired_speed
-        ~gap:(Vehicle.gap scene.Scene.road ~follower:ego ~leader)
-        ~leader_speed:leader.Vehicle.speed
-
 (* A frustrated driver: a slow leader close ahead makes an overtaking
    urge; risky experts then sometimes dart left without checking. *)
 let wants_to_overtake (scene : Scene.t) =
@@ -28,7 +16,10 @@ let wants_to_overtake (scene : Scene.t) =
 
 let act ?(style = Safe) ~idm ~mobil ~rng (scene : Scene.t) =
   let ego = scene.Scene.ego in
-  let lon = longitudinal idm scene in
+  (* The ego, in the scene's last slot, behind its own-lane leader; MOBIL
+     reads the same entry. *)
+  let terms = Mobil.terms idm scene and self = Scene.size scene - 1 in
+  let lon = Mobil.accel terms self in
   let centering = -0.4 *. ego.Vehicle.lat_offset in
   let noise () = Linalg.Rng.gaussian_scaled rng ~mean:0.0 ~stddev:0.05 in
   let risky_attempt =
@@ -51,7 +42,7 @@ let act ?(style = Safe) ~idm ~mobil ~rng (scene : Scene.t) =
       lon_accel = lon +. noise ();
     }
   else begin
-    match Mobil.decide mobil idm scene ego with
+    match Mobil.decide_slot mobil terms self with
     | Some target when target > ego.Vehicle.lane ->
         {
           lat_velocity = lane_change_speed +. noise ();

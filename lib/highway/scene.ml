@@ -143,28 +143,25 @@ let walk t reference slots k ~step ~ahead =
   !found
 
 let pick t reference a b ~ahead =
-  let slot =
-    if a < 0 then b
-    else if b < 0 then a
-    else begin
-      let all = t.index.all and x = reference.Vehicle.x in
-      let da = Road.delta t.road all.(a).Vehicle.x x
-      and db = Road.delta t.road all.(b).Vehicle.x x in
-      if da = db then Int.min a b
-      else if (if ahead then da < db else da > db) then a
-      else b
-    end
-  in
-  if slot < 0 then None else Some t.index.all.(slot)
+  if a < 0 then b
+  else if b < 0 then a
+  else begin
+    let all = t.index.all and x = reference.Vehicle.x in
+    let da = Road.delta t.road all.(a).Vehicle.x x
+    and db = Road.delta t.road all.(b).Vehicle.x x in
+    if da = db then Int.min a b
+    else if (if ahead then da < db else da > db) then a
+    else b
+  end
 
 let check_reference t reference =
   if not (on_road t.road reference.Vehicle.x) then
     invalid_arg "Scene: reference position outside [0, length)"
 
-(* [ahead]: the leader, else the follower. *)
+(* [ahead]: the leader's slot, else the follower's; -1 for none. *)
 let nearest_by_runs t reference ~lane ~ahead =
   check_reference t reference;
-  if not (Road.valid_lane t.road lane) then None
+  if not (Road.valid_lane t.road lane) then -1
   else begin
     let all = t.index.all and slots = t.index.lanes.(lane) in
     let b = reference.Vehicle.x in
@@ -179,12 +176,72 @@ let nearest_by_runs t reference ~lane ~ahead =
       ~ahead
   end
 
-let leader t reference ~lane = nearest_by_runs t reference ~lane ~ahead:true
-let follower t reference ~lane = nearest_by_runs t reference ~lane ~ahead:false
+let size t = Array.length t.index.all
+let vehicle t slot = t.index.all.(slot)
+let in_slot t slot = if slot < 0 then None else Some t.index.all.(slot)
+
+let leader_slot t reference ~lane =
+  nearest_by_runs t reference ~lane ~ahead:true
+
+let follower_slot t reference ~lane =
+  nearest_by_runs t reference ~lane ~ahead:false
+
+let leader t reference ~lane = in_slot t (leader_slot t reference ~lane)
+let follower t reference ~lane = in_slot t (follower_slot t reference ~lane)
+
+(* The vehicles level with [v] sit together in its lane's sorted slots,
+   from the first position at or beyond [v.x]. *)
+let slot_of t (v : Vehicle.t) =
+  if not (Road.valid_lane t.road v.Vehicle.lane) then -1
+  else begin
+    let all = t.index.all and slots = t.index.lanes.(v.Vehicle.lane) in
+    let k = ref (bisect all slots v.Vehicle.x ~strict:false) and found = ref (-1) in
+    while
+      !found < 0
+      && !k < Array.length slots
+      && all.(slots.(!k)).Vehicle.x = v.Vehicle.x
+    do
+      if all.(slots.(!k)) == v then found := slots.(!k);
+      incr k
+    done;
+    !found
+  end
+
+(* Alongside. Over a lane's sorted slots the computed delta to an
+   on-road [b] rises in the runs above, with [|dx|] growing away from
+   four places: the first slot at or beyond [b] walking forwards, the
+   slot before it walking backwards, slot 0 walking forwards (ahead
+   across the wrap) and the last slot walking backwards (behind across
+   the wrap). Every vehicle within the window therefore lies on one of
+   four walks from those places that stop at the first [|dx|] beyond
+   the window, and every vehicle a walk meets is within it. A reference
+   off the road takes the plain scan, which makes no such assumption. *)
+let within_from t reference slots k ~step =
+  let all = t.index.all and b = reference.Vehicle.x in
+  let k = ref k and found = ref false and inside = ref true in
+  while (not !found) && !inside && !k >= 0 && !k < Array.length slots do
+    let v = all.(slots.(!k)) in
+    if within_window (Road.delta t.road v.Vehicle.x b) then begin
+      found := v.Vehicle.id <> reference.Vehicle.id;
+      k := !k + step
+    end
+    else inside := false
+  done;
+  !found
 
 let alongside t reference ~lane =
   Road.valid_lane t.road lane
-  && nearest_in_lane t reference ~lane within_window <> None
+  &&
+  if not (on_road t.road reference.Vehicle.x) then
+    nearest_in_lane t reference ~lane within_window <> None
+  else begin
+    let slots = t.index.lanes.(lane) in
+    let k = bisect t.index.all slots reference.Vehicle.x ~strict:false in
+    within_from t reference slots k ~step:1
+    || within_from t reference slots (k - 1) ~step:(-1)
+    || within_from t reference slots 0 ~step:1
+    || within_from t reference slots (Array.length slots - 1) ~step:(-1)
+  end
 
 let has_vehicle_on_left ?(window = alongside_window) t =
   let target_lane = t.ego.Vehicle.lane + 1 in
@@ -195,26 +252,55 @@ let has_vehicle_on_left ?(window = alongside_window) t =
          && Float.abs (Road.delta t.road v.Vehicle.x t.ego.Vehicle.x) <= window)
        t.others
 
-(* Every ordered same-lane pair, lane by lane. A gap is never -0.0 (its
-   distance is positive), so the minimum's bits do not depend on the
-   order the pairs are visited in. *)
+(* Every ordered same-lane pair (follower [a], leader [b] ahead of it)
+   that can still beat the best gap, lane by lane. A gap is never -0.0
+   (its distance is positive), so the minimum's bits do not depend on
+   the order the pairs are visited in.
+
+   For each [a], the leaders lie in two runs of the lane's sorted slots
+   (see the runs above): the slots past [a], until the delta wraps
+   negative, and the slots from the lane's first, until the delta falls
+   to 0 or below. Along either run [dx] never decreases, as rounding
+   [x_b - x_a] (plus the length, across the wrap) is monotone. The gap
+   is [(dx - 0.5 L_b) - 0.5 L_a], so [(dx - 0.5 Lmax) - 0.5 L_a], with
+   [Lmax] the lane's longest vehicle, rounded the same way, is a lower
+   bound on it that never decreases along a run either. Once it reaches
+   the best gap, no later pair of the run can beat it, and the walk
+   stops: the same minimum as every pair, by construction. A NaN length
+   makes [Lmax] NaN, and then no bound stops a walk. *)
 let min_gap_to_any t =
-  let all = t.index.all in
+  let all = t.index.all and road = t.road in
   let best = ref infinity in
-  for lane = 0 to Array.length t.index.lanes - 1 do
-    let slots = t.index.lanes.(lane) in
-    for i = 0 to Array.length slots - 1 do
-      let a = all.(slots.(i)) in
-      for j = 0 to Array.length slots - 1 do
-        let b = all.(slots.(j)) in
-        if a.Vehicle.id <> b.Vehicle.id then begin
-          let dx = Road.delta t.road b.Vehicle.x a.Vehicle.x in
-          if dx > 0.0 then begin
-            let g = Vehicle.gap t.road ~follower:a ~leader:b in
-            if g < !best then best := g
+  Array.iter
+    (fun slots ->
+      let n = Array.length slots in
+      let half_max =
+        0.5
+        *. Array.fold_left
+             (fun m s -> Float.max m all.(s).Vehicle.length)
+             neg_infinity slots
+      in
+      for k = 0 to n - 1 do
+        let a = all.(slots.(k)) in
+        let half_a = 0.5 *. a.Vehicle.length in
+        (* [true] while the walk may go on. *)
+        let visit j =
+          let b = all.(slots.(j)) in
+          let dx = Road.delta road b.Vehicle.x a.Vehicle.x in
+          if dx <= 0.0 then dx = 0.0 && j > k
+          else if dx -. half_max -. half_a >= !best then false
+          else begin
+            if a.Vehicle.id <> b.Vehicle.id then begin
+              let g = dx -. (0.5 *. b.Vehicle.length) -. half_a in
+              if g < !best then best := g
+            end;
+            true
           end
-        end
-      done
-    done
-  done;
+        in
+        let j = ref (k + 1) in
+        while !j < n && visit !j do incr j done;
+        let j = ref 0 in
+        while !j < k && visit !j do incr j done
+      done)
+    t.index.lanes;
   !best

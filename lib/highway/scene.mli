@@ -11,7 +11,9 @@
     order, then the ego, would: the nearest vehicle by the computed
     {!Road.delta} (with its sign convention), the earliest vehicle in
     that scan order on equal distances, and never the reference itself,
-    matched by id, whether or not the reference is in the scene. *)
+    matched by id, whether or not the reference is in the scene. So two
+    vehicles sharing an id never see each other ({!Simulator.create}
+    rejects them). *)
 
 type index
 (** Per lane, the vehicles sorted by position, equal positions in scan
@@ -27,6 +29,32 @@ type t = private {
 val make : Road.t -> ego:Vehicle.t -> others:Vehicle.t list -> t
 (** Raises [Invalid_argument] if a vehicle is in an invalid lane or its
     position lies outside [\[0, length)] (see {!Road.wrap}). *)
+
+(** {2 Slots}
+
+    A slot numbers a vehicle of the scene: [others] in array order, then
+    the ego, in the last slot. Slot order is the scan order above, so
+    every tie is broken towards the lower slot. MOBIL's per-scene table
+    ({!Mobil.terms}) is keyed by slot. *)
+
+val size : t -> int
+(** The number of slots: [Array.length others + 1]. *)
+
+val vehicle : t -> int -> Vehicle.t
+(** The vehicle in a slot (the very record the scene was made from). *)
+
+val slot_of : t -> Vehicle.t -> int
+(** The lowest slot holding this very record (physical equality), or
+    -1 when the scene does not hold it: a copy, even an equal one, is
+    not in the scene. *)
+
+val leader_slot : t -> Vehicle.t -> lane:int -> int
+(** {!leader}'s answer as a slot, -1 for none. *)
+
+val follower_slot : t -> Vehicle.t -> lane:int -> int
+(** {!follower}'s answer as a slot, -1 for none. *)
+
+(** {2 Queries} *)
 
 val alongside_window : float
 (** Longitudinal half-window (m) within which a vehicle in an adjacent
@@ -54,7 +82,12 @@ val follower : t -> Vehicle.t -> lane:int -> Vehicle.t option
 
 val alongside : t -> Vehicle.t -> lane:int -> bool
 (** Is a vehicle other than the reference in [lane] within
-    {!alongside_window} of it (bounds included)? MOBIL's blocked test. *)
+    {!alongside_window} of it (bounds included)? MOBIL's blocked test.
+    For a reference on the road, it bisects the lane and walks out from
+    the reference and from both ends of the ring, each walk stopping at
+    the first vehicle outside the window; the distance only grows along
+    each walk, so the answer is the whole lane's. A reference off the
+    road scans the lane. *)
 
 val has_vehicle_on_left : ?window:float -> t -> bool
 (** The safety-critical predicate of the paper's case study: is there a
@@ -64,4 +97,8 @@ val has_vehicle_on_left : ?window:float -> t -> bool
 val min_gap_to_any : t -> float
 (** Smallest bumper gap between any same-lane pair (collision monitor:
     negative means overlap). Returns [infinity] when no pair shares a
-    lane. *)
+    lane. Each follower walks its lane's sorted slots ahead of it and
+    stops once a lower bound on the gap, computed with the lane's
+    longest vehicle and rounded as the gap is, reaches the best gap so
+    far; the bound only grows along the walk, so this is the minimum
+    over every pair, bit for bit. *)

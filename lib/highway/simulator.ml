@@ -1,13 +1,13 @@
 type t = {
   road : Road.t;
-  mutable ego : Vehicle.t;
-  mutable others : Vehicle.t array;
-  mutable world : Scene.t;  (* snapshot of [ego] and [others] *)
+  mutable world : Scene.t;  (* the ego and the traffic *)
   mutable clock : float;
   mutable collided : bool;
   idm : Idm.params;
   mobil : Mobil.params;
-  cooldown : (int, float) Hashtbl.t;  (* vehicle id -> earliest next change *)
+  (* Per traffic slot, the earliest time of its next change; the traffic
+     keeps its order from step to step. *)
+  cooldown : float array;
   mutable steps_since_history : int;
 }
 
@@ -15,16 +15,18 @@ let lane_change_cooldown = 4.0
 let history_period_steps = 5
 
 let create ?(road = Road.default) ~ego ~others () =
+  let ids = List.map (fun (v : Vehicle.t) -> v.Vehicle.id) (ego :: others) in
+  if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
+    invalid_arg "Simulator.create: duplicate vehicle id";
+  let world = Scene.make road ~ego ~others in
   {
     road;
-    ego;
-    others = Array.of_list others;
-    world = Scene.make road ~ego ~others;
+    world;
     clock = 0.0;
     collided = false;
     idm = Idm.default;
     mobil = Mobil.default;
-    cooldown = Hashtbl.create 32;
+    cooldown = Array.make (Array.length world.Scene.others) neg_infinity;
     steps_since_history = 0;
   }
 
@@ -73,38 +75,22 @@ let spawn ~rng ?(road = Road.default) ?(vehicles_per_lane = 6) () =
 let scene t = t.world
 
 let time t = t.clock
-let ego t = t.ego
-
-let can_change t (v : Vehicle.t) =
-  match Hashtbl.find_opt t.cooldown v.Vehicle.id with
-  | Some until -> t.clock >= until
-  | None -> true
-
-let note_change t (v : Vehicle.t) =
-  Hashtbl.replace t.cooldown v.Vehicle.id (t.clock +. lane_change_cooldown)
+let ego t = t.world.Scene.ego
 
 let integrate road (v : Vehicle.t) ~accel ~dt =
   let speed = Float.max 0.0 (v.Vehicle.speed +. (accel *. dt)) in
   let x = Road.wrap road (v.Vehicle.x +. (v.Vehicle.speed *. dt) +. (0.5 *. accel *. dt *. dt)) in
   { v with Vehicle.x; speed; accel }
 
-let update_traffic_vehicle t world dt (v : Vehicle.t) =
-  let accel =
-    match Scene.leader world v ~lane:v.Vehicle.lane with
-    | None ->
-        Idm.free_road_accel t.idm ~speed:v.Vehicle.speed
-          ~desired_speed:v.Vehicle.desired_speed
-    | Some leader ->
-        Idm.accel t.idm ~speed:v.Vehicle.speed
-          ~desired_speed:v.Vehicle.desired_speed
-          ~gap:(Vehicle.gap t.road ~follower:v ~leader)
-          ~leader_speed:leader.Vehicle.speed
-  in
+(* Traffic vehicle [slot] of the step's snapshot, with the step's shared
+   IDM terms. *)
+let update_traffic_vehicle t terms dt slot (v : Vehicle.t) =
+  let accel = Mobil.accel terms slot in
   let v =
-    if can_change t v then begin
-      match Mobil.decide t.mobil t.idm world v with
+    if t.clock >= t.cooldown.(slot) then begin
+      match Mobil.decide_slot t.mobil terms slot with
       | Some target ->
-          note_change t v;
+          t.cooldown.(slot) <- t.clock +. lane_change_cooldown;
           { v with Vehicle.lane = target; lat_offset = 0.0 }
       | None -> v
     end
@@ -112,24 +98,13 @@ let update_traffic_vehicle t world dt (v : Vehicle.t) =
   in
   integrate t.road v ~accel ~dt
 
-let apply_ego_action t dt (action : Policy.action option) =
-  let ego = t.ego in
+let move_ego t (ego : Vehicle.t) others dt (action : Policy.action option) =
   match action with
   | None ->
       (* The ego follows the traffic as it has just moved. *)
-      let world = Scene.make t.road ~ego ~others:(Array.to_list t.others) in
-      let accel =
-        match Scene.leader world ego ~lane:ego.Vehicle.lane with
-        | None ->
-            Idm.free_road_accel t.idm ~speed:ego.Vehicle.speed
-              ~desired_speed:ego.Vehicle.desired_speed
-        | Some leader ->
-            Idm.accel t.idm ~speed:ego.Vehicle.speed
-              ~desired_speed:ego.Vehicle.desired_speed
-              ~gap:(Vehicle.gap t.road ~follower:ego ~leader)
-              ~leader_speed:leader.Vehicle.speed
-      in
-      t.ego <- integrate t.road ego ~accel ~dt
+      let world = Scene.make t.road ~ego ~others:(Array.to_list others) in
+      let accel = Mobil.accel (Mobil.terms t.idm world) (Scene.size world - 1) in
+      integrate t.road ego ~accel ~dt
   | Some { Policy.lat_velocity; lon_accel } ->
       let moved = integrate t.road ego ~accel:lon_accel ~dt in
       let lat = moved.Vehicle.lat_offset +. (lat_velocity *. dt) in
@@ -141,20 +116,25 @@ let apply_ego_action t dt (action : Policy.action option) =
         then (moved.Vehicle.lane - 1, lat +. t.road.Road.lane_width)
         else (moved.Vehicle.lane, Float.max (-.half) (Float.min half lat))
       in
-      t.ego <- { moved with Vehicle.lane; lat_offset }
+      { moved with Vehicle.lane; lat_offset }
 
 let step t ?ego_action ~dt () =
   let world = t.world in
-  t.others <- Array.map (update_traffic_vehicle t world dt) t.others;
-  apply_ego_action t dt ego_action;
+  let terms = Mobil.terms t.idm world in
+  let others =
+    Array.mapi (update_traffic_vehicle t terms dt) world.Scene.others
+  in
+  let ego = move_ego t world.Scene.ego others dt ego_action in
   t.clock <- t.clock +. dt;
   t.steps_since_history <- t.steps_since_history + 1;
-  if t.steps_since_history >= history_period_steps then begin
-    t.steps_since_history <- 0;
-    t.ego <- Vehicle.push_history t.ego;
-    t.others <- Array.map Vehicle.push_history t.others
-  end;
-  t.world <- Scene.make t.road ~ego:t.ego ~others:(Array.to_list t.others);
+  let ego, others =
+    if t.steps_since_history >= history_period_steps then begin
+      t.steps_since_history <- 0;
+      (Vehicle.push_history ego, Array.map Vehicle.push_history others)
+    end
+    else (ego, others)
+  in
+  t.world <- Scene.make t.road ~ego ~others:(Array.to_list others);
   if Scene.min_gap_to_any t.world < 0.0 then t.collided <- true
 
 let run t ?controller ~dt ~steps () =

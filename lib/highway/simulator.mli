@@ -9,7 +9,11 @@ type t
 
 val create : ?road:Road.t -> ego:Vehicle.t -> others:Vehicle.t list -> unit -> t
 (** Raises [Invalid_argument] as {!Scene.make} does: every vehicle must
-    be in a valid lane at a position in [\[0, length)]. *)
+    be in a valid lane at a position in [\[0, length)]. Also raises it
+    when two vehicles, the ego included, share an id: every scene query
+    tells a vehicle from its reference by id, so a twin would be
+    invisible to its own follower, which would drive through it with no
+    collision flagged. *)
 
 val spawn :
   rng:Linalg.Rng.t ->
@@ -46,7 +50,16 @@ val step : t -> ?ego_action:Policy.action -> dt:float -> unit -> unit
     the traffic as it has just moved, which takes a second scene, and
     never changes lanes). Ego lateral movement is continuous: the
     commanded lateral velocity shifts [lat_offset], and crossing half a
-    lane width commits the lane change. *)
+    lane width commits the lane change.
+
+    Every traffic vehicle accelerates behind its own-lane leader and
+    decides with MOBIL in the snapshot the step starts from; a vehicle
+    that changed lanes may change again 4 s later. The step builds one {!Mobil.terms} table over
+    that snapshot, so each vehicle's free-road term and its acceleration
+    behind its own-lane leader are computed once and read by its own
+    update and by every MOBIL decision that weighs it (see {!Mobil}):
+    each read is the same call on the same arguments, so the step is
+    bit-identical to one that computes every term afresh. *)
 
 val run : t -> ?controller:(Scene.t -> Policy.action) -> dt:float -> steps:int -> unit -> unit
 

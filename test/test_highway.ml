@@ -344,6 +344,25 @@ let test_simulator_ego_lane_change_via_action () =
   done;
   Alcotest.(check int) "moved left" 1 (Highway.Simulator.ego sim).Highway.Vehicle.lane
 
+(* Every scene query tells a vehicle from its reference by id, so a twin
+   sharing one would be invisible to its own follower: it would drive
+   through it with no collision flagged. *)
+let test_simulator_rejects_duplicate_ids () =
+  let road = Highway.Road.make ~length:1000.0 () in
+  let ego = Highway.Vehicle.make ~id:0 ~x:500.0 ~lane:1 ~speed:25.0 () in
+  let rejects others =
+    match Highway.Simulator.create ~road ~ego ~others () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let mk id x = Highway.Vehicle.make ~id ~x ~lane:0 ~speed:25.0 () in
+  Alcotest.(check bool) "same-id pair 10 m apart" true
+    (rejects [ mk 7 100.0; mk 7 110.0 ]);
+  Alcotest.(check bool) "traffic sharing the ego's id" true
+    (rejects [ mk 0 100.0 ]);
+  Alcotest.(check bool) "distinct ids accepted" false
+    (rejects [ mk 7 100.0; mk 8 110.0 ])
+
 let test_simulator_ego_stays_on_road () =
   let road = Highway.Road.make ~num_lanes:2 ~length:500.0 () in
   let ego = Highway.Vehicle.make ~id:0 ~x:0.0 ~lane:1 ~speed:20.0 () in
@@ -434,9 +453,11 @@ let test_render_side_by_side () =
 (* {1 Reference scans}
 
    The neighbour queries as plain linear scans over every vehicle, the
-   MOBIL code on top of them, and [Road.delta] in its [Float.rem] form.
-   The per-lane index must answer exactly as they do, tie-breaks
-   included, and [Road.delta]'s fast path must keep every bit. *)
+   IDM law in one piece, the MOBIL code on top of them, [Road.delta] in
+   its [Float.rem] form, and the simulator step that calls every term
+   afresh. The per-lane index must answer exactly as they do, tie-breaks
+   included, and [Road.delta]'s fast path, the split IDM law and the
+   step's shared terms must keep every bit. *)
 
 module Ref = struct
   open Highway
@@ -507,6 +528,14 @@ module Ref = struct
     consider t.Scene.ego;
     Option.map fst !best
 
+  let alongside (t : Scene.t) reference ~lane =
+    List.exists
+      (fun (v : Vehicle.t) ->
+        v.Vehicle.lane = lane
+        && Float.abs (delta t.Scene.road v.Vehicle.x reference.Vehicle.x)
+           <= Scene.alongside_window)
+      (candidates t reference)
+
   let follower (t : Scene.t) reference ~lane =
     let best = ref None in
     let consider (v : Vehicle.t) =
@@ -541,14 +570,33 @@ module Ref = struct
       all;
     !best
 
+  let free_road_accel (p : Idm.params) ~speed ~desired_speed =
+    if desired_speed <= 0.0 then -.p.Idm.comfortable_brake
+    else p.Idm.max_accel *. (1.0 -. ((speed /. desired_speed) ** p.Idm.exponent))
+
+  let accel (p : Idm.params) ~speed ~desired_speed ~gap ~leader_speed =
+    let free = free_road_accel p ~speed ~desired_speed in
+    let approach_rate = speed -. leader_speed in
+    let desired_gap =
+      p.Idm.min_gap
+      +. Float.max 0.0
+           ((speed *. p.Idm.time_headway)
+            +. (speed *. approach_rate
+                /. (2.0 *. sqrt (p.Idm.max_accel *. p.Idm.comfortable_brake))))
+    in
+    let gap = Float.max 0.1 gap in
+    let interaction = -.p.Idm.max_accel *. ((desired_gap /. gap) ** 2.0) in
+    let a = free +. interaction in
+    Float.max (-3.0 *. p.Idm.comfortable_brake) (Float.min p.Idm.max_accel a)
+
   let idm_accel_towards idm road (follower : Vehicle.t)
       (leader : Vehicle.t option) =
     match leader with
     | None ->
-        Idm.free_road_accel idm ~speed:follower.Vehicle.speed
+        free_road_accel idm ~speed:follower.Vehicle.speed
           ~desired_speed:follower.Vehicle.desired_speed
     | Some l ->
-        Idm.accel idm ~speed:follower.Vehicle.speed
+        accel idm ~speed:follower.Vehicle.speed
           ~desired_speed:follower.Vehicle.desired_speed
           ~gap:(gap road ~follower ~leader:l)
           ~leader_speed:l.Vehicle.speed
@@ -624,6 +672,111 @@ module Ref = struct
     | Some (l, _), None -> Some l
     | None, Some (r, _) -> Some r
     | None, None -> None
+
+  (* The simulator as it was before its step shared IDM terms: every
+     acceleration is computed where it is used, cooldowns live in a
+     table keyed by id, and the collision monitor scans every pair. *)
+  module Sim = struct
+    type t = {
+      road : Road.t;
+      mutable ego : Vehicle.t;
+      mutable others : Vehicle.t array;
+      mutable world : Scene.t;
+      mutable clock : float;
+      mutable collided : bool;
+      idm : Idm.params;
+      mobil : Mobil.params;
+      cooldown : (int, float) Hashtbl.t;
+      mutable steps_since_history : int;
+    }
+
+    let lane_change_cooldown = 4.0
+    let history_period_steps = 5
+
+    let create ~road ~ego ~others =
+      {
+        road;
+        ego;
+        others = Array.of_list others;
+        world = Scene.make road ~ego ~others;
+        clock = 0.0;
+        collided = false;
+        idm = Idm.default;
+        mobil = Mobil.default;
+        cooldown = Hashtbl.create 32;
+        steps_since_history = 0;
+      }
+
+    let can_change t (v : Vehicle.t) =
+      match Hashtbl.find_opt t.cooldown v.Vehicle.id with
+      | Some until -> t.clock >= until
+      | None -> true
+
+    let note_change t (v : Vehicle.t) =
+      Hashtbl.replace t.cooldown v.Vehicle.id (t.clock +. lane_change_cooldown)
+
+    let integrate road (v : Vehicle.t) ~accel ~dt =
+      let speed = Float.max 0.0 (v.Vehicle.speed +. (accel *. dt)) in
+      let x =
+        Road.wrap road
+          (v.Vehicle.x +. (v.Vehicle.speed *. dt) +. (0.5 *. accel *. dt *. dt))
+      in
+      { v with Vehicle.x; speed; accel }
+
+    let update_traffic_vehicle t world dt (v : Vehicle.t) =
+      let accel =
+        idm_accel_towards t.idm t.road v (leader world v ~lane:v.Vehicle.lane)
+      in
+      let v =
+        if can_change t v then begin
+          match decide t.mobil t.idm world v with
+          | Some target ->
+              note_change t v;
+              { v with Vehicle.lane = target; lat_offset = 0.0 }
+          | None -> v
+        end
+        else v
+      in
+      integrate t.road v ~accel ~dt
+
+    let apply_ego_action t dt (action : Policy.action option) =
+      let ego = t.ego in
+      match action with
+      | None ->
+          let world = Scene.make t.road ~ego ~others:(Array.to_list t.others) in
+          let accel =
+            idm_accel_towards t.idm t.road ego
+              (leader world ego ~lane:ego.Vehicle.lane)
+          in
+          t.ego <- integrate t.road ego ~accel ~dt
+      | Some { Policy.lat_velocity; lon_accel } ->
+          let moved = integrate t.road ego ~accel:lon_accel ~dt in
+          let lat = moved.Vehicle.lat_offset +. (lat_velocity *. dt) in
+          let half = t.road.Road.lane_width /. 2.0 in
+          let lane, lat_offset =
+            if lat > half && Road.valid_lane t.road (moved.Vehicle.lane + 1) then
+              (moved.Vehicle.lane + 1, lat -. t.road.Road.lane_width)
+            else if
+              lat < -.half && Road.valid_lane t.road (moved.Vehicle.lane - 1)
+            then (moved.Vehicle.lane - 1, lat +. t.road.Road.lane_width)
+            else (moved.Vehicle.lane, Float.max (-.half) (Float.min half lat))
+          in
+          t.ego <- { moved with Vehicle.lane; lat_offset }
+
+    let step t ?ego_action ~dt () =
+      let world = t.world in
+      t.others <- Array.map (update_traffic_vehicle t world dt) t.others;
+      apply_ego_action t dt ego_action;
+      t.clock <- t.clock +. dt;
+      t.steps_since_history <- t.steps_since_history + 1;
+      if t.steps_since_history >= history_period_steps then begin
+        t.steps_since_history <- 0;
+        t.ego <- Vehicle.push_history t.ego;
+        t.others <- Array.map Vehicle.push_history t.others
+      end;
+      t.world <- Scene.make t.road ~ego:t.ego ~others:(Array.to_list t.others);
+      if min_gap_to_any t.world < 0.0 then t.collided <- true
+  end
 end
 
 let bits = Int64.bits_of_float
@@ -636,8 +789,11 @@ let random_scene rng =
   let module R = Linalg.Rng in
   let num_lanes = 1 + R.int rng 4 in
   let grid = R.int rng 3 = 0 in
+  (* Rings shorter than two alongside windows put every vehicle of a
+     lane alongside. *)
   let length =
     if grid then float_of_int (20 * (1 + R.int rng 100))
+    else if R.int rng 8 = 0 then R.uniform rng 1.0 15.0
     else R.uniform rng 20.0 2000.0
   in
   let road = Highway.Road.make ~num_lanes ~length () in
@@ -714,7 +870,10 @@ let prop_scene_queries_match_scan =
                    (Ref.leader scene r ~lane));
               check "follower"
                 (same_vehicle (Highway.Scene.follower scene r ~lane)
-                   (Ref.follower scene r ~lane)))
+                   (Ref.follower scene r ~lane));
+              check "alongside"
+                (Highway.Scene.alongside scene r ~lane
+                 = Ref.alongside scene r ~lane))
             lanes;
           List.iter
             (fun o ->
@@ -723,6 +882,18 @@ let prop_scene_queries_match_scan =
                    (Ref.neighbor_of scene r o)))
             Highway.Orientation.all)
         (members @ extra);
+      (* Off the road only [alongside] answers (it scans then). *)
+      let length = road.Highway.Road.length in
+      List.iter
+        (fun x ->
+          let r = Highway.Vehicle.make ~id:2000 ~x ~lane:0 ~speed:10.0 () in
+          List.iter
+            (fun lane ->
+              check "off-road alongside"
+                (Highway.Scene.alongside scene r ~lane
+                 = Ref.alongside scene r ~lane))
+            lanes)
+        [ -1.0; -0.5 *. length; length; length +. 3.0; 2.5 *. length ];
       check "min gap"
         (bits (Highway.Scene.min_gap_to_any scene)
          = bits (Ref.min_gap_to_any scene));
@@ -741,6 +912,153 @@ let prop_scene_queries_match_scan =
           check "MOBIL decide"
             (Highway.Mobil.decide p idm scene v = Ref.decide p idm scene v))
         members;
+      true)
+
+(* {1 Golden recordings}
+
+   Digests of every bit a recording hands on: each feature, action and
+   risky flag of [Recorder.record]. They were captured before the
+   simulator step shared its IDM terms, so a faster step must leave
+   every one of them as it is. The first is the pinned corpus the
+   benchmark's models and rank tables are built from. *)
+
+let recording_digest (samples : Highway.Recorder.sample array) =
+  let b = Buffer.create (Array.length samples * 700) in
+  let add x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  Array.iter
+    (fun (s : Highway.Recorder.sample) ->
+      Array.iter add s.Highway.Recorder.features;
+      add s.Highway.Recorder.lat_velocity;
+      add s.Highway.Recorder.lon_accel;
+      Buffer.add_char b (if s.Highway.Recorder.ground_truth_risky then 'r' else 's'))
+    samples;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_recordings =
+  let open Highway in
+  [
+    ( "pinned: seed 7, Risky 0.25, 1500 samples",
+      (fun () ->
+        Recorder.record ~rng:(Linalg.Rng.create 7) ~style:(Policy.Risky 0.25)
+          ~n_samples:1500 ()),
+      "b67f4d20017ce064f6776525bf5ce9b8" );
+    ( "Safe, 500 samples",
+      (fun () ->
+        Recorder.record ~rng:(Linalg.Rng.create 3) ~style:Policy.Safe
+          ~n_samples:500 ()),
+      "80ca38e24b957ded157e70a8d078bf36" );
+    ( "Risky 0.5, 30 per lane",
+      (fun () ->
+        Recorder.record ~rng:(Linalg.Rng.create 5) ~style:(Policy.Risky 0.5)
+          ~vehicles_per_lane:30 ~n_samples:400 ()),
+      "721adecbf4a26a39d9fe09d1275ab988" );
+    ( "4-lane 300 m ring, 40 per lane",
+      (fun () ->
+        Recorder.record ~rng:(Linalg.Rng.create 9) ~style:(Policy.Risky 0.25)
+          ~road:(Road.make ~num_lanes:4 ~length:300.0 ())
+          ~vehicles_per_lane:40 ~n_samples:300 ()),
+      "161ac718ba85d687e449f2be481b2440" );
+    ( "1 lane, 3 per lane",
+      (fun () ->
+        Recorder.record ~rng:(Linalg.Rng.create 13) ~style:(Policy.Risky 0.25)
+          ~road:(Road.make ~num_lanes:1 ~length:1000.0 ())
+          ~vehicles_per_lane:3 ~n_samples:300 ()),
+      "7aafc75580618c505442fde72bb95393" );
+  ]
+
+let test_golden_recordings () =
+  let moved =
+    List.filter_map
+      (fun (name, record, golden) ->
+        let got = recording_digest (record ()) in
+        if got = golden then None else Some (Printf.sprintf "%s: %S" name got))
+      golden_recordings
+  in
+  if moved <> [] then
+    Alcotest.failf "recordings moved; now:\n%s" (String.concat "\n" moved)
+
+(* Random traffic for the step property: 1-4 lanes, lengths 2-12 m,
+   vehicles level with one another in one lane or across lanes, pairs
+   half a ring apart, neighbours one ulp apart, stopped vehicles and
+   drivers with no desired speed. Ids are unique, as the simulator
+   requires. *)
+let random_traffic rng =
+  let module R = Linalg.Rng in
+  let num_lanes = 1 + R.int rng 4 in
+  let length =
+    if R.int rng 3 = 0 then float_of_int (20 * (5 + R.int rng 40))
+    else R.uniform rng 100.0 1500.0
+  in
+  let road = Highway.Road.make ~num_lanes ~length () in
+  let placed = ref [] in
+  let vehicle id =
+    let x, lane =
+      match (R.int rng 8, !placed) with
+      | 0, (x, lane) :: _ -> (x, lane)
+      | 1, (x, _) :: _ -> (x, R.int rng num_lanes)
+      | 2, (x, lane) :: _ -> (Highway.Road.wrap road (x +. (length /. 2.0)), lane)
+      | 3, (x, lane) :: _ when x > 0.0 -> (Float.pred x, lane)
+      | 4, _ -> (0.0, R.int rng num_lanes)
+      | _ -> (R.float rng length, R.int rng num_lanes)
+    in
+    let x = if x >= length then Float.pred length else x in
+    placed := (x, lane) :: !placed;
+    let speed = if R.int rng 10 = 0 then 0.0 else R.uniform rng 0.0 40.0 in
+    let desired_speed =
+      if R.int rng 20 = 0 then 0.0 else R.uniform rng 5.0 40.0
+    in
+    Highway.Vehicle.make ~id ~x ~lane ~speed ~desired_speed
+      ~length:(R.uniform rng 2.0 12.0) ()
+  in
+  let others = List.init (R.int rng 41) (fun i -> vehicle (i + 1)) in
+  (road, vehicle 0, others)
+
+let vehicle_bits (v : Highway.Vehicle.t) =
+  ( (v.Highway.Vehicle.id, v.Highway.Vehicle.lane),
+    List.map bits
+      ([
+         v.Highway.Vehicle.x;
+         v.Highway.Vehicle.lat_offset;
+         v.Highway.Vehicle.speed;
+         v.Highway.Vehicle.accel;
+         v.Highway.Vehicle.length;
+         v.Highway.Vehicle.desired_speed;
+       ]
+      @ Array.to_list v.Highway.Vehicle.speed_history) )
+
+let prop_step_matches_reference =
+  QCheck.Test.make ~name:"simulator step matches the reference step"
+    ~count:150
+    (QCheck.make QCheck.Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Linalg.Rng.create seed in
+      let road, ego, others = random_traffic rng in
+      let sim = Highway.Simulator.create ~road ~ego ~others () in
+      let oracle = Ref.Sim.create ~road ~ego ~others in
+      (* Past two cooldowns, so vehicles change lanes again. *)
+      for k = 1 to 45 do
+        let ego_action =
+          if Linalg.Rng.int rng 3 = 0 then None
+          else
+            Some
+              {
+                Highway.Policy.lat_velocity = Linalg.Rng.uniform rng (-3.0) 3.0;
+                lon_accel = Linalg.Rng.uniform rng (-4.0) 2.0;
+              }
+        in
+        Highway.Simulator.step sim ?ego_action ~dt:0.2 ();
+        Ref.Sim.step oracle ?ego_action ~dt:0.2 ();
+        let scene = Highway.Simulator.scene sim in
+        let same =
+          List.map vehicle_bits
+            (scene.Highway.Scene.ego :: Array.to_list scene.Highway.Scene.others)
+          = List.map vehicle_bits
+              (oracle.Ref.Sim.ego :: Array.to_list oracle.Ref.Sim.others)
+          && bits (Highway.Simulator.time sim) = bits oracle.Ref.Sim.clock
+          && Highway.Simulator.collision_occurred sim = oracle.Ref.Sim.collided
+        in
+        if not same then QCheck.Test.fail_reportf "seed %d: step %d differs" seed k
+      done;
       true)
 
 (* Road.delta's fast path returns Float.rem's bits, edges included. *)
@@ -820,6 +1138,7 @@ let () =
           quick "time" test_simulator_time_advances;
           quick "ego lane change" test_simulator_ego_lane_change_via_action;
           quick "stays on road" test_simulator_ego_stays_on_road;
+          quick "duplicate ids" test_simulator_rejects_duplicate_ids;
         ] );
       ( "policy/recorder/risk",
         [
@@ -827,6 +1146,7 @@ let () =
           slow "risky contaminates" test_recorder_risky_style_contaminates;
           quick "sample shape" test_recorder_sample_count_and_dim;
           quick "risk predicates" test_risk_predicates;
+          quick "golden recordings" test_golden_recordings;
         ] );
       ( "render",
         [
@@ -842,5 +1162,6 @@ let () =
             prop_road_delta_matches_rem;
             prop_road_wrap_range;
             prop_scene_queries_match_scan;
+            prop_step_matches_reference;
           ] );
     ]

@@ -567,6 +567,34 @@ let prop_optimizer_matches_reference =
             (Linalg.Rng.uniform rng 1e-4 0.1);
         ])
 
+(* The pinned I4x10 of the benchmark (bench/record/models.ml): the
+   seed-7 corpus recorded under [Risky 0.25], sanitized, and fitted for
+   15 MDN epochs. Its content hash covers every weight's bits, so a
+   change to recording or training that is meant to be faster, not
+   different, must leave it as it is. *)
+let test_pinned_weights_golden () =
+  let samples =
+    Highway.Recorder.record ~rng:(Linalg.Rng.create 7)
+      ~style:(Highway.Policy.Risky 0.25) ~n_samples:1500 ()
+  in
+  let clean = fst (Sanitizer.sanitize (Dataset.of_samples samples)) in
+  let components = 3 and width = 10 in
+  let net =
+    Nn.Network.i4xn
+      ~rng:(Linalg.Rng.create (7 + 1000 + width))
+      ~output_dim:(Nn.Gmm.output_dim ~components)
+      width
+  in
+  let config =
+    {
+      (Train.Trainer.default ~loss:(Train.Loss.Mdn { components }) ()) with
+      Train.Trainer.epochs = 15;
+      seed = 7;
+    }
+  in
+  ignore (Train.Trainer.fit config net (Dataset.pairs clean) ());
+  Alcotest.(check string) "content hash" "2f60a8eb5f3bb6c8" (Nn.Io.content_hash net)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -592,6 +620,7 @@ let () =
           quick "rejects empty" test_trainer_rejects_empty;
           slow "early stopping" test_early_stopping;
           slow "mdn improves" test_mdn_training_improves_nll;
+          quick "pinned weights" test_pinned_weights_golden;
         ] );
       ( "loss",
         [
