@@ -895,7 +895,12 @@ let serve_cmd =
              ~doc:"Cap on any client's requested solve budget (seconds).")
   in
   let stats_interval =
-    Arg.(value & opt float 30.0
+    Arg.(value
+         & opt
+             (checked_float_conv
+                ~accept:(fun s -> Float.is_finite s && s >= 0.0)
+                "stats interval must be finite and >= 0")
+             30.0
          & info [ "stats-interval" ] ~docv:"S"
              ~doc:"Seconds between stats log lines on stderr; 0 disables.")
   in
@@ -1014,12 +1019,19 @@ let client_cmd =
   let time_limit =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some time_limit_conv) None
       & info [ "time-limit" ] ~docv:"S"
           ~doc:"Requested solve budget; the server clamps it to its cap.")
   in
+  (* A NaN makes the socket option fail with EDOM, and 0 turns the
+     timeout off. *)
   let timeout =
-    Arg.(value & opt float 120.0
+    Arg.(value
+         & opt
+             (checked_float_conv
+                ~accept:(fun t -> Float.is_finite t && t > 0.0)
+                "timeout must be finite and > 0")
+             120.0
          & info [ "timeout" ] ~docv:"S" ~doc:"Client-side socket timeout.")
   in
   Cmd.v

@@ -29,45 +29,31 @@ type t = {
   body : body;
 }
 
+(* One digest body for both: [property_key] leaves the network out and
+   uses a distinct magic string, so it never collides with a
+   [property_hash]. The proof store keys a secondary index on the key,
+   so the same leaf box asked about a retrained or perturbed network
+   can be found and revalidated against the new weights. *)
+let property_digest magic net_hash p =
+  let h = Chash.create () in
+  Chash.string h magic;
+  Option.iter (Chash.string h) net_hash;
+  Chash.float h p.threshold;
+  Chash.int h p.components;
+  Chash.string h p.bound_mode;
+  Chash.int h (Array.length p.box);
+  Array.iter
+    (fun (lo, hi) ->
+      Chash.float h lo;
+      Chash.float h hi)
+    p.box;
+  Chash.hex h
+
 let property_hash ~net_hash p =
-  let h = Chash.create () in
-  Chash.string h "depnn-property v1";
-  Chash.string h net_hash;
-  Chash.float h p.threshold;
-  Chash.int h p.components;
-  Chash.string h p.bound_mode;
-  Chash.int h (Array.length p.box);
-  Array.iter
-    (fun (lo, hi) ->
-      Chash.float h lo;
-      Chash.float h hi)
-    p.box;
-  Chash.hex h
+  property_digest "depnn-property v1" (Some net_hash) p
 
-(* Net-independent digest of the question alone. The proof store keys a
-   secondary index on it so the same leaf box asked about a retrained
-   or perturbed network can be found and revalidated against the new
-   weights — a distinct magic string keeps it from ever colliding with
-   a real property hash. *)
-let property_key p =
-  let h = Chash.create () in
-  Chash.string h "depnn-property-key v1";
-  Chash.float h p.threshold;
-  Chash.int h p.components;
-  Chash.string h p.bound_mode;
-  Chash.int h (Array.length p.box);
-  Array.iter
-    (fun (lo, hi) ->
-      Chash.float h lo;
-      Chash.float h hi)
-    p.box;
-  Chash.hex h
+let property_key p = property_digest "depnn-property-key v1" None p
 
-(* Fingerprint of the MILP model a tree certificate talks about: rows
-   (terms, sense, rhs), variable bounds and the integer marking — the
-   complete semantics of the feasible set. Names and the objective are
-   excluded: the objective is reconstructed from the certificate's
-   output index, so it cannot drift from the claim. *)
 let leaf_of_search fixes cert =
   {
     fixes = Array.of_list (List.rev fixes);
@@ -79,6 +65,11 @@ let leaf_of_search fixes cert =
        | Milp.Solver.Leaf_uncertified reason -> Ev_unsupported reason);
   }
 
+(* Fingerprint of the MILP model a tree certificate talks about: rows
+   (terms, sense, rhs), variable bounds and the integer marking — the
+   complete semantics of the feasible set. Names and the objective are
+   excluded: the objective is reconstructed from the certificate's
+   output index, so it cannot drift from the claim. *)
 let model_fingerprint model =
   let problem = Milp.Model.lp model in
   let h = Chash.create () in
@@ -109,39 +100,29 @@ let model_fingerprint model =
   List.iter (Chash.int h) ints;
   Chash.hex h
 
-(* --- serialisation ---------------------------------------------------
+(* --- serialisation: the {!Text} line format ------------------------- *)
 
-   Line-oriented text; every float is printed as a hex float ("%h"), so
-   the round trip is bit-exact. The final line is an FNV-1a checksum of
-   everything before it — a one-bit mutation anywhere flips it. *)
+let property_lines b p =
+  Text.line b "threshold %s" (Text.hex p.threshold);
+  Text.line b "components %d" p.components;
+  Text.line b "bound-mode %s" p.bound_mode;
+  Text.box_lines b p.box
 
-let fl = Printf.sprintf "%h"
-
-let floats_line prefix a =
-  let b = Buffer.create (16 * Array.length a + 8) in
-  Buffer.add_string b prefix;
-  Array.iter
-    (fun x ->
-      Buffer.add_char b ' ';
-      Buffer.add_string b (fl x))
-    a;
-  Buffer.add_char b '\n';
-  Buffer.contents b
+let read_property r =
+  let threshold = Text.float (Text.kv r "threshold") in
+  let components = Text.int (Text.kv r "components") in
+  let bound_mode = Text.kv r "bound-mode" in
+  let box = Text.box r ~max:1_000_000 in
+  { threshold; components; bound_mode; box }
 
 let to_string t =
   let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let line fmt = Text.line b fmt and hex = Text.hex in
   line "depnn-certificate v1";
   line "net %s" t.net_hash;
   line "component %d" t.component;
   line "output %d" t.output;
-  line "threshold %s" (fl t.property.threshold);
-  line "components %d" t.property.components;
-  line "bound-mode %s" t.property.bound_mode;
-  line "box %d" (Array.length t.property.box);
-  Array.iter
-    (fun (lo, hi) -> line "%s %s" (fl lo) (fl hi))
-    t.property.box;
+  property_lines b t.property;
   (match t.body with
    | Milp_tree { model_hash; leaves } ->
        line "body milp-tree %s %d" model_hash (Array.length leaves);
@@ -155,157 +136,73 @@ let to_string t =
             | Ev_empty_row i -> line "leaf %d empty-row %d" nf i
             | Ev_unsupported reason -> line "leaf %d unsupported %s" nf reason);
            Array.iter
-             (fun (v, lo, hi) -> line "fix %d %s %s" v (fl lo) (fl hi))
+             (fun (v, lo, hi) -> line "fix %d %s %s" v (hex lo) (hex hi))
              lf.fixes;
            match lf.evidence with
-           | Ev_bounded y | Ev_infeasible y ->
-               Buffer.add_string b (floats_line "y" y)
+           | Ev_bounded y | Ev_infeasible y -> Text.floats_line b "y" y
            | Ev_empty_row _ | Ev_unsupported _ -> ())
          leaves
    | Presolve { coeffs; const; bound } ->
-       line "body presolve %s %s %d" (fl bound) (fl const)
+       line "body presolve %s %s %d" (hex bound) (hex const)
          (Array.length coeffs);
-       Buffer.add_string b (floats_line "c" coeffs)
+       Text.floats_line b "c" coeffs
    | Witness { input; achieved } ->
-       line "body witness %s %d" (fl achieved) (Array.length input);
-       Buffer.add_string b (floats_line "x" input));
-  let payload = Buffer.contents b in
-  payload ^ Printf.sprintf "checksum %s\n" (Chash.of_string payload)
+       line "body witness %s %d" (hex achieved) (Array.length input);
+       Text.floats_line b "x" input);
+  Text.seal b
 
-exception Malformed of string
+(* A leaf: its header, the fix lines, then the evidence the header
+   announced. The header is checked before the fixes are read. *)
+let read_leaf r =
+  match Text.words r with
+  | "leaf" :: nf :: kind :: rest ->
+      let nf = Text.count ~max:1_000_000 "fix" nf in
+      let evidence =
+        match (kind, rest) with
+        | "bounded", [ m ] ->
+            let m = Text.int m in
+            fun () -> Ev_bounded (Text.floats r "y" m)
+        | "infeasible", [ m ] ->
+            let m = Text.int m in
+            fun () -> Ev_infeasible (Text.floats r "y" m)
+        | "empty-row", [ i ] ->
+            let i = Text.int i in
+            fun () -> Ev_empty_row i
+        | "unsupported", reason ->
+            fun () -> Ev_unsupported (String.concat " " reason)
+        | _ -> Text.fail "bad leaf header"
+      in
+      let fixes =
+        Array.init nf (fun _ ->
+            match Text.words r with
+            | [ "fix"; v; lo; hi ] -> (Text.int v, Text.float lo, Text.float hi)
+            | _ -> Text.fail "bad fix line")
+      in
+      { fixes; evidence = evidence () }
+  | _ -> Text.fail "expected leaf line"
 
-let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
+let read r =
+  if Text.next r <> "depnn-certificate v1" then Text.fail "bad magic line";
+  let net_hash = Text.kv r "net" in
+  let component = Text.int (Text.kv r "component") in
+  let output = Text.int (Text.kv r "output") in
+  let property = read_property r in
+  let body =
+    match Text.words r with
+    | [ "body"; "milp-tree"; model_hash; n ] ->
+        let n = Text.count ~max:10_000_000 "leaf" n in
+        Milp_tree { model_hash; leaves = Array.init n (fun _ -> read_leaf r) }
+    | [ "body"; "presolve"; bound; const; n ] ->
+        let n = Text.int n in
+        let bound = Text.float bound in
+        let const = Text.float const in
+        Presolve { coeffs = Text.floats r "c" n; const; bound }
+    | [ "body"; "witness"; achieved; n ] ->
+        let n = Text.int n in
+        let achieved = Text.float achieved in
+        Witness { input = Text.floats r "x" n; achieved }
+    | _ -> Text.fail "bad body line"
+  in
+  { net_hash; property; component; output; body }
 
-let parse_float s =
-  match float_of_string_opt s with
-  | Some x -> x
-  | None -> malformed "bad float %S" s
-
-let parse_int s =
-  match int_of_string_opt s with
-  | Some x -> x
-  | None -> malformed "bad int %S" s
-
-let split s = String.split_on_char ' ' s
-
-let of_string raw =
-  try
-    (* Separate and verify the trailing checksum line first. *)
-    let len = String.length raw in
-    if len = 0 then malformed "empty certificate";
-    let body_end =
-      match String.rindex_opt (String.sub raw 0 (len - 1)) '\n' with
-      | Some i -> i + 1
-      | None -> malformed "missing checksum line"
-    in
-    let payload = String.sub raw 0 body_end in
-    let sum_line =
-      String.trim (String.sub raw body_end (len - body_end))
-    in
-    (match split sum_line with
-     | [ "checksum"; sum ] ->
-         if Chash.of_string payload <> sum then
-           malformed "checksum mismatch (certificate mutated or truncated)"
-     | _ -> malformed "missing checksum line");
-    let lines = ref (String.split_on_char '\n' payload) in
-    let next () =
-      match !lines with
-      | [] -> malformed "truncated certificate"
-      | l :: rest ->
-          lines := rest;
-          l
-    in
-    let expect_kv key =
-      match split (next ()) with
-      | k :: rest when k = key -> String.concat " " rest
-      | _ -> malformed "expected %S line" key
-    in
-    if next () <> "depnn-certificate v1" then malformed "bad magic line";
-    let net_hash = expect_kv "net" in
-    let component = parse_int (expect_kv "component") in
-    let output = parse_int (expect_kv "output") in
-    let threshold = parse_float (expect_kv "threshold") in
-    let components = parse_int (expect_kv "components") in
-    let bound_mode = expect_kv "bound-mode" in
-    let nbox = parse_int (expect_kv "box") in
-    if nbox < 0 || nbox > 1_000_000 then malformed "bad box size";
-    let box =
-      Array.init nbox (fun _ ->
-          match split (next ()) with
-          | [ lo; hi ] -> (parse_float lo, parse_float hi)
-          | _ -> malformed "bad box line")
-    in
-    let parse_floats prefix n line =
-      match split line with
-      | p :: rest when p = prefix ->
-          if List.length rest <> n then
-            malformed "expected %d floats on %S line" n prefix;
-          Array.of_list (List.map parse_float rest)
-      | _ -> malformed "expected %S line" prefix
-    in
-    let body =
-      match split (next ()) with
-      | [ "body"; "milp-tree"; model_hash; nl ] ->
-          let nleaves = parse_int nl in
-          if nleaves < 0 || nleaves > 10_000_000 then
-            malformed "bad leaf count";
-          let leaves =
-            Array.init nleaves (fun _ ->
-                let nf, mk =
-                  match split (next ()) with
-                  | "leaf" :: nf :: kind :: rest ->
-                      let nf = parse_int nf in
-                      let mk =
-                        match (kind, rest) with
-                        | "bounded", [ m ] ->
-                            let m = parse_int m in
-                            fun () ->
-                              Ev_bounded (parse_floats "y" m (next ()))
-                        | "infeasible", [ m ] ->
-                            let m = parse_int m in
-                            fun () ->
-                              Ev_infeasible (parse_floats "y" m (next ()))
-                        | "empty-row", [ i ] ->
-                            let i = parse_int i in
-                            fun () -> Ev_empty_row i
-                        | "unsupported", reason ->
-                            fun () ->
-                              Ev_unsupported (String.concat " " reason)
-                        | _ -> malformed "bad leaf header"
-                      in
-                      (nf, mk)
-                  | _ -> malformed "expected leaf line"
-                in
-                if nf < 0 || nf > 1_000_000 then malformed "bad fix count";
-                let fixes =
-                  Array.init nf (fun _ ->
-                      match split (next ()) with
-                      | [ "fix"; v; lo; hi ] ->
-                          (parse_int v, parse_float lo, parse_float hi)
-                      | _ -> malformed "bad fix line")
-                in
-                { fixes; evidence = mk () })
-          in
-          Milp_tree { model_hash; leaves }
-      | [ "body"; "presolve"; bound; const; n ] ->
-          let n = parse_int n in
-          Presolve
-            {
-              coeffs = parse_floats "c" n (next ());
-              const = parse_float const;
-              bound = parse_float bound;
-            }
-      | [ "body"; "witness"; achieved; n ] ->
-          let n = parse_int n in
-          Witness
-            {
-              input = parse_floats "x" n (next ());
-              achieved = parse_float achieved;
-            }
-      | _ -> malformed "bad body line"
-    in
-    Ok { net_hash; property = { threshold; components; bound_mode; box };
-         component; output; body }
-  with
-  | Malformed msg -> Error msg
-  | Invalid_argument _ | Failure _ -> Error "malformed certificate"
+let of_string raw = Text.parse ~sealed:true "certificate" read raw

@@ -4,10 +4,10 @@
     replay one component's verdict without re-running any solver:
     which network (by {!Nn.Io.content_hash}), which property (threshold,
     component count, bound mode, input box — digested into a property
-    hash), and a body holding the actual evidence. Serialisation is
-    line-oriented text with every float printed as a hex literal
-    (bit-exact round trip) and a trailing FNV-1a checksum line, so a
-    one-bit mutation anywhere is detected before any replay starts. *)
+    hash), and a body holding the actual evidence. Serialisation is the
+    {!Text} line format: every float a hex literal (bit-exact round
+    trip) and a trailing FNV-1a checksum line, so a one-bit mutation
+    anywhere is detected before any replay starts. *)
 
 type property = {
   threshold : float;   (** the bound being proven, max sense *)
@@ -91,3 +91,10 @@ val of_string : string -> (t, string) result
 (** Parse and verify the checksum. Any mutation, truncation or format
     drift yields [Error] with a human-readable reason; it never
     raises. *)
+
+val property_lines : Buffer.t -> property -> unit
+(** The property's lines as {!to_string} writes them: threshold,
+    components, bound mode and box. {!Shard} manifests reuse them. *)
+
+val read_property : Text.reader -> property
+(** Read back {!property_lines} (at most a million box dimensions). *)

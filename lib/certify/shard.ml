@@ -15,21 +15,6 @@ let rec leaf_count = function
 
 let leaf_property (p : Certificate.property) box = { p with Certificate.box }
 
-let tile_boxes parent tree =
-  let out = ref [] in
-  let rec walk box = function
-    | Tile -> out := box :: !out
-    | Split { dim; cut; below; above } ->
-        let lo, hi = box.(dim) in
-        let b = Array.copy box and a = Array.copy box in
-        b.(dim) <- (lo, cut);
-        a.(dim) <- (cut, hi);
-        walk b below;
-        walk a above
-  in
-  walk parent tree;
-  Array.of_list (List.rev !out)
-
 let manifest_name ~prop_hash = prop_hash ^ ".shard"
 
 let parent_hash m =
@@ -98,22 +83,14 @@ let check m =
         else Ok (Array.of_list (List.rev !out))
   end
 
-(* --- serialisation (same conventions as Certificate) ---------------- *)
-
-let fl = Printf.sprintf "%h"
+(* --- serialisation: the {!Text} line format, the tree depth first -- *)
 
 let to_string m =
   let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let line fmt = Text.line b fmt in
   line "depnn-shard v1";
   line "net %s" m.net_hash;
-  line "threshold %s" (fl m.property.Certificate.threshold);
-  line "components %d" m.property.Certificate.components;
-  line "bound-mode %s" m.property.Certificate.bound_mode;
-  line "box %d" (Array.length m.property.Certificate.box);
-  Array.iter
-    (fun (lo, hi) -> line "%s %s" (fl lo) (fl hi))
-    m.property.Certificate.box;
+  Certificate.property_lines b m.property;
   let rec count = function
     | Tile -> 1
     | Split { below; above; _ } -> 1 + count below + count above
@@ -125,100 +102,36 @@ let to_string m =
         line "tile %s" m.leaf_hashes.(!idx);
         incr idx
     | Split { dim; cut; below; above } ->
-        line "split %d %s" dim (fl cut);
+        line "split %d %s" dim (Text.hex cut);
         emit below;
         emit above
   in
   emit m.tree;
-  let payload = Buffer.contents b in
-  payload ^ Printf.sprintf "checksum %s\n" (Chash.of_string payload)
+  Text.seal b
 
-exception Malformed of string
+let read r =
+  if Text.next r <> "depnn-shard v1" then Text.fail "bad magic line";
+  let net_hash = Text.kv r "net" in
+  let property = Certificate.read_property r in
+  let nodes = Text.count ~min:1 ~max:10_000_000 "tree" (Text.kv r "tree") in
+  let hashes = ref [] and consumed = ref 0 in
+  let rec node () =
+    incr consumed;
+    if !consumed > nodes then Text.fail "tree larger than declared";
+    match Text.words r with
+    | [ "tile"; h ] ->
+        hashes := h :: !hashes;
+        Tile
+    | [ "split"; d; c ] ->
+        let dim = Text.int d and cut = Text.float c in
+        let below = node () in
+        let above = node () in
+        Split { dim; cut; below; above }
+    | _ -> Text.fail "bad tree line"
+  in
+  let tree = node () in
+  if !consumed <> nodes then Text.fail "tree smaller than declared";
+  if not (Text.at_end r) then Text.fail "trailing data after tree";
+  { net_hash; property; tree; leaf_hashes = Array.of_list (List.rev !hashes) }
 
-let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
-
-let parse_float s =
-  match float_of_string_opt s with
-  | Some x -> x
-  | None -> malformed "bad float %S" s
-
-let parse_int s =
-  match int_of_string_opt s with
-  | Some x -> x
-  | None -> malformed "bad int %S" s
-
-let split_ws s = String.split_on_char ' ' s
-
-let of_string raw =
-  try
-    let len = String.length raw in
-    if len = 0 then malformed "empty manifest";
-    let body_end =
-      match String.rindex_opt (String.sub raw 0 (len - 1)) '\n' with
-      | Some i -> i + 1
-      | None -> malformed "missing checksum line"
-    in
-    let payload = String.sub raw 0 body_end in
-    let sum_line = String.trim (String.sub raw body_end (len - body_end)) in
-    (match split_ws sum_line with
-     | [ "checksum"; sum ] ->
-         if Chash.of_string payload <> sum then
-           malformed "checksum mismatch (manifest mutated or truncated)"
-     | _ -> malformed "missing checksum line");
-    let lines = ref (String.split_on_char '\n' payload) in
-    let next () =
-      match !lines with
-      | [] -> malformed "truncated manifest"
-      | l :: rest ->
-          lines := rest;
-          l
-    in
-    let expect_kv key =
-      match split_ws (next ()) with
-      | k :: rest when k = key -> String.concat " " rest
-      | _ -> malformed "expected %S line" key
-    in
-    if next () <> "depnn-shard v1" then malformed "bad magic line";
-    let net_hash = expect_kv "net" in
-    let threshold = parse_float (expect_kv "threshold") in
-    let components = parse_int (expect_kv "components") in
-    let bound_mode = expect_kv "bound-mode" in
-    let nbox = parse_int (expect_kv "box") in
-    if nbox < 0 || nbox > 1_000_000 then malformed "bad box size";
-    let box =
-      Array.init nbox (fun _ ->
-          match split_ws (next ()) with
-          | [ lo; hi ] -> (parse_float lo, parse_float hi)
-          | _ -> malformed "bad box line")
-    in
-    let nodes = parse_int (expect_kv "tree") in
-    if nodes < 1 || nodes > 10_000_000 then malformed "bad tree size";
-    let hashes = ref [] in
-    let consumed = ref 0 in
-    let rec parse_tree () =
-      incr consumed;
-      if !consumed > nodes then malformed "tree larger than declared";
-      match split_ws (next ()) with
-      | [ "tile"; h ] ->
-          hashes := h :: !hashes;
-          Tile
-      | [ "split"; d; c ] ->
-          let dim = parse_int d and cut = parse_float c in
-          let below = parse_tree () in
-          let above = parse_tree () in
-          Split { dim; cut; below; above }
-      | _ -> malformed "bad tree line"
-    in
-    let tree = parse_tree () in
-    if !consumed <> nodes then malformed "tree smaller than declared";
-    (match !lines with
-     | [] | [ "" ] -> ()
-     | _ -> malformed "trailing data after tree");
-    Ok
-      {
-        net_hash;
-        property = { Certificate.threshold; components; bound_mode; box };
-        tree;
-        leaf_hashes = Array.of_list (List.rev !hashes);
-      }
-  with Malformed reason -> Error reason
+let of_string raw = Text.parse ~sealed:true "manifest" read raw

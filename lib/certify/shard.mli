@@ -17,8 +17,9 @@
     the exact tile box, so a manifest cannot smuggle in a leaf about a
     different question or a shrunken box.
 
-    Serialisation follows {!Certificate}: line-oriented text, floats as
-    bit-exact hex literals, trailing FNV-1a checksum line. *)
+    Serialisation is the {!Text} line format, as for certificates: the
+    parent question's lines ({!Certificate.property_lines}), the tree
+    depth first, a trailing FNV-1a checksum line. *)
 
 type tree =
   | Split of { dim : int; cut : float; below : tree; above : tree }
@@ -35,16 +36,6 @@ type manifest = {
           property hash, which is also its directory name under the
           shard root *)
 }
-
-val leaf_count : tree -> int
-
-val tile_boxes : (float * float) array -> tree -> (float * float) array array
-(** Recompute the tile boxes of [tree] over the given parent box, left
-    to right. Does not validate the cuts; see {!check}. *)
-
-val leaf_property :
-  Certificate.property -> (float * float) array -> Certificate.property
-(** The parent question restricted to one tile. *)
 
 val manifest_name : prop_hash:string -> string
 (** File name of the manifest for a parent question, under the shard
@@ -63,4 +54,6 @@ val to_string : manifest -> string
 (** Serialise, ending with the checksum line. *)
 
 val of_string : string -> (manifest, string) result
-(** Parse and verify the checksum; never raises. *)
+(** Parse and verify the checksum; never raises. A tree with more or
+    fewer nodes than its [tree] line declares, or anything after it, is
+    rejected. *)

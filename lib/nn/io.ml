@@ -123,6 +123,12 @@ let of_string s =
         | Some _ | None -> syntax "bad layer count")
     | _ -> syntax "expected 'layers <n>'"
   in
+  (* A layer takes at least three lines (header, bias, one weight row),
+     so a count the rest of the input cannot hold is rejected before it
+     sizes the layer array. *)
+  if nlayers > (Array.length lines - !pos) / 3 then
+    syntax "%d layers declared, more than the rest of the input holds"
+      nlayers;
   let layers =
     Array.init nlayers (fun i ->
         let header = String.trim (next "layer header") in

@@ -39,7 +39,9 @@ val to_string : Network.t -> string
 
 val of_string : string -> Network.t
 (** Raises {!Invalid_network} on malformed, non-finite or
-    dimension-mismatched input. *)
+    dimension-mismatched input, and no other exception. A declared
+    layer count that the remaining lines cannot hold is a [Syntax]
+    error, found before anything is allocated for it. *)
 
 val of_string_result : string -> (Network.t, error) result
 (** Non-raising variant of {!of_string}. *)

@@ -148,255 +148,168 @@ let cache_string = function
   | Cache_subsumed -> "subsumed"
   | Cache_miss -> "miss"
 
-let fl = Printf.sprintf "%h"
-
-(* {2 Rendering} *)
-
-let render_request = function
-  | Verify q ->
-      let b = Buffer.create 2048 in
-      let line fmt =
-        Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt
-      in
-      let p = q.property in
-      line "%s" (if q.exact_only then "certify" else "verify");
-      line "net %s" (Option.value q.net_hash ~default:"-");
-      line "threshold %s" (fl p.Certify.Certificate.threshold);
-      line "components %d" p.Certify.Certificate.components;
-      line "bound-mode %s" p.Certify.Certificate.bound_mode;
-      line "time-limit %s"
-        (match q.time_limit with Some t -> fl t | None -> "-");
-      line "box %d" (Array.length p.Certify.Certificate.box);
-      Array.iter
-        (fun (lo, hi) -> line "%s %s" (fl lo) (fl hi))
-        p.Certify.Certificate.box;
-      Buffer.contents b
-  | Predict input ->
-      let b = Buffer.create 1024 in
-      Buffer.add_string b
-        (Printf.sprintf "predict\ninput %d\n" (Array.length input));
-      Array.iter
-        (fun x -> Buffer.add_string b (fl x ^ "\n"))
-        input;
-      Buffer.contents b
-  | Status -> "status\n"
-  | Shutdown -> "shutdown\n"
-
-let render_response = function
-  | Answer a ->
-      let b = Buffer.create 2048 in
-      let line fmt =
-        Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt
-      in
-      line "ok verify";
-      (match a.verdict with
-       | V_proved -> line "verdict proved"
-       | V_disproved { achieved; _ } -> line "verdict disproved %s" (fl achieved)
-       | V_unknown { best_bound } -> line "verdict unknown %s" (fl best_bound));
-      (match a.verdict with
-       | V_disproved { witness; _ } ->
-           line "witness %d" (Array.length witness);
-           Array.iter (fun x -> line "%s" (fl x)) witness
-       | V_proved | V_unknown _ -> ());
-      line "cache %s" (cache_string a.cache);
-      line "certified %d" a.certified;
-      line "prop %s" a.prop_hash;
-      line "solve %s" (fl a.solve_s);
-      line "dir %s" a.cert_dir;
-      Buffer.contents b
-  | Outputs out ->
-      let b = Buffer.create 1024 in
-      Buffer.add_string b
-        (Printf.sprintf "ok predict\noutput %d\n" (Array.length out));
-      Array.iter (fun x -> Buffer.add_string b (fl x ^ "\n")) out;
-      Buffer.contents b
-  | Stats s ->
-      Printf.sprintf
-        "ok status\n\
-         uptime %s\n\
-         workers %d\n\
-         failed-workers %d\n\
-         queue-depth %d\n\
-         queue-capacity %d\n\
-         queries %d\n\
-         served-exact %d\n\
-         served-subsumed %d\n\
-         solved %d\n\
-         rejected %d\n\
-         entries %d\n"
-        (fl s.uptime_s) s.workers s.failed_workers s.queue_depth
-        s.queue_capacity s.queries s.served_exact s.served_subsumed s.solved
-        s.rejected s.store_entries
-  | Shutting_down -> "ok shutdown\n"
-  | Refused reason -> Printf.sprintf "error %s\n" reason
-
-(* {2 Parsing}
-
-   Same defensive style as {!Certify.Certificate.of_string}: a cursor
-   over the lines, [Malformed] for anything unexpected, bounded counts
-   before any [Array.init], and a catch-all that turns every parser
-   exception into [Error]. *)
-
-exception Malformed of string
-
-let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
-
-let parse_float s =
-  match float_of_string_opt s with
-  | Some x -> x
-  | None -> malformed "bad float %S" s
-
-let parse_int s =
-  match int_of_string_opt s with
-  | Some x -> x
-  | None -> malformed "bad int %S" s
-
-let split = String.split_on_char ' '
+module Text = Certify.Text
 
 (* Boxes and witnesses live in feature space (84-d today); 100k bounds
    the allocation an adversarial frame can cause well under the frame
    size itself. *)
 let max_dim = 100_000
 
-let cursor payload =
-  let lines = ref (String.split_on_char '\n' payload) in
-  fun () ->
-    match !lines with
-    | [] -> malformed "truncated payload"
-    | l :: rest ->
-        lines := rest;
-        l
+(* A [<key> <n>] line, then one float per line. *)
+let column_lines b key xs =
+  Text.line b "%s %d" key (Array.length xs);
+  Array.iter (fun x -> Text.line b "%s" (Text.hex x)) xs
 
-let expect_kv next key =
-  match split (next ()) with
-  | k :: rest when k = key -> String.concat " " rest
-  | _ -> malformed "expected %S line" key
+let column r key =
+  let n = Text.count ~max:max_dim key (Text.kv r key) in
+  Array.init n (fun _ -> Text.float (Text.next r))
 
-let parse_dim what n =
-  if n < 0 || n > max_dim then malformed "bad %s count %d" what n;
-  n
+(* {2 Rendering} *)
 
-let parse_query next ~exact_only =
-  let net_hash =
-    match expect_kv next "net" with "-" -> None | h -> Some h
-  in
-  let threshold = parse_float (expect_kv next "threshold") in
-  let components = parse_int (expect_kv next "components") in
-  let bound_mode = expect_kv next "bound-mode" in
+let render_request request =
+  let b = Buffer.create 1024 in
+  let line fmt = Text.line b fmt in
+  (match request with
+   | Verify q ->
+       let p = q.property in
+       line "%s" (if q.exact_only then "certify" else "verify");
+       line "net %s" (Option.value q.net_hash ~default:"-");
+       line "threshold %s" (Text.hex p.Certify.Certificate.threshold);
+       line "components %d" p.Certify.Certificate.components;
+       line "bound-mode %s" p.Certify.Certificate.bound_mode;
+       line "time-limit %s"
+         (Option.fold ~none:"-" ~some:Text.hex q.time_limit);
+       Text.box_lines b p.Certify.Certificate.box
+   | Predict input ->
+       line "predict";
+       column_lines b "input" input
+   | Status -> line "status"
+   | Shutdown -> line "shutdown");
+  Buffer.contents b
+
+let render_response response =
+  let b = Buffer.create 1024 in
+  let line fmt = Text.line b fmt in
+  (match response with
+   | Answer a ->
+       line "ok verify";
+       (match a.verdict with
+        | V_proved -> line "verdict proved"
+        | V_disproved { witness; achieved } ->
+            line "verdict disproved %s" (Text.hex achieved);
+            column_lines b "witness" witness
+        | V_unknown { best_bound } ->
+            line "verdict unknown %s" (Text.hex best_bound));
+       line "cache %s" (cache_string a.cache);
+       line "certified %d" a.certified;
+       line "prop %s" a.prop_hash;
+       line "solve %s" (Text.hex a.solve_s);
+       line "dir %s" a.cert_dir
+   | Outputs out ->
+       line "ok predict";
+       column_lines b "output" out
+   | Stats s ->
+       line "ok status";
+       line "uptime %s" (Text.hex s.uptime_s);
+       line "workers %d" s.workers;
+       line "failed-workers %d" s.failed_workers;
+       line "queue-depth %d" s.queue_depth;
+       line "queue-capacity %d" s.queue_capacity;
+       line "queries %d" s.queries;
+       line "served-exact %d" s.served_exact;
+       line "served-subsumed %d" s.served_subsumed;
+       line "solved %d" s.solved;
+       line "rejected %d" s.rejected;
+       line "entries %d" s.store_entries
+   | Shutting_down -> line "ok shutdown"
+   | Refused reason -> line "error %s" reason);
+  Buffer.contents b
+
+(* {2 Parsing}
+
+   {!Certify.Text} readers: every failure is an [Error], never an
+   exception, and every count is bounded by [max_dim] before it sizes
+   an array. *)
+
+let read_query r ~exact_only =
+  let net_hash = match Text.kv r "net" with "-" -> None | h -> Some h in
+  let threshold = Text.float (Text.kv r "threshold") in
+  let components = Text.int (Text.kv r "components") in
+  let bound_mode = Text.kv r "bound-mode" in
   let time_limit =
-    match expect_kv next "time-limit" with
+    match Text.kv r "time-limit" with
     | "-" -> None
-    | s -> Some (parse_float s)
+    | s -> Some (Text.float s)
   in
-  let nbox = parse_dim "box" (parse_int (expect_kv next "box")) in
-  let box =
-    Array.init nbox (fun _ ->
-        match split (next ()) with
-        | [ lo; hi ] -> (parse_float lo, parse_float hi)
-        | _ -> malformed "bad box line")
+  let box = Text.box r ~max:max_dim in
+  let property =
+    { Certify.Certificate.threshold; components; bound_mode; box }
   in
-  Verify
-    {
-      property =
-        { Certify.Certificate.threshold; components; bound_mode; box };
-      net_hash;
-      time_limit;
-      exact_only;
-    }
+  Verify { property; net_hash; time_limit; exact_only }
 
-let parse_request payload =
-  try
-    let next = cursor payload in
-    match next () with
-    | "verify" -> Ok (parse_query next ~exact_only:false)
-    | "certify" -> Ok (parse_query next ~exact_only:true)
-    | "predict" ->
-        let n = parse_dim "input" (parse_int (expect_kv next "input")) in
-        Ok (Predict (Array.init n (fun _ -> parse_float (next ()))))
-    | "status" -> Ok Status
-    | "shutdown" -> Ok Shutdown
-    | op -> malformed "unknown operation %S" op
-  with
-  | Malformed m -> Error m
-  | Invalid_argument _ | Failure _ -> Error "malformed request"
+let read_request r =
+  match Text.next r with
+  | "verify" -> read_query r ~exact_only:false
+  | "certify" -> read_query r ~exact_only:true
+  | "predict" -> Predict (column r "input")
+  | "status" -> Status
+  | "shutdown" -> Shutdown
+  | op -> Text.fail "unknown operation %S" op
 
-let parse_response payload =
-  try
-    let next = cursor payload in
-    match split (next ()) with
-    | [ "ok"; "verify" ] ->
-        let verdict, witness_pending =
-          match split (next ()) with
-          | [ "verdict"; "proved" ] -> (V_proved, false)
-          | [ "verdict"; "disproved"; achieved ] ->
-              ( V_disproved
-                  { witness = [||]; achieved = parse_float achieved },
-                true )
-          | [ "verdict"; "unknown"; bound ] ->
-              (V_unknown { best_bound = parse_float bound }, false)
-          | _ -> malformed "bad verdict line"
-        in
-        let verdict =
-          if not witness_pending then verdict
-          else
-            let n =
-              parse_dim "witness" (parse_int (expect_kv next "witness"))
-            in
-            let witness = Array.init n (fun _ -> parse_float (next ())) in
-            match verdict with
-            | V_disproved { achieved; _ } -> V_disproved { witness; achieved }
-            | _ -> assert false
-        in
-        let cache =
-          match expect_kv next "cache" with
-          | "exact" -> Cache_exact
-          | "subsumed" -> Cache_subsumed
-          | "miss" -> Cache_miss
-          | s -> malformed "bad cache status %S" s
-        in
-        let certified = parse_int (expect_kv next "certified") in
-        let prop_hash = expect_kv next "prop" in
-        let solve_s = parse_float (expect_kv next "solve") in
-        let cert_dir = expect_kv next "dir" in
-        Ok (Answer { verdict; cache; certified; prop_hash; cert_dir; solve_s })
-    | [ "ok"; "predict" ] ->
-        let n = parse_dim "output" (parse_int (expect_kv next "output")) in
-        Ok (Outputs (Array.init n (fun _ -> parse_float (next ()))))
-    | [ "ok"; "status" ] ->
-        let f key = parse_float (expect_kv next key) in
-        let i key = parse_int (expect_kv next key) in
-        let uptime_s = f "uptime" in
-        let workers = i "workers" in
-        let failed_workers = i "failed-workers" in
-        let queue_depth = i "queue-depth" in
-        let queue_capacity = i "queue-capacity" in
-        let queries = i "queries" in
-        let served_exact = i "served-exact" in
-        let served_subsumed = i "served-subsumed" in
-        let solved = i "solved" in
-        let rejected = i "rejected" in
-        let store_entries = i "entries" in
-        Ok
-          (Stats
-             {
-               uptime_s;
-               workers;
-               failed_workers;
-               queue_depth;
-               queue_capacity;
-               queries;
-               served_exact;
-               served_subsumed;
-               solved;
-               rejected;
-               store_entries;
-             })
-    | [ "ok"; "shutdown" ] -> Ok Shutting_down
-    | "error" :: reason -> Ok (Refused (String.concat " " reason))
-    | _ -> malformed "bad response header"
-  with
-  | Malformed m -> Error m
-  | Invalid_argument _ | Failure _ -> Error "malformed response"
+let parse_request payload = Text.parse "payload" read_request payload
+
+let read_answer r =
+  let verdict =
+    match Text.words r with
+    | [ "verdict"; "proved" ] -> V_proved
+    | [ "verdict"; "disproved"; achieved ] ->
+        let achieved = Text.float achieved in
+        V_disproved { witness = column r "witness"; achieved }
+    | [ "verdict"; "unknown"; bound ] ->
+        V_unknown { best_bound = Text.float bound }
+    | _ -> Text.fail "bad verdict line"
+  in
+  let cache =
+    match Text.kv r "cache" with
+    | "exact" -> Cache_exact
+    | "subsumed" -> Cache_subsumed
+    | "miss" -> Cache_miss
+    | s -> Text.fail "bad cache status %S" s
+  in
+  let certified = Text.int (Text.kv r "certified") in
+  let prop_hash = Text.kv r "prop" in
+  let solve_s = Text.float (Text.kv r "solve") in
+  let cert_dir = Text.kv r "dir" in
+  Answer { verdict; cache; certified; prop_hash; cert_dir; solve_s }
+
+let read_stats r =
+  let i key = Text.int (Text.kv r key) in
+  let uptime_s = Text.float (Text.kv r "uptime") in
+  let workers = i "workers" in
+  let failed_workers = i "failed-workers" in
+  let queue_depth = i "queue-depth" in
+  let queue_capacity = i "queue-capacity" in
+  let queries = i "queries" in
+  let served_exact = i "served-exact" in
+  let served_subsumed = i "served-subsumed" in
+  let solved = i "solved" in
+  let rejected = i "rejected" in
+  let store_entries = i "entries" in
+  Stats
+    { uptime_s; workers; failed_workers; queue_depth; queue_capacity;
+      queries; served_exact; served_subsumed; solved; rejected;
+      store_entries }
+
+let read_response r =
+  match Text.words r with
+  | [ "ok"; "verify" ] -> read_answer r
+  | [ "ok"; "predict" ] -> Outputs (column r "output")
+  | [ "ok"; "status" ] -> read_stats r
+  | [ "ok"; "shutdown" ] -> Shutting_down
+  | "error" :: reason -> Refused (String.concat " " reason)
+  | _ -> Text.fail "bad response header"
+
+let parse_response payload = Text.parse "payload" read_response payload
 
 (* {1 Addresses} *)
 

@@ -17,10 +17,12 @@
 
     {2 Grammar}
 
-    The payload is line-oriented text, floats printed as hex literals
-    ([%h], bit-exact round trip — two processes computing the same
-    scenario box serialise the same bytes and therefore the same cache
-    key). First line is the operation:
+    The payload is the {!Certify.Text} line format without its checksum
+    line (the frame header carries the checksum): floats printed as hex
+    literals ([%h], bit-exact round trip — two processes computing the
+    same scenario box serialise the same bytes and therefore the same
+    cache key), every count bounded before it sizes an array. First line
+    is the operation:
 
     {v
     verify | certify          certify = exact cache key only, no
@@ -77,7 +79,9 @@ type request =
   | Shutdown
 
 val render_request : request -> string
+
 val parse_request : string -> (request, string) result
+(** Never raises: a malformed payload is [Error reason]. *)
 
 (** {2 Responses} *)
 
@@ -122,7 +126,9 @@ type response =
   | Refused of string
 
 val render_response : response -> string
+
 val parse_response : string -> (response, string) result
+(** Never raises, like {!parse_request}. *)
 
 val cache_string : cache -> string
 (** ["exact" | "subsumed" | "miss"] — the tokens scripts grep for. *)

@@ -1,6 +1,8 @@
 (* Certification layer: content hashes, outward arithmetic, LP dual
    replay for both simplex cores, certificate round trips and
-   mutation detection, journal crash-safety, and the certifying driver
+   mutation detection, journal crash-safety, the shared line format
+   (golden bytes of certificates, manifests and serve payloads, and
+   mutated bytes fed to every loader), and the certifying driver
    end-to-end against the independent audit. *)
 
 let small_net seed dims =
@@ -336,6 +338,480 @@ let test_journal_edited_line_skipped () =
   close_out oc;
   Alcotest.(check (list int)) "edited line rejected" [ 1 ] (loaded_components dir)
 
+(* {1 The line format}
+
+   Golden bytes: the literals below were written by the serialisers
+   before they shared one codec ({!Certify.Text}), and every later
+   writer must reproduce them, digests included. *)
+
+let golden_property =
+  {
+    Certify.Certificate.threshold = 1.5;
+    components = 2;
+    bound_mode = "symbolic";
+    box = [| (-0.5, 0.5); (-0.0, 0x1.23456789abcdp-7); (-1e-300, 1e300) |];
+  }
+
+let golden_cert body =
+  {
+    Certify.Certificate.net_hash = "0123456789abcdef";
+    property = golden_property;
+    component = 1;
+    output = 4;
+    body;
+  }
+
+(* One leaf per evidence kind, plus an empty dual vector. *)
+let golden_tree =
+  Certify.Certificate.Milp_tree
+    {
+      model_hash = "fedcba9876543210";
+      leaves =
+        [|
+          { fixes = [||]; evidence = Ev_bounded [| 0.25; -3.0 |] };
+          {
+            fixes = [| (3, 0.0, 0.0); (5, -1.0, 0.5) |];
+            evidence = Ev_infeasible [| 1.0; -0.0; 0.1 |];
+          };
+          { fixes = [| (3, 1.0, 1.0) |]; evidence = Ev_empty_row 7 };
+          {
+            fixes = [| (2, 0.0, 1.0) |];
+            evidence = Ev_unsupported "node-bound prune";
+          };
+          { fixes = [| (4, 0.0, 1.0) |]; evidence = Ev_bounded [||] };
+        |];
+    }
+
+let golden_presolve =
+  Certify.Certificate.Presolve
+    { coeffs = [| 0.5; -0.25; 0.0 |]; const = 0.125; bound = 1.375 }
+
+let golden_witness =
+  Certify.Certificate.Witness { input = [| 0.1; -0.2; 0.3 |]; achieved = 1.75 }
+
+let golden_header =
+  "depnn-certificate v1\n\
+   net 0123456789abcdef\n\
+   component 1\n\
+   output 4\n\
+   threshold 0x1.8p+0\n\
+   components 2\n\
+   bound-mode symbolic\n\
+   box 3\n\
+   -0x1p-1 0x1p-1\n\
+   -0x0p+0 0x1.23456789abcdp-7\n\
+   -0x1.56e1fc2f8f359p-997 0x1.7e43c8800759cp+996\n"
+
+let golden_certs =
+  [
+    ( golden_tree,
+      golden_header
+      ^ "body milp-tree fedcba9876543210 5\n\
+         leaf 0 bounded 2\n\
+         y 0x1p-2 -0x1.8p+1\n\
+         leaf 2 infeasible 3\n\
+         fix 3 0x0p+0 0x0p+0\n\
+         fix 5 -0x1p+0 0x1p-1\n\
+         y 0x1p+0 -0x0p+0 0x1.999999999999ap-4\n\
+         leaf 1 empty-row 7\n\
+         fix 3 0x1p+0 0x1p+0\n\
+         leaf 1 unsupported node-bound prune\n\
+         fix 2 0x0p+0 0x1p+0\n\
+         leaf 1 bounded 0\n\
+         fix 4 0x0p+0 0x1p+0\n\
+         y\n\
+         checksum e91d380de20dd270\n" );
+    ( golden_presolve,
+      golden_header
+      ^ "body presolve 0x1.6p+0 0x1p-3 3\n\
+         c 0x1p-1 -0x1p-2 0x0p+0\n\
+         checksum a01af0f0e8663431\n" );
+    ( golden_witness,
+      golden_header
+      ^ "body witness 0x1.cp+0 3\n\
+         x 0x1.999999999999ap-4 -0x1.999999999999ap-3 0x1.3333333333333p-2\n\
+         checksum 0bbcefab0439af8d\n" );
+  ]
+
+let test_golden_certificates () =
+  List.iter
+    (fun (body, bytes) ->
+      let c = golden_cert body in
+      Alcotest.(check string) "same bytes" bytes
+        (Certify.Certificate.to_string c);
+      Alcotest.(check bool) "reads back" true
+        (Certify.Certificate.of_string bytes = Ok c))
+    golden_certs
+
+let test_golden_digests () =
+  Alcotest.(check string) "property hash" "f6c51166354a7d34"
+    (Certify.Certificate.property_hash ~net_hash:"0123456789abcdef"
+       golden_property);
+  Alcotest.(check string) "property key" "d915a92db20dfe59"
+    (Certify.Certificate.property_key golden_property)
+
+(* Parent box [-1, 1] x [0, 2], cut at 0 on dimension 0, the upper half
+   cut again at 0.5 on dimension 1. *)
+let shard_property =
+  {
+    golden_property with
+    Certify.Certificate.box = [| (-1.0, 1.0); (0.0, 2.0) |];
+  }
+
+let shard_tiles =
+  [|
+    [| (-1.0, 0.0); (0.0, 2.0) |];
+    [| (0.0, 1.0); (0.0, 0.5) |];
+    [| (0.0, 1.0); (0.5, 2.0) |];
+  |]
+
+let golden_manifest =
+  {
+    Certify.Shard.net_hash = "0123456789abcdef";
+    property = shard_property;
+    tree =
+      Split
+        {
+          dim = 0;
+          cut = 0.0;
+          below = Tile;
+          above = Split { dim = 1; cut = 0.5; below = Tile; above = Tile };
+        };
+    leaf_hashes =
+      Array.map
+        (fun box ->
+          Certify.Certificate.property_hash ~net_hash:"0123456789abcdef"
+            { shard_property with Certify.Certificate.box })
+        shard_tiles;
+  }
+
+let manifest_payload =
+  "depnn-shard v1\n\
+   net 0123456789abcdef\n\
+   threshold 0x1.8p+0\n\
+   components 2\n\
+   bound-mode symbolic\n\
+   box 2\n\
+   -0x1p+0 0x1p+0\n\
+   0x0p+0 0x1p+1\n\
+   tree 5\n\
+   split 0 0x0p+0\n\
+   tile 3bdbc966f78e917c\n\
+   split 1 0x1p-1\n\
+   tile c260e0b6f5eb8911\n\
+   tile 7005120c695d8571\n"
+
+let seal payload =
+  payload ^ "checksum " ^ Certify.Chash.of_string payload ^ "\n"
+
+let golden_manifest_bytes = manifest_payload ^ "checksum e93cb8414c2391bb\n"
+
+let test_shard_round_trip () =
+  Alcotest.(check string) "same bytes" golden_manifest_bytes
+    (Certify.Shard.to_string golden_manifest);
+  Alcotest.(check bool) "reads back" true
+    (Certify.Shard.of_string golden_manifest_bytes = Ok golden_manifest);
+  Alcotest.(check bool) "tiles recomputed" true
+    (Certify.Shard.check golden_manifest = Ok shard_tiles)
+
+let rejects what expected bytes =
+  match Certify.Shard.of_string bytes with
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error reason -> Alcotest.(check string) what expected reason
+
+let replace ~sub ~by s =
+  Str.global_replace (Str.regexp_string sub) by s
+
+let test_shard_mutations_rejected () =
+  let b = Bytes.of_string golden_manifest_bytes in
+  let i = Bytes.length b / 2 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  rejects "one flipped bit"
+    "checksum mismatch (manifest mutated or truncated)" (Bytes.to_string b);
+  (* Re-sealed: the checksum passes, the structure must not. *)
+  rejects "tree larger than declared" "tree larger than declared"
+    (seal (replace ~sub:"tree 5" ~by:"tree 3" manifest_payload));
+  rejects "tree smaller than declared" "tree smaller than declared"
+    (seal (replace ~sub:"tree 5" ~by:"tree 7" manifest_payload));
+  rejects "trailing data" "trailing data after tree"
+    (seal (manifest_payload ^ "tile 7005120c695d8571\n"));
+  rejects "empty tree" "bad tree count 0"
+    (seal (replace ~sub:"tree 5" ~by:"tree 0" manifest_payload))
+
+let golden_requests =
+  let box_lines =
+    "box 3\n\
+     -0x1p-1 0x1p-1\n\
+     -0x0p+0 0x1.23456789abcdp-7\n\
+     -0x1.56e1fc2f8f359p-997 0x1.7e43c8800759cp+996\n"
+  in
+  [
+    ( Serve.Protocol.Verify
+        {
+          Serve.Protocol.property = golden_property;
+          net_hash = Some "0123456789abcdef";
+          time_limit = Some 30.0;
+          exact_only = false;
+        },
+      "verify\n\
+       net 0123456789abcdef\n\
+       threshold 0x1.8p+0\n\
+       components 2\n\
+       bound-mode symbolic\n\
+       time-limit 0x1.ep+4\n" ^ box_lines );
+    ( Serve.Protocol.Verify
+        {
+          Serve.Protocol.property = golden_property;
+          net_hash = None;
+          time_limit = None;
+          exact_only = true;
+        },
+      "certify\n\
+       net -\n\
+       threshold 0x1.8p+0\n\
+       components 2\n\
+       bound-mode symbolic\n\
+       time-limit -\n" ^ box_lines );
+    ( Serve.Protocol.Predict [| 0.0; -1.5; 0x1.23456789abcdp-7 |],
+      "predict\n\
+       input 3\n\
+       0x0p+0\n\
+       -0x1.8p+0\n\
+       0x1.23456789abcdp-7\n" );
+    (Serve.Protocol.Status, "status\n");
+    (Serve.Protocol.Shutdown, "shutdown\n");
+  ]
+
+let golden_answer verdict cache =
+  Serve.Protocol.Answer
+    {
+      Serve.Protocol.verdict;
+      cache;
+      certified = 2;
+      prop_hash = "8e56a7733f340ba2";
+      cert_dir = "/srv/cache dir/8e56a7733f340ba2";
+      solve_s = 0.03125;
+    }
+
+let golden_responses =
+  let tail cache =
+    Printf.sprintf
+      "cache %s\n\
+       certified 2\n\
+       prop 8e56a7733f340ba2\n\
+       solve 0x1p-5\n\
+       dir /srv/cache dir/8e56a7733f340ba2\n"
+      cache
+  in
+  [
+    ( golden_answer Serve.Protocol.V_proved Serve.Protocol.Cache_miss,
+      "ok verify\nverdict proved\n" ^ tail "miss" );
+    ( golden_answer
+        (Serve.Protocol.V_disproved
+           { witness = [| 0.1; -0.2 |]; achieved = 1.75 })
+        Serve.Protocol.Cache_subsumed,
+      "ok verify\n\
+       verdict disproved 0x1.cp+0\n\
+       witness 2\n\
+       0x1.999999999999ap-4\n\
+       -0x1.999999999999ap-3\n" ^ tail "subsumed" );
+    ( golden_answer
+        (Serve.Protocol.V_unknown { best_bound = 3.5 })
+        Serve.Protocol.Cache_exact,
+      "ok verify\nverdict unknown 0x1.cp+1\n" ^ tail "exact" );
+    ( Serve.Protocol.Outputs [| 1.0; 2.0; -3.0 |],
+      "ok predict\noutput 3\n0x1p+0\n0x1p+1\n-0x1.8p+1\n" );
+    ( Serve.Protocol.Stats
+        {
+          Serve.Protocol.uptime_s = 12.5;
+          workers = 2;
+          failed_workers = 1;
+          queue_depth = 3;
+          queue_capacity = 64;
+          queries = 10;
+          served_exact = 4;
+          served_subsumed = 2;
+          solved = 3;
+          rejected = 1;
+          store_entries = 5;
+        },
+      "ok status\n\
+       uptime 0x1.9p+3\n\
+       workers 2\n\
+       failed-workers 1\n\
+       queue-depth 3\n\
+       queue-capacity 64\n\
+       queries 10\n\
+       served-exact 4\n\
+       served-subsumed 2\n\
+       solved 3\n\
+       rejected 1\n\
+       entries 5\n" );
+    (Serve.Protocol.Shutting_down, "ok shutdown\n");
+    ( Serve.Protocol.Refused "server saturated (queue full)",
+      "error server saturated (queue full)\n" );
+  ]
+
+let test_golden_payloads () =
+  List.iter
+    (fun (r, bytes) ->
+      Alcotest.(check string) "same request bytes" bytes
+        (Serve.Protocol.render_request r);
+      Alcotest.(check bool) "request reads back" true
+        (Serve.Protocol.parse_request bytes = Ok r))
+    golden_requests;
+  List.iter
+    (fun (r, bytes) ->
+      Alcotest.(check string) "same response bytes" bytes
+        (Serve.Protocol.render_response r);
+      Alcotest.(check bool) "response reads back" true
+        (Serve.Protocol.parse_response bytes = Ok r))
+    golden_responses
+
+(* {2 Mutated bytes never raise}
+
+   Every loader of untrusted bytes answers a mutated artefact with
+   [Error] (or, for the journal, by skipping the line), never with an
+   exception. The mutations: a byte set to any value, truncation, an
+   inserted byte, up to eight deleted bytes, a duplicated or dropped
+   line, and a numeric word swapped for a hostile one. Certificates are
+   mutated raw (the checksum rejects almost all of it) and re-sealed
+   (so the parser sees the damage); manifests re-sealed. Whatever a
+   codec loader accepts must write back to bytes it reads back the
+   same. *)
+
+let hostile_numbers = [| "-1"; "nan"; "1e400"; "4611686018427387903" |]
+
+let swap_numeric_word rs s =
+  let n = String.length s in
+  let sep c = c = ' ' || c = '\n' in
+  let rec spans i acc =
+    if i >= n then acc
+    else if sep s.[i] then spans (i + 1) acc
+    else
+      let j = ref i in
+      while !j < n && not (sep s.[!j]) do incr j done;
+      let w = String.sub s i (!j - i) in
+      let numeric = float_of_string_opt w <> None in
+      spans !j (if numeric then (i, !j - i) :: acc else acc)
+  in
+  match Array.of_list (spans 0 []) with
+  | [||] -> s
+  | words ->
+      let i, len = words.(Random.State.int rs (Array.length words)) in
+      let v = hostile_numbers.(Random.State.int rs 4) in
+      String.sub s 0 i ^ v ^ String.sub s (i + len) (n - i - len)
+
+let mutate rs s =
+  let n = String.length s in
+  let at () = Random.State.int rs (n + 1) in
+  let byte () = String.make 1 (Char.chr (Random.State.int rs 256)) in
+  let lines () = String.split_on_char '\n' s in
+  let pick l = Random.State.int rs (List.length l) in
+  match Random.State.int rs 7 with
+  | 0 when n > 0 ->
+      let i = Random.State.int rs n in
+      String.sub s 0 i ^ byte () ^ String.sub s (i + 1) (n - i - 1)
+  | 1 -> String.sub s 0 (at ())
+  | 2 ->
+      let i = at () in
+      String.sub s 0 i ^ byte () ^ String.sub s i (n - i)
+  | 3 when n > 0 ->
+      let i = Random.State.int rs n in
+      let k = 1 + Random.State.int rs (min 8 (n - i)) in
+      String.sub s 0 i ^ String.sub s (i + k) (n - i - k)
+  | 4 ->
+      let l = lines () in
+      let k = pick l in
+      String.concat "\n"
+        (List.concat (List.mapi (fun i x -> if i = k then [ x; x ] else [ x ]) l))
+  | 5 ->
+      let l = lines () in
+      let k = pick l in
+      String.concat "\n" (List.filteri (fun i _ -> i <> k) l)
+  | _ -> swap_numeric_word rs s
+
+(* Mutate what comes before the checksum line, then seal it again. *)
+let resealed rs mutate_payload sealed =
+  let payload =
+    String.sub sealed 0
+      (String.rindex_from sealed (String.length sealed - 2) '\n' + 1)
+  in
+  let p = mutate_payload rs payload in
+  seal (if p = "" || p.[String.length p - 1] = '\n' then p else p ^ "\n")
+
+let stable parse render bytes =
+  match parse bytes with
+  | Error _ -> true
+  | Ok v -> (
+      let again = render v in
+      match parse again with Ok v' -> render v' = again | Error _ -> false)
+
+let prop_loaders_never_raise =
+  let journal_dir = fresh_dir "fuzz_journal" in
+  let journal_path = Filename.concat journal_dir "journal.log" in
+  (* Three entries, appended on first use. *)
+  let journal =
+    lazy
+      (List.iter
+         (fun i -> Certify.Journal.append ~dir:journal_dir (entry i))
+         [ 0; 1; 2 ];
+       In_channel.with_open_bin journal_path In_channel.input_all)
+  in
+  let nets =
+    List.map
+      (fun dims -> Nn.Io.to_string (small_net 5 dims))
+      [ [ 2; 1 ]; [ 2; 3; 1 ] ]
+  in
+  let certs = List.map snd golden_certs in
+  let requests = List.map snd golden_requests in
+  let responses = List.map snd golden_responses in
+  let cert = Certify.Certificate.(stable of_string to_string) in
+  let manifest = Certify.Shard.(stable of_string to_string) in
+  let request = Serve.Protocol.(stable parse_request render_request) in
+  let response = Serve.Protocol.(stable parse_response render_response) in
+  let load_journal bytes =
+    Out_channel.with_open_bin journal_path (fun oc ->
+        Out_channel.output_string oc bytes);
+    List.length (Certify.Journal.load ~dir:journal_dir)
+    <= List.length (String.split_on_char '\n' bytes)
+  in
+  let load_net bytes =
+    match Nn.Io.of_string_result bytes with Ok _ | Error _ -> true
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"loaders answer mutated bytes with Error, never an exception"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int rs (List.length l)) in
+      let mutations rs s =
+        let s = ref s in
+        for _ = 0 to Random.State.int rs 3 do s := mutate rs !s done;
+        !s
+      in
+      let run (name, loader, bytes) =
+        match loader bytes with
+        | true -> true
+        | false ->
+            QCheck.Test.fail_reportf "%s: accepted %S but does not read back"
+              name bytes
+        | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s on %S" name
+              (Printexc.to_string e) bytes
+      in
+      List.for_all run
+        [
+          ("certificate (raw)", cert, mutations rs (pick certs));
+          ("certificate (re-sealed)", cert, resealed rs mutations (pick certs));
+          ("manifest (re-sealed)", manifest,
+           resealed rs mutations golden_manifest_bytes);
+          ("request", request, mutations rs (pick requests));
+          ("response", response, mutations rs (pick responses));
+          ("journal", load_journal, mutations rs (Lazy.force journal));
+          ("network", load_net, mutations rs (pick nets));
+        ])
+
 (* {1 Certifying driver + independent audit, end-to-end} *)
 
 let exact_max net b0 =
@@ -607,6 +1083,16 @@ let () =
         [
           quick "round trip + torn line" test_journal_round_trip_and_torn_line;
           quick "edited line skipped" test_journal_edited_line_skipped;
+        ] );
+      ( "line format",
+        [
+          quick "golden certificates" test_golden_certificates;
+          quick "golden digests" test_golden_digests;
+          quick "shard round trip" test_shard_round_trip;
+          quick "shard mutations rejected" test_shard_mutations_rejected;
+          quick "golden payloads" test_golden_payloads;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
+            prop_loaders_never_raise;
         ] );
       ( "end-to-end",
         [

@@ -549,6 +549,17 @@ let test_io_rejects_garbage () =
   Alcotest.(check bool) "bad magic" true (is_syntax (io_error "not a network"));
   Alcotest.(check bool) "truncated" true
     (is_syntax (io_error "depnn-network v1\nlayers 2\nlayer 2 2 relu\n"));
+  (* Six lines declaring more layers than they hold: the count must be
+     refused before it sizes anything. 4611686018427387903 is past any
+     array's length limit, and 400000000 layers would take 3.2 GB. *)
+  List.iter
+    (fun count ->
+      Alcotest.(check bool) ("layers " ^ count) true
+        (is_syntax
+           (io_error
+              ("depnn-network v1\nlayers " ^ count
+             ^ "\nlayer 2 2 relu\n0.5 0.5\n1 0\n0 1\n"))))
+    [ "4611686018427387903"; "400000000" ];
   Alcotest.(check bool) "of_string raises typed exception" true
     (try
        ignore (Nn.Io.of_string "not a network");
