@@ -24,9 +24,7 @@
      DEPNN_SAMPLES      training scenes (default 1500)
      DEPNN_EPOCHS       training epochs (default 15)
      DEPNN_CORES        worker domains for OBBT + branch & bound
-                        (default 1; the paper used a 12-core VM)
-     DEPNN_BATCH        scenes per batched forward in the fault
-                        campaign (default Guard.default_batch) *)
+                        (default 1; the paper used a 12-core VM) *)
 
 (* A malformed knob warns and falls back to the default instead of
    aborting the whole suite with [Failure "int_of_string"] — the same
@@ -74,10 +72,6 @@ let n_samples =
 let epochs =
   env_knob "DEPNN_EPOCHS" ~describe:"a positive integer" ~default:15
     ~parse:positive_int
-
-let batch =
-  env_knob "DEPNN_BATCH" ~describe:"a positive integer"
-    ~default:Guard.default_batch ~parse:positive_int
 
 let components = 3
 let seed = 7
@@ -297,25 +291,90 @@ let ablation () =
   let width = List.hd widths in
   let net = train_width width in
   let box = Lazy.force scenario in
-  let run name ?(bound_mode = Encoding.Encoder.Interval_bounds)
-      ?(tighten_rounds = 1) () =
-    let r =
-      Verify.Driver.max_lateral_velocity ~time_limit ~bound_mode
-        ~tighten_rounds ~components net box
-    in
+  let row name ~binaries ~nodes ~pivots ~elapsed ~value ~optimal ~upper =
     Printf.printf "%-34s binaries=%-4d nodes=%-6d pivots=%-8d %6.1fs %s\n%!"
-      name r.Verify.Driver.unstable_neurons r.Verify.Driver.nodes
-      r.Verify.Driver.lp_iterations r.Verify.Driver.elapsed
-      (match (r.Verify.Driver.value, r.Verify.Driver.optimal) with
+      name binaries nodes pivots elapsed
+      (match (value, optimal) with
        | Some v, true -> Printf.sprintf "max=%.4f (exact)" v
-       | Some v, false -> Printf.sprintf "max>=%.4f (bound %.4f)" v r.Verify.Driver.upper_bound
+       | Some v, false -> Printf.sprintf "max>=%.4f (bound %.4f)" v upper
        | None, _ -> "no incumbent")
   in
+  let run name ~tighten_rounds =
+    let r =
+      Verify.Driver.max_lateral_velocity ~time_limit ~tighten_rounds
+        ~components net box
+    in
+    row name ~binaries:r.Verify.Driver.unstable_neurons
+      ~nodes:r.Verify.Driver.nodes ~pivots:r.Verify.Driver.lp_iterations
+      ~elapsed:r.Verify.Driver.elapsed ~value:r.Verify.Driver.value
+      ~optimal:r.Verify.Driver.optimal ~upper:r.Verify.Driver.upper_bound
+  in
+  (* The naive global big-M: every neuron's constants come from a
+     single input radius instead of from the scenario box. The interval
+     encoding of [-radius, radius]^84 has exactly those constants, and
+     narrowing its input variables to the box gives the model such an
+     encoder emits. Each component is then searched the way
+     [max_lateral_velocity] searches its own encoding on one core. *)
+  let coarse name ~radius =
+    let started = Linalg.Mclock.now () in
+    let deadline = started +. time_limit in
+    let wide = Interval.top radius in
+    if not (Array.for_all (fun iv -> Interval.subset iv wide) box) then
+      failwith "ablation: the scenario box exceeds the coarse radius";
+    let enc = Encoding.Encoder.encode net (Array.map (fun _ -> wide) box) in
+    let model = enc.Encoding.Encoder.model in
+    Array.iteri
+      (fun i v ->
+        Lp.Problem.set_bounds (Milp.Model.lp model) v ~lo:box.(i).Interval.lo
+          ~hi:box.(i).Interval.hi)
+      enc.Encoding.Encoder.input_vars;
+    let priority = Encoding.Encoder.layer_order_priority enc in
+    let post = enc.Encoding.Encoder.bounds.Encoding.Bounds.post in
+    let searches =
+      List.init components (fun i ->
+          let k = Nn.Gmm.mu_lat_index ~components i in
+          let primal_heuristic relaxation =
+            let input = Encoding.Encoder.input_point enc relaxation in
+            let point = Encoding.Encoder.assignment_of_input enc net input in
+            Some (point, point.(enc.Encoding.Encoder.output_vars.(k)))
+          in
+          let r =
+            Milp.Solver.solve
+              ~time_limit:
+                (Verify.Driver.budget_slice ~deadline
+                   ~queue_len:(components - i) ())
+              ~branch_rule:(Milp.Solver.Priority priority) ~primal_heuristic
+              ~objective:(Encoding.Encoder.output_objective enc k) model
+          in
+          (r, Float.min r.Milp.Solver.best_bound
+                post.(Array.length post - 1).(k).Interval.hi))
+    in
+    let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 searches in
+    let value =
+      List.fold_left
+        (fun best (r, _) ->
+          match (r.Milp.Solver.incumbent, best) with
+          | Some (_, v), Some b when v <= b -> best
+          | Some (_, v), _ -> Some v
+          | None, _ -> best)
+        None searches
+    in
+    row name ~binaries:enc.Encoding.Encoder.stats.Encoding.Encoder.unstable
+      ~nodes:(sum (fun r -> r.Milp.Solver.nodes))
+      ~pivots:(sum (fun r -> r.Milp.Solver.lp_iterations))
+      ~elapsed:(Linalg.Mclock.elapsed ~since:started) ~value
+      ~optimal:
+        (value <> None
+        && List.for_all
+             (fun (r, _) -> r.Milp.Solver.outcome = Milp.Solver.Optimal)
+             searches)
+      ~upper:
+        (List.fold_left (fun u (_, b) -> Float.max u b) neg_infinity searches)
+  in
   Printf.printf "verifying I4x%d under different configurations:\n\n" width;
-  run "interval big-M + OBBT, best-first" ();
-  run "interval big-M, no OBBT" ~tighten_rounds:0 ();
-  run "coarse big-M (radius 4), no OBBT"
-    ~bound_mode:(Encoding.Encoder.Coarse 4.0) ~tighten_rounds:0 ();
+  run "interval big-M + OBBT, best-first" ~tighten_rounds:1;
+  run "interval big-M, no OBBT" ~tighten_rounds:0;
+  coarse "coarse big-M (radius 4), no OBBT" ~radius:4.0;
   print_newline ();
   print_endline
     "interval-propagated big-M constants prune stable neurons before search;\n\
@@ -406,7 +465,7 @@ let fault_bench () =
   let trials = 200 in
   let rng = Linalg.Rng.create (seed + 32) in
   let report =
-    Fault.Campaign.run ~rng ~envelope ~batch ~scenes ~trials net
+    Fault.Campaign.run ~rng ~envelope ~scenes ~trials net
   in
   Printf.printf
     "campaign: %d trials x %d scenes in %.2fs (%.0f guarded predictions/s)\n"
@@ -470,7 +529,8 @@ let portfolio_measurements () =
    input sweeps, so packing and column extraction are charged to the
    batched path. *)
 let batched_forward_measurements () =
-  let bf_widths = [ 10; 20; 50 ] and bf_batches = [ 32; 128; 512 ] in
+  let bf_widths = [ 10; 20; 50 ]
+  and bf_batches = [ 32; Nn.Network.chunk_width; 512 ] in
   let rng = Linalg.Rng.create 11 in
   let inputs =
     Array.init 512 (fun _ ->
@@ -521,76 +581,7 @@ let batch_report () =
   List.iter
     (fun (w, b, s, bt, sp) ->
       Printf.printf "I4x%-5d %-7d %-15.0f %-15.0f %.1fx\n%!" w b s bt sp)
-    (batched_forward_measurements ());
-  (* End-to-end check: the same seeded campaign with packed products
-     of the default width and of one column each. Counts must match
-     exactly; only wall clock moves. *)
-  let rng = Linalg.Rng.create (seed + 33) in
-  let scenes =
-    Highway.Recorder.record ~rng ~style:(Highway.Policy.Risky 0.0)
-      ~n_samples:200 ()
-    |> Array.map (fun s -> s.Highway.Recorder.features)
-  in
-  let net =
-    Nn.Network.i4xn
-      ~rng:(Linalg.Rng.create (seed + 34))
-      ~output_dim:(Nn.Gmm.output_dim ~components)
-      20
-  in
-  let envelope = Guard.envelope ~components ~lat_limit:1.5 () in
-  let campaign b =
-    Fault.Campaign.run
-      ~rng:(Linalg.Rng.create (seed + 35))
-      ~envelope ~batch:b ~scenes ~trials:50 net
-  in
-  (* One campaign takes tens of milliseconds, too short for a single
-     timing to say anything: time [repeats] campaigns at each size,
-     alternating, and compare the medians. *)
-  let repeats = 21 in
-  let runs = Array.init repeats (fun _ -> (campaign batch, campaign 1)) in
-  let median_ms pick =
-    let ms =
-      Array.map (fun r -> 1e3 *. (pick r).Fault.Campaign.elapsed) runs
-    in
-    Array.sort Float.compare ms;
-    ms.(repeats / 2)
-  in
-  let batched_ms = median_ms fst and scalar_ms = median_ms snd in
-  Printf.printf
-    "\ncampaign (50 trials x 200 scenes), median of %d alternated runs: \
-     %.2f ms at batch %d vs %.2f ms at batch 1 (%.2fx)\n"
-    repeats batched_ms batch scalar_ms (scalar_ms /. batched_ms);
-  let counts (r : Fault.Campaign.report) =
-    Fault.Campaign.
-      [
-        ("detected", r.detected);
-        ("nan", r.nan_trials);
-        ("nan detected", r.nan_detected);
-        ("violations", r.violation_trials);
-        ("violations detected", r.violations_detected);
-        ("silent", r.silent);
-        ("benign", r.benign);
-        ("escaped", r.escaped_exceptions);
-        ("fallbacks", r.total_fallbacks);
-      ]
-  in
-  let mismatched =
-    Array.fold_left
-      (fun acc (batched, scalar) ->
-        if acc <> [] then acc
-        else
-          List.filter
-            (fun ((_, a), (_, b)) -> a <> b)
-            (List.combine (counts batched) (counts scalar)))
-      [] runs
-  in
-  List.iter
-    (fun ((name, a), (_, b)) ->
-      Printf.printf "  %s: %d at batch %d, %d at batch 1\n" name a batch b)
-    mismatched;
-  Printf.printf "campaign counts identical across batch sizes: %b\n"
-    (mismatched = []);
-  if mismatched <> [] then exit 1
+    (batched_forward_measurements ())
 
 (* {1 Serve-cache measurements (shared by [serve] and micro --json)} *)
 

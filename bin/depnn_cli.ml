@@ -26,8 +26,8 @@ let seed_arg =
 
 (* A plain [Arg.int] would accept 0 or negative sizes and only blow up
    deep inside the run (or silently run on one core); reject them at the
-   usage level like the other suffixed options ($(b,--bound-mode)).
-   [what] names the count in the error message. *)
+   usage level, as --bound-mode rejects an unknown mode. [what] names
+   the count in the error message. *)
 let int_conv ~accept ~expected what =
   let parse s =
     match int_of_string_opt (String.trim s) with
@@ -124,19 +124,6 @@ let slack_arg =
         0.03
     & info [ "slack" ] ~docv:"R" ~doc:"Scenario box slack (normalised).")
 
-let batch_conv = positive_int_conv "columns per batched forward"
-
-let batch_arg =
-  Arg.(
-    value
-    & opt batch_conv Guard.default_batch
-    & info [ "batch" ] ~docv:"N"
-        ~env:(Cmd.Env.info "DEPNN_BATCH")
-        ~doc:
-          "Scenes per cache-blocked batched forward pass in replay loops \
-           (guard sanity check, fault campaign). Results are identical \
-           for every batch size; only throughput changes.")
-
 let components = 3
 
 (* {1 network files} *)
@@ -157,27 +144,18 @@ let load_net path =
 
 (* {1 bound modes} *)
 
-let bound_mode_name = function
-  | Encoding.Encoder.Interval_bounds -> "interval"
-  | Encoding.Encoder.Symbolic_bounds -> "symbolic"
-  | Encoding.Encoder.Coarse r -> Printf.sprintf "coarse:%g" r
-
+(* Modes go by the names certificates and the serve protocol carry. *)
 let bound_mode_conv =
   let parse s =
-    let s = String.lowercase_ascii (String.trim s) in
-    match s with
-    | "interval" -> Ok Encoding.Encoder.Interval_bounds
-    | "symbolic" -> Ok Encoding.Encoder.Symbolic_bounds
-    | _ when String.length s > 7 && String.sub s 0 7 = "coarse:" -> (
-        let radius = String.sub s 7 (String.length s - 7) in
-        match float_of_string_opt radius with
-        | Some r when r > 0.0 && Float.is_finite r ->
-            Ok (Encoding.Encoder.Coarse r)
-        | Some _ | None ->
-            Error (`Msg "coarse radius must be a positive finite number"))
-    | _ -> Error (`Msg "expected 'interval', 'symbolic' or 'coarse:R'")
+    match
+      Certify.Checker.mode_of_string (String.lowercase_ascii (String.trim s))
+    with
+    | Some m -> Ok m
+    | None -> Error (`Msg "expected 'interval' or 'symbolic'")
   in
-  let print ppf m = Format.pp_print_string ppf (bound_mode_name m) in
+  let print ppf m =
+    Format.pp_print_string ppf (Certify.Checker.mode_string m)
+  in
   Arg.conv (parse, print)
 
 let bound_mode_arg =
@@ -190,8 +168,7 @@ let bound_mode_arg =
            propagation), $(b,symbolic) (DeepPoly-style symbolic \
            propagation — tighter big-M constants, fewer binaries, and an \
            incomplete pre-verifier that can discharge the property with \
-           zero search nodes), or $(b,coarse:R) (single global radius R, \
-           the loose-big-M ablation).")
+           zero search nodes).")
 
 let record ~seed ~samples ~risky =
   let rng = Linalg.Rng.create seed in
@@ -357,7 +334,7 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
   Printf.printf "verifying %s (%d core%s, %s bounds)\n"
     (Nn.Network.describe net) cores
     (if cores = 1 then "" else "s")
-    (bound_mode_name bound_mode);
+    (Certify.Checker.mode_string bound_mode);
   let box = Verify.Scenario.vehicle_on_left ~slack () in
   (* Pre-OBBT stability under both analyses, so the binary-count
      reduction bought by the symbolic mode is visible at a glance. *)
@@ -400,8 +377,9 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
        Printf.printf
          "encoding (%s, post-obbt): %d stable active, %d stable inactive, %d \
           unstable; %d nodes, %.1fs\n"
-         (bound_mode_name bound_mode) st.Encoding.Encoder.stable_active
-         st.Encoding.Encoder.stable_inactive st.Encoding.Encoder.unstable
+         (Certify.Checker.mode_string bound_mode)
+         st.Encoding.Encoder.stable_active st.Encoding.Encoder.stable_inactive
+         st.Encoding.Encoder.unstable
          r.Verify.Driver.nodes r.Verify.Driver.elapsed;
        Printf.printf "lp: %d rows x %d cols, %d nnz (density %.4f)\n"
          st.Encoding.Encoder.rows st.Encoding.Encoder.cols
@@ -680,7 +658,7 @@ let derive_envelope ~lat_limit ~time_limit ~cores net =
       e
 
 let fault_campaign net_path seed width trials scenes lat_limit time_limit
-    cores batch reverify smoke =
+    cores reverify smoke =
   let net = load_or_synthesize net_path ~seed ~width in
   let envelope = derive_envelope ~lat_limit ~time_limit ~cores net in
   let scenes = record_scenes ~seed ~n:scenes in
@@ -700,8 +678,8 @@ let fault_campaign net_path seed width trials scenes lat_limit time_limit
     end
   in
   let report =
-    Fault.Campaign.run ~rng ~envelope ~reverify ~cores ~batch ~faults ~scenes
-      ~trials net
+    Fault.Campaign.run ~rng ~envelope ~reverify ~cores ~faults ~scenes ~trials
+      net
   in
   print_string (Fault.Campaign.render report);
   if smoke then begin
@@ -778,14 +756,14 @@ let fault_campaign_cmd =
        ~doc:"Inject seeded faults and measure how the runtime guard degrades.")
     Term.(const fault_campaign $ opt_net_arg $ seed_arg $ width_arg
           $ trials_arg $ scenes_arg $ lat_limit_arg $ time_limit_arg
-          $ cores_arg $ batch_arg $ reverify $ smoke)
+          $ cores_arg $ reverify $ smoke)
 
 let fault_cmd =
   Cmd.group
     (Cmd.info "fault" ~doc:"Fault-injection experiments on the predictor.")
     [ fault_campaign_cmd ]
 
-let guard_run net_path seed width scenes lat_limit time_limit cores batch
+let guard_run net_path seed width scenes lat_limit time_limit cores
     demo_fault =
   let net = load_or_synthesize net_path ~seed ~width in
   let envelope = derive_envelope ~lat_limit ~time_limit ~cores net in
@@ -809,7 +787,7 @@ let guard_run net_path seed width scenes lat_limit time_limit cores batch
     | Some ch -> Array.map (Fault.Model.corrupt ch) scenes
     | None -> scenes
   in
-  ignore (Guard.predict_batch ~batch guard inputs);
+  ignore (Guard.predict_batch guard inputs);
   print_string (Guard.render_diagnostics (Guard.diagnostics guard))
 
 let guard_cmd =
@@ -825,8 +803,7 @@ let guard_cmd =
          "Replay scenes through the runtime safety monitor and print its \
           diagnostics.")
     Term.(const guard_run $ opt_net_arg $ seed_arg $ width_arg $ scenes_arg
-          $ lat_limit_arg $ time_limit_arg $ cores_arg $ batch_arg
-          $ demo_fault)
+          $ lat_limit_arg $ time_limit_arg $ cores_arg $ demo_fault)
 
 (* {1 serve / client} *)
 
@@ -1042,14 +1019,13 @@ let client_cmd =
 
 (* {1 certify} *)
 
-let certify seed width samples epochs cores batch =
+let certify seed width samples epochs cores =
   let config =
     {
       (Pipeline.default_config ~width ~seed ()) with
       Pipeline.n_samples = samples;
       epochs;
       verify_cores = cores;
-      batch;
     }
   in
   let artifacts = Pipeline.run ~progress:print_endline config in
@@ -1069,7 +1045,7 @@ let certify_cmd =
   Cmd.v
     (Cmd.info "certify" ~doc:"Run the full three-pillar certification pipeline.")
     Term.(const certify $ seed_arg $ width_arg $ samples_arg $ epochs_arg
-          $ cores_arg $ batch_arg)
+          $ cores_arg)
 
 let () =
   let doc = "dependable neural networks for safety-critical applications" in

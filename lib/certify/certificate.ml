@@ -1,3 +1,5 @@
+module Chash = Linalg.Chash
+
 type property = {
   threshold : float;
   components : int;
@@ -112,7 +114,7 @@ let read_property r =
   let threshold = Text.float (Text.kv r "threshold") in
   let components = Text.int (Text.kv r "components") in
   let bound_mode = Text.kv r "bound-mode" in
-  let box = Text.box r ~max:1_000_000 in
+  let box = Text.box r in
   { threshold; components; bound_mode; box }
 
 let to_string t =
@@ -156,7 +158,7 @@ let to_string t =
 let read_leaf r =
   match Text.words r with
   | "leaf" :: nf :: kind :: rest ->
-      let nf = Text.count ~max:1_000_000 "fix" nf in
+      let nf = Text.count r "fix" nf in
       let evidence =
         match (kind, rest) with
         | "bounded", [ m ] ->
@@ -190,7 +192,7 @@ let read r =
   let body =
     match Text.words r with
     | [ "body"; "milp-tree"; model_hash; n ] ->
-        let n = Text.count ~max:10_000_000 "leaf" n in
+        let n = Text.count r "leaf" n in
         Milp_tree { model_hash; leaves = Array.init n (fun _ -> read_leaf r) }
     | [ "body"; "presolve"; bound; const; n ] ->
         let n = Text.int n in

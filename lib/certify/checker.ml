@@ -293,12 +293,8 @@ let symbolic_output_upper net (box : Interval.Box.box) ~output =
 let mode_string = function
   | Encoding.Encoder.Interval_bounds -> "interval"
   | Encoding.Encoder.Symbolic_bounds -> "symbolic"
-  | Encoding.Encoder.Coarse r -> Printf.sprintf "coarse %h" r
 
-let mode_of_string s =
-  match String.split_on_char ' ' s with
-  | [ "interval" ] -> Some Encoding.Encoder.Interval_bounds
-  | [ "symbolic" ] -> Some Encoding.Encoder.Symbolic_bounds
-  | [ "coarse"; r ] ->
-      Option.map (fun r -> Encoding.Encoder.Coarse r) (float_of_string_opt r)
+let mode_of_string = function
+  | "interval" -> Some Encoding.Encoder.Interval_bounds
+  | "symbolic" -> Some Encoding.Encoder.Symbolic_bounds
   | _ -> None

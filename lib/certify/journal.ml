@@ -56,7 +56,9 @@ let append ~dir e =
   init dir;
   let path = journal_file dir in
   let payload = entry_payload e in
-  let line = Printf.sprintf "%s %s\n" (Chash.of_string payload) payload in
+  let line =
+    Printf.sprintf "%s %s\n" (Linalg.Chash.of_string payload) payload
+  in
   let line = if ends_with_newline path then line else "\n" ^ line in
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
@@ -73,7 +75,7 @@ let parse_line line =
   | Some i ->
       let sum = String.sub line 0 i in
       let payload = String.sub line (i + 1) (String.length line - i - 1) in
-      if Chash.of_string payload <> sum then None
+      if Linalg.Chash.of_string payload <> sum then None
       else
         (match String.split_on_char ' ' payload with
          | [ "component"; c; "verdict"; v; "cert"; f; "net"; n; "prop"; p ]

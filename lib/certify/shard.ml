@@ -113,7 +113,10 @@ let read r =
   if Text.next r <> "depnn-shard v1" then Text.fail "bad magic line";
   let net_hash = Text.kv r "net" in
   let property = Certificate.read_property r in
-  let nodes = Text.count ~min:1 ~max:10_000_000 "tree" (Text.kv r "tree") in
+  (* The tree is read node by node against this count, so it sizes no
+     allocation. *)
+  let nodes = Text.int (Text.kv r "tree") in
+  if nodes < 1 then Text.fail "bad tree count %d" nodes;
   let hashes = ref [] and consumed = ref 0 in
   let rec node () =
     incr consumed;

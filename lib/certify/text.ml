@@ -15,7 +15,7 @@ let box_lines b box =
 
 let seal b =
   let payload = Buffer.contents b in
-  payload ^ "checksum " ^ Chash.of_string payload ^ "\n"
+  payload ^ "checksum " ^ Linalg.Chash.of_string payload ^ "\n"
 
 (* --- reading ----------------------------------------------------------- *)
 
@@ -23,7 +23,12 @@ exception Malformed of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-type reader = { what : string; mutable lines : string list }
+(* [left] is the length of [lines]. *)
+type reader = {
+  what : string;
+  mutable lines : string list;
+  mutable left : int;
+}
 
 (* Split off and verify the last line; blanks around it and a missing
    final newline are tolerated. *)
@@ -39,7 +44,7 @@ let unseal what raw =
   let last = String.trim (String.sub raw body_end (len - body_end)) in
   (match String.split_on_char ' ' last with
    | [ "checksum"; sum ] ->
-       if Chash.of_string payload <> sum then
+       if Linalg.Chash.of_string payload <> sum then
          fail "checksum mismatch (%s mutated or truncated)" what
    | _ -> fail "missing checksum line");
   payload
@@ -47,7 +52,8 @@ let unseal what raw =
 let parse ?(sealed = false) what read s =
   match
     let payload = if sealed then unseal what s else s in
-    read { what; lines = String.split_on_char '\n' payload }
+    let lines = String.split_on_char '\n' payload in
+    read { what; lines; left = List.length lines }
   with
   | v -> Ok v
   | exception Malformed reason -> Error reason
@@ -58,6 +64,7 @@ let next r =
   | [] -> fail "truncated %s" r.what
   | l :: rest ->
       r.lines <- rest;
+      r.left <- r.left - 1;
       l
 
 let words r = String.split_on_char ' ' (next r)
@@ -75,9 +82,9 @@ let int s =
 let float s =
   match float_of_string_opt s with Some x -> x | None -> fail "bad float %S" s
 
-let count ?(min = 0) ~max what s =
+let count r what s =
   let n = int s in
-  if n < min || n > max then fail "bad %s count %d" what n;
+  if n < 0 || n > r.left then fail "bad %s count %d" what n;
   n
 
 let floats r prefix n =
@@ -88,8 +95,8 @@ let floats r prefix n =
       Array.of_list (List.map float rest)
   | _ -> fail "expected %S line" prefix
 
-let box r ~max =
-  let n = count ~max "box" (kv r "box") in
+let box r =
+  let n = count r "box" (kv r "box") in
   Array.init n (fun _ ->
       match words r with
       | [ lo; hi ] -> (float lo, float hi)

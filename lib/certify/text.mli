@@ -5,8 +5,9 @@
     [checksum <fnv1a>] line over everything before it ({!seal}), so a
     one-bit mutation anywhere is rejected before any parsing.
 
-    Readers never trust their input: counts are bounded ({!count},
-    {!box}) before they size an allocation, and {!parse} turns every
+    Readers never trust their input: a count is bounded by the lines
+    left to read ({!count}, {!box}) before it sizes an allocation, so
+    memory stays proportional to the input, and {!parse} turns every
     failure into [Error] — a {!fail} keeps its reason, any other
     exception becomes ["malformed <what>"]. *)
 
@@ -58,13 +59,14 @@ val at_end : reader -> bool
 val int : string -> int
 val float : string -> float
 
-val count : ?min:int -> max:int -> string -> string -> int
-(** [count ~max what s] is the int [s] if it lies in [\[min, max\]]
-    ([min] defaults to 0); otherwise it fails with
-    ["bad <what> count <n>"]. *)
+val count : reader -> string -> string -> int
+(** [count r what s] is the int [s] if it is at least 0 and at most
+    the number of lines [r] has left: each counted item takes a line of
+    its own, so a larger count cannot be honest. Otherwise it fails
+    with ["bad <what> count <n>"]. *)
 
 val floats : reader -> string -> int -> float array
 (** Read a {!floats_line} with this prefix and exactly [n] values. *)
 
-val box : reader -> max:int -> (float * float) array
-(** Read {!box_lines} of at most [max] dimensions. *)
+val box : reader -> (float * float) array
+(** Read {!box_lines}; the dimension goes through {!count}. *)

@@ -10,7 +10,6 @@ type config = {
   threshold : float;
   verify_time_limit : float;
   verify_cores : int;
-  batch : int;
 }
 
 let default_config ?(width = 10) ?(seed = 7) () =
@@ -26,7 +25,6 @@ let default_config ?(width = 10) ?(seed = 7) () =
     threshold = 1.5;
     verify_time_limit = 60.0;
     verify_cores = 1;
-    batch = Guard.default_batch;
   }
 
 type artifacts = {
@@ -106,8 +104,7 @@ let run ?(progress = fun _ -> ()) config =
      verifier just proved. This is the same guard the deployment path
      wraps around the predictor. *)
   let guard = Guard.make ~envelope:guard_envelope net in
-  ignore
-    (Guard.predict_batch ~batch:config.batch guard clean.Dataset.inputs);
+  ignore (Guard.predict_batch guard clean.Dataset.inputs);
   let guard_check = Guard.diagnostics guard in
   progress
     (Printf.sprintf "  %d/%d scenes nominal under lat limit %.3f m/s"

@@ -28,15 +28,12 @@ type config = {
   threshold : float;        (** lateral velocity limit, m/s *)
   verify_time_limit : float;  (** seconds, shared over GMM components *)
   verify_cores : int;  (** worker domains for OBBT + branch & bound *)
-  batch : int;
-      (** scenes per cache-blocked batched forward in the guard sanity
-          replay (and the campaign, when the CLI threads it through) *)
 }
 
 val default_config : ?width:int -> ?seed:int -> unit -> config
 (** width 10, seed 7, 3 components, 1500 samples, 25% blind-spot rate,
     30 epochs, slack 0.03, threshold 1.5 m/s, 60 s verification limit,
-    1 verification core, batch {!Guard.default_batch}. *)
+    1 verification core. *)
 
 type artifacts = {
   used : config;

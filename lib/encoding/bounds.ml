@@ -22,10 +22,6 @@ let propagate net box =
   done;
   { pre; post }
 
-let coarse net ~radius =
-  let box = Array.make (Nn.Network.input_dim net) (Interval.top radius) in
-  propagate net box
-
 type stability = Stable_active | Stable_inactive | Unstable
 
 let relu_stability (i : Interval.t) =

@@ -17,12 +17,6 @@ val propagate : Nn.Network.t -> Interval.Box.box -> t
 (** Raises [Invalid_argument] if the box dimension differs from the
     network input dimension. *)
 
-val coarse : Nn.Network.t -> radius:float -> t
-(** The ablation baseline: pretend every input lies in [\[-radius,
-    radius\]] and propagate — mimics the naive "one global big-M"
-    encoding. Bounds are still sound for any box inside that radius, only
-    (much) looser. *)
-
 type stability = Stable_active | Stable_inactive | Unstable
 
 val relu_stability : Interval.t -> stability

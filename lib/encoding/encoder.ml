@@ -1,4 +1,4 @@
-type bound_mode = Interval_bounds | Symbolic_bounds | Coarse of float
+type bound_mode = Interval_bounds | Symbolic_bounds
 
 let symbolic_bounds net box =
   let s = Absint.Symbolic.propagate net box in
@@ -23,11 +23,17 @@ type obbt_stats = {
 
 let no_obbt = { probes = 0; refined = 0; failed = 0; skipped_budget = 0 }
 
+type neuron = {
+  z : Milp.Model.var;
+  relu : (Milp.Model.var * Milp.Model.var) option;
+}
+
 type t = {
   model : Milp.Model.t;
   input_vars : Milp.Model.var array;
   output_vars : Milp.Model.var array;
   binaries : (Milp.Model.var * int * int) list;
+  neurons : neuron array array;
   bounds : Bounds.t;
   stats : stats;
   obbt : obbt_stats;
@@ -58,7 +64,7 @@ let build net box (bounds : Bounds.t) =
   let stable_active = ref 0 and stable_inactive = ref 0 and unstable = ref 0 in
   let nlayers = Nn.Network.num_layers net in
   let previous = ref (Array.map (fun v -> Var v) input_vars) in
-  let last_pre_vars = ref [||] in
+  let neurons = Array.make nlayers [||] in
   for li = 0 to nlayers - 1 do
     let layer = Nn.Network.layer net li in
     let weights = layer.Nn.Layer.weights and bias = layer.Nn.Layer.bias in
@@ -84,7 +90,7 @@ let build net box (bounds : Bounds.t) =
           Milp.Model.add_eq model !terms (-.bias.(r));
           z)
     in
-    last_pre_vars := pre_vars;
+    let relu = Array.make out_dim None in
     let post =
       match layer.Nn.Layer.activation with
       | Nn.Activation.Identity ->
@@ -115,6 +121,7 @@ let build net box (bounds : Bounds.t) =
                       ()
                   in
                   binaries := (d, li, r) :: !binaries;
+                  relu.(r) <- Some (a, d);
                   let z = pre_vars.(r) in
                   (* a >= z *)
                   Milp.Model.add_ge model [ (a, 1.0); (z, -1.0) ] 0.0;
@@ -132,6 +139,7 @@ let build net box (bounds : Bounds.t) =
                 relu/identity networks are MILP-encodable"
                (Nn.Activation.name act))
     in
+    neurons.(li) <- Array.mapi (fun r z -> { z; relu = relu.(r) }) pre_vars;
     previous := post
   done;
   let output_vars =
@@ -154,6 +162,7 @@ let build net box (bounds : Bounds.t) =
     input_vars;
     output_vars;
     binaries = List.rev !binaries;
+    neurons;
     bounds;
     stats =
       (* Sparsity of the emitted LP: each big-M row touches one
@@ -192,22 +201,13 @@ let refine_bounds_lp ?(budget = infinity) ?(cores = 1) t net box =
   let lp = Milp.Model.lp t.model in
   let nlayers = Nn.Network.num_layers net in
   let pre = Array.map Array.copy t.bounds.Bounds.pre in
-  (* Locate the z variables by their encoded names. *)
-  let z_var = Hashtbl.create 256 in
-  for v = 0 to Milp.Model.num_vars t.model - 1 do
-    match String.split_on_char '_' (Milp.Model.var_name t.model v) with
-    | [ "z"; li; r ] -> Hashtbl.replace z_var (int_of_string li, int_of_string r) v
-    | _ -> ()
-  done;
   let targets = ref [] in
   for li = nlayers - 2 downto 0 do
     let layer = Nn.Network.layer net li in
     if layer.Nn.Layer.activation = Nn.Activation.Relu then
       for r = Array.length pre.(li) - 1 downto 0 do
         if Bounds.relu_stability pre.(li).(r) = Bounds.Unstable then
-          match Hashtbl.find_opt z_var (li, r) with
-          | Some z -> targets := (li, r, z) :: !targets
-          | None -> ()
+          targets := (li, r, t.neurons.(li).(r).z) :: !targets
       done
   done;
   (* A probe that runs out of wall-clock budget is *skipped*, which is a
@@ -284,16 +284,6 @@ let encode ?(bound_mode = Interval_bounds) ?(tighten_rounds = 0)
     match bound_mode with
     | Interval_bounds -> Bounds.propagate net box
     | Symbolic_bounds -> symbolic_bounds net box
-    | Coarse radius ->
-        let inside =
-          Array.for_all
-            (fun (i : Interval.t) ->
-              i.Interval.lo >= -.radius && i.Interval.hi <= radius)
-            box
-        in
-        if not inside then
-          invalid_arg "Encoder.encode: box exceeds the coarse radius";
-        Bounds.coarse net ~radius
   in
   let started = Linalg.Mclock.now () in
   let acc = ref no_obbt in
@@ -379,25 +369,21 @@ let input_point t solution =
 
 let assignment_of_input t net x =
   let trace = Nn.Network.forward_trace net x in
-  let n = Milp.Model.num_vars t.model in
-  let point = Array.make n 0.0 in
+  let point = Array.make (Milp.Model.num_vars t.model) 0.0 in
   Array.iteri (fun i v -> point.(v) <- x.(i)) t.input_vars;
-  (* Variable names encode the role (z/a/d + layer + neuron), so the
-     full assignment can be rebuilt from a forward trace. *)
-  for v = 0 to n - 1 do
-    let name = Milp.Model.var_name t.model v in
-    match String.split_on_char '_' name with
-    | [ "z"; li; r ] ->
-        point.(v) <- trace.Nn.Network.pre.(int_of_string li).(int_of_string r)
-    | [ "a"; li; r ] ->
-        point.(v) <- trace.Nn.Network.post.(int_of_string li).(int_of_string r)
-    | [ "d"; li; r ] ->
-        point.(v) <-
-          (if trace.Nn.Network.pre.(int_of_string li).(int_of_string r) > 0.0
-           then 1.0
-           else 0.0)
-    | _ -> ()
-  done;
+  Array.iteri
+    (fun li layer ->
+      let pre = trace.Nn.Network.pre.(li) in
+      Array.iteri
+        (fun r n ->
+          point.(n.z) <- pre.(r);
+          match n.relu with
+          | Some (a, d) ->
+              point.(a) <- trace.Nn.Network.post.(li).(r);
+              point.(d) <- (if pre.(r) > 0.0 then 1.0 else 0.0)
+          | None -> ())
+        layer)
+    t.neurons;
   point
 
 let check_faithful t net x =

@@ -23,8 +23,6 @@ type bound_mode =
           far tighter from the second hidden layer on — so the encoding
           gets smaller big-M constants and fewer binary variables, in
           one cheap LP-free pass. *)
-  | Coarse of float
-      (** ablation: bounds from a global input radius (loose big-M) *)
 
 type stats = {
   stable_active : int;
@@ -52,6 +50,13 @@ type obbt_stats = {
     failed (a solver health signal) — the two were previously
     indistinguishable. [probes = refined + failed + skipped_budget]. *)
 
+type neuron = {
+  z : Milp.Model.var;  (** the pre-activation *)
+  relu : (Milp.Model.var * Milp.Model.var) option;
+      (** an unstable ReLU's post-activation [a] and binary [d] *)
+}
+(** One neuron's variables, recorded as {!encode} creates them. *)
+
 type t = {
   model : Milp.Model.t;
       (** Its LP's column form ({!Lp.Problem.form}) is already built,
@@ -61,6 +66,7 @@ type t = {
   output_vars : Milp.Model.var array;
   binaries : (Milp.Model.var * int * int) list;
       (** (binary var, layer, neuron index) *)
+  neurons : neuron array array;  (** per layer, per neuron *)
   bounds : Bounds.t;
   stats : stats;
   obbt : obbt_stats;  (** zeroes when [tighten_rounds = 0] *)

@@ -95,18 +95,19 @@ let indices_where n p =
   done;
   Array.sub found 0 !m
 
-(* [sweep ~batch net ~first cols ~each] pushes [cols], the activations
+(* [sweep net ~first cols ~each] pushes [cols], the activations
    entering layer [first] (the inputs when [first = 0]), through layers
-   [first..] of [net], at most [batch] columns per packed product, and
+   [first..] of [net], at most [Nn.Network.chunk_width] columns per
+   packed product, and
    calls [each l off y] with layer [l]'s activations [y] of the chunk
    whose first column is [cols.(off)]. Every element of a packed
    product depends only on its own row and column, so a column's
    activations are bit-equal whatever else shares its chunk. *)
-let sweep ~batch net ~first cols ~each =
-  let n = Array.length cols and batch = max 1 batch in
+let sweep net ~first cols ~each =
+  let n = Array.length cols in
   let off = ref 0 in
   while !off < n do
-    let len = min batch (n - !off) in
+    let len = min Nn.Network.chunk_width (n - !off) in
     let y =
       ref
         (Linalg.Mat.of_cols
@@ -121,10 +122,10 @@ let sweep ~batch net ~first cols ~each =
   done
 
 (* The outputs of [sweep] from layer [first], one per column. *)
-let sweep_outputs ~batch net ~first cols =
+let sweep_outputs net ~first cols =
   let outs = Array.make (Array.length cols) [||] in
   let last = Nn.Network.num_layers net - 1 in
-  sweep ~batch net ~first cols ~each:(fun l off y ->
+  sweep net ~first cols ~each:(fun l off y ->
       if l = last then
         for j = 0 to Linalg.Mat.cols y - 1 do
           outs.(off + j) <- Linalg.Mat.col y j
@@ -145,7 +146,7 @@ type clean = {
   verdicts : verdict array;  (** per scene, under a fresh guard *)
 }
 
-let clean_pass ~batch ~components guard net scenes =
+let clean_pass ~components guard net scenes =
   let in_dim = Nn.Network.input_dim net in
   let packed =
     indices_where (Array.length scenes) (fun s ->
@@ -155,7 +156,7 @@ let clean_pass ~batch ~components guard net scenes =
     Array.init (Nn.Network.num_layers net) (fun _ ->
         Array.make (Array.length packed) [||])
   in
-  sweep ~batch net ~first:0
+  sweep net ~first:0
     (Array.map (fun s -> scenes.(s)) packed)
     ~each:(fun l off y ->
       for j = 0 to Linalg.Mat.cols y - 1 do
@@ -181,8 +182,12 @@ let clean_pass ~batch ~components guard net scenes =
         results;
   }
 
+(* How far (m/s) an undetected guarded action may stray from the clean
+   predictor's before the trial counts as silent corruption. *)
+let silent_tolerance = 0.05
+
 (* Tally one trial from its per-scene verdicts, in scene order. *)
-let tally ~envelope ~silent_tolerance ~reference_lat fault verdicts =
+let tally ~envelope ~reference_lat fault verdicts =
   let detected = ref false and escaped = ref false in
   let nan_raw = ref false and nan_all_tripped = ref true in
   let violation_raw = ref false and violation_all_flagged = ref true in
@@ -281,17 +286,16 @@ let find_nan_fault ~components ~scenes net =
     None
   with Found f -> Some f
 
-let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
-    ?(reverify_time_limit = 5.0) ?(progress = fun _ _ -> ()) ?(cores = 1)
-    ?(batch = Guard.default_batch) ?(faults = []) ~scenes ~trials net =
+let run ~rng ~envelope ?(reverify = 0) ?(reverify_time_limit = 5.0)
+    ?(progress = fun _ _ -> ()) ?(cores = 1) ?(faults = []) ~scenes ~trials
+    net =
   if Array.length scenes = 0 then invalid_arg "Campaign.run: no scenes";
   if trials <= 0 && faults = [] then
     invalid_arg "Campaign.run: trials must be positive";
   let components = envelope.Guard.components in
   let start = Linalg.Mclock.now () in
   let clean =
-    clean_pass ~batch ~components (Guard.make ~envelope ?clamp_band net) net
-      scenes
+    clean_pass ~components (Guard.make ~envelope net) net scenes
   in
   (* The explicit faults run first, then the sampled ones; sampling is
      sequential so the campaign stays bit-reproducible from the seed. *)
@@ -309,7 +313,7 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
      fresh guard. *)
   let run_trial i fault =
     progress i fault;
-    let guard = Guard.make ~envelope ?clamp_band net in
+    let guard = Guard.make ~envelope net in
     let verdicts = Array.copy clean.verdicts in
     let reclassify js inputs outs =
       Array.iteri
@@ -354,12 +358,12 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
              in
              reclassify js scenes
                (if layer = last then cols
-                else sweep_outputs ~batch net ~first:(layer + 1) cols)
+                else sweep_outputs net ~first:(layer + 1) cols)
          | None ->
              (* A drift moves every parameter: a full sweep. *)
              let js = Array.init (Array.length clean.packed) Fun.id in
              reclassify js scenes
-               (sweep_outputs ~batch (Model.inject nf net) ~first:0
+               (sweep_outputs (Model.inject nf net) ~first:0
                   (Array.map (fun s -> scenes.(s)) clean.packed)))
      | Model.Input_fault f ->
          (* Freeze and stale-hold channels are stateful: every scene is
@@ -373,10 +377,9 @@ let run ~rng ~envelope ?clamp_band ?(silent_tolerance = 0.05) ?(reverify = 0)
                not (vec_bits_equal inputs.(s) scenes.(s)))
          in
          reclassify js inputs
-           (sweep_outputs ~batch net ~first:0
+           (sweep_outputs net ~first:0
               (Array.map (fun j -> inputs.(clean.packed.(j))) js)));
-    tally ~envelope ~silent_tolerance ~reference_lat:clean.reference_lat fault
-      verdicts
+    tally ~envelope ~reference_lat:clean.reference_lat fault verdicts
   in
   let failed_workers = ref 0 in
   let trial_results =

@@ -16,8 +16,8 @@
       exceeded the verified envelope on some scene;
     - {e detected}: the guard left [Nominal] at least once;
     - {e silent}: undetected, but the guarded action deviates from the
-      clean predictor's by more than [silent_tolerance] — corruption the
-      envelope monitor cannot see;
+      clean predictor's by more than 0.05 m/s — corruption the envelope
+      monitor cannot see;
     - {e benign}: undetected and within tolerance.
 
     {2 Replaying only what a fault changes}
@@ -111,25 +111,22 @@ type report = {
 val run :
   rng:Linalg.Rng.t ->
   envelope:Guard.envelope ->
-  ?clamp_band:float ->
-  ?silent_tolerance:float ->
   ?reverify:int ->
   ?reverify_time_limit:float ->
   ?progress:(int -> Model.t -> unit) ->
   ?cores:int ->
-  ?batch:int ->
   ?faults:Model.t list ->
   scenes:Linalg.Vec.t array ->
   trials:int ->
   Nn.Network.t ->
   report
-(** [silent_tolerance] defaults to 0.05 m/s. [reverify] (default 0) is
-    how many faulted networks to re-verify by MILP with
-    [reverify_time_limit] seconds each (default 5 s); faulted networks
-    whose parameters are no longer finite (or whose bounds overflow the
-    encoder) are skipped, and nothing is re-verified when no scene has
-    the network's input length. [progress] is called with each trial index and
-    fault before the replay (from worker domains when [cores > 1]).
+(** [reverify] (default 0) is how many faulted networks to re-verify
+    by MILP with [reverify_time_limit] seconds each (default 5 s);
+    faulted networks whose parameters are no longer finite (or whose
+    bounds overflow the encoder) are skipped, and nothing is
+    re-verified when no scene has the network's input length.
+    [progress] is called with each trial index and fault before the
+    replay (from worker domains when [cores > 1]).
     [cores] (default 1) replays trials on that many domains via
     work-stealing; the clean pass is built before any trial and the
     workers only read it, and all faults are sampled up front, so the
@@ -137,12 +134,11 @@ val run :
     run. A worker domain that dies (an exception escaping a trial) is
     counted in [failed_workers] and its unfinished trials are
     {e re-queued} and run in the parent rather than silently dropped,
-    mirroring {!Milp.Parallel}'s degradation. [batch] (default
-    {!Guard.default_batch}) is the most columns one packed product
-    takes, in the clean pass and in every replay of the scenes a fault
-    changed; verdicts, counters and deviations are identical for every
-    batch size. [faults] are explicit faults run as the first trials
-    (in addition to the [trials] sampled ones) — the CI smoke uses this
+    mirroring {!Milp.Parallel}'s degradation. The clean pass and every
+    replay of the scenes a fault changed pack at most
+    {!Nn.Network.chunk_width} columns per product. [faults] are
+    explicit faults run as the first trials (in addition to the
+    [trials] sampled ones) — the CI smoke uses this
     to pin a known NaN-producing flip. Raises [Invalid_argument] when
     [scenes] is empty or when there is nothing to run ([trials <= 0]
     and no explicit faults). *)

@@ -4,15 +4,15 @@ type envelope = {
   components : int;
 }
 
-let envelope ~components ?(output_limit = 20.0) ~lat_limit () =
+let output_limit = 20.0
+
+let envelope ~components ~lat_limit () =
   if not (Float.is_finite lat_limit) then
     invalid_arg "Guard.envelope: lat_limit must be finite";
-  if not (Float.is_finite output_limit && output_limit > 0.0) then
-    invalid_arg "Guard.envelope: output_limit must be finite and positive";
   if components <= 0 then invalid_arg "Guard.envelope: components";
   { lat_limit; output_limit; components }
 
-let envelope_of_verification ~components ?(output_limit = 20.0) ?threshold
+let envelope_of_verification ~components ?threshold
     (r : Verify.Driver.max_result) =
   let proven = r.Verify.Driver.upper_bound in
   let lat_limit =
@@ -21,7 +21,7 @@ let envelope_of_verification ~components ?(output_limit = 20.0) ?threshold
     | Some th -> th
     | None -> if Float.is_finite proven then proven else output_limit
   in
-  envelope ~components ~output_limit ~lat_limit ()
+  envelope ~components ~lat_limit ()
 
 type state = Nominal | Clamped | Fallback
 
@@ -72,7 +72,6 @@ type counters = {
 type t = {
   net : Nn.Network.t;
   env : envelope;
-  clamp_band : float;
   fallback : Linalg.Vec.t -> float * float;
   c : counters;
 }
@@ -116,13 +115,14 @@ let idm_fallback v =
 
 (* {1 Monitor} *)
 
-let make ~envelope:env ?(clamp_band = 1.0) ?(fallback = idm_fallback) net =
-  if not (Float.is_finite clamp_band && clamp_band >= 0.0) then
-    invalid_arg "Guard.make: clamp_band must be finite and non-negative";
+(* How far beyond [lat_limit] (m/s) a lateral velocity is still
+   saturated rather than handed to the fallback. *)
+let clamp_band = 1.0
+
+let make ~envelope:env ?(fallback = idm_fallback) net =
   {
     net;
     env;
-    clamp_band;
     fallback;
     c =
       {
@@ -233,7 +233,7 @@ let classify t x reading =
         t.c.envelope_trips <- t.c.envelope_trips + 1;
         t.c.last_trip <-
           Some (Envelope_exceeded { lat = worst_lat; limit = t.env.lat_limit });
-        if worst_lat <= t.env.lat_limit +. t.clamp_band then begin
+        if worst_lat <= t.env.lat_limit +. clamp_band then begin
           t.c.clamped <- t.c.clamped + 1;
           ((Float.min lat t.env.lat_limit, lon), Clamped)
         end
@@ -253,10 +253,8 @@ let predict t x =
      | out -> Ok out
      | exception e -> Error e)
 
-let default_batch = 128
-
-let predict_batch ?(batch = default_batch) t xs =
-  let results = Nn.Network.forward_each ~batch t.net xs in
+let predict_batch t xs =
+  let results = Nn.Network.forward_each t.net xs in
   Array.mapi (fun i result -> classify_result t xs.(i) result) results
 
 let render_diagnostics (d : diagnostics) =

@@ -33,17 +33,12 @@ type envelope = {
   components : int;  (** GMM components of the predictor's head *)
 }
 
-val envelope :
-  components:int -> ?output_limit:float -> lat_limit:float -> unit -> envelope
-(** [output_limit] defaults to [20.]. Raises [Invalid_argument] if
+val envelope : components:int -> lat_limit:float -> unit -> envelope
+(** The envelope's [output_limit] is 20. Raises [Invalid_argument] if
     [lat_limit] is not finite. *)
 
 val envelope_of_verification :
-  components:int ->
-  ?output_limit:float ->
-  ?threshold:float ->
-  Verify.Driver.max_result ->
-  envelope
+  components:int -> ?threshold:float -> Verify.Driver.max_result -> envelope
 (** Derive the runtime envelope from a verification run: the proven
     [upper_bound] becomes [lat_limit]. [threshold] (e.g. the 1.5 m/s
     property limit), when given, caps the envelope from above — useful
@@ -81,14 +76,13 @@ type t
 
 val make :
   envelope:envelope ->
-  ?clamp_band:float ->
   ?fallback:(Linalg.Vec.t -> float * float) ->
   Nn.Network.t ->
   t
-(** Wrap a network. [clamp_band] (default [1.0] m/s) is how far beyond
-    [lat_limit] a lateral velocity may be and still be saturated rather
-    than handed to the fallback. [fallback] defaults to
-    {!idm_fallback}. The guard reads but never mutates the network. *)
+(** Wrap a network. A lateral velocity at most 1.0 m/s (the clamp band)
+    beyond [lat_limit] is saturated rather than handed to the fallback.
+    [fallback] defaults to {!idm_fallback}. The guard reads but never
+    mutates the network. *)
 
 val network : t -> Nn.Network.t
 val guard_envelope : t -> envelope
@@ -130,19 +124,13 @@ val predict : t -> Linalg.Vec.t -> (float * float) * state
     {!classify} of the {!read} of the scalar forward. Never raises;
     both action components are always finite. *)
 
-val default_batch : int
-(** Columns per batched forward chunk when [?batch] is omitted (128):
-    large enough to amortise packing, small enough to keep the widest
-    bench layer's working set in L2. *)
-
-val predict_batch :
-  ?batch:int -> t -> Linalg.Vec.t array -> ((float * float) * state) array
+val predict_batch : t -> Linalg.Vec.t array -> ((float * float) * state) array
 (** [predict_batch t xs] is {!classify} of the {!read} of each result of
-    [Nn.Network.forward_each ~batch] (default 128 columns per chunk), in
-    input order — results, counters and [last_trip] are identical to
-    mapping {!predict}, at roughly an order of magnitude higher
-    throughput. NaN/Inf cannot leak between samples: matrix columns are
-    independent. Never raises. *)
+    [Nn.Network.forward_each] ({!Nn.Network.chunk_width} columns per
+    chunk), in input order — results, counters and [last_trip] are
+    identical to mapping {!predict}, at roughly an order of magnitude
+    higher throughput. NaN/Inf cannot leak between samples: matrix
+    columns are independent. Never raises. *)
 
 val diagnostics : t -> diagnostics
 val reset : t -> unit

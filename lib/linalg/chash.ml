@@ -1,7 +1,7 @@
-(* FNV-1a 64 running hash — the same construction (and constants) as
-   Nn.Io.content_hash, so every fingerprint in the certification layer
-   speaks one dialect. Not cryptographic: the threat model is bit rot,
-   truncation and stale files, not an adversary forging proofs. *)
+(* FNV-1a 64 running hash, one for every digest (network content hash,
+   certificate fingerprints, checksums). Not cryptographic: the threat
+   model is bit rot, truncation and stale files, not an adversary
+   forging proofs. *)
 
 type t = { mutable h : int64 }
 

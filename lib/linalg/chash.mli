@@ -1,8 +1,8 @@
-(** FNV-1a 64 running hash, shared by every fingerprint in the
-    certification layer (same constants and float encoding as
-    {!Nn.Io.content_hash}). Detects bit rot, truncation and staleness;
-    it is {e not} cryptographic and does not defend against an
-    adversary forging certificates. *)
+(** FNV-1a 64 running hash behind every digest of the system: the
+    network content hash ([Nn.Io.content_hash]) and every fingerprint
+    and checksum of the certification layer. Detects bit rot,
+    truncation and staleness; it is {e not} cryptographic and does not
+    defend against an adversary forging certificates. *)
 
 type t
 

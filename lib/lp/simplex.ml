@@ -544,17 +544,16 @@ let snapshot tb =
         bfactor = None;
       }
 
-let solve_internal ?max_iterations ?(eps = 1e-7) problem ~negate =
+(* The feasibility/optimality tolerance of every solve. *)
+let eps = 1e-7
+
+let solve_internal problem ~negate =
   match build problem ~negate with
   | exception Row_infeasible i ->
       { status = Infeasible; objective = 0.0; x = [||]; iterations = 0;
         basis = None; warm = false; cert = Some (Cert_empty_row i) }
   | tb ->
-      let limit =
-        match max_iterations with
-        | Some l -> l
-        | None -> 500 * (tb.m + tb.n)
-      in
+      let limit = 500 * (tb.m + tb.n) in
       (* Phase 1: drive sum of artificials to zero. *)
       let result =
         match optimize tb ~eps ~limit ~start_iter:0 with
@@ -1298,7 +1297,7 @@ module Rev = struct
          else None);
     }
 
-  let solve_internal ?max_iterations ?(eps = 1e-7) problem ~negate =
+  let solve_internal problem ~negate =
     match build problem ~negate with
     | exception Row_infeasible i ->
         (* Empty slack range under the box is exact interval arithmetic,
@@ -1307,11 +1306,7 @@ module Rev = struct
           { status = Infeasible; objective = 0.0; x = [||]; iterations = 0;
             basis = None; warm = false; cert = Some (Cert_empty_row i) }
     | st -> (
-        let limit =
-          match max_iterations with
-          | Some l -> l
-          | None -> 500 * (st.m + st.n)
-        in
+        let limit = 500 * (st.m + st.n) in
         match optimize st ~eps ~limit ~start_iter:0 with
         | None -> Done (finish st ~status:Iteration_limit ~iterations:limit ~warm:false problem)
         | Some it1 ->
@@ -1359,8 +1354,8 @@ module Rev = struct
      trouble in either phase, or a primal cleanup limit — falls back to
      the cold two-phase solve, so [resolve] is always at least as
      correct as [solve], just usually much cheaper. *)
-  let resolve_internal ?max_iterations ?(eps = 1e-7) problem ~basis =
-    let cold () = solve_internal ?max_iterations ~eps problem ~negate:false in
+  let resolve_internal problem ~basis =
+    let cold () = solve_internal problem ~negate:false in
     match restore problem basis ~negate:false with
     | exception Row_infeasible i ->
         Done
@@ -1368,11 +1363,7 @@ module Rev = struct
             basis = None; warm = false; cert = Some (Cert_empty_row i) }
     | None -> cold ()
     | Some st -> (
-        let limit =
-          match max_iterations with
-          | Some l -> l
-          | None -> 500 * (st.m + st.n)
-        in
+        let limit = 500 * (st.m + st.n) in
         let dual_limit = Int.min limit (Int.max 100 (200 + (4 * st.m))) in
         match dual_optimize st ~limit:dual_limit ~start_iter:0 with
         | exception Numerical_error _ -> cold ()
@@ -1403,25 +1394,22 @@ let sparse_fallbacks () = Atomic.get fallback_count
    infeasibility ray that failed its outward check) or numerical
    trouble it raised goes to the dense cold solve, which raises in turn
    when the problem itself holds NaN/Inf. *)
-let sparse_or_dense ?max_iterations ?eps ?basis problem ~negate =
+let sparse_or_dense ?basis problem ~negate =
   match
     match basis with
-    | None -> Rev.solve_internal ?max_iterations ?eps problem ~negate
-    | Some basis -> Rev.resolve_internal ?max_iterations ?eps problem ~basis
+    | None -> Rev.solve_internal problem ~negate
+    | Some basis -> Rev.resolve_internal problem ~basis
   with
   | Rev.Done s -> s
   | Rev.Doubt _ | (exception Numerical_error _) ->
       Atomic.incr fallback_count;
-      solve_internal ?max_iterations ?eps problem ~negate
+      solve_internal problem ~negate
 
-let solve ?max_iterations ?eps problem =
-  sparse_or_dense ?max_iterations ?eps problem ~negate:false
+let solve problem = sparse_or_dense problem ~negate:false
 
-let solve_min ?max_iterations ?eps problem =
-  sparse_or_dense ?max_iterations ?eps problem ~negate:true
+let solve_min problem = sparse_or_dense problem ~negate:true
 
-let resolve ?max_iterations ?eps ~basis problem =
-  sparse_or_dense ?max_iterations ?eps ~basis problem ~negate:false
+let resolve ~basis problem = sparse_or_dense ~basis problem ~negate:false
 
 let primal_feasible ?(eps = 1e-6) problem x =
   let n = Problem.num_vars problem in

@@ -126,13 +126,12 @@ type solution = {
           from [y] alone. *)
 }
 
-val solve : ?max_iterations:int -> ?eps:float -> Problem.t -> solution
-(** Maximise the problem's objective from a cold start. [eps] is the
-    feasibility/optimality tolerance (default [1e-7]).
-    [max_iterations] defaults to [500 * (rows + cols)]. *)
+val solve : Problem.t -> solution
+(** Maximise the problem's objective from a cold start, with
+    feasibility/optimality tolerance [1e-7] and at most
+    [500 * (rows + cols)] pivots. *)
 
-val resolve :
-  ?max_iterations:int -> ?eps:float -> basis:basis -> Problem.t -> solution
+val resolve : basis:basis -> Problem.t -> solution
 (** Maximise like {!solve}, but warm-start from [basis] (typically the
     parent node's optimal basis under slightly different bounds). The
     restored basis is driven primal-feasible by the dual simplex, then
@@ -147,12 +146,12 @@ val resolve :
     {!Numerical_error} that escapes the sparse warm path, like sparse
     doubt in a cold solve, re-runs the dense cold solve. *)
 
-val solve_min : ?max_iterations:int -> ?eps:float -> Problem.t -> solution
+val solve_min : Problem.t -> solution
 (** Minimise instead; [objective] is reported in the minimisation sense. *)
 
 val solve_dense : Problem.t -> solution
 (** Maximise from a cold start on the dense Gauss-Jordan tableau alone,
-    with {!solve}'s default tolerance and iteration limit: the
+    with {!solve}'s tolerance and iteration limit: the
     reference engine tests and benchmarks compare the sparse core
     against. Same certificates; a snapshot it returns carries no
     [bfactor]. *)

@@ -28,41 +28,29 @@ let to_string net =
   done;
   Buffer.contents buf
 
-(* Canonical content hash: FNV-1a 64 over a byte stream derived from
-   the architecture and parameters only. Weights are hashed as IEEE-754
-   bit patterns (row-major), never as printed text, so the hash is
-   independent of serialisation format, float formatting and storage
-   layout — the same network always keys the same certificates. *)
+(* Canonical content hash: FNV-1a 64 ({!Linalg.Chash}) over a byte
+   stream derived from the architecture and parameters only. Weights
+   are hashed as IEEE-754 bit patterns (row-major), never as printed
+   text, so the hash is independent of serialisation format, float
+   formatting and storage layout — the same network always keys the
+   same certificates. *)
 let content_hash net =
-  let h = ref 0xcbf29ce484222325L in
-  let mix_byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) 0x100000001b3L
-  in
-  let mix_string s =
-    String.iter (fun c -> mix_byte (Char.code c)) s;
-    mix_byte 0x1f
-  in
-  let mix_int i = mix_string (string_of_int i) in
-  let mix_float x =
-    let bits = Int64.bits_of_float x in
-    for k = 0 to 7 do
-      mix_byte (Int64.to_int (Int64.shift_right_logical bits (8 * k)))
-    done
-  in
-  mix_string "depnn-content v1";
-  mix_int (Network.num_layers net);
+  let module H = Linalg.Chash in
+  let h = H.create () in
+  H.string h "depnn-content v1";
+  H.int h (Network.num_layers net);
   for i = 0 to Network.num_layers net - 1 do
     let l = Network.layer net i in
     let out = Layer.output_dim l and inp = Layer.input_dim l in
-    mix_int out;
-    mix_int inp;
-    mix_string (Activation.name l.Layer.activation);
-    Array.iter mix_float l.Layer.bias;
+    H.int h out;
+    H.int h inp;
+    H.string h (Activation.name l.Layer.activation);
+    Array.iter (H.float h) l.Layer.bias;
     for r = 0 to out - 1 do
-      Array.iter mix_float (Linalg.Mat.row l.Layer.weights r)
+      Array.iter (H.float h) (Linalg.Mat.row l.Layer.weights r)
     done
   done;
-  Printf.sprintf "%016Lx" !h
+  H.hex h
 
 type error =
   | Syntax of string

@@ -50,17 +50,19 @@ let forward_batch t x =
          (Linalg.Mat.rows x) (input_dim t));
   Array.fold_left (fun acc l -> Layer.forward_batch l acc) x t.layers
 
-let forward_each ~batch t xs =
+let chunk_width = 128
+
+let forward_each t xs =
   let scalar x = match forward t x with y -> Ok y | exception e -> Error e in
   let in_dim = input_dim t in
   if Array.exists (fun x -> Array.length x <> in_dim) xs then
     Array.map scalar xs
   else begin
-    let n = Array.length xs and batch = max 1 batch in
+    let n = Array.length xs in
     let results = Array.make n (Ok [||]) in
     let off = ref 0 in
     while !off < n do
-      let len = min batch (n - !off) in
+      let len = min chunk_width (n - !off) in
       let chunk = Array.sub xs !off len in
       (match forward_batch t (Linalg.Mat.of_cols ~rows:in_dim chunk) with
        | y ->

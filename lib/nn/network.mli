@@ -40,16 +40,23 @@ val forward_batch : t -> Linalg.Mat.t -> Linalg.Mat.t
 (** Raises [Invalid_argument] if [Mat.rows x <> input_dim t]. A
     zero-column batch returns a zero-column result. *)
 
-val forward_each :
-  batch:int -> t -> Linalg.Vec.t array -> (Linalg.Vec.t, exn) result array
-(** [forward_each ~batch t xs] is [forward t x] for every [x] in [xs],
-    in order, with a raised exception kept as [Error]: the chunked loop
+val chunk_width : int
+(** The most columns one packed product takes when a loop feeds many
+    inputs through the batched kernel (128): wide enough to amortise
+    packing, narrow enough that the widest bench layer's working set
+    stays in L2 (EXPERIMENTS.md's batch-512 rows show the spill).
+    {!forward_each}, the guard's batched prediction and the fault
+    campaign's replays all chunk at this width. *)
+
+val forward_each : t -> Linalg.Vec.t array -> (Linalg.Vec.t, exn) result array
+(** [forward_each t xs] is [forward t x] for every [x] in [xs], in
+    order, with a raised exception kept as [Error]: the chunked loop
     over {!forward_batch} behind the guard's batched prediction.
-    Inputs go [batch] columns at a time (a [batch] below 1 counts as 1).
-    A chunk whose batched forward raises, or an input set containing
-    any vector of the wrong length, runs the scalar {!forward} one
-    input at a time, so each result is bit-equal to [forward t x] (or
-    its exception) whatever the chunk size. [[||]] gives [[||]]. *)
+    Inputs go {!chunk_width} columns at a time. A chunk whose batched
+    forward raises, or an input set containing any vector of the wrong
+    length, runs the scalar {!forward} one input at a time, so each
+    result is bit-equal to [forward t x] (or its exception). [[||]]
+    gives [[||]]. *)
 
 type batch_trace = {
   pres : Linalg.Mat.t array;   (** pre-activations per layer *)

@@ -17,7 +17,7 @@ let write_frame fd payload =
     invalid_arg "Protocol.write_frame: payload exceeds max_frame";
   let header =
     Printf.sprintf "%s %d %s\n" magic (String.length payload)
-      (Certify.Chash.of_string payload)
+      (Linalg.Chash.of_string payload)
   in
   (* One write: the header is tiny, so header+payload usually lands in
      a single segment and a reader never observes a headerless tail. *)
@@ -81,7 +81,7 @@ let read_frame ?deadline fd =
                 match read_exact ?deadline fd n with
                 | Error _ as e -> e
                 | Ok payload ->
-                    if Certify.Chash.of_string payload <> sum then
+                    if Linalg.Chash.of_string payload <> sum then
                       Error "frame checksum mismatch"
                     else Ok payload)
             | Some _ | None -> Error "bad frame length")
@@ -150,18 +150,13 @@ let cache_string = function
 
 module Text = Certify.Text
 
-(* Boxes and witnesses live in feature space (84-d today); 100k bounds
-   the allocation an adversarial frame can cause well under the frame
-   size itself. *)
-let max_dim = 100_000
-
 (* A [<key> <n>] line, then one float per line. *)
 let column_lines b key xs =
   Text.line b "%s %d" key (Array.length xs);
   Array.iter (fun x -> Text.line b "%s" (Text.hex x)) xs
 
 let column r key =
-  let n = Text.count ~max:max_dim key (Text.kv r key) in
+  let n = Text.count r key (Text.kv r key) in
   Array.init n (fun _ -> Text.float (Text.next r))
 
 (* {2 Rendering} *)
@@ -228,8 +223,8 @@ let render_response response =
 (* {2 Parsing}
 
    {!Certify.Text} readers: every failure is an [Error], never an
-   exception, and every count is bounded by [max_dim] before it sizes
-   an array. *)
+   exception, and every count is bounded by the lines left before it
+   sizes an array. *)
 
 let read_query r ~exact_only =
   let net_hash = match Text.kv r "net" with "-" -> None | h -> Some h in
@@ -241,7 +236,7 @@ let read_query r ~exact_only =
     | "-" -> None
     | s -> Some (Text.float s)
   in
-  let box = Text.box r ~max:max_dim in
+  let box = Text.box r in
   let property =
     { Certify.Certificate.threshold; components; bound_mode; box }
   in

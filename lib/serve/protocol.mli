@@ -9,7 +9,7 @@
 
     The length is decimal, bounded by {!max_frame}; the checksum is the
     same FNV-1a construction every other artifact in the certification
-    layer uses ({!Certify.Chash}), so a truncated or corrupted frame is
+    layer uses ({!Linalg.Chash}), so a truncated or corrupted frame is
     rejected before any parsing starts. Reads never trust the peer:
     oversized headers, lengths outside [1, max_frame], short payloads
     and checksum mismatches all yield [Error], never an exception or an

@@ -56,7 +56,7 @@ let node_bound_for ~bound_mode enc net box ~output =
   match bound_mode with
   | Encoding.Encoder.Symbolic_bounds ->
       Some (Encoding.Encoder.symbolic_node_bound enc net box ~output)
-  | Encoding.Encoder.Interval_bounds | Encoding.Encoder.Coarse _ -> None
+  | Encoding.Encoder.Interval_bounds -> None
 
 (* The one rule that spreads [cores] and the time left before [deadline]
    over a query's [n] searches (driver.mli states it). [search i ~cores

@@ -69,10 +69,10 @@ let max_auto_depth = 12
    the improvements compound down the tree — what must stop a branch is
    a split that buys essentially nothing (a dead dimension, a bound
    pinned by saturated neurons), not one that merely buys little. *)
-let default_improvement = 1e-4
+let improvement = 1e-4
 
-let plan ?(policy = Auto) ?(max_leaves = 256) ?(improvement = default_improvement)
-    ?deadline ~components ~threshold net box =
+let plan ?(policy = Auto) ?(max_leaves = 256) ?deadline ~components ~threshold
+    net box =
   let max_leaves = max 1 max_leaves in
   let boxes = ref [] and uppers = ref [] in
   let plan_depth = ref 0 in

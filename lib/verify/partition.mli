@@ -46,20 +46,18 @@ type plan = {
 val plan :
   ?policy:policy ->
   ?max_leaves:int ->
-  ?improvement:float ->
   ?deadline:float ->
   components:int ->
   threshold:float ->
   Nn.Network.t ->
   Interval.Box.box ->
   plan
-(** [max_leaves] (default 256) caps the partition size exactly;
-    [improvement] (default [1e-4]) is the adaptive policy's futility
-    margin: a branch stops splitting when a bisection improves the
-    symbolic bound by less than this fraction of
-    [max 1 |parent bound|] — a gate against dead dimensions, not a
-    demand that any single split pay for itself (improvements compound
-    down the tree).
+(** [max_leaves] (default 256) caps the partition size exactly. The
+    adaptive policy's futility margin is [1e-4]: a branch stops
+    splitting when a bisection improves the symbolic bound by less than
+    this fraction of [max 1 |parent bound|] — a gate against dead
+    dimensions, not a demand that any single split pay for itself
+    (improvements compound down the tree).
     [deadline] (absolute {!Linalg.Mclock} time) stops further splitting
     once passed, so planning can never starve the solves it feeds.
     Zero-width dimensions are never split (their midpoint equals both

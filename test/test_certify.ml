@@ -502,7 +502,7 @@ let manifest_payload =
    tile 7005120c695d8571\n"
 
 let seal payload =
-  payload ^ "checksum " ^ Certify.Chash.of_string payload ^ "\n"
+  payload ^ "checksum " ^ Linalg.Chash.of_string payload ^ "\n"
 
 let golden_manifest_bytes = manifest_payload ^ "checksum e93cb8414c2391bb\n"
 
@@ -537,6 +537,42 @@ let test_shard_mutations_rejected () =
     (seal (manifest_payload ^ "tile 7005120c695d8571\n"));
   rejects "empty tree" "bad tree count 0"
     (seal (replace ~sub:"tree 5" ~by:"tree 0" manifest_payload))
+
+(* A declared count the rest of the input cannot hold is rejected
+   before it sizes an array, so a few hundred bytes cannot cost
+   megabytes. The first case is 207 bytes declaring ten million leaves
+   and holding one. *)
+let test_counts_bounded_by_input () =
+  let cert box body =
+    seal
+      ("depnn-certificate v1\nnet 0123456789abcdef\ncomponent 0\noutput 1\n\
+        threshold 0x1p+0\ncomponents 1\nbound-mode interval\n" ^ box ^ body)
+  in
+  let one_box = "box 1\n0x0p+0 0x0p+0\n" in
+  let allocated_words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  List.iter
+    (fun (expected, bytes) ->
+      let before = allocated_words () in
+      let result = Certify.Certificate.of_string bytes in
+      let words = allocated_words () -. before in
+      (match result with
+       | Ok _ -> Alcotest.failf "%s: accepted" expected
+       | Error reason -> Alcotest.(check string) expected expected reason);
+      if words >= 1e6 then
+        Alcotest.failf "%s: %.0f words allocated" expected words)
+    [
+      ( "bad leaf count 10000000",
+        cert one_box "body milp-tree ffff 10000000\nleaf 0 empty-row 0\n" );
+      ( "bad fix count 1000000",
+        cert one_box
+          "body milp-tree ffff 1\nleaf 1000000 empty-row 0\n\
+           fix 0 0x0p+0 0x0p+0\n" );
+      ( "bad box count 1000000",
+        cert "box 1000000\n0x0p+0 0x0p+0\n" "body witness 0x0p+0 0\nx\n" );
+    ]
 
 let golden_requests =
   let box_lines =
@@ -1090,6 +1126,7 @@ let () =
           quick "golden digests" test_golden_digests;
           quick "shard round trip" test_shard_round_trip;
           quick "shard mutations rejected" test_shard_mutations_rejected;
+          quick "counts bounded by the input" test_counts_bounded_by_input;
           quick "golden payloads" test_golden_payloads;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
             prop_loaders_never_raise;

@@ -50,10 +50,12 @@ let prop_bounds_sound =
       done;
       !ok)
 
+(* The naive global big-M of the paper's ablation: bounds propagated
+   from a wide box around the one asked about. *)
 let test_coarse_is_wider () =
   let net = small_net 2 [ 3; 6; 2 ] in
   let tight = Encoding.Bounds.propagate net (box 3 0.2) in
-  let loose = Encoding.Bounds.coarse net ~radius:1.0 in
+  let loose = Encoding.Bounds.propagate net (box 3 1.0) in
   for li = 0 to 1 do
     Array.iteri
       (fun r iv ->
@@ -107,16 +109,6 @@ let test_encoder_rejects_dim_mismatch () =
   Alcotest.(check bool) "raises" true
     (try
        ignore (Encoding.Encoder.encode net (box 2 0.5));
-       false
-     with Invalid_argument _ -> true)
-
-let test_encoder_coarse_box_check () =
-  let net = small_net 6 [ 3; 4; 2 ] in
-  Alcotest.(check bool) "box outside radius rejected" true
-    (try
-       ignore
-         (Encoding.Encoder.encode ~bound_mode:(Encoding.Encoder.Coarse 0.1) net
-            (box 3 0.5));
        false
      with Invalid_argument _ -> true)
 
@@ -223,13 +215,18 @@ let test_layer_order_priority () =
 
 let test_coarse_mode_same_optimum () =
   (* Loose big-M constants must not change the optimum, only the
-     relaxation tightness. *)
+     relaxation tightness: the encoding of a wide box, its inputs
+     narrowed to the box asked about. *)
   let net = small_net 13 [ 3; 5; 2 ] in
   let b0 = box 3 0.3 in
   let tight = Encoding.Encoder.encode net b0 in
-  let loose =
-    Encoding.Encoder.encode ~bound_mode:(Encoding.Encoder.Coarse 1.0) net b0
-  in
+  let loose = Encoding.Encoder.encode net (box 3 1.0) in
+  Array.iteri
+    (fun i v ->
+      Lp.Problem.set_bounds
+        (Milp.Model.lp loose.Encoding.Encoder.model)
+        v ~lo:b0.(i).Interval.lo ~hi:b0.(i).Interval.hi)
+    loose.Encoding.Encoder.input_vars;
   Alcotest.(check (float 1e-4)) "same optimum" (milp_max tight 0) (milp_max loose 0);
   Alcotest.(check bool) "coarse has at least as many binaries" true
     (List.length loose.Encoding.Encoder.binaries
@@ -407,7 +404,6 @@ let () =
           quick "stats consistent" test_encoder_stats_consistent;
           quick "rejects tanh" test_encoder_rejects_tanh;
           quick "rejects dim mismatch" test_encoder_rejects_dim_mismatch;
-          quick "coarse box check" test_encoder_coarse_box_check;
           quick "point box = forward" test_point_box_equals_forward;
           slow "max dominates sampling" test_milp_max_dominates_sampling;
           quick "identity network" test_identity_network_exact;

@@ -298,46 +298,6 @@ let test_nan_fault_ignores_short_scene () =
              Array.length s = Nn.Network.input_dim net && non_finite faulted s)
            sc)
 
-(* The batched replay is a pure throughput change: per-scene verdicts,
-   counters and deviations must be the same whether scenes go through
-   one at a time or in cache-blocked chunks (including a chunk size that
-   does not divide the scene count). *)
-let test_campaign_batch_invariance () =
-  let net = make_net 9 8 in
-  let sc = scenes 10 25 in
-  let envelope = Guard.envelope ~components ~lat_limit:1.0 () in
-  let go batch =
-    let rng = Linalg.Rng.create 31 in
-    Fault.Campaign.run ~rng ~envelope ~batch ~scenes:sc ~trials:30 net
-  in
-  let baseline = go 1 in
-  List.iter
-    (fun batch ->
-      let r = go batch in
-      let tag name = Printf.sprintf "batch %d: %s" batch name in
-      Alcotest.(check int) (tag "detected") baseline.Fault.Campaign.detected
-        r.Fault.Campaign.detected;
-      Alcotest.(check int) (tag "nan") baseline.Fault.Campaign.nan_trials
-        r.Fault.Campaign.nan_trials;
-      Alcotest.(check int) (tag "violations")
-        baseline.Fault.Campaign.violation_trials
-        r.Fault.Campaign.violation_trials;
-      Alcotest.(check int) (tag "silent") baseline.Fault.Campaign.silent
-        r.Fault.Campaign.silent;
-      Alcotest.(check int) (tag "benign") baseline.Fault.Campaign.benign
-        r.Fault.Campaign.benign;
-      Alcotest.(check int) (tag "fallbacks")
-        baseline.Fault.Campaign.total_fallbacks
-        r.Fault.Campaign.total_fallbacks;
-      Alcotest.(check bool) (tag "per-trial deviations bit-equal") true
-        (Array.for_all2
-           (fun a b ->
-             a.Fault.Campaign.max_deviation = b.Fault.Campaign.max_deviation
-             && a.Fault.Campaign.detected = b.Fault.Campaign.detected
-             && a.Fault.Campaign.silent = b.Fault.Campaign.silent)
-           baseline.Fault.Campaign.trials r.Fault.Campaign.trials))
-    [ 7; 25; 128 ]
-
 (* {1 Scalar oracle}
 
    An independent rebuild of one campaign trial, one scene at a time:
@@ -442,9 +402,9 @@ let check_trial_bits tag (expected : Fault.Campaign.trial)
   Alcotest.(check int) (tag ^ ": fallbacks") expected.Fault.Campaign.fallbacks
     got.Fault.Campaign.fallbacks
 
-(* Random I4xN predictors, scene sets with exact-zero features (some
-   features read 0.0 in every scene, so their dropout changes nothing)
-   and sampled trials at a random chunk size: every trial of the
+(* Random I4xN predictors, scene sets of up to three chunks with
+   exact-zero features (some features read 0.0 in every scene, so their
+   dropout changes nothing) and sampled trials: every trial of the
    campaign equals its scalar rebuild, bit for bit. *)
 let prop_campaign_matches_oracle =
   QCheck.Test.make ~count:40 ~name:"campaign trials equal the scalar oracle"
@@ -455,7 +415,7 @@ let prop_campaign_matches_oracle =
       let zeroed = Array.init 84 (fun _ -> Linalg.Rng.int rng 8 = 0) in
       let scenes =
         Array.init
-          (5 + Linalg.Rng.int rng 26)
+          (1 + Linalg.Rng.int rng ((2 * Nn.Network.chunk_width) + 3))
           (fun _ ->
             Array.init 84 (fun f ->
                 if zeroed.(f) || Linalg.Rng.int rng 8 = 0 then 0.0
@@ -466,10 +426,8 @@ let prop_campaign_matches_oracle =
           ~lat_limit:(Linalg.Rng.uniform rng 0.0 2.0)
           ()
       in
-      let batch = 1 + Linalg.Rng.int rng (Array.length scenes + 2) in
       let r =
-        Fault.Campaign.run ~rng:(Linalg.Rng.split rng) ~envelope ~batch
-          ~scenes
+        Fault.Campaign.run ~rng:(Linalg.Rng.split rng) ~envelope ~scenes
           ~trials:(1 + Linalg.Rng.int rng 20)
           net
       in
@@ -486,24 +444,34 @@ let prop_campaign_matches_oracle =
 (* Every fault kind explicitly (the stateful freeze and stale-hold
    channels included), the pinned NaN flip, and sampled trials, on the
    clean scenes and on a set with one truncated scene (which the
-   campaign cannot pack into a batch), at several chunk sizes and on
-   one and two cores. The list also holds the cases an incremental
-   replay treats specially: single-site faults in the output layer's
-   logit and log-sigma rows, a one-ulp (bit 0) weight flip, and two
-   faults that change no scene at all, a stuck-at-zero neuron that is
-   already dead on every scene and the dropout of a feature that reads
-   0.0 in every scene. *)
+   campaign cannot pack into a batch), on one and two cores, for one
+   scene, one chunk short of full, a full chunk, one scene into a
+   second chunk and a partial third chunk. The list also holds the
+   cases an incremental replay treats specially: single-site faults in
+   the output layer's logit and log-sigma rows, a one-ulp (bit 0)
+   weight flip, faults that change more than a chunk of scenes (a
+   first-layer flip, a feature dropout), and two faults that change no
+   scene at all, a stuck-at-zero neuron that is already dead on every
+   scene and the dropout of a feature that reads 0.0 in every scene. *)
 let test_campaign_scalar_oracle () =
   let net = make_net 9 8 in
-  let zero_feature = 11 in
-  let clean =
+  (* A ReLU no scene activates, for the stuck-at-zero fault below. *)
+  (Nn.Network.layer net 2).Nn.Layer.bias.(5) <- -100.0;
+  let zero_feature = 11 and dropped_feature = 7 in
+  let c = Nn.Network.chunk_width in
+  let all =
     Array.map
       (fun s ->
         let s = Array.copy s in
         s.(zero_feature) <- 0.0;
         s)
-      (scenes 10 25)
+      (scenes 10 ((2 * c) + 3))
   in
+  Alcotest.(check bool) "the dropout changes more than a chunk of scenes" true
+    (Array.fold_left
+       (fun n s -> if s.(dropped_feature) <> 0.0 then n + 1 else n)
+       0 all
+     > c);
   (* Just above the clean network's worst component lateral mean, so
      the clean predictor runs nominal and only faults trip the guard. *)
   let clean_worst =
@@ -512,13 +480,16 @@ let test_campaign_scalar_oracle () =
         Float.max acc
           (Nn.Gmm.max_component_mu_lat
              (Nn.Gmm.decode ~components (Nn.Network.forward net s))))
-      neg_infinity clean
+      neg_infinity all
   in
   let envelope =
     Guard.envelope ~components ~lat_limit:(clean_worst +. 0.01) ()
   in
+  (* Non-finite on the first scene, so on every prefix of the set. *)
   let nan_fault =
-    match Fault.Campaign.find_nan_fault ~components ~scenes:clean net with
+    match
+      Fault.Campaign.find_nan_fault ~components ~scenes:[| all.(0) |] net
+    with
     | Some f -> f
     | None -> Alcotest.fail "no NaN-producing bit flip found on I4x8"
   in
@@ -529,7 +500,7 @@ let test_campaign_scalar_oracle () =
   (* A hidden ReLU neuron whose clean activation is +0.0 on every
      scene: stuck at zero, it changes nothing. *)
   let dead_neuron =
-    let traces = Array.map (Nn.Network.forward_trace net) clean in
+    let traces = Array.map (Nn.Network.forward_trace net) all in
     let dead layer neuron =
       Array.for_all
         (fun t ->
@@ -575,52 +546,59 @@ let test_campaign_scalar_oracle () =
         Network_fault
           (Stuck_neuron { layer = 3; neuron = 0; mode = Stuck_zero });
         Network_fault (Weight_drift { seed = 5; sigma = 0.3 });
-        Input_fault (Sensor_dropout { feature = 7 });
+        Input_fault (Sensor_dropout { feature = dropped_feature });
         Input_fault (Sensor_freeze { feature = 0 });
         Input_fault (Stale_hold { feature = 1; lag = 3 });
         nan_fault;
       ]
   in
-  let truncated = Array.append clean [| Array.sub clean.(0) 0 40 |] in
   List.iter
-    (fun (set, scenes, mixed) ->
+    (fun n ->
+      let clean = Array.sub all 0 n in
+      let truncated = Array.append clean [| Array.sub all.(0) 0 40 |] in
       List.iter
-        (fun (batch, cores) ->
-          let r =
-            Fault.Campaign.run ~rng:(Linalg.Rng.create 41) ~envelope ~batch
-              ~cores ~faults ~scenes ~trials:10 net
-          in
-          let run = Printf.sprintf "%s, batch %d, %d cores" set batch cores in
-          Alcotest.(check int) (run ^ ": trial count")
-            (List.length faults + 10)
-            (Array.length r.Fault.Campaign.trials);
-          Array.iteri
-            (fun i (got : Fault.Campaign.trial) ->
-              check_trial_bits
-                (Printf.sprintf "%s, trial %d (%s)" run i
-                   (Fault.Model.describe got.Fault.Campaign.fault))
-                (oracle_trial ~envelope ~scenes net got.Fault.Campaign.fault)
-                got)
-            r.Fault.Campaign.trials;
-          Alcotest.(check bool) (run ^ ": the pinned flip is a NaN trial") true
-            r.Fault.Campaign.trials.(List.length faults - 1).Fault.Campaign
-              .nan_raw;
-          let some name f =
-            Alcotest.(check bool) (run ^ ": some trial " ^ name) true
-              (Array.exists f r.Fault.Campaign.trials)
-          in
-          (* The truncated scene trips the guard in every trial. *)
-          if mixed then begin
-            some "violates" (fun t -> t.Fault.Campaign.violation_raw);
-            some "is silent" (fun t -> t.Fault.Campaign.silent);
-            some "is benign" (fun t ->
-                (not t.Fault.Campaign.detected) && not t.Fault.Campaign.silent)
-          end)
-        [ (1, 1); (7, 1); (128, 1); (1, 2); (7, 2); (128, 2) ])
-    [
-      ("clean scenes", clean, true);
-      ("one truncated scene", truncated, false);
-    ]
+        (fun (set, scenes, mixed) ->
+          List.iter
+            (fun cores ->
+              let r =
+                Fault.Campaign.run ~rng:(Linalg.Rng.create 41) ~envelope
+                  ~cores ~faults ~scenes ~trials:10 net
+              in
+              let run = Printf.sprintf "%d %s, %d cores" n set cores in
+              Alcotest.(check int) (run ^ ": trial count")
+                (List.length faults + 10)
+                (Array.length r.Fault.Campaign.trials);
+              Array.iteri
+                (fun i (got : Fault.Campaign.trial) ->
+                  check_trial_bits
+                    (Printf.sprintf "%s, trial %d (%s)" run i
+                       (Fault.Model.describe got.Fault.Campaign.fault))
+                    (oracle_trial ~envelope ~scenes net
+                       got.Fault.Campaign.fault)
+                    got)
+                r.Fault.Campaign.trials;
+              Alcotest.(check bool) (run ^ ": the pinned flip is a NaN trial")
+                true
+                r.Fault.Campaign.trials.(List.length faults - 1)
+                  .Fault.Campaign.nan_raw;
+              let some name f =
+                Alcotest.(check bool) (run ^ ": some trial " ^ name) true
+                  (Array.exists f r.Fault.Campaign.trials)
+              in
+              if mixed then begin
+                some "violates" (fun t -> t.Fault.Campaign.violation_raw);
+                some "is silent" (fun t -> t.Fault.Campaign.silent);
+                some "is benign" (fun t ->
+                    (not t.Fault.Campaign.detected)
+                    && not t.Fault.Campaign.silent)
+              end)
+            [ 1; 2 ])
+        (* The truncated scene trips the guard in every trial. *)
+        [
+          ("clean scenes", clean, n = (2 * c) + 3);
+          ("clean scenes and a truncated one", truncated, false);
+        ])
+    [ 1; c - 1; c; c + 1; (2 * c) + 3 ]
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -651,7 +629,6 @@ let () =
           quick "reverify short scene" test_campaign_reverify_short_scene;
           quick "nan fault ignores short scene"
             test_nan_fault_ignores_short_scene;
-          quick "batch invariance" test_campaign_batch_invariance;
           quick "scalar oracle" test_campaign_scalar_oracle;
           QCheck_alcotest.to_alcotest prop_campaign_matches_oracle;
         ] );

@@ -16,8 +16,7 @@ let head ~lat ~lon = [| 0.0; lat; lon; 0.0; 0.0 |]
 
 let input = Array.make 84 0.1
 
-let env ?output_limit lat_limit =
-  Guard.envelope ~components ?output_limit ~lat_limit ()
+let env lat_limit = Guard.envelope ~components ~lat_limit ()
 
 let test_nominal_passthrough () =
   let guard = Guard.make ~envelope:(env 1.0) (const_net (head ~lat:0.3 ~lon:0.1)) in
@@ -200,44 +199,50 @@ let test_classify_forward_raised () =
 
 (* [predict_batch] must be observationally identical to mapping
    [predict]: same actions, same states, same counters, same last trip —
-   whatever the chunk size. *)
+   for one input, one chunk short of full, a full chunk, one input into
+   a second chunk, and a partial third chunk. *)
 let test_predict_batch_matches_scalar () =
   let components = 3 in
   let rng = Linalg.Rng.create 51 in
   let net =
     Nn.Network.i4xn ~rng ~output_dim:(Nn.Gmm.output_dim ~components) 8
   in
-  let inputs =
-    Array.init 37 (fun _ ->
+  let c = Nn.Network.chunk_width in
+  let all =
+    Array.init ((2 * c) + 3) (fun _ ->
         Array.init 84 (fun _ -> Linalg.Rng.uniform rng (-4.0) 4.0))
   in
   let envelope = Guard.envelope ~components ~lat_limit:0.4 () in
-  let scalar_guard = Guard.make ~envelope net in
-  let expected = Array.map (Guard.predict scalar_guard) inputs in
-  let expected_diag = Guard.diagnostics scalar_guard in
   List.iter
-    (fun batch ->
+    (fun n ->
+      let inputs = Array.sub all 0 n in
+      let scalar_guard = Guard.make ~envelope net in
+      let expected = Array.map (Guard.predict scalar_guard) inputs in
       let guard = Guard.make ~envelope net in
-      let got = Guard.predict_batch ~batch guard inputs in
+      let got = Guard.predict_batch guard inputs in
+      let bits = Int64.bits_of_float in
       Array.iteri
         (fun i ((lat, lon), state) ->
           let (elat, elon), estate = expected.(i) in
-          if not (lat = elat && lon = elon && state = estate) then
-            Alcotest.failf "batch %d, input %d: batched prediction differs"
-              batch i)
+          if
+            not
+              (bits lat = bits elat && bits lon = bits elon && state = estate)
+          then
+            Alcotest.failf "%d inputs, input %d: batched prediction differs"
+              n i)
         got;
-      let d = Guard.diagnostics guard in
       Alcotest.(check bool)
-        (Printf.sprintf "batch %d: diagnostics identical" batch)
-        true (d = expected_diag))
-    [ 1; 7; 37; 128 ]
+        (Printf.sprintf "%d inputs: diagnostics identical" n)
+        true
+        (Guard.diagnostics guard = Guard.diagnostics scalar_guard))
+    [ 1; c - 1; c; c + 1; (2 * c) + 3 ]
 
 (* One poisoned sample must not leak into its batch neighbours. *)
 let test_predict_batch_nan_isolated () =
   let guard = Guard.make ~envelope:(env 1.0) (const_net (head ~lat:0.3 ~lon:0.1)) in
   let poisoned = Array.make 84 Float.nan in
   let inputs = [| input; poisoned; input |] in
-  let got = Guard.predict_batch ~batch:3 guard inputs in
+  let got = Guard.predict_batch guard inputs in
   let states = Array.map snd got in
   Alcotest.(check bool) "clean neighbours nominal" true
     (states.(0) = Guard.Nominal && states.(2) = Guard.Nominal);

@@ -191,10 +191,10 @@ let test_forward_each_edges () =
   let rng = Linalg.Rng.create 8 in
   let net = Nn.Network.create ~rng [ 4; 6; 3 ] in
   Alcotest.(check int) "empty in, empty out" 0
-    (Array.length (Nn.Network.forward_each ~batch:7 net [||]));
+    (Array.length (Nn.Network.forward_each net [||]));
   let inputs = batch_of rng net 5 in
   inputs.(2) <- [| 0.1; 0.2 |];
-  let each = Nn.Network.forward_each ~batch:2 net inputs in
+  let each = Nn.Network.forward_each net inputs in
   Array.iteri
     (fun i r ->
       match (i, r) with
@@ -227,14 +227,15 @@ let test_forward_trace_batch_parity () =
     inputs
 
 (* Both batched paths against the scalar forward: [forward_batch]'s
-   columns, and [forward_each]'s results at chunk sizes that do and do
-   not divide the input count. *)
+   columns, and [forward_each]'s results for no input, one, one chunk
+   short of full, a full chunk, one input into a second chunk, and a
+   partial third chunk. *)
 let prop_forward_batch_matches_scalar =
+  let c = Nn.Network.chunk_width in
   QCheck.Test.make ~name:"forward_batch = per-column forward (bit-exact)"
     ~count:50
-    QCheck.(
-      quad (int_range 1 12) (int_range 1 12) (int_range 0 9) (int_range 0 10000))
-    (fun (input_dim, hidden, n, seed) ->
+    QCheck.(triple (int_range 1 12) (int_range 1 12) (int_range 0 10000))
+    (fun (input_dim, hidden, seed) ->
       let rng = Linalg.Rng.create seed in
       let acts =
         [|
@@ -247,27 +248,29 @@ let prop_forward_batch_matches_scalar =
           ~hidden_activation:acts.(seed mod Array.length acts)
           [ input_dim; hidden; 3 ]
       in
-      let inputs =
-        Array.init n (fun _ ->
+      let all =
+        Array.init ((2 * c) + 3) (fun _ ->
             Array.init input_dim (fun _ -> Linalg.Rng.uniform rng (-5.0) 5.0))
       in
-      let y =
-        Nn.Network.forward_batch net (Linalg.Mat.of_cols ~rows:input_dim inputs)
-      in
-      let expected = Array.map (Nn.Network.forward net) inputs in
-      Linalg.Mat.cols y = n
-      && Array.for_all
-           (fun j -> bits_equal expected.(j) (Linalg.Mat.col y j))
-           (Array.init n Fun.id)
-      && List.for_all
-           (fun batch ->
-             let each = Nn.Network.forward_each ~batch net inputs in
-             Array.length each = n
-             && Array.for_all2
-                  (fun e r ->
-                    match r with Ok out -> bits_equal e out | Error _ -> false)
-                  expected each)
-           [ 1; 7; n; 128 ])
+      List.for_all
+        (fun n ->
+          let inputs = Array.sub all 0 n in
+          let y =
+            Nn.Network.forward_batch net
+              (Linalg.Mat.of_cols ~rows:input_dim inputs)
+          in
+          let expected = Array.map (Nn.Network.forward net) inputs in
+          let each = Nn.Network.forward_each net inputs in
+          Linalg.Mat.cols y = n
+          && Array.for_all
+               (fun j -> bits_equal expected.(j) (Linalg.Mat.col y j))
+               (Array.init n Fun.id)
+          && Array.length each = n
+          && Array.for_all2
+               (fun e r ->
+                 match r with Ok out -> bits_equal e out | Error _ -> false)
+               expected each)
+        [ 0; 1; c - 1; c; c + 1; (2 * c) + 3 ])
 
 let test_create_validation () =
   let rng = Linalg.Rng.create 4 in

@@ -102,7 +102,7 @@ let test_frame_malformed_rejected () =
   reject "non-numeric length" "depnn1 five 0000000000000000\nhello";
   reject "bad checksum" "depnn1 5 0000000000000000\nhello";
   reject "truncated payload"
-    (Printf.sprintf "depnn1 50 %s\nshort" (Certify.Chash.of_string "short"));
+    (Printf.sprintf "depnn1 50 %s\nshort" (Linalg.Chash.of_string "short"));
   reject "immediate close" "";
   reject "endless header" (String.make 300 'h')
 
@@ -492,6 +492,18 @@ let test_server_cache_flow () =
       (match Serve.Client.call address (Serve.Protocol.Predict [| 1.0 |]) with
        | Ok (Serve.Protocol.Refused _) -> ()
        | _ -> Alcotest.fail "wrong predict dim not refused");
+      (* A well-formed question in a bound mode the verifier does not
+         have is refused at the door; no worker sees it. *)
+      (match
+         Serve.Client.call address
+           (Serve.Protocol.Verify (query (prop ~mode:"coarse 0x1p-7" ())))
+       with
+       | Ok (Serve.Protocol.Refused reason) ->
+           Alcotest.(check bool)
+             (Printf.sprintf "refused as an unknown bound mode (%s)" reason)
+             true
+             (String.starts_with ~prefix:"unknown bound mode" reason)
+       | _ -> Alcotest.fail "unknown bound mode not refused");
       (* A garbage frame gets a clean error and the server lives on. *)
       let sock =
         match address with Serve.Protocol.Unix_socket s -> s | _ -> assert false
@@ -518,7 +530,9 @@ let test_server_cache_flow () =
           Alcotest.(check int) "settled questions cached" 2
             s.Serve.Protocol.store_entries;
           Alcotest.(check bool) "garbage counted as rejected" true
-            (s.Serve.Protocol.rejected >= 1)
+            (s.Serve.Protocol.rejected >= 1);
+          Alcotest.(check int) "no worker died" 0
+            s.Serve.Protocol.failed_workers
       | _ -> Alcotest.fail "expected stats")
 
 let test_server_worker_crash_respawn () =
