@@ -181,7 +181,8 @@ let table2 () =
           else "incomplete"
         in
         Printf.printf "I4x%-5d %-10d %-22s %8.1fs %-8d %s\n%!" width
-          r.Verify.Driver.unstable_neurons value_text r.Verify.Driver.elapsed
+          r.Verify.Driver.encoder_stats.Encoding.Encoder.unstable value_text
+          r.Verify.Driver.elapsed
           r.Verify.Driver.nodes status;
         (width, r))
       widths
@@ -304,7 +305,8 @@ let ablation () =
       Verify.Driver.max_lateral_velocity ~time_limit ~tighten_rounds
         ~components net box
     in
-    row name ~binaries:r.Verify.Driver.unstable_neurons
+    row name
+      ~binaries:r.Verify.Driver.encoder_stats.Encoding.Encoder.unstable
       ~nodes:r.Verify.Driver.nodes ~pivots:r.Verify.Driver.lp_iterations
       ~elapsed:r.Verify.Driver.elapsed ~value:r.Verify.Driver.value
       ~optimal:r.Verify.Driver.optimal ~upper:r.Verify.Driver.upper_bound

@@ -23,7 +23,7 @@ let () =
   let v = artifacts.Pipeline.verification in
   Printf.printf
     "verification detail: %d unstable neurons (binaries), %d nodes, %d simplex pivots, %.1fs\n"
-    v.Verify.Driver.unstable_neurons v.Verify.Driver.nodes
+    v.Verify.Driver.encoder_stats.Encoding.Encoder.unstable v.Verify.Driver.nodes
     v.Verify.Driver.lp_iterations v.Verify.Driver.elapsed;
 
   (* Replay the worst-case input through the network and show it. *)

@@ -23,7 +23,8 @@ let risky_right_rule =
         else None);
   }
 
-let extreme_action_rule ?(max_lat = 4.0) ?(max_lon = 6.0) () =
+let extreme_action_rule =
+  let max_lat = 4.0 and max_lon = 6.0 in
   {
     rule_name = "plausible-action";
     check =
@@ -63,7 +64,7 @@ let in_domain_rule =
   }
 
 let default_rules =
-  [ in_domain_rule; extreme_action_rule (); risky_left_rule; risky_right_rule ]
+  [ in_domain_rule; extreme_action_rule; risky_left_rule; risky_right_rule ]
 
 type rejection = { index : int; rule_name : string; reason : string }
 

@@ -21,8 +21,8 @@ val risky_left_rule : rule
     left slot is occupied ({!Highway.Risk}). *)
 
 val risky_right_rule : rule
-val extreme_action_rule : ?max_lat:float -> ?max_lon:float -> unit -> rule
-(** Physically implausible labels (default |lat| > 4 m/s, |lon| > 6 m/s²). *)
+val extreme_action_rule : rule
+(** Physically implausible labels (|lat| > 4 m/s or |lon| > 6 m/s²). *)
 
 val in_domain_rule : rule
 (** Features must lie in {!Highway.Features.domain} (sensor sanity). *)

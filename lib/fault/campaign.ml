@@ -497,8 +497,8 @@ let render r =
   let buf = Buffer.create 1024 in
   let n = Array.length r.trials in
   Buffer.add_string buf
-    (Printf.sprintf "fault campaign: %d trials x %d scenes (%.1fs)\n" n r.scenes
-       r.elapsed);
+    (Printf.sprintf "fault campaign: %d trials x %d scenes (%.0f ms)\n" n
+       r.scenes (1000.0 *. r.elapsed));
   Buffer.add_string buf
     (Printf.sprintf "  detected (guard tripped)    %4d  %s\n" r.detected
        (percent r.detected n));

@@ -8,9 +8,11 @@ type sample = {
 let target_of_sample s = [| s.lat_velocity; s.lon_accel |]
 
 let default_road = Road.make ~length:1000.0 ()
+let warmup_steps = 50
+let sample_every = 3
 
 let record ~rng ?(style = Policy.Safe) ?road ?(vehicles_per_lane = 14)
-    ?(dt = 0.2) ?(warmup_steps = 50) ?(sample_every = 3) ~n_samples () =
+    ?(dt = 0.2) ~n_samples () =
   let road = match road with Some r -> r | None -> default_road in
   let sim = Simulator.spawn ~rng ~road ~vehicles_per_lane () in
   let idm = Idm.default and mobil = Mobil.default in

@@ -31,12 +31,10 @@ val record :
   ?road:Road.t ->
   ?vehicles_per_lane:int ->
   ?dt:float ->
-  ?warmup_steps:int ->
-  ?sample_every:int ->
   n_samples:int ->
   unit ->
   sample array
-(** Simulate until [n_samples] scenes are collected (after
-    [warmup_steps], sampling every [sample_every] steps). The expert's
-    action is both recorded and applied to the ego, so the log covers
-    the closed-loop distribution. *)
+(** Simulate until [n_samples] scenes are collected (after 50 warm-up
+    steps, sampling every third step). The expert's action is both
+    recorded and applied to the ego, so the log covers the closed-loop
+    distribution. *)

@@ -1,4 +1,5 @@
-let scene ?(window = 60.0) ?(columns = 61) (s : Scene.t) =
+let scene (s : Scene.t) =
+  let window = 60.0 and columns = 61 in
   let road = s.Scene.road in
   let buf = Buffer.create 1024 in
   let col_of dx =
@@ -42,9 +43,9 @@ let scene ?(window = 60.0) ?(columns = 61) (s : Scene.t) =
 
 let shades = " .:-=+*#%@"
 
-let action_distribution ?(rows = 13) ?(cols = 25)
-    ?(lat_range = (-3.0, 3.0)) ?(lon_range = (-4.0, 4.0)) (g : Nn.Gmm.t) =
-  let lat_lo, lat_hi = lat_range and lon_lo, lon_hi = lon_range in
+let action_distribution (g : Nn.Gmm.t) =
+  let rows = 13 and cols = 25 in
+  let lat_lo, lat_hi = (-3.0, 3.0) and lon_lo, lon_hi = (-4.0, 4.0) in
   let densities =
     Array.init rows (fun r ->
         Array.init cols (fun c ->

@@ -3,20 +3,14 @@
     mixture over lateral velocity x longitudinal acceleration) on the
     right. *)
 
-val scene :
-  ?window:float -> ?columns:int -> Scene.t -> string
-(** Top-down view, leftmost lane on top, ego marked [E], traffic [>].
-    [window] is the longitudinal half-range in metres (default 60),
-    [columns] the character width (default 61). *)
+val scene : Scene.t -> string
+(** Top-down view, leftmost lane on top, ego marked [E], traffic [>],
+    60 m either side of the ego in 61 columns. *)
 
-val action_distribution :
-  ?rows:int -> ?cols:int ->
-  ?lat_range:float * float ->
-  ?lon_range:float * float ->
-  Nn.Gmm.t ->
-  string
+val action_distribution : Nn.Gmm.t -> string
 (** Density heatmap of the mixture; lateral velocity on the vertical
-    axis (up = left), longitudinal acceleration on the horizontal. *)
+    axis (up = left, 13 rows over ±3 m/s), longitudinal acceleration on
+    the horizontal (25 columns over ±4 m/s²). *)
 
 val side_by_side : string -> string -> string
 (** Join two multi-line blocks horizontally (Fig. 1 layout). *)

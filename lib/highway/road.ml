@@ -7,11 +7,11 @@ type t = {
   curvature : float;
 }
 
-let make ?(num_lanes = 3) ?(lane_width = 3.5) ?(length = 2000.0)
-    ?(speed_limit = 36.1) ?(friction = 1.0) ?(curvature = 0.0) () =
+let make ?(num_lanes = 3) ?(length = 2000.0) () =
   if num_lanes < 1 then invalid_arg "Road.make: need at least one lane";
   if length <= 0.0 then invalid_arg "Road.make: non-positive length";
-  { num_lanes; lane_width; length; speed_limit; friction; curvature }
+  { num_lanes; lane_width = 3.5; length; speed_limit = 36.1; friction = 1.0;
+    curvature = 0.0 }
 
 let default = make ()
 

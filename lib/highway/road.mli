@@ -18,15 +18,9 @@ type t = {
 val default : t
 (** Three lanes, 3.5 m wide, 2 km ring, 130 km/h limit, dry. *)
 
-val make :
-  ?num_lanes:int ->
-  ?lane_width:float ->
-  ?length:float ->
-  ?speed_limit:float ->
-  ?friction:float ->
-  ?curvature:float ->
-  unit ->
-  t
+val make : ?num_lanes:int -> ?length:float -> unit -> t
+(** [num_lanes] (default 3) lanes 3.5 m wide on a straight, dry ring of
+    [length] (default 2 km) metres, limited to 130 km/h. *)
 
 val wrap : t -> float -> float
 (** Normalise a longitudinal position into [\[0, length)]. Positions

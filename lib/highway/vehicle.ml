@@ -12,17 +12,16 @@ type t = {
 
 let history_length = 4
 
-let make ~id ~x ~lane ~speed ?(lat_offset = 0.0) ?(accel = 0.0) ?(length = 4.5)
-    ?desired_speed () =
+let make ~id ~x ~lane ~speed ?(length = 4.5) ?desired_speed () =
   if speed < 0.0 then invalid_arg "Vehicle.make: negative speed";
   let desired_speed = match desired_speed with Some v -> v | None -> speed in
   {
     id;
     x;
     lane;
-    lat_offset;
+    lat_offset = 0.0;
     speed;
-    accel;
+    accel = 0.0;
     length;
     desired_speed;
     speed_history = Array.make history_length speed;

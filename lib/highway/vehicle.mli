@@ -21,13 +21,12 @@ val make :
   x:float ->
   lane:int ->
   speed:float ->
-  ?lat_offset:float ->
-  ?accel:float ->
   ?length:float ->
   ?desired_speed:float ->
   unit ->
   t
-(** [desired_speed] defaults to [speed]; [length] to 4.5 m. The speed
+(** A vehicle centred in its lane and not accelerating.
+    [desired_speed] defaults to [speed]; [length] to 4.5 m. The speed
     history is filled with [speed]. *)
 
 val push_history : t -> t

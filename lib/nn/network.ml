@@ -124,8 +124,7 @@ let describe t =
 
 let copy t = { layers = Array.map Layer.copy t.layers }
 
-let create ~rng ?(hidden_activation = Activation.Relu)
-    ?(output_activation = Activation.Identity) dims =
+let create ~rng ?(hidden_activation = Activation.Relu) dims =
   match dims with
   | [] | [ _ ] -> invalid_arg "Network.create: need at least input and output dims"
   | _ :: _ ->
@@ -141,7 +140,7 @@ let create ~rng ?(hidden_activation = Activation.Relu)
         List.mapi
           (fun i (fan_in, fan_out) ->
             let activation =
-              if i = n - 1 then output_activation else hidden_activation
+              if i = n - 1 then Activation.Identity else hidden_activation
             in
             (* He initialisation keeps ReLU pre-activation variance stable
                across depth. *)
@@ -156,6 +155,6 @@ let create ~rng ?(hidden_activation = Activation.Relu)
       in
       make (Array.of_list layers)
 
-let i4xn ~rng ?(input_dim = 84) ?(output_dim = Gmm.output_dim ~components:3)
+let i4xn ~rng ?(output_dim = Gmm.output_dim ~components:3)
     ?(hidden_activation = Activation.Relu) n =
-  create ~rng ~hidden_activation [ input_dim; n; n; n; n; output_dim ]
+  create ~rng ~hidden_activation [ 84; n; n; n; n; output_dim ]

@@ -78,21 +78,20 @@ val copy : t -> t
 val create :
   rng:Linalg.Rng.t ->
   ?hidden_activation:Activation.t ->
-  ?output_activation:Activation.t ->
   int list ->
   t
 (** [create ~rng dims] builds a network with the given layer dimensions
     ([dims = [input; h1; ...; output]], at least two entries) and
-    He-initialised weights. Hidden activation defaults to [Relu], output
-    to [Identity]. *)
+    He-initialised weights. Hidden activation defaults to [Relu]; the
+    output layer is linear. *)
 
 val i4xn :
   rng:Linalg.Rng.t ->
-  ?input_dim:int ->
   ?output_dim:int ->
   ?hidden_activation:Activation.t ->
   int ->
   t
-(** [i4xn ~rng n] is the paper's I4×n architecture: [input_dim]
-    (default 84) inputs, four hidden layers of width [n], linear output
-    of [output_dim] (default {!Gmm.output_dim} for 3 components). *)
+(** [i4xn ~rng n] is the paper's I4×n architecture: 84 inputs (the
+    highway feature vector), four hidden layers of width [n], linear
+    output of [output_dim] (default {!Gmm.output_dim} for 3
+    components). *)

@@ -100,7 +100,10 @@ type answer = {
       (** property hash of the {e backing} entry (equals the query's
           hash for exact hits and misses; the subsuming entry's hash
           for subsumed hits) *)
-  cert_dir : string; (** auditable with [depnn audit NETWORK dir] *)
+  cert_dir : string;
+      (** auditable with [depnn audit NETWORK dir]: the question's own
+          certification directory, or under [depnn serve --split] the
+          store root holding its shard manifest and leaf directories *)
   solve_s : float;   (** server-side solve seconds; ~0 for cache hits *)
 }
 

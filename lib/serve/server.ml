@@ -225,7 +225,7 @@ let answer_of_entry ~cache (e : Certify.Store.entry) =
 
 (* {1 Workers} *)
 
-let handle_job t session job =
+let handle_job t job =
   let q = job.query in
   let p = q.property in
   let prop_hash = Certify.Certificate.property_hash ~net_hash:t.net_hash p in
@@ -250,26 +250,32 @@ let handle_job t session job =
         | Some m -> m
         | None -> assert false (* validated at accept *)
       in
-      let dir = Certify.Store.entry_dir t.store ~prop_hash in
+      (* Under a [split] policy the leaves — not the parent question —
+         are what lands in the store: each settles into its own
+         hash-named directory under the store root, next to the
+         question's shard manifest, so the *next* parent query
+         re-answers its leaves from cache even though [record] below
+         finds no parent entry. The root is then the directory that
+         audits the answer, as for [depnn verify --split --certify].
+         Concurrent workers touching the same leaf directory only
+         duplicate work (O_APPEND journal, unique temp names), never
+         corrupt it. *)
+      let dir =
+        match t.config.split with
+        | None -> Certify.Store.entry_dir t.store ~prop_hash
+        | Some _ -> Certify.Store.root t.store
+      in
       let time_limit =
         Float.min t.config.max_time_limit
           (Option.value q.Protocol.time_limit
              ~default:t.config.max_time_limit)
       in
       let started = Linalg.Mclock.now () in
-      (* Under a [split] policy the leaves — not the parent question —
-         are what lands in the store: each settles into its own
-         hash-named directory under the store root (plus the shard
-         manifest), so the *next* parent query re-answers its leaves
-         from cache even though [record] below finds no parent entry.
-         Concurrent workers touching the same leaf directory only
-         duplicate work (O_APPEND journal, unique temp names), never
-         corrupt it. *)
       let r =
-        Verify.Driver.prove_in_session session ~time_limit ~bound_mode
-          ~certify_dir:dir ?split:t.config.split
-          ~store:t.store ~components:p.Certify.Certificate.components
-          ~threshold:p.Certify.Certificate.threshold (box_of p)
+        Verify.Driver.prove_lateral_velocity_le ~time_limit ~bound_mode
+          ~certify_dir:dir ?split:t.config.split ~store:t.store
+          ~components:p.Certify.Certificate.components
+          ~threshold:p.Certify.Certificate.threshold t.net (box_of p)
       in
       let solve_s = Linalg.Mclock.now () -. started in
       Atomic.incr t.solved;
@@ -303,7 +309,6 @@ let handle_job t session job =
            })
 
 let worker_loop t hook =
-  let session = Verify.Driver.create_session t.net in
   let rec loop () =
     match Bqueue.pop t.queue with
     | None -> ()
@@ -311,7 +316,7 @@ let worker_loop t hook =
         (match
            (try
               hook job.query;
-              handle_job t session job;
+              handle_job t job;
               `Done
             with e -> `Crashed e)
          with

@@ -1,13 +1,13 @@
 (** The [depnn serve] daemon.
 
     One blocking accept loop (the calling domain) feeds a bounded work
-    queue drained by a pool of worker domains; each worker owns its own
-    {!Verify.Driver.session} (content hash computed once, encoding memo)
-    and solves sequentially, so domains are never oversubscribed. In
-    front of the solvers sits a {!Certify.Store}: exact-key repeats and
-    subsumed boxes are answered from cached certificates in the accept
-    loop itself — a cache hit never touches the queue, let alone a
-    solver.
+    queue drained by a pool of worker domains. A worker keeps no state
+    of its own: it answers each miss with one certified
+    {!Verify.Driver.prove_lateral_velocity_le} call on one core, so
+    domains are never oversubscribed. In front of the solvers sits a
+    {!Certify.Store}: exact-key repeats and subsumed boxes are answered
+    from cached certificates in the accept loop itself — a cache hit
+    never touches the queue, let alone a solver.
 
     Connection lifecycle is one request per connection: read one frame,
     answer one frame, close — orderly even when the answer is an
@@ -46,7 +46,9 @@ type config = {
           looked up, revalidated or solved individually — every settled
           leaf landing in the store as its own entry, so later queries
           (and re-verification after swapping the served network)
-          answer leaves from cache. [None] (default) solves each query
+          answer leaves from cache. A split answer's [cert_dir] is the
+          store root, which holds the question's shard manifest next to
+          its leaf directories. [None] (default) solves each query
           monolithically. *)
   log : string -> unit;
 }

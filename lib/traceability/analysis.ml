@@ -108,7 +108,7 @@ let analyze ?(top_k = 3) ?feature_names net probes =
     saturated = List.rev !saturated;
   }
 
-let traceable_fraction ?(min_correlation = 0.3) t =
+let traceable_fraction t =
   let live =
     Array.to_list t.profiles
     |> List.filter (fun p -> p.activation_rate > 0.0 && p.activation_rate < 1.0)
@@ -120,7 +120,7 @@ let traceable_fraction ?(min_correlation = 0.3) t =
         List.filter
           (fun p ->
             List.exists
-              (fun a -> Float.abs a.correlation >= min_correlation)
+              (fun a -> Float.abs a.correlation >= 0.3)
               p.top)
           live
       in

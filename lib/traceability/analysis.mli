@@ -46,11 +46,10 @@ val analyze :
     to ["x<i>"]. Raises [Invalid_argument] on an empty probe set or
     dimension mismatch. *)
 
-val traceable_fraction : ?min_correlation:float -> t -> float
+val traceable_fraction : t -> float
 (** Fraction of (live) neurons with at least one association of
-    magnitude >= [min_correlation] (default 0.3) — the headline number
-    quoted in the certification report. The paper's own conclusion is
-    that understandability "can only be partially achieved"; this is
-    the quantified version. *)
+    magnitude >= 0.3 — the headline number quoted in the certification
+    report. The paper's own conclusion is that understandability "can
+    only be partially achieved"; this is the quantified version. *)
 
 val render : ?max_neurons:int -> t -> string

@@ -15,7 +15,6 @@ type max_result = {
   component_elapsed : float array;
   nodes : int;
   lp_iterations : int;
-  unstable_neurons : int;
   encoder_stats : Encoding.Encoder.stats;
   obbt : Encoding.Encoder.obbt_stats;
 }
@@ -159,7 +158,6 @@ let maximize_outputs ?(time_limit = 60.0)
     component_elapsed;
     nodes = !nodes;
     lp_iterations = !lp_iters;
-    unstable_neurons = enc.Encoding.Encoder.stats.Encoding.Encoder.unstable;
     encoder_stats = enc.Encoding.Encoder.stats;
     obbt = enc.Encoding.Encoder.obbt;
   }
@@ -190,24 +188,6 @@ type proof_result = {
   partition : Partition.stats option;
 }
 
-(* {2 Sessions}
-
-   The encoding memo (see driver.mli) is sound because a session never
-   applies OBBT (the encoding depends only on the key) and the solver
-   copies the LP before mutating it. *)
-type session = {
-  session_net : Nn.Network.t;
-  session_net_hash : string;
-  mutable session_enc :
-    ((Encoding.Encoder.bound_mode * (float * float) array)
-    * Encoding.Encoder.t)
-    option;
-}
-
-let create_session net =
-  { session_net = net; session_net_hash = Nn.Io.content_hash net;
-    session_enc = None }
-
 (* {2 The settle ladder}
 
    One walk over the leaf boxes takes every component down store,
@@ -232,7 +212,6 @@ module Store = Certify.Store
 
 type query = {
   net : Nn.Network.t;
-  session : session option;
   net_hash : string Lazy.t;
   bound_mode : Encoding.Encoder.bound_mode;
   tighten_rounds : int;
@@ -246,13 +225,11 @@ type sink = { dir : string; property : Cert.property; prop_hash : string }
 
 let output_of q k = Nn.Gmm.mu_lat_index ~components:q.components k
 
-let bounds box =
-  Array.map (fun (iv : Interval.t) -> (iv.Interval.lo, iv.Interval.hi)) box
-
 let sink_at q dir_of box =
   let p =
     { Cert.threshold = q.threshold; components = q.components;
-      bound_mode = Certify.Checker.mode_string q.bound_mode; box = bounds box }
+      bound_mode = Certify.Checker.mode_string q.bound_mode;
+      box = Array.map (fun (iv : Interval.t) -> Interval.(iv.lo, iv.hi)) box }
   in
   let prop_hash = Cert.property_hash ~net_hash:(Lazy.force q.net_hash) p in
   { dir = dir_of prop_hash; property = p; prop_hash }
@@ -268,22 +245,6 @@ let stored_witness q input =
   in
   witness_at q.net ~component:k ~output:(output_of q k) input
 
-(* Same budget contract as [maximize_outputs]: OBBT spends at most half
-   of the leaf's limit, the rest is re-split before each query. *)
-let encode q ~time_limit box =
-  let fresh () =
-    Encoding.Encoder.encode ~bound_mode:q.bound_mode
-      ~tighten_rounds:q.tighten_rounds ~tighten_budget:(0.5 *. time_limit)
-      ~cores:q.cores q.net box
-  in
-  let key = (q.bound_mode, bounds box) in
-  match q.session with
-  | Some { session_enc = Some (k, enc); _ } when k = key -> enc
-  | session ->
-      let enc = fresh () in
-      Option.iter (fun s -> s.session_enc <- Some (key, enc)) session;
-      enc
-
 let witness_body w =
   lazy (Cert.Witness { input = w.input; achieved = w.achieved })
 
@@ -296,7 +257,14 @@ let settle_leaf q ~store ~sink ~attempt ~time_limit ~upper box =
   let deadline = started +. time_limit in
   let nodes = ref 0 and presolved = ref 0 and certified = ref 0 in
   let resumed = ref 0 and degraded = ref 0 in
-  let enc = lazy (encode q ~time_limit box) in
+  (* Same budget contract as [maximize_outputs]: OBBT spends at most half
+     of the leaf's limit, the rest is re-split before each query. *)
+  let enc =
+    lazy
+      (Encoding.Encoder.encode ~bound_mode:q.bound_mode
+         ~tighten_rounds:q.tighten_rounds ~tighten_budget:(0.5 *. time_limit)
+         ~cores:q.cores q.net box)
+  in
   let analysis k =
     if upper <= threshold then upper
     else output_upper (Lazy.force enc) (output_of q k)
@@ -493,19 +461,30 @@ let settle_leaf q ~store ~sink ~attempt ~time_limit ~upper box =
           (r, if revalidated then `Revalidated else via))
   | _ -> climb ()
 
-let decide q ~split ~store ~certify_dir ~time_limit box =
+let prove_lateral_velocity_le ?(time_limit = 60.0)
+    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
+    ?(cores = 1) ?certify_dir ?split ?store ~components ~threshold net box =
   let started = Linalg.Mclock.now () in
   let deadline = started +. time_limit in
+  (* OBBT is off under a sink (see above), and per leaf under a split:
+     its budget share would dominate hundreds of small boxes, and the
+     planner's symbolic pre-pass is what partitioning relies on. *)
+  let q =
+    { net; net_hash = lazy (Nn.Io.content_hash net); bound_mode; cores;
+      tighten_rounds =
+        (if certify_dir = None && split = None then tighten_rounds else 0);
+      components; threshold }
+  in
   (* Planning is cheap symbolic work, but it must never starve the
      solves it feeds: a quarter of the budget at most. *)
   let plan =
     Option.map
       (fun policy ->
         Partition.plan ~policy ~deadline:(started +. (0.25 *. time_limit))
-          ~components:q.components ~threshold:q.threshold q.net box)
+          ~components ~threshold net box)
       split
   in
-  (* A partitioned run certifies into a store (a session's, or one
+  (* A partitioned run certifies into a store (the caller's, or one
      opened on the certification directory), one directory per leaf. *)
   let store =
     match (store, certify_dir) with
@@ -544,7 +523,7 @@ let decide q ~split ~store ~certify_dir ~time_limit box =
   let n = Array.length boxes in
   let stop = Atomic.make false in
   let leaves =
-    spread ~cores:q.cores ~fan_out:(sinks.(0) = None) ~deadline n
+    spread ~cores ~fan_out:(sinks.(0) = None) ~deadline n
       (fun i ~cores ~time_limit ->
         if Atomic.get stop then None
         else
@@ -552,12 +531,12 @@ let decide q ~split ~store ~certify_dir ~time_limit box =
             settle_leaf { q with cores } ~store ~sink:sinks.(i) ~time_limit
               ~upper:upper.(i) boxes.(i)
               ~attempt:
-                (plan = None || upper.(i) <= q.threshold
+                (plan = None || upper.(i) <= threshold
                 || Linalg.Mclock.now () < deadline)
           in
           let bound =
             match r.proof with
-            | Proved -> Float.min upper.(i) q.threshold
+            | Proved -> Float.min upper.(i) threshold
             | Unknown { best_bound } -> best_bound
             | Disproved _ -> Atomic.set stop true; neg_infinity
           in
@@ -574,7 +553,7 @@ let decide q ~split ~store ~certify_dir ~time_limit box =
     proof =
       (match List.find_map disproof leaves with
        | Some w -> Disproved w
-       | None when count `Unsettled = 0 && worst leaves <= q.threshold ->
+       | None when count `Unsettled = 0 && worst leaves <= threshold ->
            Proved
        | None -> Unknown { best_bound = worst leaves });
     proof_elapsed = Linalg.Mclock.now () -. started;
@@ -591,28 +570,6 @@ let decide q ~split ~store ~certify_dir ~time_limit box =
             solved = count `Solved; unsettled = count `Unsettled })
         plan;
   }
-
-let prove_lateral_velocity_le ?(time_limit = 60.0)
-    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?(tighten_rounds = 1)
-    ?(cores = 1) ?certify_dir ?split ~components ~threshold net box =
-  (* OBBT is off under a sink (see above), and per leaf under a split:
-     its budget share would dominate hundreds of small boxes, and the
-     planner's symbolic pre-pass is what partitioning relies on. *)
-  decide
-    { net; session = None; net_hash = lazy (Nn.Io.content_hash net);
-      tighten_rounds =
-        (if certify_dir = None && split = None then tighten_rounds else 0);
-      bound_mode; cores; components; threshold }
-    ~split ~store:None ~certify_dir ~time_limit box
-
-let prove_in_session session ?(time_limit = 60.0)
-    ?(bound_mode = Encoding.Encoder.Interval_bounds) ?certify_dir ?split
-    ?store ~components ~threshold box =
-  decide
-    { net = session.session_net; session = Some session;
-      net_hash = Lazy.from_val session.session_net_hash; bound_mode;
-      tighten_rounds = 0; cores = 1; components; threshold }
-    ~split ~store ~certify_dir ~time_limit box
 
 let sampled_max_lateral_velocity ~rng ~samples ~components net box =
   if samples <= 0 then invalid_arg "Driver.sampled_max_lateral_velocity";

@@ -16,15 +16,15 @@
     output component for a maximisation, one per leaf box for a
     decision query. One rule spreads [cores] and the time left over
     them. With more than one search and no evidence sink
-    ([certify_dir]), the searches fan out over [min cores n] domains
-    with one core each; otherwise they run in turn, each with all of
-    [cores]. Searches are claimed in order, and search [i] of [n] gets
-    {!budget_slice} with [queue_len = ceil ((n - i) / fan)], [fan]
-    being the number of domains: an equal share of the time left across
-    the searches its domain still has to run, computed when it is
-    claimed, so time a fast search leaves unused rolls forward. The
-    total elapsed respects the caller's limit plus at most one node's
-    slack. *)
+    ([certify_dir], or [store] under [split]), the searches fan out
+    over [min cores n] domains with one core each; otherwise they run
+    in turn, each with all of [cores]. Searches are claimed in order,
+    and search [i] of [n] gets {!budget_slice} with
+    [queue_len = ceil ((n - i) / fan)], [fan] being the number of
+    domains: an equal share of the time left across the searches its
+    domain still has to run, computed when it is claimed, so time a
+    fast search leaves unused rolls forward. The total elapsed respects
+    the caller's limit plus at most one node's slack. *)
 
 type witness = {
   input : Linalg.Vec.t;       (** feature point inside the scenario box *)
@@ -47,9 +47,9 @@ type max_result = {
           budget was actually spent, sequentially or across domains *)
   nodes : int;
   lp_iterations : int;
-  unstable_neurons : int;  (** binaries in the encoding *)
   encoder_stats : Encoding.Encoder.stats;
-      (** full stable/unstable breakdown under the chosen bound mode *)
+      (** full stable/unstable breakdown under the chosen bound mode;
+          [unstable] counts the encoding's binaries *)
   obbt : Encoding.Encoder.obbt_stats;
       (** OBBT accounting: refined / failed / skipped-by-budget probes *)
 }
@@ -137,6 +137,7 @@ val prove_lateral_velocity_le :
   ?cores:int ->
   ?certify_dir:string ->
   ?split:Partition.policy ->
+  ?store:Certify.Store.t ->
   components:int ->
   threshold:float ->
   Nn.Network.t ->
@@ -179,11 +180,14 @@ val prove_lateral_velocity_le :
     settled.
 
     {b The evidence sink} decides everything else. It is [certify_dir]
-    for a monolithic query; a partitioned query certifies into a
-    {!Certify.Store} opened on [certify_dir], one directory per leaf
-    named by its property hash, plus a checksummed {!Certify.Shard}
-    manifest of the split tree so the audit re-establishes the tiling
-    too. With a sink, every settled component writes a replayable
+    for a monolithic query; a partitioned query certifies into
+    [store], or without one into a {!Certify.Store} opened on
+    [certify_dir], one directory per leaf named by its property hash
+    under the store's root, plus a checksummed {!Certify.Shard}
+    manifest of the split tree in that root, so the audit of the root
+    re-establishes the tiling too. [store] lets a caller that keeps a
+    store open (the [depnn serve] workers) share it across queries; it
+    is read only under [split]. With a sink, every settled component writes a replayable
     {!Certify.Certificate} (dual or Farkas evidence per branch-and-bound
     leaf, the symbolic bounding hyperplane for presolved components, a
     concrete witness for falsifications), replays it in-process through
@@ -202,45 +206,6 @@ val prove_lateral_velocity_le :
     depend on. Without a sink, OBBT ([tighten_rounds], default 1, for
     a monolithic query only: per leaf it would dominate many small
     boxes) and the node-bound hook under [Symbolic_bounds] apply. *)
-
-(** {2 Sessions}
-
-    Per-model state for callers that issue many queries against the
-    same loaded network — the [depnn serve] workers above all. The
-    session computes the network's {!Nn.Io.content_hash} {e once} at
-    creation (a certified call without one re-hashes the network every
-    time) and memoises the deterministic [tighten_rounds = 0] encoding
-    of the most recent (bound mode, box) question, so
-    back-to-back queries over the same box — different thresholds, a
-    server's cache-miss burst — skip the encoder. A session is
-    single-domain state: give each worker domain its own. *)
-
-type session
-
-val create_session : Nn.Network.t -> session
-(** Hashes the network once and starts with an empty encoding memo. *)
-
-val prove_in_session :
-  session ->
-  ?time_limit:float ->
-  ?bound_mode:Encoding.Encoder.bound_mode ->
-  ?certify_dir:string ->
-  ?split:Partition.policy ->
-  ?store:Certify.Store.t ->
-  components:int ->
-  threshold:float ->
-  Interval.Box.box ->
-  proof_result
-(** The decision query of {!prove_lateral_velocity_le}, down the same
-    ladder, with the session's cached hash and encoding memo threaded
-    through. A search that fails numerically degrades to an honest
-    [Unknown] here as everywhere, so a server never aborts; the session
-    never applies OBBT, and the solve is sequential within the session
-    — parallelism belongs to the caller's worker pool. [certify_dir]
-    and [split] behave as in {!prove_lateral_velocity_le}, reusing the
-    session's cached network hash for the property hashes; a
-    partitioned query certifies into [store] when one is given, else
-    into one opened on [certify_dir]. *)
 
 val sampled_max_lateral_velocity :
   rng:Linalg.Rng.t ->

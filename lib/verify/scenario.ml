@@ -28,7 +28,7 @@ let common_ego_constraints box =
   set box road_is_leftmost (Interval.point 0.0);
   set box road_lanes_left (Interval.make 0.25 1.0)
 
-let vehicle_on_left ?(slack = 0.05) ?(max_gap = 15.0) ?reference () =
+let vehicle_on_left ?(slack = 0.05) ?reference () =
   let reference =
     match reference with Some r -> r | None -> canonical_reference ()
   in
@@ -36,8 +36,8 @@ let vehicle_on_left ?(slack = 0.05) ?(max_gap = 15.0) ?reference () =
   common_ego_constraints box;
   let open Highway.Features in
   set box (left_base + presence_offset) (Interval.point 1.0);
-  set box (left_base + gap_offset)
-    (Interval.make (-.norm_distance max_gap) (norm_distance max_gap));
+  let max_gap = norm_distance 15.0 in
+  set box (left_base + gap_offset) (Interval.make (-.max_gap) max_gap);
   set box
     (left_base + rel_distance_offset)
     (Interval.make

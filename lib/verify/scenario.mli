@@ -9,13 +9,11 @@
 
 val vehicle_on_left :
   ?slack:float ->
-  ?max_gap:float ->
   ?reference:Linalg.Vec.t ->
   unit ->
   Interval.Box.box
 (** An 84-dimensional box in which:
-    - the left slot is occupied ([left.present = 1]) within [max_gap]
-      metres (default 15);
+    - the left slot is occupied ([left.present = 1]) within 15 metres;
     - the ego is not in the leftmost lane (a left move is geometrically
       possible);
     - the ego drives at highway speed (20–36 m/s);

@@ -1005,7 +1005,7 @@ let test_resume_ignores_overwritten_certificates () =
 
    Six ways to ask the same decision query: plain, certified (on one
    core and on two), partitioned, partitioned and certified, and
-   through a session.
+   plain without OBBT.
    Thresholds sit just above or just below the exact maximum, where a
    wrong prune or a lost leaf would flip the answer. Any two modes that
    settle must agree, every disproof must replay through the network,
@@ -1061,9 +1061,8 @@ let prop_decision_modes_agree =
           settled (decide ~split ());
           sharded;
           settled
-            (Verify.Driver.prove_in_session
-               (Verify.Driver.create_session net)
-               ~bound_mode ~components:2 ~threshold b0)
+            (Verify.Driver.prove_lateral_velocity_le ~bound_mode
+               ~tighten_rounds:0 ~components:2 ~threshold net b0)
               .Verify.Driver.proof;
         ]
       in

@@ -121,6 +121,14 @@ let campaign ?faults ?(trials = 40) seed =
   let rng = Linalg.Rng.create seed in
   Fault.Campaign.run ~rng ~envelope ?faults ~scenes ~trials net
 
+(* A campaign of tens of milliseconds, as the CI smoke runs, still shows
+   its time in the header. *)
+let test_campaign_render_header () =
+  let r = { (campaign ~trials:3 21) with Fault.Campaign.elapsed = 0.04 } in
+  let header = List.hd (String.split_on_char '\n' (Fault.Campaign.render r)) in
+  Alcotest.(check string) "header" "fault campaign: 3 trials x 25 scenes (40 ms)"
+    header
+
 let test_campaign_reproducible () =
   let a = campaign 21 and b = campaign 21 in
   Alcotest.(check int) "detected" a.Fault.Campaign.detected b.Fault.Campaign.detected;
@@ -620,6 +628,7 @@ let () =
       ( "campaign",
         [
           quick "reproducible" test_campaign_reproducible;
+          quick "render header" test_campaign_render_header;
           quick "invariants" test_campaign_invariants;
           quick "pinned nan fault" test_campaign_pinned_nan_fault;
           quick "parallel matches sequential"

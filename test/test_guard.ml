@@ -110,7 +110,6 @@ let max_result ~upper_bound : Verify.Driver.max_result =
     component_elapsed = [||];
     nodes = 0;
     lp_iterations = 0;
-    unstable_neurons = 0;
     encoder_stats =
       { Encoding.Encoder.stable_active = 0; stable_inactive = 0; unstable = 0;
         rows = 0; cols = 0; nnz = 0; density = 0.0 };

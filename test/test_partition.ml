@@ -388,12 +388,12 @@ let test_shard_audit_rejects_tampering () =
         (rep.Certify.Audit.shard_verdict = `Unknown)
   | Error e -> Alcotest.fail ("audit should degrade, not error: " ^ e)
 
-(* The [depnn serve --split] path: a session, a proof store and a split
-   policy together, certifying into the question's store directory as
-   the server does. Asked twice, the second call answers every leaf
-   from the store without a node of search; the shard audit replays;
-   and the verdict is the one the session-less partitioned call gives. *)
-let test_session_split_store () =
+(* The [depnn serve --split] path: a proof store and a split policy
+   together, certifying into the store's root as the server does. Asked
+   twice, the second call answers every leaf from the store without a
+   node of search; the shard audit of the root replays; and the verdict
+   is the one the store-less partitioned call gives. *)
+let test_split_store () =
   with_tmpdir @@ fun dir ->
   let net = mini_predictor 23 in
   let b0 = box 6 0.25 in
@@ -401,23 +401,9 @@ let test_session_split_store () =
   let split = Verify.Partition.Depth 1 in
   let root = Filename.concat dir "store" in
   let store = Certify.Store.open_ ~dir:root in
-  let net_hash = Nn.Io.content_hash net in
-  let property =
-    {
-      Certify.Certificate.threshold;
-      components = 2;
-      bound_mode = "interval";
-      box = Array.map (fun (iv : Interval.t) -> Interval.(iv.lo, iv.hi)) b0;
-    }
-  in
-  let certify_dir =
-    Certify.Store.entry_dir store
-      ~prop_hash:(Certify.Certificate.property_hash ~net_hash property)
-  in
-  let session = Verify.Driver.create_session net in
   let ask () =
-    Verify.Driver.prove_in_session session ~split ~store ~certify_dir
-      ~components:2 ~threshold b0
+    Verify.Driver.prove_lateral_velocity_le ~split ~store ~certify_dir:root
+      ~components:2 ~threshold net b0
   in
   let r1 = ask () in
   Alcotest.(check bool) "first call proved" true
@@ -445,7 +431,7 @@ let test_session_split_store () =
     Verify.Driver.prove_lateral_velocity_le ~split
       ~certify_dir:(Filename.concat dir "plain") ~components:2 ~threshold net b0
   in
-  Alcotest.(check bool) "same verdict without a session" true
+  Alcotest.(check bool) "same verdict without a store" true
     (plain.Verify.Driver.proof = r1.Verify.Driver.proof)
 
 let () =
@@ -473,7 +459,7 @@ let () =
           slow "pipeline, cache, revalidation"
             test_shard_pipeline_cache_and_revalidation;
           slow "audit rejects tampering" test_shard_audit_rejects_tampering;
-          slow "session + split + store" test_session_split_store;
+          slow "split + store" test_split_store;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_split_never_flips ] );

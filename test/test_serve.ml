@@ -261,12 +261,12 @@ let test_garbage_requests_rejected () =
 
 (* {1 Proof store} *)
 
-let prove_into_store store session ~net_hash ~threshold p =
+let prove_into_store store net ~net_hash ~threshold p =
   let prop_hash = Certify.Certificate.property_hash ~net_hash p in
   let dir = Certify.Store.entry_dir store ~prop_hash in
   let r =
-    Verify.Driver.prove_in_session session ~time_limit:60.0
-      ~certify_dir:dir ~components:2 ~threshold
+    Verify.Driver.prove_lateral_velocity_le ~time_limit:60.0
+      ~certify_dir:dir ~components:2 ~threshold net
       (Array.map (fun (lo, hi) -> Interval.make lo hi)
          p.Certify.Certificate.box)
   in
@@ -277,9 +277,8 @@ let test_store_exact_subsumed_miss () =
   let net_hash = Nn.Io.content_hash net in
   let v = exact_max net (ibox 6 0.3) in
   let store = Certify.Store.open_ ~dir:(fresh_dir "store") in
-  let session = Verify.Driver.create_session net in
   let p = prop ~threshold:(v +. 0.5) () in
-  let r, entry = prove_into_store store session ~net_hash ~threshold:(v +. 0.5) p in
+  let r, entry = prove_into_store store net ~net_hash ~threshold:(v +. 0.5) p in
   Alcotest.(check bool) "proved" true (r.Verify.Driver.proof = Verify.Driver.Proved);
   Alcotest.(check bool) "recorded" true (entry <> None);
   Alcotest.(check int) "one entry" 1 (Certify.Store.size store);
@@ -340,9 +339,8 @@ let test_store_disproof_subsumption () =
   let net_hash = Nn.Io.content_hash net in
   let v = exact_max net (ibox 6 0.3) in
   let store = Certify.Store.open_ ~dir:(fresh_dir "store_dis") in
-  let session = Verify.Driver.create_session net in
   let p = prop ~threshold:(v -. 0.2) () in
-  let r, entry = prove_into_store store session ~net_hash ~threshold:(v -. 0.2) p in
+  let r, entry = prove_into_store store net ~net_hash ~threshold:(v -. 0.2) p in
   let achieved =
     match r.Verify.Driver.proof with
     | Verify.Driver.Disproved w -> w.Verify.Driver.achieved
@@ -370,14 +368,13 @@ let test_store_never_caches_unknown () =
   let net = mini_predictor 83 in
   let net_hash = Nn.Io.content_hash net in
   let store = Certify.Store.open_ ~dir:(fresh_dir "store_unk") in
-  let session = Verify.Driver.create_session net in
   let p = prop ~threshold:0.0 () in
   let prop_hash = Certify.Certificate.property_hash ~net_hash p in
   (* A hopeless budget forces an honest Unknown. *)
   let r =
-    Verify.Driver.prove_in_session session ~time_limit:1e-9
+    Verify.Driver.prove_lateral_velocity_le ~time_limit:1e-9
       ~certify_dir:(Certify.Store.entry_dir store ~prop_hash) ~components:2
-      ~threshold:0.0
+      ~threshold:0.0 net
       (Array.map (fun (lo, hi) -> Interval.make lo hi)
          p.Certify.Certificate.box)
   in
@@ -390,7 +387,7 @@ let test_store_never_caches_unknown () =
 
 (* {1 The daemon end to end} *)
 
-let with_server ?(workers = 2) ?worker_hook ?root net f =
+let with_server ?(workers = 2) ?worker_hook ?root ?split net f =
   let dir = match root with Some d -> d | None -> fresh_dir "daemon" in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let sock = Filename.concat dir "sock" in
@@ -399,6 +396,7 @@ let with_server ?(workers = 2) ?worker_hook ?root net f =
     {
       (Serve.Server.default_config ~address ~cache_dir:(Filename.concat dir "cache") ()) with
       Serve.Server.workers;
+      split;
       stats_interval = 0.0;
       log = ignore;
     }
@@ -641,6 +639,43 @@ let test_server_duplicate_misses_solve_once () =
       Alcotest.(check bool) "shared directory audits clean" true
         (rep.Certify.Audit.ok && rep.Certify.Audit.verdict = `Proved))
 
+(* [depnn serve --split]: each answer matches the partitioned driver's
+   verdict and names the directory holding the question's shard
+   manifest, so the shard audit replays it — the second time from leaves
+   the first answer left in the store. *)
+let test_server_split_answer_audits () =
+  let net = mini_predictor 95 in
+  let b0 = ibox 6 0.3 in
+  let threshold = exact_max net b0 +. 0.05 in
+  let split = Verify.Partition.Depth 1 in
+  let expected =
+    match
+      (Verify.Driver.prove_lateral_velocity_le ~split ~components:2 ~threshold
+         net b0)
+        .Verify.Driver.proof
+    with
+    | Verify.Driver.Proved -> Serve.Protocol.V_proved
+    | _ -> Alcotest.fail "expected the partitioned driver to prove it"
+  in
+  with_server ~split net (fun address ->
+      List.iter
+        (fun ask ->
+          let a = verify_answer address (prop ~threshold ()) in
+          Alcotest.(check bool) (ask ^ ": driver's verdict") true
+            (a.Serve.Protocol.verdict = expected);
+          let name =
+            Certify.Shard.manifest_name ~prop_hash:a.Serve.Protocol.prop_hash
+          in
+          match
+            Certify.Audit.run_shard ~net ~dir:a.Serve.Protocol.cert_dir ~name
+          with
+          | Ok rep ->
+              Alcotest.(check bool) (ask ^ ": shard audit proves") true
+                (rep.Certify.Audit.shard_ok
+                && rep.Certify.Audit.shard_verdict = `Proved)
+          | Error e -> Alcotest.failf "%s: shard audit: %s" ask e)
+        [ "first"; "second" ])
+
 (* Concurrent clients: any interleaving of queries must produce exactly
    the verdicts the sequential driver produces — the cache and the
    worker pool may change latency, never answers. *)
@@ -660,11 +695,10 @@ let prop_concurrent_matches_sequential =
          on the same key. *)
       thresholds.(3) <- thresholds.(0);
       let oracle =
-        let session = Verify.Driver.create_session net in
         Array.map
           (fun threshold ->
-            (Verify.Driver.prove_in_session session ~time_limit:60.0
-               ~components:2 ~threshold (ibox 6 0.3))
+            (Verify.Driver.prove_lateral_velocity_le ~time_limit:60.0
+               ~tighten_rounds:0 ~components:2 ~threshold net (ibox 6 0.3))
               .Verify.Driver.proof)
           thresholds
       in
@@ -721,6 +755,7 @@ let () =
           slow "duplicate misses solve once" test_server_duplicate_misses_solve_once;
           slow "worker crash + respawn" test_server_worker_crash_respawn;
           slow "kill + restart + recover" test_server_kill_restart_recover;
+          slow "split answer audits" test_server_split_answer_audits;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -309,9 +309,13 @@ let test_bound_modes_agree () =
     (Option.get symbolic.Verify.Driver.value);
   Alcotest.(check int) "per-component timings reported" 2
     (Array.length symbolic.Verify.Driver.component_elapsed);
-  let st = symbolic.Verify.Driver.encoder_stats in
-  Alcotest.(check int) "stats expose the binary count"
-    symbolic.Verify.Driver.unstable_neurons st.Encoding.Encoder.unstable
+  (* Each of the 16 hidden ReLUs is stable or a binary in either mode. *)
+  List.iter
+    (fun (r : Verify.Driver.max_result) ->
+      let st = r.Verify.Driver.encoder_stats in
+      Alcotest.(check int) "stats classify every hidden neuron" 16
+        Encoding.Encoder.(st.stable_active + st.stable_inactive + st.unstable))
+    [ interval; symbolic ]
 
 (* The incomplete pre-pass alone must prove a Table-II-style decision
    query — zero branch & bound nodes — when the threshold sits between
