@@ -6,16 +6,16 @@
      dune exec bench/main.exe fig1       -- Fig. 1 (simulation snapshot)
      dune exec bench/main.exe mcdc       -- Sec. II MC/DC argument
      dune exec bench/main.exe ablation   -- encoder/solver ablations
-     dune exec bench/main.exe fault      -- fault campaign + guard overhead
      dune exec bench/main.exe micro      -- Bechamel microbenchmarks
-     dune exec bench/main.exe warm       -- warm vs cold B&B pivot report
      dune exec bench/main.exe absint     -- symbolic vs interval bound report
-     dune exec bench/main.exe portfolio  -- diver/prover portfolio report
-     dune exec bench/main.exe batch      -- batched vs scalar forward report
      dune exec bench/main.exe partition  -- partition-and-conquer report
 
-   [micro --json] additionally writes the ns/run numbers to
-   BENCH_milp.json so successive PRs can track the perf trajectory.
+   [micro --json] additionally measures batched inference, search order,
+   the serve cache, partitioning and certificate sizes, writes all of it
+   to BENCH_milp.json so successive commits can track the perf
+   trajectory, and exits 1 when an exact serve-cache hit is under 100x
+   the cold certified solve or the certificates behind it fail their
+   audit.
 
    Environment knobs:
      DEPNN_TIME_LIMIT   per-verification wall-clock seconds (default 45)
@@ -27,8 +27,9 @@
                         (default 1; the paper used a 12-core VM) *)
 
 (* A malformed knob warns and falls back to the default instead of
-   aborting the whole suite with [Failure "int_of_string"] — the same
-   contract as [Milp.Parallel.cores_of_env]. *)
+   aborting the whole suite with [Failure "int_of_string"], or, silently
+   coerced, sending a mistyped [DEPNN_CORES=four] run onto one core with
+   nobody the wiser. *)
 let env_knob name ~describe ~parse ~default =
   match Sys.getenv_opt name with
   | None -> default
@@ -54,7 +55,9 @@ let time_limit =
       | Some v when v > 0.0 && Float.is_finite v -> Some v
       | Some _ | None -> None)
 
-let cores = Milp.Parallel.cores_of_env ()
+let cores =
+  env_knob "DEPNN_CORES" ~describe:"a positive integer" ~default:1
+    ~parse:positive_int
 
 let widths =
   env_knob "DEPNN_WIDTHS" ~describe:"comma-separated positive integers"
@@ -79,6 +82,20 @@ let scenario_slack = 0.03
 
 let heading title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+(* A per-process scratch directory for the measurements that write
+   certificates or open a socket, and its removal. *)
+let temp_root name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "depnn_bench_%s_%d" name (Unix.getpid ()))
+
+let rec rm_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_tree (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
 
 (* Shared across table2/ablation: one sanitized dataset, networks trained
    per width on the same data (the paper: "we have trained a couple of
@@ -157,7 +174,7 @@ let table2 () =
     time_limit;
   Printf.printf "solver cores: %d (DEPNN_CORES; %d recommended on this host)\n\n"
     cores
-    (Milp.Parallel.available_cores ());
+    (Domain.recommended_domain_count ());
   Printf.printf "%-8s %-10s %-22s %-12s %-8s %s\n" "ANN" "binaries"
     "max lateral velocity" "time" "nodes" "status";
   let rows =
@@ -428,65 +445,12 @@ let ablation () =
          (a -. b)
    | _ -> ())
 
-(* {1 Fault campaign throughput and guard overhead} *)
+(* {1 Search-order measurements (micro --json)} *)
 
-let fault_bench () =
-  heading "Fault campaign throughput and runtime-guard overhead";
-  let width = List.hd widths in
-  let net = train_width width in
-  let rng = Linalg.Rng.create (seed + 31) in
-  let scenes =
-    Highway.Recorder.record ~rng ~style:(Highway.Policy.Risky 0.0)
-      ~n_samples:200 ()
-    |> Array.map (fun s -> s.Highway.Recorder.features)
-  in
-  let envelope = Guard.envelope ~components ~lat_limit:1.5 () in
-  (* Guard overhead: a guarded prediction against the raw forward and
-     mixture mean the unguarded deployment path would run, read from
-     the output the same decode-free way the guard reads it. *)
-  let reps = 20_000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to reps - 1 do
-    let out = Nn.Network.forward net scenes.(i mod Array.length scenes) in
-    ignore (Nn.Gmm.mean_of_output ~components out)
-  done;
-  let raw_s = Unix.gettimeofday () -. t0 in
-  let guard = Guard.make ~envelope net in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to reps - 1 do
-    ignore (Guard.predict guard scenes.(i mod Array.length scenes))
-  done;
-  let guarded_s = Unix.gettimeofday () -. t0 in
-  Printf.printf "raw forward+mean        %8.0f ns/prediction\n"
-    (1e9 *. raw_s /. float_of_int reps);
-  Printf.printf "guarded predict         %8.0f ns/prediction (%.1f%% overhead)\n"
-    (1e9 *. guarded_s /. float_of_int reps)
-    (100.0 *. ((guarded_s /. raw_s) -. 1.0));
-  (* Campaign throughput: seeded end-to-end trials, each replaying
-     only the scenes its fault changed. *)
-  let trials = 200 in
-  let rng = Linalg.Rng.create (seed + 32) in
-  let report =
-    Fault.Campaign.run ~rng ~envelope ~scenes ~trials net
-  in
-  Printf.printf
-    "campaign: %d trials x %d scenes in %.2fs (%.0f guarded predictions/s)\n"
-    trials report.Fault.Campaign.scenes report.Fault.Campaign.elapsed
-    (float_of_int (trials * report.Fault.Campaign.scenes)
-    /. report.Fault.Campaign.elapsed);
-  Printf.printf
-    "campaign: %d detected, %d nan (all detected: %b), %d violations, \
-     %d silent, %d escaped\n"
-    report.Fault.Campaign.detected report.Fault.Campaign.nan_trials
-    (report.Fault.Campaign.nan_detected = report.Fault.Campaign.nan_trials)
-    report.Fault.Campaign.violation_trials report.Fault.Campaign.silent
-    report.Fault.Campaign.escaped_exceptions
-
-(* {1 Portfolio measurements (shared by the report and micro --json)} *)
-
-(* Smoke model shared with the warm-start report: small enough for CI
-   seconds, deep enough that depth-first diving reaches an integral
-   leaf — the first incumbent — well before best-first does. *)
+(* Smoke model of micro --json's search-order, serve-cache, partition
+   and certificate rows: small enough for CI seconds, deep enough that
+   depth-first diving reaches an integral leaf — the first incumbent —
+   well before best-first does. *)
 let portfolio_smoke =
   lazy
     (let rng = Linalg.Rng.create 21 in
@@ -524,7 +488,7 @@ let portfolio_measurements () =
         (List.init 2 (fun k -> Nn.Gmm.mu_lat_index ~components:2 k)))
     portfolio_configs
 
-(* {1 Batched-forward throughput (shared by [batch] and micro --json)} *)
+(* {1 Batched-forward throughput (micro --json)} *)
 
 (* Scalar vs cache-blocked batched forward on untrained I4xN predictors
    (weights don't change the flop count). Best-of-five timing over whole
@@ -576,16 +540,7 @@ let batched_forward_measurements () =
         bf_batches)
     bf_widths
 
-let batch_report () =
-  heading "Batched inference: cache-blocked forward vs the scalar path";
-  Printf.printf "%-8s %-7s %-15s %-15s %s\n" "ANN" "batch" "scalar ns/in"
-    "batched ns/in" "speedup";
-  List.iter
-    (fun (w, b, s, bt, sp) ->
-      Printf.printf "I4x%-5d %-7d %-15.0f %-15.0f %.1fx\n%!" w b s bt sp)
-    (batched_forward_measurements ())
-
-(* {1 Serve-cache measurements (shared by [serve] and micro --json)} *)
+(* {1 Serve-cache measurements (micro --json)} *)
 
 type serve_stats = {
   sv_cold_s : float;       (* miss: full certified solve *)
@@ -602,11 +557,7 @@ type serve_stats = {
    best-of-20. *)
 let serve_measurements () =
   let net, _ = Lazy.force portfolio_smoke in
-  let root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "depnn_bench_serve_%d" (Unix.getpid ()))
-  in
+  let root = temp_root "serve" in
   if not (Sys.file_exists root) then Unix.mkdir root 0o755;
   let address = Serve.Protocol.Unix_socket (Filename.concat root "sock") in
   let config =
@@ -620,18 +571,11 @@ let serve_measurements () =
     }
   in
   let daemon = Domain.spawn (fun () -> Serve.Server.run config net) in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
   Fun.protect
     ~finally:(fun () ->
       ignore (Serve.Client.call address Serve.Protocol.Shutdown);
       Domain.join daemon;
-      try rm root with Sys_error _ | Unix.Unix_error _ -> ())
+      try rm_tree root with Sys_error _ | Unix.Unix_error _ -> ())
     (fun () ->
       (match Serve.Client.wait_ready address with
       | Ok _ -> ()
@@ -701,24 +645,21 @@ let serve_measurements () =
           audit.Certify.Audit.ok && audit.Certify.Audit.verdict = `Proved;
       })
 
-let serve_report () =
-  heading "Certification server: cold solve vs content-addressed proof cache";
-  let m = serve_measurements () in
+(* Acceptance: a cache hit never touches a solver, so it must be at
+   least two orders of magnitude cheaper than the certified solve it
+   replaced (in practice three to four). The benchmark of record cannot
+   carry this bound: serve-mixed's hit and miss medians are one-shot
+   latencies of different questions on I4x10 against a store that grows
+   with every miss, and read only 72x apart in a seed-1 run on a 2-vCPU
+   VM. *)
+let check_serve m =
   let speedup hit = m.sv_cold_s /. hit in
-  Printf.printf "%-28s %14s %10s\n" "query" "latency" "speedup";
-  Printf.printf "%-28s %11.1f ms %10s\n" "cold miss (solve + certify)"
-    (1e3 *. m.sv_cold_s) "1x";
-  Printf.printf "%-28s %11.3f ms %9.0fx\n" "exact cache hit"
-    (1e3 *. m.sv_exact_s) (speedup m.sv_exact_s);
-  Printf.printf "%-28s %11.3f ms %9.0fx\n" "subsumed cache hit"
-    (1e3 *. m.sv_subsumed_s) (speedup m.sv_subsumed_s);
   Printf.printf
-    "\ncertificates backing the cached verdict: %d (independent audit: %s)\n"
-    m.sv_certified
+    "serve cache: cold miss %.1f ms, exact hit %.3f ms (%.0fx), subsumed \
+     hit %.3f ms (%.0fx); %d certificates behind the verdict (audit: %s)\n"
+    (1e3 *. m.sv_cold_s) (1e3 *. m.sv_exact_s) (speedup m.sv_exact_s)
+    (1e3 *. m.sv_subsumed_s) (speedup m.sv_subsumed_s) m.sv_certified
     (if m.sv_audit_ok then "ok" else "FAILED");
-  (* Acceptance: a cache hit never touches a solver, so it must be at
-     least two orders of magnitude cheaper than the certified solve it
-     replaced (in practice three to four). *)
   if not m.sv_audit_ok then begin
     print_endline "FAIL: cache-backing certificates do not audit";
     exit 1
@@ -769,22 +710,11 @@ let nudge_one_weight net =
    shard audit. *)
 let partition_measurements ~width ~split ~components ~threshold ~time_limit
     net box =
-  let root =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "depnn_bench_partition_%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  (try rm root with Sys_error _ | Unix.Unix_error _ -> ());
+  let root = temp_root "partition" in
+  (try rm_tree root with Sys_error _ | Unix.Unix_error _ -> ());
   Fun.protect
     ~finally:(fun () ->
-      try rm root with Sys_error _ | Unix.Unix_error _ -> ())
+      try rm_tree root with Sys_error _ | Unix.Unix_error _ -> ())
   @@ fun () ->
   (* Symbolic bounds on both sides: the decision query's best mode, and
      the one whose per-leaf pre-pass the partition relies on. *)
@@ -891,13 +821,29 @@ let partition_report () =
 
 (* {1 Bechamel micro-benchmarks} *)
 
+(* Mean hidden pre-activation width under a bound analysis: the scalar
+   the big-M constants inherit, so it is the most direct "how much
+   tighter" metric next to the unstable-neuron count. *)
+let mean_pre_width net (b : Encoding.Bounds.t) =
+  let sum = ref 0.0 and n = ref 0 in
+  for i = 0 to Nn.Network.num_layers net - 2 do
+    Array.iter
+      (fun iv ->
+        sum := !sum +. Interval.width iv;
+        incr n)
+      b.Encoding.Bounds.pre.(i)
+  done;
+  if !n = 0 then 0.0 else !sum /. float_of_int !n
+
+let bounds_of_symbolic (s : Absint.Symbolic.t) =
+  { Encoding.Bounds.pre = s.Absint.Symbolic.pre; post = s.Absint.Symbolic.post }
+
 let micro ?(json = false) () =
   heading "Microbenchmarks (Bechamel)";
   (* Measured before any Bechamel run: Benchmark.all leaves the
      process's GC in a state where large short-lived arrays (the batched
      path's matrices) allocate an order of magnitude slower, which would
-     corrupt the recorded speedups. The standalone [batch] report is
-     unaffected. *)
+     corrupt the recorded speedups. *)
   let batched_rows = if json then Some (batched_forward_measurements ()) else None in
   let serve_row = if json then Some (serve_measurements ()) else None in
   let partition_row =
@@ -1074,7 +1020,7 @@ let micro ?(json = false) () =
         in
         Printf.fprintf oc "{\n  \"suite\": \"micro\",\n  \"unit\": \"ns/run\",\n";
         Printf.fprintf oc "  \"cores_available\": %d,\n"
-          (Milp.Parallel.available_cores ());
+          (Domain.recommended_domain_count ());
         Printf.fprintf oc "  \"results\": [\n";
         List.iteri
           (fun i (name, ns) ->
@@ -1094,31 +1040,14 @@ let micro ?(json = false) () =
            analysis removes on the reference I4x20 box, and the mean
            big-M width under each analysis. *)
         let interval_b = Encoding.Bounds.propagate net box in
-        let symbolic_b =
-          let s = Absint.Symbolic.propagate net box in
-          {
-            Encoding.Bounds.pre = s.Absint.Symbolic.pre;
-            post = s.Absint.Symbolic.post;
-          }
-        in
-        let mean_width b =
-          let sum = ref 0.0 and n = ref 0 in
-          for i = 0 to Nn.Network.num_layers net - 2 do
-            Array.iter
-              (fun iv ->
-                sum := !sum +. Interval.width iv;
-                incr n)
-              b.Encoding.Bounds.pre.(i)
-          done;
-          if !n = 0 then 0.0 else !sum /. float_of_int !n
-        in
+        let symbolic_b = bounds_of_symbolic (Absint.Symbolic.propagate net box) in
         Printf.fprintf oc
           "  \"symbolic_bounds\": {\"interval_unstable\": %d, \
            \"symbolic_unstable\": %d, \"interval_mean_width\": %.6f, \
            \"symbolic_mean_width\": %.6f},\n"
           (Encoding.Bounds.count_unstable net interval_b)
           (Encoding.Bounds.count_unstable net symbolic_b)
-          (mean_width interval_b) (mean_width symbolic_b);
+          (mean_pre_width net interval_b) (mean_pre_width net symbolic_b);
         (* Batched-inference trajectory: the cache-blocked matrix kernel
            against the scalar forward, end to end (packing included). *)
         let bf = Option.value batched_rows ~default:[] in
@@ -1190,11 +1119,7 @@ let micro ?(json = false) () =
            artifacts of a certified smoke proof cost on disk. *)
         let snet, _ = Lazy.force portfolio_smoke in
         let sbox = Array.make 6 (Interval.make (-0.25) 0.25) in
-        let dir =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "depnn_bench_certs_%d" (Unix.getpid ()))
-        in
+        let dir = temp_root "certs" in
         (match
            Option.map
              (fun v ->
@@ -1226,110 +1151,13 @@ let micro ?(json = false) () =
                 else float_of_int total /. float_of_int count)
                pr.Verify.Driver.certified
                (pr.Verify.Driver.proof = Verify.Driver.Proved));
-        (try
-           Array.iter
-             (fun f -> Sys.remove (Filename.concat dir f))
-             (Sys.readdir dir);
-           Unix.rmdir dir
-         with Sys_error _ | Unix.Unix_error _ -> ());
+        (try rm_tree dir with Sys_error _ | Unix.Unix_error _ -> ());
         Printf.fprintf oc "}\n");
-    Printf.printf "wrote BENCH_milp.json (%d entries)\n" (List.length measured)
+    Printf.printf "wrote BENCH_milp.json (%d entries)\n" (List.length measured);
+    Option.iter check_serve serve_row
   end
 
-(* {1 Warm-start report (CI runs this report-only)} *)
-
-let warm_report () =
-  heading "Warm-start dual simplex: full B&B warm vs cold on the smoke model";
-  let rng = Linalg.Rng.create 21 in
-  let net =
-    Nn.Network.create ~rng [ 6; 10; 10; Nn.Gmm.output_dim ~components:2 ]
-  in
-  let box = Array.make 6 (Interval.make (-0.25) 0.25) in
-  let enc = Encoding.Encoder.encode net box in
-  let priority = Encoding.Encoder.layer_order_priority enc in
-  Printf.printf "smoke model: %s, %d binaries\n\n" (Nn.Network.describe net)
-    (List.length enc.Encoding.Encoder.binaries);
-  Printf.printf "%-10s %-8s %-10s %-10s %-8s %-8s\n" "query" "nodes"
-    "cold piv" "warm piv" "cold s" "warm s";
-  let solve ~warm k =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Milp.Solver.solve ~warm
-        ~branch_rule:(Milp.Solver.Priority priority)
-        ~objective:(Encoding.Encoder.output_objective enc k)
-        enc.Encoding.Encoder.model
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let cold_total = ref 0 and warm_total = ref 0 in
-  let cold_time = ref 0.0 and warm_time = ref 0.0 in
-  List.iter
-    (fun k ->
-      let w, wt = solve ~warm:true k in
-      let c, ct = solve ~warm:false k in
-      cold_total := !cold_total + c.Milp.Solver.lp_iterations;
-      warm_total := !warm_total + w.Milp.Solver.lp_iterations;
-      cold_time := !cold_time +. ct;
-      warm_time := !warm_time +. wt;
-      Printf.printf "mu_lat[%d]  %-8d %-10d %-10d %-8.3f %-8.3f\n" k
-        c.Milp.Solver.nodes c.Milp.Solver.lp_iterations
-        w.Milp.Solver.lp_iterations ct wt)
-    (List.init 2 (fun k -> Nn.Gmm.mu_lat_index ~components:2 k));
-  if !cold_total > 0 then
-    Printf.printf
-      "\nwarm/cold pivot ratio: %.2f (%d vs %d pivots, %.2fs vs %.2fs)\n"
-      (float_of_int !warm_total /. float_of_int !cold_total)
-      !warm_total !cold_total !warm_time !cold_time
-
-(* {1 Portfolio report (CI runs this report-only)} *)
-
-let portfolio_report () =
-  heading "Portfolio search: diving + bound proving on the smoke model";
-  let net, enc = Lazy.force portfolio_smoke in
-  Printf.printf "smoke model: %s, %d binaries\n\n" (Nn.Network.describe net)
-    (List.length enc.Encoding.Encoder.binaries);
-  Printf.printf "%-18s %-7s %-7s %-12s %-12s %-9s %s\n" "config" "query"
-    "nodes" "1st-inc nd" "1st-inc s" "total s" "max";
-  let rows = portfolio_measurements () in
-  List.iter
-    (fun (name, k, r) ->
-      Printf.printf "%-18s mu[%d]   %-7d %-12s %-12s %-9.3f %s\n" name k
-        r.Milp.Solver.nodes
-        (match r.Milp.Solver.first_incumbent_nodes with
-         | Some n -> string_of_int n
-         | None -> "-")
-        (match r.Milp.Solver.first_incumbent_elapsed with
-         | Some s -> Printf.sprintf "%.4f" s
-         | None -> "-")
-        r.Milp.Solver.elapsed
-        (match r.Milp.Solver.incumbent with
-         | Some (_, v) -> Printf.sprintf "%.4f" v
-         | None -> "none"))
-    rows;
-  print_endline
-    "\ndiving pops the inactive-neuron child first and reaches an integral\n\
-     leaf in about [depth] nodes; best-first must first exhaust the nodes\n\
-     whose relaxation bound beats the leaf. The 1:1 portfolio inherits the\n\
-     diver's first incumbent and the prover's bound progress."
-
 (* {1 Abstract-interpretation report (CI runs this report-only)} *)
-
-(* Mean hidden pre-activation width under a bound analysis: the scalar
-   the big-M constants inherit, so it is the most direct "how much
-   tighter" metric next to the unstable-neuron count. *)
-let mean_pre_width net (b : Encoding.Bounds.t) =
-  let sum = ref 0.0 and n = ref 0 in
-  for i = 0 to Nn.Network.num_layers net - 2 do
-    Array.iter
-      (fun iv ->
-        sum := !sum +. Interval.width iv;
-        incr n)
-      b.Encoding.Bounds.pre.(i)
-  done;
-  if !n = 0 then 0.0 else !sum /. float_of_int !n
-
-let bounds_of_symbolic (s : Absint.Symbolic.t) =
-  { Encoding.Bounds.pre = s.Absint.Symbolic.pre; post = s.Absint.Symbolic.post }
 
 let absint_report () =
   heading "Abstract interpretation: symbolic vs interval bounds";
@@ -1419,13 +1247,8 @@ let () =
    | "fig1" -> fig1 ()
    | "mcdc" -> mcdc ()
    | "ablation" -> ablation ()
-   | "fault" -> fault_bench ()
    | "micro" -> micro ~json ()
-   | "warm" -> warm_report ()
    | "absint" -> absint_report ()
-   | "portfolio" -> portfolio_report ()
-   | "batch" -> batch_report ()
-   | "serve" -> serve_report ()
    | "partition" -> partition_report ()
    | "all" ->
        table1 ();
@@ -1433,19 +1256,13 @@ let () =
        fig1 ();
        mcdc ();
        ablation ();
-       fault_bench ();
        micro ~json ();
-       warm_report ();
        absint_report ();
-       portfolio_report ();
-       batch_report ();
-       serve_report ();
        partition_report ()
    | other ->
        Printf.eprintf
          "unknown mode %s (expected \
-          table1|table2|fig1|mcdc|ablation|fault|micro|warm|absint|\
-          portfolio|batch|serve|partition|all)\n"
+          table1|table2|fig1|mcdc|ablation|micro|absint|partition|all)\n"
          other;
        exit 2);
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

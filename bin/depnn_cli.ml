@@ -502,61 +502,74 @@ let verify_cmd =
 
 (* {1 audit} *)
 
+let exit_with = function `Proved -> () | `Disproved -> exit 1 | `Unknown -> exit 2
+
 let audit_plain ~net ~dir =
   let report = Certify.Audit.run ~net ~dir in
   print_string (Certify.Audit.render report);
-  match report.Certify.Audit.verdict with
-  | `Proved -> ()
-  | `Disproved -> exit 1
-  | `Unknown -> exit 2
+  exit_with report.Certify.Audit.verdict
 
-let audit net_path dir =
+(* Audit one shard manifest under [dir] and print its report. [None] when
+   the manifest speaks about another network; a rejected manifest is
+   [`Unknown], a confirmed disproof [`Disproved]. *)
+let audit_manifest ~net ~dir name =
+  match Certify.Audit.run_shard ~net ~dir ~name with
+  | Error "manifest is for a different network" ->
+      Printf.printf "skipped %s (different network)\n" name;
+      None
+  | Error reason ->
+      Printf.printf "rejected %s: %s\n" name reason;
+      Some `Unknown
+  | Ok r ->
+      print_string (Certify.Audit.render_shard r);
+      Some
+        (match r.Certify.Audit.shard_verdict with
+         | `Disproved -> `Disproved
+         | `Proved when r.Certify.Audit.shard_ok -> `Proved
+         | `Proved | `Unknown -> `Unknown)
+
+let audit net_path path =
   let net = load_net net_path in
-  Printf.printf "auditing %s against %s\n" (Nn.Network.describe net) dir;
-  match Certify.Audit.shard_manifests ~dir with
-  | [] -> audit_plain ~net ~dir
-  | shards ->
-      (* A partitioned campaign: audit every shard manifest that speaks
-         about this network (a store root may also hold shards for other
-         networks — those are skipped, not failed). Exit code contract
-         as for plain audits, any confirmed disproof dominating. *)
-      let audited = ref 0 and skipped = ref 0 in
-      let disproved = ref false and all_proved = ref true in
-      List.iter
-        (fun name ->
-          match Certify.Audit.run_shard ~net ~dir ~name with
-          | Error "manifest is for a different network" ->
-              incr skipped;
-              Printf.printf "skipped %s (different network)\n" name
-          | Error reason ->
-              all_proved := false;
-              incr audited;
-              Printf.printf "rejected %s: %s\n" name reason
-          | Ok r ->
-              incr audited;
-              print_string (Certify.Audit.render_shard r);
-              if r.Certify.Audit.shard_verdict = `Disproved then
-                disproved := true
-              else if not (r.Certify.Audit.shard_ok && r.shard_verdict = `Proved)
-              then all_proved := false)
-        shards;
-      if !audited = 0 then begin
-        Printf.printf
-          "no shard manifest for this network (%d skipped); auditing as a \
-           plain campaign\n"
-          !skipped;
-        audit_plain ~net ~dir
-      end
-      else if !disproved then exit 1
-      else if not !all_proved then exit 2
+  Printf.printf "auditing %s against %s\n" (Nn.Network.describe net) path;
+  if not (Sys.is_directory path) then (
+    (* One question of a store root: its manifest alone. *)
+    match
+      audit_manifest ~net ~dir:(Filename.dirname path) (Filename.basename path)
+    with
+    | Some verdict -> exit_with verdict
+    | None -> exit 2)
+  else
+    match Certify.Audit.shard_manifests ~dir:path with
+    | [] -> audit_plain ~net ~dir:path
+    | shards -> (
+        (* A partitioned campaign: audit every shard manifest that speaks
+           about this network (a store root may also hold shards for
+           other networks — those are skipped, not failed). Exit code
+           contract as for plain audits, any confirmed disproof
+           dominating. *)
+        match List.filter_map (audit_manifest ~net ~dir:path) shards with
+        | [] ->
+            Printf.printf
+              "no shard manifest for this network (%d skipped); auditing as \
+               a plain campaign\n"
+              (List.length shards);
+            audit_plain ~net ~dir:path
+        | verdicts ->
+            exit_with
+              (if List.mem `Disproved verdicts then `Disproved
+               else if List.for_all (( = ) `Proved) verdicts then `Proved
+               else `Unknown))
 
 let audit_cmd =
-  let dir =
+  let path =
     Arg.(
       required
-      & pos 1 (some dir) None
+      & pos 1 (some file) None
       & info [] ~docv:"DIR"
-          ~doc:"Certification directory written by verify --certify.")
+          ~doc:
+            "Certification directory written by verify --certify, or one \
+             shard manifest $(i,ROOT)/$(i,PROP).shard in a store root \
+             (audits that question alone).")
   in
   Cmd.v
     (Cmd.info "audit"
@@ -567,9 +580,10 @@ let audit_cmd =
           (written by $(b,verify --split --certify)) is audited as a \
           partitioned campaign: the tiling geometry is re-established \
           from each manifest's checksummed split tree, then every leaf \
-          directory is replayed. Exit 0 = Proved, 1 = Disproved, 2 = \
-          Unknown or any rejected certificate.")
-    Term.(const audit $ net_arg $ dir)
+          directory is replayed. Naming one manifest audits only its \
+          question. Exit 0 = Proved, 1 = Disproved, 2 = Unknown or any \
+          rejected certificate.")
+    Term.(const audit $ net_arg $ path)
 
 (* {1 trace} *)
 

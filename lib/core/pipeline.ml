@@ -1,13 +1,13 @@
+let components = 3
+let threshold = 1.5
+
 type config = {
   seed : int;
   width : int;
-  components : int;
   n_samples : int;
   risky_rate : float;
   epochs : int;
-  batch_size : int;
   scenario_slack : float;
-  threshold : float;
   verify_time_limit : float;
   verify_cores : int;
 }
@@ -16,13 +16,10 @@ let default_config ?(width = 10) ?(seed = 7) () =
   {
     seed;
     width;
-    components = 3;
     n_samples = 1500;
     risky_rate = 0.25;
     epochs = 30;
-    batch_size = 32;
     scenario_slack = 0.03;
-    threshold = 1.5;
     verify_time_limit = 60.0;
     verify_cores = 1;
   }
@@ -60,7 +57,7 @@ let run ?(progress = fun _ -> ()) config =
        audit.Sanitizer.total);
   let net =
     Nn.Network.i4xn ~rng:(Linalg.Rng.split rng)
-      ~output_dim:(Nn.Gmm.output_dim ~components:config.components)
+      ~output_dim:(Nn.Gmm.output_dim ~components)
       config.width
   in
   progress
@@ -68,10 +65,9 @@ let run ?(progress = fun _ -> ()) config =
        config.epochs);
   let trainer_config =
     {
-      (Train.Trainer.default ~loss:(Train.Loss.Mdn { components = config.components }) ())
+      (Train.Trainer.default ~loss:(Train.Loss.Mdn { components }) ())
       with
       Train.Trainer.epochs = config.epochs;
-      batch_size = config.batch_size;
       seed = config.seed + 1;
     }
   in
@@ -87,17 +83,16 @@ let run ?(progress = fun _ -> ()) config =
   let scenario = Verify.Scenario.vehicle_on_left ~slack:config.scenario_slack () in
   let verification =
     Verify.Driver.max_lateral_velocity ~time_limit:config.verify_time_limit
-      ~cores:config.verify_cores ~components:config.components net scenario
+      ~cores:config.verify_cores ~components net scenario
   in
   let proof =
     Verify.Driver.prove_lateral_velocity_le
       ~time_limit:config.verify_time_limit ~cores:config.verify_cores
-      ~components:config.components ~threshold:config.threshold net scenario
+      ~components ~threshold net scenario
   in
   progress "runtime guard: turning the proven bound into a monitor";
   let guard_envelope =
-    Guard.envelope_of_verification ~components:config.components
-      ~threshold:config.threshold verification
+    Guard.envelope_of_verification ~components ~threshold verification
   in
   (* Sanity replay: the certified network on its own (sanitized) training
      scenes should stay almost entirely Nominal under the envelope the
@@ -143,7 +138,7 @@ let certify a =
     | Verify.Driver.Unknown _ -> (
         (* Fall back on the exact maximisation if it completed. *)
         match (a.verification.Verify.Driver.value, a.verification.Verify.Driver.optimal) with
-        | Some v, true -> Some (v <= a.used.threshold)
+        | Some v, true -> Some (v <= threshold)
         | (Some _ | None), _ -> None)
   in
   { data_validated; traceability_ok; property_holds }
@@ -170,11 +165,11 @@ let render_report a =
           | Some value, Some true ->
               Printf.sprintf
                 "formal: max lateral velocity %.3f m/s <= %.1f m/s (PROVED)"
-                value a.used.threshold
+                value threshold
           | Some value, Some false ->
               Printf.sprintf
                 "formal: max lateral velocity %.3f m/s exceeds %.1f m/s (UNSAFE)"
-                value a.used.threshold
+                value threshold
           | Some value, None ->
               Printf.sprintf
                 "formal: best found %.3f m/s, bound %.3f (inconclusive)" value
@@ -197,6 +192,6 @@ let render_report a =
   Buffer.add_string buf
     (Printf.sprintf
        "runtime guard: lat limit %.3f m/s (proven bound capped at %.1f)\n"
-       a.guard_envelope.Guard.lat_limit a.used.threshold);
+       a.guard_envelope.Guard.lat_limit threshold);
   Buffer.add_string buf (Guard.render_diagnostics a.guard_check);
   Buffer.contents buf

@@ -16,24 +16,26 @@
       ({!Guard}), closing the loop from offline proof to online
       monitoring. *)
 
+val components : int
+(** GMM mixture components of the trained predictor: 3. *)
+
+val threshold : float
+(** The property's lateral velocity limit: 1.5 m/s. *)
+
 type config = {
   seed : int;
   width : int;              (** hidden width n of the I4×n architecture *)
-  components : int;         (** GMM mixture components *)
   n_samples : int;          (** recorded scenes *)
   risky_rate : float;       (** probability of risky expert manoeuvres *)
-  epochs : int;
-  batch_size : int;
+  epochs : int;             (** trained in mini-batches of 32 *)
   scenario_slack : float;   (** verification box slack, normalised units *)
-  threshold : float;        (** lateral velocity limit, m/s *)
   verify_time_limit : float;  (** seconds, shared over GMM components *)
   verify_cores : int;  (** worker domains for OBBT + branch & bound *)
 }
 
 val default_config : ?width:int -> ?seed:int -> unit -> config
-(** width 10, seed 7, 3 components, 1500 samples, 25% blind-spot rate,
-    30 epochs, slack 0.03, threshold 1.5 m/s, 60 s verification limit,
-    1 verification core. *)
+(** width 10, seed 7, 1500 samples, 25% blind-spot rate, 30 epochs,
+    slack 0.03, 60 s verification limit, 1 verification core. *)
 
 type artifacts = {
   used : config;

@@ -1,31 +1,6 @@
-(* Domain plumbing shared by the branch & bound pool ({!Solver.solve})
-   and the independent-LP fan-outs (OBBT probes, per-component queries,
-   partition leaves): core-count parsing and a generic work-stealing map
+(* Domain plumbing shared by the independent-work fan-outs (OBBT probes,
+   per-component queries, partition leaves): a generic work-stealing map
    over OCaml 5 domains. *)
-
-let available_cores () = Domain.recommended_domain_count ()
-
-let cores_of_string s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Some n
-  | Some _ | None -> None
-
-let cores_of_env () =
-  match Sys.getenv_opt "DEPNN_CORES" with
-  | None -> 1
-  | Some s -> (
-      match cores_of_string s with
-      | Some n -> n
-      | None ->
-          (* Silently coercing garbage to 1 once sent misconfigured CI
-             jobs into sequential runs with nobody the wiser. *)
-          Printf.eprintf
-            "depnn: ignoring malformed DEPNN_CORES=%S (want a positive \
-             integer); running on 1 core\n%!"
-            s;
-          1)
-
-(* {1 Generic domain fan} *)
 
 (* [map ~cores ~init f items] applies [f state item] to every item,
    work-stealing over a shared atomic index. [init] runs once per domain

@@ -1,19 +1,8 @@
-(** Domain plumbing on OCaml 5: core-count parsing for the branch &
-    bound pool ({!Solver.solve} takes [?cores]), and a generic
-    work-stealing {!map} for independent work items such as OBBT probes
-    or per-component queries. *)
-
-val available_cores : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
-val cores_of_string : string -> int option
-(** Parse a core count: a positive integer, else [None]. *)
-
-val cores_of_env : unit -> int
-(** Parse the [DEPNN_CORES] environment variable. Unset defaults to 1;
-    a malformed value is rejected with a one-line [stderr] warning
-    naming it (it used to be silently coerced to 1, hiding typos like
-    [DEPNN_CORES=four] from CI logs) and also falls back to 1. *)
+(** Domain plumbing on OCaml 5: a generic work-stealing {!map} for
+    independent work items such as OBBT probes, per-component queries or
+    partition leaves. The branch & bound pool is {!Solver.solve}'s own
+    ([?cores]). The library reads no environment: callers pass a core
+    count. *)
 
 val map : ?cores:int -> init:(unit -> 'state) -> ('state -> 'a -> 'b) -> 'a array -> 'b array
 (** [map ~cores ~init f items]: apply [f state item] to every item, the

@@ -136,7 +136,7 @@ val solve :
     node from its parent's optimal basis via {!Lp.Simplex.resolve};
     basis snapshots are immutable, so a node stolen by another domain
     warm-starts safely there. Pass [false] to force cold per-node
-    solves (ablation/benchmarks).
+    solves (the tests' reference for the warm path).
 
     [cutoff] turns the search into a decision query: nodes whose bound
     is at most [cutoff] are pruned as if an incumbent of that value were

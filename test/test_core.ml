@@ -76,7 +76,7 @@ let test_pipeline_certify_consistent () =
        (match a.Pipeline.verification.Verify.Driver.value with
         | Some v ->
             Alcotest.(check bool) "consistent with max" true
-              (v <= tiny_config.Pipeline.threshold +. 1e-6)
+              (v <= Pipeline.threshold +. 1e-6)
         | None -> ())
    | Some false | None -> ())
 
@@ -112,7 +112,10 @@ let test_pipeline_deterministic_data () =
 
 let test_closed_loop_evaluation () =
   let a = Lazy.force artifacts in
-  let r = Evaluation.drive ~steps:150 ~components:3 a.Pipeline.network () in
+  let r =
+    Evaluation.drive ~steps:150 ~components:Pipeline.components
+      a.Pipeline.network ()
+  in
   Alcotest.(check int) "steps recorded" 150 r.Evaluation.steps;
   Alcotest.(check bool) "speed sane" true
     (r.Evaluation.mean_speed > 0.0 && r.Evaluation.mean_speed < 50.0);

@@ -475,31 +475,6 @@ let test_pool_depth_first_donates_bottom () =
     (List.length (Milp.Search.Pool.drain pool));
   Alcotest.(check int) "empty after drain" 0 (Milp.Search.Pool.size pool)
 
-(* {2 environment parsing} *)
-
-let test_cores_of_string () =
-  let check s expect =
-    Alcotest.(check (option int)) s expect (Milp.Parallel.cores_of_string s)
-  in
-  check "4" (Some 4);
-  check " 2 " (Some 2);
-  check "0" None;
-  check "-3" None;
-  check "four" None;
-  check "" None
-
-let test_cores_of_env_rejects_garbage () =
-  (* Malformed DEPNN_CORES used to be silently coerced to 1; it still
-     falls back to 1 but must take the warning path, and well-formed
-     values must keep parsing. *)
-  Unix.putenv "DEPNN_CORES" "four";
-  Alcotest.(check int) "garbage falls back to 1" 1 (Milp.Parallel.cores_of_env ());
-  Unix.putenv "DEPNN_CORES" "3";
-  Alcotest.(check int) "well-formed parses" 3 (Milp.Parallel.cores_of_env ());
-  Unix.putenv "DEPNN_CORES" "0";
-  Alcotest.(check int) "non-positive rejected" 1 (Milp.Parallel.cores_of_env ());
-  Unix.putenv "DEPNN_CORES" ""
-
 (* {2 portfolio search} *)
 
 let test_portfolio_knapsack_all_splits () =
@@ -878,11 +853,6 @@ let () =
         [
           quick "heap pop releases nodes" test_heap_pop_releases_nodes;
           quick "pool donates bottom" test_pool_depth_first_donates_bottom;
-        ] );
-      ( "env",
-        [
-          quick "cores_of_string" test_cores_of_string;
-          quick "cores_of_env rejects garbage" test_cores_of_env_rejects_garbage;
         ] );
       ( "parallel",
         [
