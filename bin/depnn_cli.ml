@@ -369,9 +369,10 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
                (exact)\n"
               v
         | Some v, false ->
-            Printf.printf
-              "best found %.6f m/s, proven bound %.6f (time limit hit)\n" v
+            Printf.printf "best found %.6f m/s, proven bound %.6f (%s)\n" v
               r.Verify.Driver.upper_bound
+              (if r.Verify.Driver.timed_out then "time limit hit"
+               else "search incomplete")
         | None, _ -> print_endline "n.a. (unable to find maximum)");
        let st = r.Verify.Driver.encoder_stats in
        Printf.printf
@@ -386,8 +387,7 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
          st.Encoding.Encoder.nnz st.Encoding.Encoder.density;
        let fb = Lp.Simplex.sparse_fallbacks () in
        if fb > 0 then
-         Printf.printf "lp: %d sparse solve%s fell back to the dense tableau\n"
-           fb
+         Printf.printf "lp: %d sparse solve%s left unconcluded\n" fb
            (if fb = 1 then "" else "s");
        Printf.printf "per-component solve time:%s\n"
          (String.concat ""
@@ -428,10 +428,13 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
               proof.Verify.Driver.certified components dir
               proof.Verify.Driver.resumed
         | None -> ()));
-  if proof.Verify.Driver.degraded > 0 then
-    Printf.printf "degraded: %d search%s failed numerically, left unknown\n"
-      proof.Verify.Driver.degraded
-      (if proof.Verify.Driver.degraded = 1 then "" else "es");
+  let degraded = proof.Verify.Driver.degraded in
+  let searches = if degraded = 1 then "search" else "searches" in
+  if degraded > 0 then
+    Printf.printf
+      "degraded: %d %s settled nothing (an LP left unconcluded, a numerical \
+       failure or refused evidence), left unknown\n"
+      degraded searches;
   (* Scriptable contract: 0 = Proved, 1 = Disproved, 2 = Unknown. *)
   match proof.Verify.Driver.proof with
   | Verify.Driver.Proved ->
@@ -442,7 +445,12 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
         w.Verify.Driver.achieved;
       exit 1
   | Verify.Driver.Unknown { best_bound } ->
-      Printf.printf "UNKNOWN: bound %.3f after the time limit\n" best_bound;
+      (* Without a degraded search, time is what left the query open. *)
+      if degraded = 0 then
+        Printf.printf "UNKNOWN: bound %.3f after the time limit\n" best_bound
+      else
+        Printf.printf "UNKNOWN: bound %.3f, %d degraded %s\n" best_bound
+          degraded searches;
       exit 2
 
 let certify_dir_arg =
@@ -975,8 +983,7 @@ let client op socket net_path threshold slack bound_mode time_limit timeout =
           Printf.printf "UNSAFE: counterexample reaches %.3f m/s\n" achieved;
           exit 1
       | Serve.Protocol.V_unknown { best_bound } ->
-          Printf.printf "UNKNOWN: bound %.3f after the time limit\n"
-            best_bound;
+          Printf.printf "UNKNOWN: bound %.3f\n" best_bound;
           exit 2)
 
 let client_cmd =

@@ -179,7 +179,8 @@ let form t =
              rows)
       in
       let finite (r : row) =
-        Array.for_all (fun (_, c) -> Float.is_finite c) r.terms
+        Float.is_finite r.rhs
+        && Array.for_all (fun (_, c) -> Float.is_finite c) r.terms
       in
       let f =
         {

@@ -76,7 +76,7 @@ type form = {
           each column lists its rows in descending order, and the
           row-wise copy serves {!Sparse.row_product} *)
   b : float array;    (** each row's right-hand side *)
-  finite : bool;      (** every constraint coefficient is finite *)
+  finite : bool;      (** every constraint coefficient and rhs is finite *)
 }
 (** The constraint set in the column form the sparse simplex solves
     on. It depends on the rows and the number of variables only — not

@@ -12,7 +12,7 @@ type var_status = Basic | At_lower | At_upper
    parallel solver — and every consumer copies before mutating.
 
    [bfactor] additionally carries the sparse core's factored basis
-   (LU + eta file) when the snapshot came from the sparse path: a child
+   (LU + eta file), which every snapshot a solve returns has: a child
    node's matrix is identical to its parent's (only bounds differ), so
    the warm restore can skip factorization entirely. The factor is
    persistent data, safe to share across domains; it is advisory — the
@@ -49,9 +49,19 @@ type solution = {
   cert : cert option;
 }
 
+(* An infeasibility conclusion, with the evidence that proves it. *)
+let infeasible ?(warm = false) ~iterations cert =
+  { status = Infeasible; objective = 0.0; x = [||]; iterations; basis = None;
+    warm; cert = Some cert }
+
+(* A solve that concludes nothing: no point, no basis, no certificate. *)
+let unconcluded ~iterations =
+  { status = Iteration_limit; objective = 0.0; x = [||]; iterations;
+    basis = None; warm = false; cert = None }
+
 (* Two-phase primal bounded-variable simplex on a dense tableau: the
-   cold solve the sparse core below hands doubt and numerical errors
-   to, and the reference [solve_dense].
+   reference [solve_dense] that tests and the bench compare the sparse
+   core against. No solve on the library's path reaches it.
 
    Columns are laid out [structural | slacks | artificials]. Every
    variable carries finite bounds (slack bounds are implied by the
@@ -209,7 +219,7 @@ let farkas_certifies problem y =
   done;
   !empty || !u < 0.0
 
-let build problem ~negate =
+let build problem =
   let rows = Problem.rows problem in
   let m = Array.length rows in
   let nstruct = Problem.num_vars problem in
@@ -287,7 +297,6 @@ let build problem ~negate =
   for i = 0 to m - 1 do
     r.(nreal + i) <- 0.0
   done;
-  ignore negate;
   { m; n; nstruct; nreal; t; lo; hi; r; cost; basis; status; xb }
 
 let pivot_tolerance = 1e-8
@@ -528,30 +537,12 @@ let extract tb =
       | At_lower -> tb.lo.(j)
       | At_upper -> tb.hi.(j))
 
-(* Snapshot the current basis. Only bases made of real (structural or
-   slack) columns are re-usable; a degenerate optimum that kept an
-   artificial basic yields no snapshot and the child falls back to a
-   cold solve. *)
-let snapshot tb =
-  if Array.exists (fun v -> v >= tb.nreal) tb.basis then None
-  else
-    Some
-      {
-        bm = tb.m;
-        bnstruct = tb.nstruct;
-        bbasic = Array.copy tb.basis;
-        bupper = Array.init tb.nreal (fun j -> tb.status.(j) = At_upper);
-        bfactor = None;
-      }
-
 (* The feasibility/optimality tolerance of every solve. *)
 let eps = 1e-7
 
-let solve_internal problem ~negate =
-  match build problem ~negate with
-  | exception Row_infeasible i ->
-      { status = Infeasible; objective = 0.0; x = [||]; iterations = 0;
-        basis = None; warm = false; cert = Some (Cert_empty_row i) }
+let solve_dense problem =
+  match build problem with
+  | exception Row_infeasible i -> infeasible ~iterations:0 (Cert_empty_row i)
   | tb ->
       let limit = 500 * (tb.m + tb.n) in
       (* Phase 1: drive sum of artificials to zero. *)
@@ -580,16 +571,12 @@ let solve_internal problem ~negate =
               Array.fill tb.cost 0 tb.n 0.0;
               for j = 0 to tb.nstruct - 1 do
                 check_finite "non-finite objective coefficient" obj.(j);
-                tb.cost.(j) <- (if negate then -.obj.(j) else obj.(j))
+                tb.cost.(j) <- obj.(j)
               done;
               recompute_reduced_costs tb;
               match optimize tb ~eps ~limit ~start_iter:it1 with
               | None -> (Iteration_limit, limit, None)
-              | Some it2 ->
-                  let cert =
-                    if negate then None else Some (Cert_duals (row_duals tb))
-                  in
-                  (Optimal, it2, cert)
+              | Some it2 -> (Optimal, it2, Some (Cert_duals (row_duals tb)))
             end
       in
       let status, iterations, cert = result in
@@ -600,7 +587,7 @@ let solve_internal problem ~negate =
         value := !value +. (obj.(j) *. x.(j))
       done;
       { status; objective = !value; x; iterations; warm = false; cert;
-        basis = (if status = Optimal then snapshot tb else None) }
+        basis = None }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse revised simplex, the engine behind every solve.
@@ -613,12 +600,11 @@ let solve_internal problem ~negate =
    column by FTRAN, the pivot row by BTRAN of a unit vector, so a pivot
    costs O(nnz) work instead of O(rows·cols).
 
-   The sparse path reports [Infeasible] only on evidence it has checked:
-   a row whose slack range is empty under the box, or a Farkas ray that
-   passes [farkas_certifies]. An infeasibility conclusion whose ray
-   fails the check surfaces as [Doubt], numerical trouble as
-   [Numerical_error], and the dispatcher below re-runs either on the
-   dense cold solve. *)
+   It reports [Infeasible] only on evidence it has checked: a row whose
+   slack range is empty under the box, or a Farkas ray that passes
+   [farkas_certifies]. A ray that fails the check concludes nothing and
+   returns [Iteration_limit], and so does numerical trouble it raises
+   (the dispatcher below); no other engine re-decides the LP. *)
 
 (* Refactorize once the eta file reaches this length: each eta adds one
    O(nnz alpha) term to every FTRAN/BTRAN and compounds round-off, so
@@ -864,8 +850,8 @@ module Rev = struct
         if Sparse.eta_count f >= !refactor_interval then refactor st
     | None ->
         (* Eta rejected (tiny/non-finite diagonal): rebuild from
-           scratch; a singular rebuild raises and the dispatcher falls
-           back to the dense cold solve. *)
+           scratch; a singular rebuild raises, and the dispatcher reports
+           the solve unconcluded. *)
         refactor st
 
   let optimize st ~eps ~limit ~start_iter =
@@ -939,22 +925,14 @@ module Rev = struct
           bfactor = Some st.fac;
         }
 
-  (* The problem's column form, refused when a coefficient is not
-     finite. *)
-  let form problem =
-    let form = Problem.form problem in
-    if not form.Problem.finite then
-      raise (Numerical_error "non-finite constraint coefficient");
-    form
-
   (* Cold build. Unlike the dense build, rows are NOT scaled by the
      residual sign — the artificial column i is [(i, sign_i)] instead —
      so the structural and slack columns are the problem's own column
      form, shared with every warm restore, and a factor snapshot
-     transfers between the two without translation. *)
-  let build problem ~negate =
-    ignore negate;
-    let form = form problem in
+     transfers between the two without translation. The dispatcher has
+     already refused non-finite input. *)
+  let build problem =
+    let form = Problem.form problem in
     let rows = form.Problem.rows in
     let m = Array.length rows in
     let nstruct = Problem.num_vars problem in
@@ -979,7 +957,6 @@ module Rev = struct
     let signs = Array.make m 0.0 in
     Array.iteri
       (fun i row ->
-        check_finite "non-finite constraint rhs" row.Problem.rhs;
         let slo, shi = slack_bounds ~row:i vlo vhi row in
         let si = nstruct + i in
         lo.(si) <- slo;
@@ -1034,8 +1011,8 @@ module Rev = struct
      problem or the claimed basis is singular — the caller then solves
      cold. Raises [Row_infeasible] when a row's slack range is empty
      under the current box (the same sound, cheap detection the cold
-     build does). *)
-  let restore problem basis ~negate =
+     build does). Restores maximise: only [resolve] warm-starts. *)
+  let restore problem basis =
     let m = Problem.num_constraints problem in
     let nstruct = Problem.num_vars problem in
     let nreal = nstruct + m in
@@ -1058,14 +1035,13 @@ module Rev = struct
     in
     if not valid then None
     else begin
-      let form = form problem in
+      let form = Problem.form problem in
       let vlo = Problem.var_lo problem and vhi = Problem.var_hi problem in
       let lo = Array.make nreal 0.0 and hi = Array.make nreal 0.0 in
       Array.blit vlo 0 lo 0 nstruct;
       Array.blit vhi 0 hi 0 nstruct;
       Array.iteri
         (fun i row ->
-          check_finite "non-finite constraint rhs" row.Problem.rhs;
           let slo, shi = slack_bounds ~row:i vlo vhi row in
           lo.(nstruct + i) <- slo;
           hi.(nstruct + i) <- shi)
@@ -1114,11 +1090,7 @@ module Rev = struct
       | None -> None
       | Some (fac, xb) ->
           let cost = Array.make nreal 0.0 in
-          let obj = Problem.objective problem in
-          for j = 0 to nstruct - 1 do
-            check_finite "non-finite objective coefficient" obj.(j);
-            cost.(j) <- (if negate then -.obj.(j) else obj.(j))
-          done;
+          Array.blit (Problem.objective problem) 0 cost 0 nstruct;
           let st =
             { m; n = nreal; nstruct; nreal; mat; b; lo; hi;
               r = Array.make nreal 0.0; cost; support = support_of cost;
@@ -1263,22 +1235,11 @@ module Rev = struct
     in
     loop start_iter ~bland:false ~stall:0 ~best_obj:(phase_objective st)
 
-  (* [Done] carries a result the sparse core fully stands behind;
-     [Doubt] is the signal for the dispatcher to re-run the dense
-     oracle — notably a phase-1 infeasibility conclusion whose Farkas
-     ray fails its outward check, so the sparse path never prunes a
-     branch-and-bound node on an unchecked conclusion. *)
-  type outcome = Done of solution | Doubt of string
-
   (* Same slack-column identity as the dense [row_duals]: the sparse
      build never scales rows, so y_i = −r_si directly. *)
   let row_duals st = Array.init st.m (fun i -> -.st.r.(st.nstruct + i))
 
-  let infeasible ~iterations ~warm ray =
-    { status = Infeasible; objective = 0.0; x = [||]; iterations;
-      basis = None; warm; cert = Some (Cert_farkas ray) }
-
-  let finish ?(certify = true) st ~status ~iterations ~warm problem =
+  let optimal ~certify st ~iterations ~warm problem =
     let x = extract st in
     let obj = Problem.objective problem in
     let value = ref 0.0 in
@@ -1286,39 +1247,37 @@ module Rev = struct
       value := !value +. (obj.(j) *. x.(j))
     done;
     {
-      status;
+      status = Optimal;
       objective = !value;
       x;
       iterations;
       warm;
-      basis = (if status = Optimal then snapshot st else None);
-      cert =
-        (if certify && status = Optimal then Some (Cert_duals (row_duals st))
-         else None);
+      basis = snapshot st;
+      cert = (if certify then Some (Cert_duals (row_duals st)) else None);
     }
 
   let solve_internal problem ~negate =
-    match build problem ~negate with
+    match build problem with
     | exception Row_infeasible i ->
         (* Empty slack range under the box is exact interval arithmetic,
-           the same test the dense build runs: no doubt to defer. *)
-        Done
-          { status = Infeasible; objective = 0.0; x = [||]; iterations = 0;
-            basis = None; warm = false; cert = Some (Cert_empty_row i) }
+           the same test the dense build runs. *)
+        infeasible ~iterations:0 (Cert_empty_row i)
     | st -> (
         let limit = 500 * (st.m + st.n) in
         match optimize st ~eps ~limit ~start_iter:0 with
-        | None -> Done (finish st ~status:Iteration_limit ~iterations:limit ~warm:false problem)
+        | None -> unconcluded ~iterations:limit
         | Some it1 ->
             let infeasibility = -.phase_objective st in
             if infeasibility > 1e-6 then begin
               (* Same Farkas ray as the dense phase-1 exit, from freshly
-                 recomputed reduced costs. *)
+                 recomputed reduced costs. A ray that fails its outward
+                 check proves nothing, and neither does this phase-1
+                 optimum: the LP stays unconcluded. *)
               recompute_reduced_costs st;
               let ray = row_duals st in
               if farkas_certifies problem ray then
-                Done (infeasible ~iterations:it1 ~warm:false ray)
-              else Doubt "sparse phase-1 ray failed its outward check"
+                infeasible ~iterations:it1 (Cert_farkas ray)
+              else unconcluded ~iterations:it1
             end
             else begin
               for i = 0 to st.m - 1 do
@@ -1329,20 +1288,15 @@ module Rev = struct
               let obj = Problem.objective problem in
               Array.fill st.cost 0 st.n 0.0;
               for j = 0 to st.nstruct - 1 do
-                check_finite "non-finite objective coefficient" obj.(j);
                 st.cost.(j) <- (if negate then -.obj.(j) else obj.(j))
               done;
               st.support <- support_of st.cost;
               recompute_reduced_costs st;
               match optimize st ~eps ~limit ~start_iter:it1 with
-              | None ->
-                  Done
-                    (finish st ~status:Iteration_limit ~iterations:limit
-                       ~warm:false problem)
+              | None -> unconcluded ~iterations:limit
               | Some it2 ->
-                  Done
-                    (finish ~certify:(not negate) st ~status:Optimal
-                       ~iterations:it2 ~warm:false problem)
+                  optimal ~certify:(not negate) st ~iterations:it2 ~warm:false
+                    problem
             end)
 
   (* Warm re-solve: rebuild the parent's optimal basis under the child's
@@ -1356,11 +1310,8 @@ module Rev = struct
      correct as [solve], just usually much cheaper. *)
   let resolve_internal problem ~basis =
     let cold () = solve_internal problem ~negate:false in
-    match restore problem basis ~negate:false with
-    | exception Row_infeasible i ->
-        Done
-          { status = Infeasible; objective = 0.0; x = [||]; iterations = 0;
-            basis = None; warm = false; cert = Some (Cert_empty_row i) }
+    match restore problem basis with
+    | exception Row_infeasible i -> infeasible ~iterations:0 (Cert_empty_row i)
     | None -> cold ()
     | Some st -> (
         let limit = 500 * (st.m + st.n) in
@@ -1370,46 +1321,45 @@ module Rev = struct
         | Dual_limit -> cold ()
         | Dual_infeasible (iterations, ray) ->
             if farkas_certifies problem ray then
-              Done (infeasible ~iterations ~warm:true ray)
+              infeasible ~iterations ~warm:true (Cert_farkas ray)
             else cold ()
         | Dual_feasible it -> (
             match optimize st ~eps ~limit ~start_iter:it with
             | exception Numerical_error _ -> cold ()
             | None -> cold ()
             | Some iterations ->
-                Done (finish st ~status:Optimal ~iterations ~warm:true problem)))
+                optimal ~certify:true st ~iterations ~warm:true problem))
 end
 
 (* ------------------------------------------------------------------ *)
-(* The sparse→dense fallback contract. *)
+(* Every solve runs the sparse core, and its answer stands. *)
 
-let solve_dense problem = solve_internal problem ~negate:false
+(* Solves the core left unconcluded — observability for tests and the
+   bench, not control flow. *)
+let unconcluded_count = Atomic.make 0
+let sparse_fallbacks () = Atomic.get unconcluded_count
 
-(* How often the sparse core handed a problem to the dense cold solve —
-   observability for tests and the bench, not control flow. *)
-let fallback_count = Atomic.make 0
-let sparse_fallbacks () = Atomic.get fallback_count
+(* Non-finite input is refused before the core runs. Past that check,
+   a [Numerical_error] the core raises is trouble on a finite LP, which
+   concludes nothing. *)
+let run problem solve =
+  if not (Problem.form problem).Problem.finite then
+    raise (Numerical_error "non-finite constraint coefficient or rhs");
+  Array.iter
+    (check_finite "non-finite objective coefficient")
+    (Problem.objective problem);
+  let s = try solve () with Numerical_error _ -> unconcluded ~iterations:0 in
+  if s.status = Iteration_limit then Atomic.incr unconcluded_count;
+  s
 
-(* Every solve runs the sparse core. A conclusion it doubts (an
-   infeasibility ray that failed its outward check) or numerical
-   trouble it raised goes to the dense cold solve, which raises in turn
-   when the problem itself holds NaN/Inf. *)
-let sparse_or_dense ?basis problem ~negate =
-  match
-    match basis with
-    | None -> Rev.solve_internal problem ~negate
-    | Some basis -> Rev.resolve_internal problem ~basis
-  with
-  | Rev.Done s -> s
-  | Rev.Doubt _ | (exception Numerical_error _) ->
-      Atomic.incr fallback_count;
-      solve_internal problem ~negate
+let solve problem =
+  run problem (fun () -> Rev.solve_internal problem ~negate:false)
 
-let solve problem = sparse_or_dense problem ~negate:false
+let solve_min problem =
+  run problem (fun () -> Rev.solve_internal problem ~negate:true)
 
-let solve_min problem = sparse_or_dense problem ~negate:true
-
-let resolve ~basis problem = sparse_or_dense ~basis problem ~negate:false
+let resolve ~basis problem =
+  run problem (fun () -> Rev.resolve_internal problem ~basis)
 
 let primal_feasible ?(eps = 1e-6) problem x =
   let n = Problem.num_vars problem in

@@ -10,37 +10,40 @@
     finishes the job. This is the natural fit for branch & bound, where
     a child's LP differs from its parent's by exactly one bound.
 
-    One engine runs every solve: the revised simplex on factored sparse
-    columns (LU plus an eta file, {!Sparse.factor}), O(nnz) per pivot
-    instead of O(rows·cols). Its columns come from the problem's
-    {!Problem.form}, built once per constraint set and shared by every
-    solve, cold or warm, until the constraint set changes; a solve may
-    build it, which is the only way a solve writes to the problem. A
-    pivot's tableau row is computed row by row ({!Sparse.row_product}),
-    over the rows its BTRAN result touches. It reports [Infeasible] only with a row
-    that is empty under the box or with a Farkas ray that passes
-    {!farkas_certifies}. A ray that fails the check, and any
-    {!Numerical_error} the sparse core raises, hand the problem to a
-    cold solve on the dense Gauss-Jordan tableau ({!sparse_fallbacks}
-    counts the handoffs). {!solve_dense} runs that tableau directly, as
-    the reference tests and benchmarks compare against.
+    One engine runs every {!solve}, {!solve_min} and {!resolve}: the
+    revised simplex on factored sparse columns (LU plus an eta file,
+    {!Sparse.factor}), O(nnz) per pivot instead of O(rows·cols). Its
+    columns come from the problem's {!Problem.form}, built once per
+    constraint set and shared by every solve, cold or warm, until the
+    constraint set changes; a solve may build it, which is the only way
+    a solve writes to the problem. A pivot's tableau row is computed
+    row by row ({!Sparse.row_product}), over the rows its BTRAN result
+    touches. It reports [Infeasible] only with a row that is empty
+    under the box or with a Farkas ray that passes {!farkas_certifies},
+    and [Iteration_limit] for an LP it cannot conclude; no other engine
+    re-decides that LP. The dense Gauss-Jordan tableau survives only as
+    {!solve_dense}, the reference tests and benchmarks compare
+    against.
 
     Primal unboundedness cannot occur because every variable carries
     finite bounds (enforced by {!Problem.add_var}). *)
 
 exception Numerical_error of string
-(** Raised as soon as NaN/Inf is detected in the solve: a non-finite
-    constraint coefficient or right-hand side, a NaN reduced cost, a
-    non-finite pivot element, or a NaN objective value. Failing fast
-    beats the alternative — NaN comparisons are all false, so a poisoned
-    tableau silently terminates with a garbage basis reported as
-    [Optimal]. Callers that can degrade (e.g. the parallel MILP solver)
-    catch this and widen their bounds instead of trusting the result. *)
+(** Raised by {!solve}, {!solve_min} and {!resolve} on non-finite input
+    (a NaN or infinite constraint coefficient, right-hand side or
+    objective coefficient), and by {!solve_dense} on any NaN/Inf it
+    meets. Failing fast beats the alternative — NaN comparisons are all
+    false, so a poisoned tableau silently terminates with a garbage
+    basis reported as [Optimal]. Numerical trouble on finite input does
+    not raise: that solve is [Iteration_limit]. *)
 
 type status =
   | Optimal
   | Infeasible
-  | Iteration_limit  (** gave up; treat as unknown *)
+  | Iteration_limit
+      (** no conclusion — the pivot limit, a phase-1 Farkas ray that
+          failed {!farkas_certifies}, or numerical trouble on finite
+          input: no information about the LP *)
 
 type var_status = Basic | At_lower | At_upper
 
@@ -50,8 +53,8 @@ type basis = {
   bbasic : int array;  (** basic column per row (structural or slack) *)
   bupper : bool array; (** per real column: parked at its upper bound? *)
   bfactor : Sparse.factor option;
-      (** factored basis (LU + eta file) when the snapshot came from
-          the sparse core; advisory — {!resolve} probes it against the
+      (** factored basis (LU + eta file), carried by every snapshot a
+          solve returns; advisory — {!resolve} probes it against the
           current problem and refactorizes on any mismatch *)
 }
 (** Compact snapshot of an optimal basis. Pure data — the arrays and
@@ -63,8 +66,8 @@ type basis = {
     any mismatch. *)
 
 val sparse_fallbacks : unit -> int
-(** How many times the sparse core handed a problem to the dense cold
-    solve since startup (observability for tests/bench). *)
+(** Calls to {!solve}, {!solve_min} and {!resolve} since startup that
+    returned [Iteration_limit] (observability for tests and the bench). *)
 
 val refactor_interval : int ref
 (** Eta-file length that triggers a refactorization of the sparse
@@ -108,11 +111,12 @@ val farkas_certifies : Problem.t -> float array -> bool
 type solution = {
   status : status;
   objective : float;  (** meaningful only when [status = Optimal] *)
-  x : float array;    (** structural variable values (primal point) *)
-  iterations : int;
+  x : float array;    (** structural values of an [Optimal] answer *)
+  iterations : int;   (** pivots; [0] when numerical trouble ended it *)
   basis : basis option;
       (** optimal basis for warm restarts; [None] unless
-          [status = Optimal] and the basis is free of artificials *)
+          [status = Optimal] and the basis is free of artificials, and
+          always [None] from {!solve_dense} *)
   warm : bool;
       (** [true] iff this result came from the warm dual-simplex path
           (no fallback to a cold solve was needed) *)
@@ -142,19 +146,18 @@ val resolve : basis:basis -> Problem.t -> solution
     flag tells which path produced the answer). A dual-simplex
     infeasibility conclusion is reported as [Infeasible] with
     [warm = true] and its [Cert_farkas] ray when {!farkas_certifies}
-    accepts the ray, and falls back cold otherwise. A
-    {!Numerical_error} that escapes the sparse warm path, like sparse
-    doubt in a cold solve, re-runs the dense cold solve. *)
+    accepts the ray, and falls back cold otherwise. A cold solve that
+    concludes nothing is [Iteration_limit], as from {!solve}. *)
 
 val solve_min : Problem.t -> solution
 (** Minimise instead; [objective] is reported in the minimisation sense. *)
 
 val solve_dense : Problem.t -> solution
 (** Maximise from a cold start on the dense Gauss-Jordan tableau alone,
-    with {!solve}'s tolerance and iteration limit: the
-    reference engine tests and benchmarks compare the sparse core
-    against. Same certificates; a snapshot it returns carries no
-    [bfactor]. *)
+    with {!solve}'s tolerance and iteration limit: the reference engine
+    tests and benchmarks compare the sparse core against, reached by no
+    other call. It checks none of its Farkas rays, so its [Infeasible]
+    is not evidence, and it returns no [basis]. *)
 
 val primal_feasible : ?eps:float -> Problem.t -> float array -> bool
 (** Check a point against all bounds and constraints (testing helper). *)

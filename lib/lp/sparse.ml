@@ -173,7 +173,7 @@ let factor_nnz f =
   !lu
 
 (* No pivot candidate above this magnitude means the claimed basis is
-   (numerically) singular — same standard the dense restore applies. *)
+   (numerically) singular. *)
 let singular_tolerance = 1e-9
 
 (* Index of an isolated bit 2^b (b ≤ 61) in O(1): 2 is a primitive root
@@ -436,9 +436,9 @@ let btran f c =
   y
 
 (* Refuse updates whose eta diagonal could amplify round-off beyond
-   repair; the simplex layer refactorizes (or falls back dense) when it
-   sees [None]. Checking only the eta's own entries is the "eta-local"
-   NaN fail-fast: nothing else changed, so nothing else is rescanned. *)
+   repair; the simplex layer refactorizes when it sees [None]. Checking
+   only the eta's own entries is the "eta-local" NaN fail-fast: nothing
+   else changed, so nothing else is rescanned. *)
 let update_tolerance = 1e-11
 
 let update f ~pos ~alpha =

@@ -16,7 +16,7 @@
     when the eta file is long enough to refactorize ({!eta_count}); a
     tiny or non-finite pivot makes {!update} (or {!factorize}) refuse,
     which is the sparse path's numerical-doubt signal — the simplex
-    layer then refactorizes or falls back to the dense cold solve. *)
+    layer then refactorizes, or leaves the solve unconcluded. *)
 
 type mat
 (** Immutable sparse matrix, stored by column, with a row-wise copy of
@@ -97,7 +97,7 @@ val update : factor -> pos:int -> alpha:float array -> factor option
     direction), by appending one eta to the file — the product-form
     update. O(nnz of alpha), shares all existing factors. Returns
     [None] when the eta diagonal [alpha.(pos)] is too small or any
-    entry is non-finite: the caller must refactorize or fall back. *)
+    entry is non-finite: the caller must refactorize. *)
 
 val basis_residual : mat -> int array -> x:float array -> b:float array -> float
 (** [basis_residual a basic ~x ~b] is [‖B·x − b‖∞] with [x] in basis

@@ -120,20 +120,25 @@ let maximize_outputs ?(time_limit = 60.0)
       component_elapsed.(qi) <- r.Milp.Solver.elapsed;
       nodes := !nodes + r.Milp.Solver.nodes;
       lp_iters := !lp_iters + r.Milp.Solver.lp_iterations;
+      (* No node limit is passed, so [Node_limit] means an LP the sparse
+         core left unconcluded: incomplete, but not out of time. *)
       (match r.Milp.Solver.outcome with
        | Milp.Solver.Optimal -> ()
-       | Milp.Solver.Time_limit | Milp.Solver.Node_limit ->
+       | Milp.Solver.Time_limit ->
            any_timeout := true;
            all_optimal := false
-       | Milp.Solver.Infeasible ->
-           (* An empty box cannot happen for well-formed scenarios; treat
-              as an unfinished query. *)
+       | Milp.Solver.Node_limit | Milp.Solver.Infeasible ->
            all_optimal := false);
       (* Two sound upper bounds on this output — the solver's and the
-         analysis one — so the tighter of the two stands. *)
-      upper :=
-        Float.max !upper
-          (Float.min r.Milp.Solver.best_bound (output_upper enc k));
+         analysis one — so the tighter of the two stands. A search that
+         ends [Infeasible] found the box empty, which a box never is:
+         its bound of -inf is wrong, and only the analysis one stands. *)
+      let solver_bound =
+        match r.Milp.Solver.outcome with
+        | Milp.Solver.Infeasible -> infinity
+        | _ -> r.Milp.Solver.best_bound
+      in
+      upper := Float.max !upper (Float.min solver_bound (output_upper enc k));
       match r.Milp.Solver.incumbent with
       | Some (solution, objective) ->
           let better =
@@ -347,29 +352,48 @@ let settle_leaf q ~store ~sink ~attempt ~time_limit ~upper box =
         `Bound bound
     | r -> (
         nodes := !nodes + r.Milp.Solver.nodes;
+        (* A conclusion settles the component only on evidence [emit]
+           accepts; one whose evidence fails settles nothing. *)
+        let settle_if ok verdict =
+          if ok then verdict
+          else begin
+            incr degraded;
+            `Bound bound
+          end
+        in
         match (r.Milp.Solver.incumbent, r.Milp.Solver.outcome) with
         | Some (solution, _), _ ->
-            (* A feasible point above the cutoff refutes the property. *)
+            (* A feasible point refutes the property once the network,
+               run on it, goes above the threshold. *)
             let w =
               witness_at q.net ~component:k ~output
                 (Encoding.Encoder.input_point enc solution)
             in
-            ignore (emit k (witness_body w));
-            `Disproved w
+            settle_if
+              (w.achieved > threshold && emit k (witness_body w))
+              (`Disproved w)
         | None, Milp.Solver.Optimal ->
             let leaves = Array.of_list (List.rev !leaves) in
-            ignore
+            settle_if
               (emit k
                  (lazy
                    (let model_hash = Cert.model_fingerprint model in
-                    Cert.Milp_tree { model_hash; leaves })));
-            `Proved
-        | None, _ -> `Bound (Float.min r.Milp.Solver.best_bound bound))
+                    Cert.Milp_tree { model_hash; leaves })))
+              `Proved
+        | None, outcome ->
+            (* No node limit is passed, so a search that stopped at one
+               stopped on an LP the sparse core left unconcluded. *)
+            if outcome = Milp.Solver.Node_limit then incr degraded;
+            `Bound (Float.min r.Milp.Solver.best_bound bound))
   in
   let settled = Hashtbl.create 8 in
-  let rec ladder worst = function
+  (* Under a sink a component settles only on evidence that replays: one
+     left at a bound keeps the answer Unknown even when that bound meets
+     the threshold ([open_] says so). *)
+  let rec ladder worst ~open_ = function
     | [] ->
-        if worst <= threshold then Proved else Unknown { best_bound = worst }
+        if worst <= threshold && not open_ then Proved
+        else Unknown { best_bound = worst }
     | k :: rest as queue -> (
         match Hashtbl.find_opt settled k with
         | Some { Cert.body = Cert.Witness { input; _ }; _ } ->
@@ -378,20 +402,20 @@ let settle_leaf q ~store ~sink ~attempt ~time_limit ~upper box =
               (witness_at q.net ~component:k ~output:(output_of q k) input)
         | Some _ ->
             incr resumed;
-            ladder (Float.max worst threshold) rest
+            ladder (Float.max worst threshold) ~open_ rest
         | None when presolve k (analysis k) ->
             incr presolved;
-            ladder (Float.max worst (analysis k)) rest
+            ladder (Float.max worst (analysis k)) ~open_ rest
         | None -> (
             let share =
               budget_slice ~deadline ~queue_len:(List.length queue) ()
             in
             match search k ~share ~bound:(analysis k) with
             | `Disproved w -> Disproved w
-            | `Proved -> ladder (Float.max worst threshold) rest
+            | `Proved -> ladder (Float.max worst threshold) ~open_ rest
             | `Bound b ->
                 Option.iter (fun s -> journal s k "unknown" None) sink;
-                ladder (Float.max worst b) rest))
+                ladder (Float.max worst b) ~open_:(open_ || sink <> None) rest))
   in
   let result proof via =
     ( { proof; proof_elapsed = Linalg.Mclock.now () -. started;
@@ -417,7 +441,9 @@ let settle_leaf q ~store ~sink ~attempt ~time_limit ~upper box =
                  (Journal.trusted ~dir:s.dir ~net_hash ~prop_hash e))
              (Journal.latest (Journal.load ~dir:s.dir))
        | None -> ());
-      match ladder neg_infinity (List.init q.components Fun.id) with
+      match
+        ladder neg_infinity ~open_:false (List.init q.components Fun.id)
+      with
       | Proved when !presolved = q.components && !nodes = 0 ->
           result Proved `Presolved
       | (Proved | Disproved _) as proof -> result proof `Solved

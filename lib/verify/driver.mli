@@ -37,9 +37,14 @@ type max_result = {
   value : float option;   (** best maximum found (None: no solve finished) *)
   upper_bound : float;
       (** proven sound upper bound: the tighter of the solver bound and
-          the encoding's analysis bound on each output *)
+          the encoding's analysis bound on each output, the analysis
+          bound alone where a search ended [Infeasible] (a box is never
+          empty, so that search went wrong); never [-inf] *)
   optimal : bool;          (** value = exact maximum *)
   timed_out : bool;
+      (** some search stopped at its time limit; a search that stopped on
+          an LP the sparse core left unconcluded is not optimal either,
+          but did not time out *)
   witness : witness option;
   elapsed : float;         (** whole-call wall clock, encoding included *)
   component_elapsed : float array;
@@ -113,9 +118,13 @@ type proof_result = {
           previous run of the same question already settled them;
           [0] without an evidence sink *)
   degraded : int;
-      (** MILP searches that raised {!Lp.Simplex.Numerical_error} or
-          [Failure]: each left its component [Unknown] at the analysis
-          bound instead of aborting the query *)
+      (** MILP searches that settled nothing for a reason other than
+          time: one that raised {!Lp.Simplex.Numerical_error} or
+          [Failure], one stopped by an LP the sparse core left
+          unconcluded, or one whose conclusion's evidence was refused
+          (see the ladder below). Each left its component [Unknown] at
+          the analysis bound instead of aborting the query, so an
+          [Unknown] with [degraded = 0] ran out of time. *)
   partition : Partition.stats option;
       (** leaf accounting when the query ran partitioned ([?split]);
           [None] for a monolithic solve *)
@@ -170,9 +179,16 @@ val prove_lateral_velocity_le :
       meets [threshold] is discharged without search ([presolved]
       counts them; when every component goes this way the verdict is
       [Proved] with [proof_nodes = 0]);
-    + one cutoff MILP search under the component's whole share; a
-      search that raises {!Lp.Simplex.Numerical_error} or [Failure]
-      settles nothing and counts in [degraded];
+    + one cutoff MILP search under the component's whole share. It
+      settles the component only on evidence: a witness the network,
+      run on it, takes above [threshold], or an exhausted tree; with an
+      evidence sink, only once that witness or tree certificate
+      replays. A search that raises {!Lp.Simplex.Numerical_error} or
+      [Failure], stops on an LP the sparse core left unconcluded
+      ({!Lp.Simplex.Iteration_limit}), or whose evidence is refused
+      settles nothing and counts in [degraded]. With a sink, a
+      component left at a bound keeps the answer [Unknown] even when
+      that bound meets [threshold];
     + an honest [Unknown].
 
     One disproved leaf disproves the parent (the witness lies inside

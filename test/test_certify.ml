@@ -1010,8 +1010,10 @@ let test_resume_ignores_overwritten_certificates () =
    wrong prune or a lost leaf would flip the answer. Any two modes that
    settle must agree, every disproof must replay through the network,
    and every certified settled verdict must survive the independent
-   audit of its directory. With more than one worker the leaf order in
-   a tree certificate varies between runs; the audit must not care. *)
+   audit of its directory. A certified Proved stands on every
+   component's evidence: each one was certified or resumed. With more
+   than one worker the leaf order in a tree certificate varies between
+   runs; the audit must not care. *)
 let prop_decision_modes_agree =
   QCheck.Test.make ~count:20
     ~name:"decision modes agree; certified verdicts audit"
@@ -1037,6 +1039,17 @@ let prop_decision_modes_agree =
            ?split ?cores ~components:2 ~threshold net b0)
           .Verify.Driver.proof
       in
+      let decide_certified ?cores certify_dir =
+        let r =
+          Verify.Driver.prove_lateral_velocity_le ~bound_mode ~certify_dir
+            ?cores ~components:2 ~threshold net b0
+        in
+        if
+          r.Verify.Driver.proof = Verify.Driver.Proved
+          && r.Verify.Driver.certified + r.Verify.Driver.resumed <> 2
+        then QCheck.Test.fail_report "certified Proved without evidence";
+        r.Verify.Driver.proof
+      in
       let settled = function
         | Verify.Driver.Proved -> Some `Proved
         | Verify.Driver.Disproved w ->
@@ -1048,10 +1061,8 @@ let prop_decision_modes_agree =
             Some `Disproved
         | Verify.Driver.Unknown _ -> None
       in
-      let certified = settled (decide ~certify_dir:cert_dir ()) in
-      let certified_cores =
-        settled (decide ~cores:2 ~certify_dir:cores_dir ())
-      in
+      let certified = settled (decide_certified cert_dir) in
+      let certified_cores = settled (decide_certified ~cores:2 cores_dir) in
       let sharded = settled (decide ~split ~certify_dir:shard_dir ()) in
       let verdicts =
         [

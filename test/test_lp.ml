@@ -434,11 +434,11 @@ let prop_min_is_neg_max =
 
 (* {2 Sparse core}
 
-   The revised simplex on a factored basis is the only LP engine; the
-   dense tableau stays compiled in as its cold fallback and as the
+   The revised simplex on a factored basis is the only LP engine on the
+   solve path; the dense tableau stays compiled in only as the
    reference {!Lp.Simplex.solve_dense}. These tests pin the {!Lp.Sparse}
-   primitives and the equivalence / fallback contract the dispatcher
-   promises. *)
+   primitives, the equivalence with that reference, and the contract
+   that an LP the core cannot conclude is [Iteration_limit]. *)
 
 (* Columns [0;1;2] form
        | 2 0 1 |
@@ -557,20 +557,9 @@ let test_refactor_every_pivot_matches_dense () =
       Alcotest.(check (float 1e-6)) "same objective" d.Lp.Simplex.objective
         s.Lp.Simplex.objective)
 
-let test_sparse_falls_back_on_numerical_error () =
-  (* A NaN coefficient trips the sparse path's fail-fast; the dispatcher
-     must hand the problem to the dense oracle (and count the handoff) —
-     which then raises the same typed error. *)
-  let p = Lp.Problem.create () in
-  let x = Lp.Problem.add_var p ~lo:0.0 ~hi:1.0 ~obj:1.0 () in
-  Lp.Problem.add_constraint p [ (x, Float.nan) ] Lp.Problem.Le 1.0;
-  let before = Lp.Simplex.sparse_fallbacks () in
-  Alcotest.(check bool) "still fails fast" true
-    (raises_numerical_error (fun () -> Lp.Simplex.solve p));
-  Alcotest.(check bool) "fallback counted" true
-    (Lp.Simplex.sparse_fallbacks () > before);
-  (* The warm path hands over the same way: a clean parent's basis
-     replayed on a same-shape child with a NaN coefficient. *)
+let test_sparse_unconcluded_is_iteration_limit () =
+  (* Non-finite input is refused before the sparse core runs, cold and
+     warm, and is not an unconcluded solve. *)
   let build c =
     let p = Lp.Problem.create () in
     let x = Lp.Problem.add_var p ~lo:0.0 ~hi:1.0 ~obj:1.0 () in
@@ -580,11 +569,30 @@ let test_sparse_falls_back_on_numerical_error () =
   let parent = Lp.Simplex.solve (build 1.0) in
   let basis = Option.get parent.Lp.Simplex.basis in
   let before = Lp.Simplex.sparse_fallbacks () in
+  Alcotest.(check bool) "cold solve fails fast" true
+    (raises_numerical_error (fun () -> Lp.Simplex.solve (build Float.nan)));
   Alcotest.(check bool) "warm re-solve fails fast" true
     (raises_numerical_error (fun () ->
          Lp.Simplex.resolve ~basis (build Float.nan)));
-  Alcotest.(check int) "one warm fallback counted" (before + 1)
-    (Lp.Simplex.sparse_fallbacks ())
+  Alcotest.(check int) "non-finite input is not counted" before
+    (Lp.Simplex.sparse_fallbacks ());
+  (* A feasible LP whose phase 1 stalls: every reduced cost (1e-8) is
+     below the pricing tolerance while the artificial still carries the
+     whole residual, so phase 1 ends with a Farkas ray that fails its
+     outward check. That proves nothing, so the sparse core reports
+     [Iteration_limit] and counts it. The dense reference checks no ray
+     and calls this feasible LP infeasible. *)
+  let p = Lp.Problem.create () in
+  let x = Lp.Problem.add_var p ~lo:0.0 ~hi:1e9 ~obj:1.0 () in
+  let y = Lp.Problem.add_var p ~lo:0.0 ~hi:1e9 ~obj:0.0 () in
+  Lp.Problem.add_constraint p [ (x, 1e-8); (y, 1e-8) ] Lp.Problem.Eq 1.0;
+  Alcotest.(check bool) "the LP is feasible" true
+    (Lp.Simplex.primal_feasible p [| 1e8; 0.0 |]);
+  check_status Lp.Simplex.Iteration_limit (Lp.Simplex.solve p);
+  check_status Lp.Simplex.Iteration_limit (Lp.Simplex.solve_min p);
+  Alcotest.(check int) "both solves counted" (before + 2)
+    (Lp.Simplex.sparse_fallbacks ());
+  check_status Lp.Simplex.Infeasible (Lp.Simplex.solve_dense p)
 
 let test_sparse_corrupted_basis_falls_back () =
   (* Garbage snapshots under the sparse core: degrade to a cold solve
@@ -618,7 +626,7 @@ let test_sparse_warm_farkas_ray () =
      row alone is empty over the child box, so restore cannot see it and
      the dual simplex meets a row it cannot repair. Its ray passes the
      outward check, so the sparse core prunes warm, on its own
-     evidence, with no dense re-solve. *)
+     evidence, and the solve counts as concluded. *)
   let p = Lp.Problem.create () in
   let x = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
   let y = Lp.Problem.add_var p ~lo:0.0 ~hi:10.0 ~obj:1.0 () in
@@ -637,7 +645,7 @@ let test_sparse_warm_farkas_ray () =
        Alcotest.(check bool) "ray passes the outward check" true
          (Lp.Simplex.farkas_certifies p ray)
    | _ -> Alcotest.fail "expected a Farkas certificate");
-  Alcotest.(check int) "no dense fallback" before
+  Alcotest.(check int) "nothing left unconcluded" before
     (Lp.Simplex.sparse_fallbacks ());
   check_status Lp.Simplex.Infeasible (Lp.Simplex.solve_dense p)
 
@@ -681,7 +689,7 @@ let test_problem_nnz_density () =
 
 (* Equivalence properties: the sparse core must agree with the dense
    oracle on every random LP, cold and warm — the contract that lets
-   branch & bound run sparse by default. *)
+   branch & bound run on the sparse core alone. *)
 let prop_sparse_equals_dense_cold =
   QCheck.Test.make ~name:"sparse core = dense core (cold solve)" ~count:200
     (QCheck.make gen_lp) (fun spec ->
@@ -1073,8 +1081,8 @@ let () =
           quick "eta update = refactorize" test_sparse_update_matches_refactorize;
           quick "singular refused" test_sparse_singular_is_refused;
           quick "refactor every pivot" test_refactor_every_pivot_matches_dense;
-          quick "numerical error falls back"
-            test_sparse_falls_back_on_numerical_error;
+          quick "unconcluded LP is Iteration_limit"
+            test_sparse_unconcluded_is_iteration_limit;
           quick "corrupted basis falls back"
             test_sparse_corrupted_basis_falls_back;
           quick "stale factor probe" test_sparse_stale_factor_probe;

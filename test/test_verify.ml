@@ -429,6 +429,73 @@ let prop_zero_time_limit_honest =
                   (Nn.Network.forward net w.Verify.Driver.input)
                   w.Verify.Driver.outputs))
 
+(* Badly scaled nets: 84-8-8 ReLU nets with a three-component GMM head
+   and every weight matrix scaled by 10^4 to 10^8. Their LPs are hard
+   enough that the sparse LP core leaves many unconcluded, and an answer
+   built on an LP conclusion nobody checked can be wrong here. The
+   threshold is half the box centre's component-0 output, and the centre
+   or one of 64 samples goes above it on some component, so any Proved
+   is wrong. A max query's upper bound must cover those points, and an
+   exact maximum must not be beaten by any of them. Every failing net
+   is reported at once. *)
+let test_scaled_nets_no_wrong_verdict () =
+  let components = Scaled_nets.components in
+  let box = Scaled_nets.box () in
+  let centre = Interval.Box.center box in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  for seed = 1 to 4 do
+    for exponent = 4 to 8 do
+      let net = Scaled_nets.net ~seed ~exponent in
+      let name = Printf.sprintf "seed %d x1e%d" seed exponent in
+      let lateral x =
+        let out = Nn.Network.forward net x in
+        List.fold_left
+          (fun acc k -> Float.max acc out.(Nn.Gmm.mu_lat_index ~components k))
+          neg_infinity
+          (List.init components Fun.id)
+      in
+      let sampled, _ =
+        Verify.Driver.sampled_max_lateral_velocity
+          ~rng:(Linalg.Rng.create seed) ~samples:64 ~components net box
+      in
+      let reached = Float.max (lateral centre) sampled in
+      let tol = 1e-9 *. Float.abs reached in
+      let r =
+        Verify.Driver.max_lateral_velocity ~time_limit:1.0 ~components net box
+      in
+      if r.Verify.Driver.upper_bound < reached -. tol then
+        fail "%s: max query bound %g below the reached %g" name
+          r.Verify.Driver.upper_bound reached;
+      (match r.Verify.Driver.value with
+       | Some v when r.Verify.Driver.optimal && v < reached -. tol ->
+           fail "%s: exact maximum %g beaten by %g" name v reached
+       | _ -> ());
+      let threshold = Scaled_nets.threshold net in
+      if not (reached > threshold) then
+        fail "%s: no known point refutes the threshold" name;
+      let p =
+        Verify.Driver.prove_lateral_velocity_le ~time_limit:1.0 ~components
+          ~threshold net box
+      in
+      match p.Verify.Driver.proof with
+      | Verify.Driver.Proved ->
+          fail "%s: proved a threshold a known point refutes" name
+      | Verify.Driver.Disproved w ->
+          if
+            not
+              (Interval.Box.contains box w.Verify.Driver.input
+              && w.Verify.Driver.achieved > threshold)
+          then fail "%s: disproof does not replay" name
+      | Verify.Driver.Unknown _ -> ()
+    done
+  done;
+  match List.rev !failures with
+  | [] -> ()
+  | fs ->
+      Alcotest.failf "%d wrong answers:\n%s" (List.length fs)
+        (String.concat "\n" fs)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -463,5 +530,7 @@ let () =
           slow "parallel components agree" test_parallel_components_agree;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_zero_time_limit_honest ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_zero_time_limit_honest ]
+        @ [ slow "scaled nets: no wrong verdict" test_scaled_nets_no_wrong_verdict ]
+      );
     ]
