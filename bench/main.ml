@@ -902,9 +902,7 @@ let micro ?(json = false) () =
      Fix a depth-12 chain of binaries (a typical B&B node) and compare a
      from-scratch two-phase solve of the child LP against a dual-simplex
      resolve from the parent's optimal basis, whose snapshot carries the
-     factored basis as it does inside branch & bound. The historical
-     cold entry names stay pinned to the dense tableau so the
-     BENCH_milp.json trajectory keeps comparing like with like. *)
+     factored basis as it does inside branch & bound. *)
   let node_lp = Lp.Problem.copy enc_lp in
   Lp.Problem.set_objective node_lp (Encoding.Encoder.output_objective enc 0);
   let parent = Lp.Simplex.solve node_lp in
@@ -939,8 +937,6 @@ let micro ?(json = false) () =
         (Staged.stage (fun () -> Absint.Symbolic.propagate net box));
       Test.make ~name:"scene encode (84 features)"
         (Staged.stage (fun () -> Highway.Features.encode scene));
-      Test.make ~name:"simplex solve (40 vars)"
-        (Staged.stage (fun () -> Lp.Simplex.solve_dense (Lp.Problem.copy lp)));
       Test.make ~name:"simplex solve sparse (40 vars)"
         (Staged.stage (fun () -> Lp.Simplex.solve (Lp.Problem.copy lp)));
       Test.make ~name:step_name (Staged.stage recorder_step);
@@ -957,8 +953,8 @@ let micro ?(json = false) () =
                (fun (v, lo, hi) -> Lp.Problem.set_bounds enc_lp v ~lo ~hi)
                node_fixes;
              Lp.Problem.pop_bounds enc_lp));
-      Test.make ~name:"node re-solve cold (depth 12)"
-        (Staged.stage (fun () -> Lp.Simplex.solve_dense node_lp));
+      Test.make ~name:"node re-solve cold sparse (depth 12)"
+        (Staged.stage (fun () -> Lp.Simplex.solve node_lp));
     ]
     @
     match warm_stats with

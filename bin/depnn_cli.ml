@@ -362,6 +362,10 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
          Verify.Driver.max_lateral_velocity ~time_limit ~cores ~components
            ~bound_mode net box
        in
+       let reason =
+         if r.Verify.Driver.timed_out then "time limit hit"
+         else "search incomplete"
+       in
        (match (r.Verify.Driver.value, r.Verify.Driver.optimal) with
         | Some v, true ->
             Printf.printf
@@ -370,10 +374,10 @@ let verify net_path threshold time_limit slack cores bound_mode certify_dir
               v
         | Some v, false ->
             Printf.printf "best found %.6f m/s, proven bound %.6f (%s)\n" v
-              r.Verify.Driver.upper_bound
-              (if r.Verify.Driver.timed_out then "time limit hit"
-               else "search incomplete")
-        | None, _ -> print_endline "n.a. (unable to find maximum)");
+              r.Verify.Driver.upper_bound reason
+        | None, _ ->
+            Printf.printf "no point found; proven bound %.6f (%s)\n"
+              r.Verify.Driver.upper_bound reason);
        let st = r.Verify.Driver.encoder_stats in
        Printf.printf
          "encoding (%s, post-obbt): %d stable active, %d stable inactive, %d \

@@ -11,17 +11,12 @@
 val up : float -> float
 (** Next float towards [+infinity] (identity on infinities/NaN). *)
 
-val dn : float -> float
-(** Next float towards [-infinity]. *)
-
 val add_up : float -> float -> float
 val add_dn : float -> float -> float
 val sub_up : float -> float -> float
 val sub_dn : float -> float -> float
 val mul_up : float -> float -> float
 val mul_dn : float -> float -> float
-val div_up : float -> float -> float
-val div_dn : float -> float -> float
 
 type iv = { lo : float; hi : float }
 (** A closed outward interval: the true value lies in [[lo, hi]]. *)

@@ -16,19 +16,6 @@ type rule = {
       (** [Some reason] rejects the sample *)
 }
 
-val risky_left_rule : rule
-(** Rejects samples commanding a large left lateral velocity while the
-    left slot is occupied ({!Highway.Risk}). *)
-
-val risky_right_rule : rule
-val extreme_action_rule : rule
-(** Physically implausible labels (|lat| > 4 m/s or |lon| > 6 m/s²). *)
-
-val in_domain_rule : rule
-(** Features must lie in {!Highway.Features.domain} (sensor sanity). *)
-
-val default_rules : rule list
-
 type rejection = { index : int; rule_name : string; reason : string }
 
 type report = {
@@ -39,7 +26,12 @@ type report = {
 
 val sanitize :
   ?rules:rule list -> Dataset.t -> Dataset.t * report
-(** Returns the clean dataset and the audit trail. *)
+(** Returns the clean dataset and the audit trail. [rules] defaults to
+    four rules, applied in this order: ["in-sensor-domain"] (features
+    inside {!Highway.Features.domain}), ["plausible-action"] (no label
+    with |lat| > 4 m/s or |lon| > 6 m/s²), then ["no-risky-left-move"]
+    and ["no-risky-right-move"] (a large lateral velocity towards an
+    occupied slot, {!Highway.Risk}). *)
 
 val render_report : report -> string
 (** Multi-line human-readable audit summary. *)

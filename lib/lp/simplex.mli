@@ -11,8 +11,9 @@
     a child's LP differs from its parent's by exactly one bound.
 
     One engine runs every {!solve}, {!solve_min} and {!resolve}: the
-    revised simplex on factored sparse columns (LU plus an eta file,
-    {!Sparse.factor}), O(nnz) per pivot instead of O(rows·cols). Its
+    bounded-variable revised simplex on factored sparse columns (LU
+    plus an eta file, {!Sparse.factor}), O(nnz) per pivot instead of
+    O(rows·cols). Its
     columns come from the problem's {!Problem.form}, built once per
     constraint set and shared by every solve, cold or warm, until the
     constraint set changes; a solve may build it, which is the only way
@@ -20,10 +21,8 @@
     row by row ({!Sparse.row_product}), over the rows its BTRAN result
     touches. It reports [Infeasible] only with a row that is empty
     under the box or with a Farkas ray that passes {!farkas_certifies},
-    and [Iteration_limit] for an LP it cannot conclude; no other engine
-    re-decides that LP. The dense Gauss-Jordan tableau survives only as
-    {!solve_dense}, the reference tests and benchmarks compare
-    against.
+    and [Iteration_limit] for an LP it cannot conclude; nothing
+    re-decides that LP.
 
     Primal unboundedness cannot occur because every variable carries
     finite bounds (enforced by {!Problem.add_var}). *)
@@ -31,19 +30,20 @@
 exception Numerical_error of string
 (** Raised by {!solve}, {!solve_min} and {!resolve} on non-finite input
     (a NaN or infinite constraint coefficient, right-hand side or
-    objective coefficient), and by {!solve_dense} on any NaN/Inf it
-    meets. Failing fast beats the alternative — NaN comparisons are all
-    false, so a poisoned tableau silently terminates with a garbage
-    basis reported as [Optimal]. Numerical trouble on finite input does
-    not raise: that solve is [Iteration_limit]. *)
+    objective coefficient), before any pivot. Failing fast beats the
+    alternative — NaN comparisons are all false, so a poisoned solve
+    silently terminates with a garbage basis reported as [Optimal].
+    Numerical trouble on finite input does not raise: that solve is
+    [Iteration_limit]. *)
 
 type status =
   | Optimal
   | Infeasible
   | Iteration_limit
-      (** no conclusion — the pivot limit, a phase-1 Farkas ray that
-          failed {!farkas_certifies}, or numerical trouble on finite
-          input: no information about the LP *)
+      (** the solve concluded nothing, whatever stopped it: the pivot
+          limit, a phase-1 Farkas ray that failed {!farkas_certifies},
+          or numerical trouble on finite input. No information about
+          the LP; no point, basis or certificate comes with it *)
 
 type var_status = Basic | At_lower | At_upper
 
@@ -115,8 +115,7 @@ type solution = {
   iterations : int;   (** pivots; [0] when numerical trouble ended it *)
   basis : basis option;
       (** optimal basis for warm restarts; [None] unless
-          [status = Optimal] and the basis is free of artificials, and
-          always [None] from {!solve_dense} *)
+          [status = Optimal] and the basis is free of artificials *)
   warm : bool;
       (** [true] iff this result came from the warm dual-simplex path
           (no fallback to a cold solve was needed) *)
@@ -151,13 +150,6 @@ val resolve : basis:basis -> Problem.t -> solution
 
 val solve_min : Problem.t -> solution
 (** Minimise instead; [objective] is reported in the minimisation sense. *)
-
-val solve_dense : Problem.t -> solution
-(** Maximise from a cold start on the dense Gauss-Jordan tableau alone,
-    with {!solve}'s tolerance and iteration limit: the reference engine
-    tests and benchmarks compare the sparse core against, reached by no
-    other call. It checks none of its Farkas rays, so its [Infeasible]
-    is not evidence, and it returns no [basis]. *)
 
 val primal_feasible : ?eps:float -> Problem.t -> float array -> bool
 (** Check a point against all bounds and constraints (testing helper). *)

@@ -63,20 +63,6 @@ val plan :
     Zero-width dimensions are never split (their midpoint equals both
     endpoints); a box with no splittable dimension is a single leaf. *)
 
-val influence :
-  Absint.Symbolic.t ->
-  Nn.Network.t ->
-  components:int ->
-  Interval.Box.box ->
-  float array
-(** Per-dimension split score: sum over component outputs of the
-    absolute upper-form input coefficient, times the dimension's width.
-    A dead input or a pinned dimension scores zero. *)
-
-val group_upper : Absint.Symbolic.t -> components:int -> float
-(** Max of the symbolic output upper bounds over the component lateral
-    means — the quantity the pre-pass compares against the threshold. *)
-
 (** {2 Leaf accounting}
 
     Filled in by the driver as the leaf pipeline settles each leaf:

@@ -110,20 +110,6 @@ let test_pipeline_deterministic_data () =
            s2.(i).Highway.Recorder.features))
     s1
 
-let test_closed_loop_evaluation () =
-  let a = Lazy.force artifacts in
-  let r =
-    Evaluation.drive ~steps:150 ~components:Pipeline.components
-      a.Pipeline.network ()
-  in
-  Alcotest.(check int) "steps recorded" 150 r.Evaluation.steps;
-  Alcotest.(check bool) "speed sane" true
-    (r.Evaluation.mean_speed > 0.0 && r.Evaluation.mean_speed < 50.0);
-  Alcotest.(check bool) "risky count bounded" true
-    (r.Evaluation.risky_suggestions <= r.Evaluation.steps);
-  Alcotest.(check bool) "render nonempty" true
-    (String.length (Evaluation.render r) > 20)
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -142,6 +128,5 @@ let () =
           slow "certify consistent" test_pipeline_certify_consistent;
           slow "report renders" test_pipeline_report_renders;
           quick "deterministic data" test_pipeline_deterministic_data;
-          slow "closed-loop evaluation" test_closed_loop_evaluation;
         ] );
     ]

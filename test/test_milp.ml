@@ -772,8 +772,9 @@ let test_sparse_warm_resolve_beats_cold () =
   (* Strict acceptance for the warm restart: on the NN smoke encoding, a
      depth-12 warm node re-solve through the factored basis must take
      fewer pivots than a cold solve of the same child and beat it on the
-     clock (min-of-5 each to de-noise), with the dense tableau's answer
-     as the reference. *)
+     clock (min-of-5 each to de-noise). The cold solve's answer is the
+     reference, and the warm duals must bound the objective when the
+     independent checker replays them under outward rounding. *)
   let rng = Linalg.Rng.create 21 in
   let net =
     Nn.Network.create ~rng [ 6; 10; 10; Nn.Gmm.output_dim ~components:2 ]
@@ -805,13 +806,28 @@ let test_sparse_warm_resolve_beats_cold () =
   in
   let warm = Lp.Simplex.resolve ~basis p in
   let cold = Lp.Simplex.solve p in
-  let dense = Lp.Simplex.solve_dense p in
   let warm_s = min_of_5 (fun () -> Lp.Simplex.resolve ~basis p) in
   let cold_s = min_of_5 (fun () -> Lp.Simplex.solve p) in
   Alcotest.(check bool) "same status" true
-    (warm.Lp.Simplex.status = dense.Lp.Simplex.status);
+    (warm.Lp.Simplex.status = cold.Lp.Simplex.status);
   Alcotest.(check (float 1e-5)) "same child objective"
-    dense.Lp.Simplex.objective warm.Lp.Simplex.objective;
+    cold.Lp.Simplex.objective warm.Lp.Simplex.objective;
+  (match warm.Lp.Simplex.cert with
+   | Some (Lp.Simplex.Cert_duals y) -> (
+       let view =
+         { Certify.Checker.rows = Lp.Problem.rows p;
+           lo = Lp.Problem.var_lo p; hi = Lp.Problem.var_hi p;
+           obj = Lp.Problem.objective p }
+       in
+       match Certify.Checker.dual_upper view y with
+       | Ok u ->
+           Alcotest.(check bool)
+             (Printf.sprintf "replayed dual bound %g >= objective %g" u
+                warm.Lp.Simplex.objective)
+             true
+             (u >= warm.Lp.Simplex.objective -. 1e-6)
+       | Error e -> Alcotest.fail ("warm duals do not replay: " ^ e))
+   | _ -> Alcotest.fail "expected the warm optimum's dual certificate");
   Alcotest.(check bool) "sparse took the warm path" true warm.Lp.Simplex.warm;
   Alcotest.(check bool)
     (Printf.sprintf "warm pivots (%d) < cold pivots (%d)"

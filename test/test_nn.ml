@@ -459,66 +459,6 @@ let prop_gmm_grad_matches_finite_diff =
         v;
       !ok)
 
-(* {1 Quantize} *)
-
-let test_quantize_grid_and_error () =
-  let rng = Linalg.Rng.create 20 in
-  let net = Nn.Network.create ~rng [ 4; 6; 3 ] in
-  let q, report = Nn.Quantize.quantize ~bits:8 net in
-  Alcotest.(check int) "bits" 8 report.Nn.Quantize.bits;
-  Alcotest.(check int) "scale per layer" 2 (Array.length report.Nn.Quantize.scales);
-  (* Every quantized parameter is an integer multiple of its layer scale. *)
-  for i = 0 to Nn.Network.num_layers q - 1 do
-    let l = Nn.Network.layer q i in
-    let scale = report.Nn.Quantize.scales.(i) in
-    let on_grid x =
-      let ratio = x /. scale in
-      Float.abs (ratio -. Float.round ratio) < 1e-6
-    in
-    for r = 0 to Nn.Layer.output_dim l - 1 do
-      Alcotest.(check bool) "bias on grid" true (on_grid l.Nn.Layer.bias.(r));
-      for c = 0 to Nn.Layer.input_dim l - 1 do
-        Alcotest.(check bool) "weight on grid" true
-          (on_grid (Linalg.Mat.get l.Nn.Layer.weights r c))
-      done
-    done;
-    (* Error bounded by half a step. *)
-    Alcotest.(check bool) "error bounded" true
-      (report.Nn.Quantize.max_weight_error <= (scale /. 2.0) +. 1e-9
-       || report.Nn.Quantize.max_weight_error
-          <= Array.fold_left Float.max 0.0 report.Nn.Quantize.scales /. 2.0 +. 1e-9)
-  done
-
-let test_quantize_more_bits_more_fidelity () =
-  let rng = Linalg.Rng.create 21 in
-  let net = Nn.Network.create ~rng [ 5; 10; 4 ] in
-  let probe = Linalg.Rng.create 22 in
-  let dev bits =
-    let q, _ = Nn.Quantize.quantize ~bits net in
-    Nn.Quantize.output_deviation ~rng:(Linalg.Rng.copy probe) ~samples:200
-      ~radius:1.0 net q
-  in
-  let coarse = dev 3 and fine = dev 12 in
-  Alcotest.(check bool) "12-bit beats 3-bit" true (fine < coarse);
-  Alcotest.(check bool) "12-bit is close" true (fine < 0.05)
-
-let test_quantize_original_untouched () =
-  let rng = Linalg.Rng.create 23 in
-  let net = Nn.Network.create ~rng [ 3; 4; 2 ] in
-  let x = [| 0.2; -0.1; 0.4 |] in
-  let before = Nn.Network.forward net x in
-  let _ = Nn.Quantize.quantize ~bits:4 net in
-  Alcotest.check vec "unchanged" before (Nn.Network.forward net x)
-
-let test_quantize_validation () =
-  let rng = Linalg.Rng.create 24 in
-  let net = Nn.Network.create ~rng [ 2; 2; 1 ] in
-  Alcotest.(check bool) "bits >= 2" true
-    (try
-       ignore (Nn.Quantize.quantize ~bits:1 net);
-       false
-     with Invalid_argument _ -> true)
-
 (* {1 Io} *)
 
 let test_io_roundtrip_exact () =
@@ -655,13 +595,6 @@ let () =
           quick "log likelihood" test_gmm_log_likelihood_matches_density;
           quick "readers reject wrong length"
             test_gmm_readers_reject_wrong_length;
-        ] );
-      ( "quantize",
-        [
-          quick "grid and error" test_quantize_grid_and_error;
-          quick "fidelity vs bits" test_quantize_more_bits_more_fidelity;
-          quick "original untouched" test_quantize_original_untouched;
-          quick "validation" test_quantize_validation;
         ] );
       ( "io",
         [

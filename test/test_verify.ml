@@ -429,6 +429,135 @@ let prop_zero_time_limit_honest =
                   (Nn.Network.forward net w.Verify.Driver.input)
                   w.Verify.Driver.outputs))
 
+(* {2 Exact maximum by activation patterns}
+
+   A reference that uses no branch and bound, for ReLU nets with at most
+   10 hidden neurons. Fixing every hidden neuron's phase makes the net
+   affine on the inputs that realise the pattern: active means a = z
+   with z >= 0, inactive means z <= 0 and a = 0. Each pattern is one LP
+   over the input box, with one row per hidden neuron for its phase and
+   the output's affine form as objective; the sparse core solves it. The
+   best pattern's optimum is the maximum, and a forward pass at its
+   point must reproduce it. *)
+let pattern_max net box ~output =
+  let n_layers = Nn.Network.num_layers net in
+  let hidden = Nn.Network.num_hidden_neurons net in
+  if hidden > 10 then invalid_arg "pattern_max: more than 10 hidden ReLUs";
+  let d = Array.length box in
+  let best = ref None in
+  for pattern = 0 to (1 lsl hidden) - 1 do
+    let p = Lp.Problem.create () in
+    let xs =
+      Array.map
+        (fun iv ->
+          Lp.Problem.add_var p ~lo:iv.Interval.lo ~hi:iv.Interval.hi ~obj:0.0
+            ())
+        box
+    in
+    let terms c = Array.to_list (Array.mapi (fun j cj -> (xs.(j), cj)) c) in
+    (* Each neuron's value as an affine form (c, k) = c·x + k. *)
+    let forms =
+      ref
+        (Array.init d (fun i ->
+             (Array.init d (fun j -> if i = j then 1.0 else 0.0), 0.0)))
+    in
+    let bit = ref 0 in
+    for l = 0 to n_layers - 1 do
+      let layer = Nn.Network.layer net l in
+      let pre =
+        Array.init (Nn.Layer.output_dim layer) (fun r ->
+            let c = Array.make d 0.0 and k = ref layer.Nn.Layer.bias.(r) in
+            Array.iteri
+              (fun col (fc, fk) ->
+                let w = Linalg.Mat.get layer.Nn.Layer.weights r col in
+                Array.iteri (fun j v -> c.(j) <- c.(j) +. (w *. v)) fc;
+                k := !k +. (w *. fk))
+              !forms;
+            (c, !k))
+      in
+      forms :=
+        if l = n_layers - 1 then pre
+        else
+          Array.map
+            (fun (c, k) ->
+              let active = pattern land (1 lsl !bit) <> 0 in
+              incr bit;
+              Lp.Problem.add_constraint p (terms c)
+                (if active then Lp.Problem.Ge else Lp.Problem.Le)
+                (-.k);
+              if active then (c, k) else (Array.make d 0.0, 0.0))
+            pre
+    done;
+    let c, k = !forms.(output) in
+    Lp.Problem.set_objective p (terms c);
+    let s = Lp.Simplex.solve p in
+    match s.Lp.Simplex.status with
+    | Lp.Simplex.Infeasible -> ()
+    | Lp.Simplex.Iteration_limit ->
+        failwith (Printf.sprintf "pattern %d: LP left unconcluded" pattern)
+    | Lp.Simplex.Optimal -> (
+        let v = s.Lp.Simplex.objective +. k in
+        match !best with
+        | Some (bv, _) when bv >= v -> ()
+        | _ -> best := Some (v, s.Lp.Simplex.x))
+  done;
+  match !best with
+  | None -> failwith "no activation pattern is feasible"
+  | Some (v, x) ->
+      let reached = (Nn.Network.forward net x).(output) in
+      if Float.abs (reached -. v) > 1e-6 *. (1.0 +. Float.abs v) then
+        failwith
+          (Printf.sprintf "forward pass gives %.9g at the best point, not %.9g"
+             reached v);
+      v
+
+(* Every max-query configuration agrees with the pattern oracle on
+   random 3-5-5-2 nets and boxes: the bound never falls below the
+   maximum, and an answer called exact is the maximum. *)
+let prop_max_query_matches_pattern_oracle =
+  QCheck.Test.make ~name:"max query agrees with the activation-pattern oracle"
+    ~count:40
+    (QCheck.make QCheck.Gen.(pair (int_range 0 100_000) (int_range 0 1)))
+    (fun (seed, output) ->
+      let net = small_net seed [ 3; 5; 5; 2 ] in
+      let rng = Linalg.Rng.create (seed + 1) in
+      let box =
+        Array.init 3 (fun _ ->
+            let c = Linalg.Rng.uniform rng (-1.0) 1.0
+            and r = Linalg.Rng.uniform rng 0.05 1.0 in
+            Interval.make (c -. r) (c +. r))
+      in
+      let exact = pattern_max net box ~output in
+      let tol = 1e-5 *. (1.0 +. Float.abs exact) in
+      List.iter
+        (fun (bound_mode, mode) ->
+          List.iter
+            (fun tighten_rounds ->
+              List.iter
+                (fun cores ->
+                  let r =
+                    Verify.Driver.maximize_output ~time_limit:20.0 ~bound_mode
+                      ~tighten_rounds ~cores ~output net box
+                  in
+                  let config =
+                    Printf.sprintf "seed %d output %d, %s, %d rounds, %d cores"
+                      seed output mode tighten_rounds cores
+                  in
+                  if r.Verify.Driver.upper_bound < exact -. tol then
+                    QCheck.Test.fail_reportf
+                      "%s: bound %.9g below the maximum %.9g" config r.Verify.Driver.upper_bound exact;
+                  match r.Verify.Driver.value with
+                  | Some v when r.Verify.Driver.optimal
+                                && Float.abs (v -. exact) > tol ->
+                      QCheck.Test.fail_reportf
+                        "%s: exact answer %.9g, maximum %.9g" config v exact
+                  | _ -> ())
+                [ 1; 2 ])
+            [ 0; 1 ])
+        [ (Encoding.Encoder.Interval_bounds, "interval");
+          (Encoding.Encoder.Symbolic_bounds, "symbolic") ];
+      true)
+
 (* Badly scaled nets: 84-8-8 ReLU nets with a three-component GMM head
    and every weight matrix scaled by 10^4 to 10^8. Their LPs are hard
    enough that the sparse LP core leaves many unconcluded, and an answer
@@ -530,7 +659,9 @@ let () =
           slow "parallel components agree" test_parallel_components_agree;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_zero_time_limit_honest ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_zero_time_limit_honest;
+            prop_max_query_matches_pattern_oracle ]
         @ [ slow "scaled nets: no wrong verdict" test_scaled_nets_no_wrong_verdict ]
       );
     ]
